@@ -3,11 +3,13 @@ world, with decision-tree distillation of the learned policy."""
 
 from .env import (
     Action,
+    Grid,
     GridConfig,
     Position,
     PreyKind,
     StepOutcome,
     WorldState,
+    grid_for,
     is_captured,
     legal_moves,
     manhattan_distance,
@@ -28,7 +30,6 @@ from .experiment import (
 from .hmrl import (
     ATFieldParams,
     HunterAgent,
-    ModuleKey,
     TargetChoice,
     UpperTrace,
     atf,

@@ -74,9 +74,18 @@ def cmd_eval_rules(args) -> int:
     return 0
 
 
+def _trajectory_side(path: Path, rows) -> int:
+    """Grid side of a recorded trajectory: ``grid_side`` from the run's
+    metadata.txt beside it, else the largest coordinate + 1."""
+    metadata = path.parent / "metadata.txt"
+    if metadata.exists():
+        return experiment.load_config(metadata).grid_side
+    return max(max(x, y) for _, _, x, y, _ in rows) + 1
+
+
 def cmd_replay(args) -> int:
     rows = env.load_trajectory(args.trajectory)
-    side = args.side
+    side = args.side if args.side is not None else _trajectory_side(args.trajectory, rows)
     by_step: dict[int, list] = {}
     for step_index, agent, x, y, action in rows:
         by_step.setdefault(step_index, []).append((agent, x, y, action))
@@ -158,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     replay = sub.add_parser("replay", help="print a recorded trajectory")
     replay.add_argument("--trajectory", type=Path, required=True)
-    replay.add_argument("--side", type=int, default=7)
+    replay.add_argument("--side", type=int,
+                        help="grid side (default: from the run's metadata.txt)")
     replay.set_defaults(func=cmd_replay)
 
     report = sub.add_parser("report", help="tabulate block metrics of runs")

@@ -3,6 +3,9 @@
 Four hunters chase two randomly moving prey on a bounded square grid.
 All agents move simultaneously; a prey is captured when every in-bounds
 neighbouring cell is occupied by a hunter (grid walls count as blocking).
+
+The topology of a grid side is precomputed once in a :class:`Grid` and
+addressed by integer cell ids, which is what the trial loop runs on.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from random import Random
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -20,7 +24,11 @@ class Position(NamedTuple):
 
 
 class Action(Enum):
-    """One move per step. x grows east, y grows south."""
+    """One move per step. x grows east, y grows south.
+
+    ``index`` is the action's place in :data:`ACTIONS`; learners key their
+    tables by it rather than by the member, whose hash is slow.
+    """
 
     STAY = (0, 0)
     NORTH = (0, -1)
@@ -28,9 +36,10 @@ class Action(Enum):
     EAST = (1, 0)
     WEST = (-1, 0)
 
-    @property
-    def delta(self) -> tuple[int, int]:
-        return self.value
+    def __init__(self, dx: int, dy: int) -> None:
+        self.dx = dx
+        self.dy = dy
+        self.index = len(type(self)._member_names_)
 
 
 ACTIONS: tuple[Action, ...] = tuple(Action)
@@ -57,6 +66,64 @@ N_PREY = 2
 
 HUNTER_IDS = tuple(f"h{i}" for i in range(N_HUNTERS))
 PREY_IDS = tuple(f"p{j}" for j in range(N_PREY))
+
+CANDIDATE_MODES = ("ring2", "all")
+
+
+class Grid:
+    """Integer-coded topology of one square grid side.
+
+    Cell ``x * side + y`` is ``Position(x, y)``, so ascending ids run
+    x-outer, y-inner. Per cell it holds the move destination of every
+    action (-1 off the grid), the legal actions, the in-bounds
+    4-neighbours, the Manhattan distance to every cell, and per candidate
+    mode the target cells a hunter may be sent to for a prey there.
+    Build it with :func:`grid_for`, which keeps one per side.
+    """
+
+    def __init__(self, side: int):
+        self.side = side
+        self.size = side * side
+        self.cells = tuple(Position(x, y) for x in range(side) for y in range(side))
+        # repr of the cell as a plain tuple, as persisted tables spell it
+        self.cell_text = tuple(f"({x}, {y})" for x, y in self.cells)
+        self.moves = tuple(
+            tuple((x + a.dx) * side + y + a.dy
+                  if 0 <= x + a.dx < side and 0 <= y + a.dy < side else -1
+                  for a in ACTIONS)
+            for x, y in self.cells
+        )
+        self.legal = tuple(tuple(i for i, dest in enumerate(row) if dest >= 0)
+                           for row in self.moves)
+        self.legal_actions = tuple(tuple(ACTIONS[i] for i in row) for row in self.legal)
+        self.neighbors = tuple(tuple(row[i] for i in legal if i != Action.STAY.index)
+                               for row, legal in zip(self.moves, self.legal))
+        self.distance = tuple(tuple(abs(x - u) + abs(y - v) for u, v in self.cells)
+                              for x, y in self.cells)
+        # ring2: cells within distance 2 of the prey (surrounding needs the
+        # adjacent slots); all: the whole grid. Never the prey's own cell.
+        self.candidates = {
+            "ring2": tuple(tuple(c for c, d in enumerate(row) if 0 < d <= 2)
+                           for row in self.distance),
+            "all": tuple(tuple(c for c in range(self.size) if c != goal)
+                         for goal in range(self.size)),
+        }
+        self._powers: dict[float, tuple[float, ...]] = {}
+
+    def cell(self, pos: Position | tuple[int, int]) -> int:
+        return pos[0] * self.side + pos[1]
+
+    def discount_powers(self, base: float) -> tuple[float, ...]:
+        """``base ** d`` for every distance ``d`` on this grid."""
+        powers = self._powers.get(base)
+        if powers is None:
+            powers = self._powers[base] = tuple(base**d for d in range(2 * self.side - 1))
+        return powers
+
+
+@lru_cache(maxsize=None)
+def grid_for(side: int) -> Grid:
+    return Grid(side)
 
 
 @dataclass(frozen=True)
@@ -104,37 +171,8 @@ def in_bounds(pos: tuple[int, int], side: int) -> bool:
     return 0 <= pos[0] < side and 0 <= pos[1] < side
 
 
-def neighbor_cells(pos: Position, side: int) -> list[Position]:
-    """In-bounds 4-neighbourhood of a cell."""
-    x, y = pos
-    cells = []
-    for dx, dy in ((0, -1), (0, 1), (1, 0), (-1, 0)):
-        nx, ny = x + dx, y + dy
-        if 0 <= nx < side and 0 <= ny < side:
-            cells.append(Position(nx, ny))
-    return cells
-
-
-# Legal-action cache keyed by grid side; positions on a side-7 grid are
-# looked up tens of thousands of times per trial.
-_LEGAL_CACHE: dict[int, dict[Position, tuple[Action, ...]]] = {}
-
-
 def legal_actions_at(pos: Position, side: int) -> tuple[Action, ...]:
-    try:
-        return _LEGAL_CACHE[side][pos]
-    except KeyError:
-        pass
-    table = _LEGAL_CACHE.setdefault(side, {})
-    if not table:
-        for x in range(side):
-            for y in range(side):
-                cell = Position(x, y)
-                table[cell] = tuple(
-                    a for a in ACTIONS
-                    if 0 <= x + a.value[0] < side and 0 <= y + a.value[1] < side
-                )
-    return table[pos]
+    return grid_for(side).legal_actions[pos[0] * side + pos[1]]
 
 
 def _agent_position(state: WorldState, agent_id: str) -> Position:
@@ -160,9 +198,7 @@ def new_world(seed: int, config: GridConfig = GridConfig()) -> WorldState:
         raise ValueError(
             f"grid of side {config.side} cannot hold {n_agents} distinct agents"
         )
-    rng = Random(seed)
-    cells = [Position(x, y) for x in range(config.side) for y in range(config.side)]
-    picks = rng.sample(cells, n_agents)
+    picks = Random(seed).sample(grid_for(config.side).cells, n_agents)
     hunters = picks[:N_HUNTERS]
     prey = [
         PreyState(position=picks[N_HUNTERS + j], alive=config.prey_alive[j],
@@ -172,16 +208,14 @@ def new_world(seed: int, config: GridConfig = GridConfig()) -> WorldState:
     return WorldState(side=config.side, hunters=hunters, prey=prey)
 
 
-def _surrounded(prey_pos: Position, hunter_cells: set[Position], side: int) -> bool:
-    return all(cell in hunter_cells for cell in neighbor_cells(prey_pos, side))
-
-
 def is_captured(state: WorldState, prey_index: int) -> bool:
     """True when every in-bounds neighbour cell of the prey holds a hunter."""
     prey = state.prey[prey_index]
     if not prey.alive:
         raise ValueError(f"prey {prey_index} is dead")
-    return _surrounded(prey.position, set(state.hunters), state.side)
+    grid = grid_for(state.side)
+    hunter_cells = {grid.cell(pos) for pos in state.hunters}
+    return hunter_cells.issuperset(grid.neighbors[grid.cell(prey.position)])
 
 
 PreyPolicy = Callable[[WorldState, int, Sequence[Action], Random], Action]
@@ -205,82 +239,76 @@ def step(state: WorldState, hunter_actions: Sequence[Action], rng: Random,
         raise ValueError(f"expected {N_HUNTERS} hunter actions")
 
     side = state.side
-    current: dict[str, Position] = {}
-    dest: dict[str, Position] = {}
-
-    for i, action in enumerate(hunter_actions):
-        pos = state.hunters[i]
-        nx, ny = pos.x + action.value[0], pos.y + action.value[1]
-        if not (0 <= nx < side and 0 <= ny < side):
-            raise ValueError(f"illegal action {action.name} for hunter {i} at {pos}")
-        aid = HUNTER_IDS[i]
-        current[aid] = pos
-        dest[aid] = Position(nx, ny)
+    grid = grid_for(side)
+    moves = grid.moves
+    # Agent-index arrays over the agents taking part: the hunters, then
+    # the live prey in prey order.
+    current = [x * side + y for x, y in state.hunters]
+    dest = [moves[cell][action.index] for cell, action in zip(current, hunter_actions)]
+    if -1 in dest:
+        i = dest.index(-1)
+        raise ValueError(f"illegal action {hunter_actions[i].name} for hunter {i} "
+                         f"at {state.hunters[i]}")
 
     # Prey draws happen before the priority draw, in prey order, so the
     # rng stream for a step is well defined.
-    for j, prey in enumerate(state.prey):
-        if not prey.alive:
-            continue
-        legal = legal_actions_at(prey.position, side)
-        action = prey_policy(state, j, legal, rng)
-        nx, ny = prey.position.x + action.value[0], prey.position.y + action.value[1]
-        if not (0 <= nx < side and 0 <= ny < side):
+    live = [j for j, prey in enumerate(state.prey) if prey.alive]
+    for j in live:
+        x, y = state.prey[j].position
+        cell = x * side + y
+        action = prey_policy(state, j, grid.legal_actions[cell], rng)
+        target = moves[cell][action.index]
+        if target < 0:
             raise ValueError(f"illegal prey action {action.name} for prey {j}")
-        aid = PREY_IDS[j]
-        current[aid] = prey.position
-        dest[aid] = Position(nx, ny)
+        current.append(cell)
+        dest.append(target)
 
-    order = list(current)
+    order = list(range(len(current)))
     rng.shuffle(order)
-    rank = {aid: k for k, aid in enumerate(order)}
-
-    movers = {aid for aid in current if dest[aid] != current[aid]}
-    blocked: list[str] = []
+    moving = [d != c for c, d in zip(current, dest)]
+    blocked = [False] * len(current)
 
     # Same destination: the best-ranked claimant moves, the rest stay.
-    claims: dict[Position, list[str]] = {}
-    for aid in movers:
-        claims.setdefault(dest[aid], []).append(aid)
-    for cell, group in claims.items():
-        if len(group) > 1:
-            group.sort(key=rank.__getitem__)
-            for loser in group[1:]:
-                movers.discard(loser)
-                blocked.append(loser)
+    claimed: set[int] = set()
+    for k in order:
+        if moving[k]:
+            if dest[k] in claimed:
+                moving[k] = False
+                blocked[k] = True
+            else:
+                claimed.add(dest[k])
 
     # A move onto a cell whose occupant ends up staying is blocked; each
     # new stayer can block further movers, so iterate to a fixed point.
-    stay_cells = {current[aid] for aid in current if aid not in movers}
+    stay_cells = {c for c, m in zip(current, moving) if not m}
     changed = True
     while changed:
         changed = False
-        for aid in list(movers):
-            if dest[aid] in stay_cells:
-                movers.discard(aid)
-                blocked.append(aid)
-                stay_cells.add(current[aid])
+        for k in order:
+            if moving[k] and dest[k] in stay_cells:
+                moving[k] = False
+                blocked[k] = True
+                stay_cells.add(current[k])
                 changed = True
 
-    final = {aid: (dest[aid] if aid in movers else current[aid]) for aid in current}
-
-    hunters = [final[HUNTER_IDS[i]] for i in range(N_HUNTERS)]
-    prey = [
-        PreyState(position=final.get(PREY_IDS[j], p.position), alive=p.alive, kind=p.kind)
-        for j, p in enumerate(state.prey)
-    ]
-    next_state = WorldState(side=side, hunters=hunters, prey=prey,
-                            step_count=state.step_count + 1)
+    final = [d if m else c for c, d, m in zip(current, dest, moving)]
+    cells = grid.cells
+    prey = [PreyState(p.position, p.alive, p.kind) for p in state.prey]
+    for j, cell in zip(live, final[N_HUNTERS:]):
+        prey[j].position = cells[cell]
+    next_state = WorldState(side, [cells[cell] for cell in final[:N_HUNTERS]], prey,
+                            state.step_count + 1)
 
     captures: list[tuple[int, PreyKind]] = []
-    hunter_cells = set(hunters)
-    for j, p in enumerate(prey):
-        if p.alive and _surrounded(p.position, hunter_cells, side):
-            captures.append((j, p.kind))
-            p.alive = False
+    hunter_cells = set(final[:N_HUNTERS])
+    for j, cell in zip(live, final[N_HUNTERS:]):
+        if hunter_cells.issuperset(grid.neighbors[cell]):
+            captures.append((j, prey[j].kind))
+            prey[j].alive = False
 
-    blocked.sort(key=rank.__getitem__)
-    return StepOutcome(next_state=next_state, captures=captures, blocked_moves=blocked)
+    return StepOutcome(next_state, captures, [
+        HUNTER_IDS[k] if k < N_HUNTERS else PREY_IDS[live[k - N_HUNTERS]]
+        for k in order if blocked[k]])
 
 
 def trajectory_rows(state: WorldState) -> list[tuple[int, str, int, int]]:

@@ -12,14 +12,18 @@ import csv
 import statistics
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from random import Random
 from typing import Sequence
 
 from . import env, hmrl, knowledge, profit_sharing, q_learning
-from .env import ACTION_LABELS, GridConfig, PreyKind, manhattan_distance
-from .hmrl import ATFieldParams, HunterAgent, deliver_rewards
+from .env import ACTION_LABELS, CANDIDATE_MODES, GridConfig, PreyKind, manhattan_distance
+from .hmrl import ATFieldParams, HunterAgent, deliver_rewards, module_prey, module_text
 from .knowledge import IfThenRule, Instance, rule_policy_act
+
+
+RULE_FALLBACKS = ("learner", "stay")
 
 
 class TrialOutcome(Enum):
@@ -63,10 +67,18 @@ class ExperimentConfig:
     prey_kinds: tuple[str, str] = ("positive", "dangerous")
     prey_alive: tuple[bool, bool] = (True, True)
     # rule-driven evaluation
-    rule_fallback: str = "learner"   # "learner" or "stay" for unmatched offsets
+    rule_fallback: str = "learner"   # one of RULE_FALLBACKS, for unmatched offsets
     # fidelity/debug knobs
     strict_reset: bool = False       # wipe learned tables after every trial
     trajectory_trial: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.candidate_mode not in CANDIDATE_MODES:
+            raise ValueError(f"candidate_mode must be one of {CANDIDATE_MODES}, "
+                             f"got {self.candidate_mode!r}")
+        if self.rule_fallback not in RULE_FALLBACKS:
+            raise ValueError(f"rule_fallback must be one of {RULE_FALLBACKS}, "
+                             f"got {self.rule_fallback!r}")
 
     def atf_params(self) -> ATFieldParams:
         return ATFieldParams(near_distance=self.atf_near, far_distance=self.atf_far,
@@ -460,13 +472,17 @@ def save_learned_tables(out_dir, result: TrainingResult) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     meta = run_meta(result.config)
+    grid = env.grid_for(result.config.grid_side)
+    encode_module = partial(module_text, grid)
     for agent in result.agents:
-        for prey_index in range(env.N_PREY):
-            bank = profit_sharing.WeightTable(agent.upper.default_weight)
-            bank.weights = {key: w for key, w in agent.upper.weights.items()
-                            if key[0][1] == prey_index}
+        banks = [profit_sharing.WeightTable(agent.upper.default_weight)
+                 for _ in range(env.N_PREY)]
+        for (module, cell), weight in agent.upper.weights.items():
+            banks[module_prey(grid, module)].weights[module, cell] = weight
+        for prey_index, bank in enumerate(banks):
             profit_sharing.save_weights(
-                out / f"upper_h{agent.index}_p{prey_index}.tsv", bank, meta)
+                out / f"upper_h{agent.index}_p{prey_index}.tsv", bank, meta,
+                encode_state=encode_module, encode_action=grid.cell_text.__getitem__)
         q_learning.save_q_table(out / f"q_h{agent.index}.tsv", agent.q, meta)
 
 

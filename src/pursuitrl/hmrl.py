@@ -11,6 +11,10 @@ In the two-prey setting the upper layer's backward credit is gated by
 the inter-prey distance: share nothing upstream of a step where the two
 prey were within the close range, slightly dampen it when they were far
 apart.
+
+Both layers run on the integer-coded grid of :func:`env.grid_for`. An
+upper rule is keyed by the packed module key (see :func:`module_text`)
+and the target's cell id; a lower rule by the action's index.
 """
 
 from __future__ import annotations
@@ -18,19 +22,20 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from random import Random
 from typing import Literal, NamedTuple, Sequence
 
 from .env import (
+    ACTIONS,
     N_HUNTERS,
+    N_PREY,
     Action,
+    Grid,
     Position,
     PreyKind,
     StepOutcome,
     WorldState,
-    legal_actions_at,
-    manhattan_distance,
+    grid_for,
 )
 from .profit_sharing import WeightTable
 from .q_learning import QTable, epsilon_greedy, q_update
@@ -41,6 +46,9 @@ logger = logging.getLogger(__name__)
 # with decay <= 0.9 the cutoff is reached within ~200 steps and the
 # skipped weight increments are far below tie-breaking relevance.
 CREDIT_FLOOR = 1e-9
+
+# The other hunters of each hunter, in hunter order.
+_PEERS = tuple(tuple(k for k in range(N_HUNTERS) if k != i) for i in range(N_HUNTERS))
 
 
 @dataclass(frozen=True)
@@ -71,52 +79,37 @@ def atf(prey_distance: int, params: ATFieldParams) -> float:
     return 0.9
 
 
-class ModuleKey(NamedTuple):
-    """Upper-layer rule state: one module per (hunter, peer) pair per prey."""
+def module_text(grid: Grid, key: int) -> str:
+    """The persisted spelling of a packed module key.
 
-    hunter: int
-    prey: int
-    own: Position
-    peer: Position
-    goal: Position
+    A key packs (hunter, prey, own cell, peer cell, prey cell) as
+    ``(((hunter * N_PREY + prey) * n + own) * n + peer) * n + goal`` over
+    the grid's ``n`` cell ids; it is written as the plain tuple
+    ``(hunter, prey, (x, y), (x, y), (x, y))``.
+    """
+    n = grid.size
+    rest, goal = divmod(key, n)
+    rest, peer = divmod(rest, n)
+    rest, own = divmod(rest, n)
+    hunter, prey = divmod(rest, N_PREY)
+    text = grid.cell_text
+    return f"({hunter}, {prey}, {text[own]}, {text[peer]}, {text[goal]})"
 
 
-@dataclass(frozen=True)
-class TargetChoice:
+def module_prey(grid: Grid, key: int) -> int:
+    """The prey a packed module key belongs to."""
+    return key // grid.size**3 % N_PREY
+
+
+class TargetChoice(NamedTuple):
     target: Position
     prey: int
     score: float
+    modules: tuple[int, ...]   # packed module key per peer: the rules fired with
+    cell: int                  # the target's cell id
 
 
 CandidateMode = Literal["ring2", "all"]
-
-
-@lru_cache(maxsize=None)
-def candidate_cells(goal: Position, side: int, mode: CandidateMode = "ring2") -> tuple[Position, ...]:
-    """Target cells a hunter may be sent to for a prey at ``goal``.
-
-    ``ring2`` keeps the cells within Manhattan distance 2 of the prey
-    (surrounding needs the adjacent slots); ``all`` opens up the whole
-    grid. The prey's own cell is never a candidate.
-    """
-    if mode == "ring2":
-        cells = [
-            Position(x, y)
-            for x in range(max(0, goal.x - 2), min(side, goal.x + 3))
-            for y in range(max(0, goal.y - 2), min(side, goal.y + 3))
-            if 0 < abs(x - goal.x) + abs(y - goal.y) <= 2
-        ]
-    elif mode == "all":
-        cells = [Position(x, y) for x in range(side) for y in range(side)
-                 if (x, y) != goal]
-    else:
-        raise ValueError(f"unknown candidate mode: {mode!r}")
-    return tuple(cells)
-
-
-@lru_cache(maxsize=None)
-def _discount_powers(base: float, count: int) -> tuple[float, ...]:
-    return tuple(base**d for d in range(count))
 
 
 def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
@@ -133,70 +126,82 @@ def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
     """
     if reach_discount < 1.0:
         raise ValueError(f"reach discount must be >= 1, got {reach_discount}")
-    alive = state.alive_prey_indices()
-    if not alive:
+    first, second = prey = state.prey      # N_PREY == 2
+    if not (first.alive or second.alive):
         raise ValueError("no alive prey to target")
 
-    own = state.hunters[hunter_index]
-    if mode == "single":
-        if len(alive) != 1:
+    side = state.side
+    grid = grid_for(side)
+    n = grid.size
+    hunters = state.hunters
+    own = hunters[hunter_index]
+    distance = grid.distance[own[0] * side + own[1]]
+    if first.alive and second.alive:
+        if mode == "single":
             raise ValueError("single mode expects exactly one alive prey")
-        prey_index = alive[0]
-    elif len(alive) == 1:
-        prey_index = alive[0]
-    else:
-        d0 = manhattan_distance(own, state.prey[alive[0]].position)
-        d1 = manhattan_distance(own, state.prey[alive[1]].position)
-        if d0 < d1:
-            prey_index = alive[0]
-        elif d1 < d0:
-            prey_index = alive[1]
+        d0 = distance[first.position[0] * side + first.position[1]]
+        d1 = distance[second.position[0] * side + second.position[1]]
+        if d0 != d1:
+            prey_index = 0 if d0 < d1 else 1
         else:
-            prey_index = rng.choice(alive)
+            prey_index = rng.choice((0, 1))
             logger.debug("hunter %d equidistant from both prey, chose %d",
                          hunter_index, prey_index)
+    else:
+        prey_index = 0 if first.alive else 1
 
-    goal = state.prey[prey_index].position
-    cells = candidate_cells(goal, state.side, candidates)
-    peers = [state.hunters[k] for k in range(N_HUNTERS) if k != hunter_index]
-    keys = [(ModuleKey(hunter_index, prey_index, own, peer, goal)) for peer in peers]
-
-    powers = _discount_powers(reach_discount, 2 * state.side)
-    table = weights.weights
+    x, y = prey[prey_index].position
+    goal = x * side + y
+    cells = grid.candidates[candidates][goal]
+    head = ((hunter_index * N_PREY + prey_index) * n + own[0] * side + own[1]) * n
+    modules = tuple([(head + hunters[k][0] * side + hunters[k][1]) * n + goal
+                     for k in _PEERS[hunter_index]])
     default = weights.default_weight
+    get = weights.weights.get
+    # Peer weights are summed in peer order. A module with no rule adds the
+    # default to every cell, which changes no sum when it is zero.
+    fired = modules if default else [key for key in modules if key in weights.states]
+    powers = grid.discount_powers(reach_discount)
 
     if exploration > 0.0 and rng.random() < exploration:
         target = rng.choice(cells)
-        total = sum(table.get((mk, target), default) for mk in keys)
-        dist = abs(own.x - target.x) + abs(own.y - target.y)
-        return TargetChoice(target=target, prey=prey_index, score=total / powers[dist])
-
-    best: list[Position] = []
-    best_score = -float("inf")
-    for cell in cells:
         total = 0.0
-        for mk in keys:
-            total += table.get((mk, cell), default)
-        score = total / powers[abs(own.x - cell.x) + abs(own.y - cell.y)]
-        if score > best_score:
-            best_score = score
-            best = [cell]
-        elif score == best_score:
-            best.append(cell)
+        for module in fired:
+            total += get((module, target), default)
+        return TargetChoice(grid.cells[target], prey_index, total / powers[distance[target]],
+                            modules, target)
+
+    if fired:
+        totals = [0.0] * len(cells)
+        for module in fired:
+            totals = [total + get((module, cell), default) for total, cell in zip(totals, cells)]
+        scores = [total / powers[distance[cell]] for total, cell in zip(totals, cells)]
+        best_score = max(scores)
+        if scores.count(best_score) == 1:
+            best = [cells[scores.index(best_score)]]
+        else:
+            best = [cell for cell, score in zip(cells, scores) if score == best_score]
+    else:
+        best_score = 0.0        # zero weights everywhere: every candidate ties
+        best = cells
     target = best[0] if len(best) == 1 else rng.choice(best)
-    return TargetChoice(target=target, prey=prey_index, score=best_score)
+    return TargetChoice(grid.cells[target], prey_index, best_score, modules, target)
 
 
 class UpperTrace:
-    """Per-step fired upper rules of the current trial, oldest first."""
+    """Per-step fired upper rules of the current trial, oldest first.
+
+    A step holds the packed module keys of its rules (one per peer) and
+    the cell id they commanded.
+    """
 
     def __init__(self, max_length: int | None = None):
-        self._steps: deque[tuple[tuple[ModuleKey, Position], ...]] = deque(maxlen=max_length)
+        self._steps: deque[tuple[tuple[int, ...], int]] = deque(maxlen=max_length)
 
-    def record(self, rules: tuple[tuple[ModuleKey, Position], ...]) -> None:
-        self._steps.append(rules)
+    def record(self, modules: tuple[int, ...], cell: int) -> None:
+        self._steps.append((modules, cell))
 
-    def entries(self) -> list[tuple[tuple[ModuleKey, Position], ...]]:
+    def entries(self) -> list[tuple[tuple[int, ...], int]]:
         return list(self._steps)
 
     def clear(self) -> None:
@@ -223,8 +228,9 @@ def reinforce_upper(weights: WeightTable, trace: UpperTrace, reward: float,
     if reward != 0.0:
         credit = reward
         for idx in range(len(steps) - 1, -1, -1):
-            for module_key, target in steps[idx]:
-                weights.add(module_key, target, credit)
+            modules, cell = steps[idx]
+            for module in modules:
+                weights.add(module, cell, credit)
             if idx == 0:
                 break
             gap = prey_distances[idx]
@@ -264,22 +270,20 @@ class HunterAgent:
         choice = select_target(self.upper, self.index, state, rng,
                                reach_discount=self.reach_discount,
                                exploration=exploration, candidates=self.candidates)
-        own = state.hunters[self.index]
-        goal = state.prey[choice.prey].position
-        fired = tuple(
-            (ModuleKey(self.index, choice.prey, own, state.hunters[k], goal), choice.target)
-            for k in range(N_HUNTERS) if k != self.index
-        )
-        self.trace.record(fired)
-        alive = state.alive_prey_indices()
-        gap = (manhattan_distance(state.prey[0].position, state.prey[1].position)
-               if len(alive) == 2 else None)
-        self.prey_distances.append(gap)
+        self.trace.record(choice.modules, choice.cell)
+        first, second = state.prey
+        self.prey_distances.append(
+            abs(first.position[0] - second.position[0])
+            + abs(first.position[1] - second.position[1])
+            if first.alive and second.alive else None)
 
-        rel = (choice.target.x - own.x, choice.target.y - own.y)
-        action = epsilon_greedy(self.q, rel, legal_actions_at(own, state.side),
-                                exploration, rng, target=choice.prey)
-        self.pending = (rel, action, choice.target, choice.prey)
+        own = state.hunters[self.index]
+        target = choice.target
+        rel = (target[0] - own[0], target[1] - own[1])
+        legal = grid_for(state.side).legal[own[0] * state.side + own[1]]
+        action = ACTIONS[epsilon_greedy(self.q, rel, legal, exploration, rng,
+                                        target=choice.prey)]
+        self.pending = (rel, action, target, choice.prey)
         return action
 
     def observe(self, next_state: WorldState) -> bool:
@@ -291,8 +295,8 @@ class HunterAgent:
         new_pos = next_state.hunters[self.index]
         reached = new_pos == target
         reward = self.goal_reward if reached else 0.0
-        next_rel = (target.x - new_pos.x, target.y - new_pos.y)
-        q_update(self.q, rel, action, reward, next_rel, terminal=reached,
+        next_rel = (target[0] - new_pos[0], target[1] - new_pos[1])
+        q_update(self.q, rel, action.index, reward, next_rel, terminal=reached,
                  target=prey_tag)
         return reached
 

@@ -12,7 +12,7 @@ import csv
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .env import ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, Action
@@ -55,17 +55,20 @@ class IfThenRule:
     conditions: tuple[tuple[str, str, float], ...]   # (attribute, "<=" or ">", threshold)
     action: Action
     cf: float
+    # (theta_X lower, theta_X upper, theta_Y lower, theta_Y upper): the rule
+    # matches when lower < value <= upper on both attributes
+    bounds: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
-    def matches(self, theta_x: int, theta_y: int) -> bool:
-        values = {"theta_X": theta_x, "theta_Y": theta_y}
+    def __post_init__(self) -> None:
+        lower = [-math.inf, -math.inf]
+        upper = [math.inf, math.inf]
         for attribute, op, threshold in self.conditions:
-            value = values[attribute]
+            idx = _attribute_index(attribute)
             if op == "<=":
-                if not value <= threshold:
-                    return False
-            elif not value > threshold:
-                return False
-        return True
+                upper[idx] = min(upper[idx], threshold)
+            else:
+                lower[idx] = max(lower[idx], threshold)
+        object.__setattr__(self, "bounds", (lower[0], upper[0], lower[1], upper[1]))
 
 
 def _entropy(counts: Iterable[int], total: float) -> float:
@@ -256,7 +259,8 @@ def rule_policy_act(rules: Sequence[IfThenRule], theta_x: int, theta_y: int,
     :func:`extract_rules` returns them.
     """
     for rule in rules:
-        if rule.matches(theta_x, theta_y):
+        x_lower, x_upper, y_lower, y_upper = rule.bounds
+        if x_lower < theta_x <= x_upper and y_lower < theta_y <= y_upper:
             return rule.action
     return fallback(theta_x, theta_y)
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from random import Random
 from typing import Hashable, Sequence
 
-from .tableio import load_table, save_table
+from .tableio import Encoder, load_table, save_table
 
 StateKey = Hashable
 ActionKey = Hashable
@@ -37,11 +37,16 @@ class PSParams:
 
 
 class WeightTable:
-    """Rule weights keyed by (state, action); unseen rules read as the default."""
+    """Rule weights keyed by (state, action); unseen rules read as the default.
+
+    ``states`` holds every state with at least one rule (kept in step by
+    :meth:`add`), so a reader can skip the states no rule has fired in.
+    """
 
     def __init__(self, default_weight: float = 0.0):
         self.default_weight = default_weight
         self.weights: dict[tuple[StateKey, ActionKey], float] = {}
+        self.states: set[StateKey] = set()
 
     def get(self, state: StateKey, action: ActionKey) -> float:
         return self.weights.get((state, action), self.default_weight)
@@ -49,6 +54,7 @@ class WeightTable:
     def add(self, state: StateKey, action: ActionKey, amount: float) -> None:
         key = (state, action)
         self.weights[key] = self.weights.get(key, self.default_weight) + amount
+        self.states.add(state)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -165,14 +171,16 @@ def select_by_weight(table: WeightTable, state: StateKey,
     return rng.choice(best)
 
 
-def save_weights(path, table: WeightTable, meta: dict[str, object] | None = None) -> None:
+def save_weights(path, table: WeightTable, meta: dict[str, object] | None = None,
+                 encode_state: Encoder = repr, encode_action: Encoder = repr) -> None:
     header = {"default_weight": table.default_weight}
     header.update(meta or {})
-    save_table(path, table.weights, header)
+    save_table(path, table.weights, header, encode_state, encode_action)
 
 
 def load_weights(path) -> tuple[WeightTable, dict[str, object]]:
     entries, meta = load_table(path)
     table = WeightTable(default_weight=float(meta.pop("default_weight", 0.0)))
     table.weights = entries
+    table.states = {state for state, _ in entries}
     return table, meta

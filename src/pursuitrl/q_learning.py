@@ -1,8 +1,9 @@
 """Tabular off-policy Q-learning plus a value-iteration oracle for tests.
 
-The action-value table is keyed by (state, action, target tag); for the
-pursuit hunters the state is the (dx, dy) offset to the commanded target
-cell and the tag names which prey the target belongs to.
+The action-value table is keyed by (state, action index, target tag);
+for the pursuit hunters the state is the (dx, dy) offset to the
+commanded target cell and the tag names which prey the target belongs
+to. Actions are addressed by their index in the table's action set.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ class QTable:
     """Action values with step size ``alpha`` and discount ``gamma``.
 
     Unseen entries read as 0. The action set defaults to the five grid
-    moves; tests may pass any hashable action vocabulary.
+    moves; tests may pass any hashable action vocabulary. Entries are
+    keyed by the action's index in ``actions``.
     """
 
     def __init__(self, alpha: float = 0.1, gamma: float = 0.9,
@@ -37,15 +39,15 @@ class QTable:
         self.actions = tuple(actions)
         self.values: dict[tuple, float] = {}
 
-    def get(self, state: StateKey, action, target: TargetTag = None) -> float:
+    def get(self, state: StateKey, action: int, target: TargetTag = None) -> float:
         return self.values.get((state, action, target), 0.0)
 
     def max_value(self, state: StateKey, target: TargetTag = None) -> float:
         values = self.values
-        return max(values.get((state, a, target), 0.0) for a in self.actions)
+        return max([values.get((state, a, target), 0.0) for a in range(len(self.actions))])
 
 
-def q_update(table: QTable, state: StateKey, action, reward: float,
+def q_update(table: QTable, state: StateKey, action: int, reward: float,
              next_state: StateKey, terminal: bool, target: TargetTag = None,
              alpha: float | None = None) -> QTable:
     """One temporal-difference backup toward reward + discounted best next value."""
@@ -59,27 +61,20 @@ def q_update(table: QTable, state: StateKey, action, reward: float,
     return table
 
 
-def epsilon_greedy(table: QTable, state: StateKey, legal: Sequence,
-                   epsilon: float, rng: Random, target: TargetTag = None):
-    """Greedy action over ``legal`` with uniform tie-break, exploring with
-    probability ``epsilon``."""
+def epsilon_greedy(table: QTable, state: StateKey, legal: Sequence[int],
+                   epsilon: float, rng: Random, target: TargetTag = None) -> int:
+    """Greedy action index over ``legal`` with uniform tie-break, exploring
+    with probability ``epsilon``."""
     if not legal:
         raise ValueError("no legal actions")
     if epsilon > 0.0 and rng.random() < epsilon:
         return rng.choice(legal)
     values = table.values
-    best: list = []
-    best_value = -float("inf")
-    for action in legal:
-        value = values.get((state, action, target), 0.0)
-        if value > best_value:
-            best_value = value
-            best = [action]
-        elif value == best_value:
-            best.append(action)
-    if len(best) == 1:
-        return best[0]
-    return rng.choice(best)
+    scores = [values.get((state, a, target), 0.0) for a in legal]
+    best_value = max(scores)
+    if scores.count(best_value) == 1:
+        return legal[scores.index(best_value)]
+    return rng.choice([a for a, value in zip(legal, scores) if value == best_value])
 
 
 @dataclass
@@ -157,12 +152,14 @@ def save_q_table(path, table: QTable, meta: dict[str, object] | None = None) -> 
     header.update(meta or {})
     # Flatten (state, action, target) onto the two-column persistence
     # scheme: the stored state is (state, target).
+    labels = [_encode_action(action) for action in table.actions]
     entries = {((s, t), a): v for (s, a, t), v in table.values.items()}
-    save_table(path, entries, header, encode_action=_encode_action)
+    save_table(path, entries, header, encode_action=labels.__getitem__)
 
 
 def load_q_table(path) -> tuple[QTable, dict[str, object]]:
     entries, meta = load_table(path, decode_action=_decode_action)
     table = QTable(alpha=float(meta.pop("alpha")), gamma=float(meta.pop("gamma")))
-    table.values = {(s, a, t): v for ((s, t), a), v in entries.items()}
+    index = {action: a for a, action in enumerate(table.actions)}
+    table.values = {(s, index[action], t): v for ((s, t), action), v in entries.items()}
     return table, meta

@@ -15,25 +15,8 @@ Encoder = Callable[[object], str]
 Decoder = Callable[[str], object]
 
 
-def as_plain(value):
-    """Recursively turn named tuples into plain tuples.
-
-    Named tuples compare and hash equal to plain tuples, but their repr
-    is not ``literal_eval``-parseable; keys are normalized before
-    writing so a reload produces equal keys.
-    """
-    if isinstance(value, tuple):
-        return tuple(as_plain(item) for item in value)
-    return value
-
-
-def _encode_key(value) -> str:
-    return repr(as_plain(value))
-
-
 def save_table(path, entries: Mapping, meta: Mapping[str, object] | None = None,
-               encode_state: Encoder = _encode_key,
-               encode_action: Encoder = _encode_key) -> None:
+               encode_state: Encoder = repr, encode_action: Encoder = repr) -> None:
     """Write ``{(state, action): weight}`` entries with a metadata header."""
     rows = sorted(
         (encode_state(state), encode_action(action), repr(weight))

@@ -30,6 +30,8 @@ from pursuitrl.knowledge import Instance, Leaf, extract_rules, gain_ratio, induc
 from pursuitrl.profit_sharing import PSParams, check_suppression
 from pursuitrl.q_learning import ExplicitMDP, QTable, q_update, solve_value_iteration
 
+pytestmark = pytest.mark.slow
+
 SEEDS = (1, 2, 3, 4, 5)
 SWEEP_CONFIG = ExperimentConfig(trials=2000)
 DISTILL_SEEDS = SEEDS[:3]
@@ -143,17 +145,17 @@ def test_criterion_4_q_learning_matches_value_iteration():
         action = rng.choice(legal_actions_at(state, side))
         visits[(state, action)] += 1
         (_, nxt, r), = transitions[(state, action)]
-        q_update(table, state, action, r, nxt, terminal=nxt == target,
+        q_update(table, state, action.index, r, nxt, terminal=nxt == target,
                  alpha=visits[(state, action)] ** -0.6)
 
     tolerance = 1e-3
     tie_eps = 1e-6
     for state in nonterminal:
         legal = legal_actions_at(state, side)
-        learned_best = max(table.get(state, a) for a in legal)
+        learned_best = max(table.get(state, a.index) for a in legal)
         assert learned_best == pytest.approx(oracle[state], abs=tolerance)
         learned_greedy = {a for a in legal
-                          if table.get(state, a) >= learned_best - tie_eps}
+                          if table.get(state, a.index) >= learned_best - tie_eps}
         exact_q = {
             a: transitions[(state, a)][0][2]
             + gamma * oracle[transitions[(state, a)][0][1]]

@@ -60,3 +60,28 @@ def test_replay_prints_grid(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "step 0" in printed
     assert "H0" in printed
+
+
+def printed_grid_widths(printed):
+    return {len(line.split()) for line in printed.splitlines()
+            if line and not line.startswith("step")}
+
+
+def test_replay_takes_side_from_run_metadata(tmp_path, capsys):
+    config = tmp_path / "side9.cfg"
+    config.write_text("grid_side = 9\nstep_cap = 40\n")
+    out = tmp_path / "run"
+    run_cli("train", "--config", config, "--trials", 2, "--seed", 5, "--out", out,
+            "--dump-trajectory", 1)
+    capsys.readouterr()
+    assert run_cli("replay", "--trajectory", out / "trajectory.csv") == 0
+    assert printed_grid_widths(capsys.readouterr().out) == {9}
+
+    # Without metadata.txt the side is the largest coordinate + 1.
+    lone = tmp_path / "lone" / "trajectory.csv"
+    lone.parent.mkdir()
+    lone.write_text("step,agent,x,y,action\n0,h0,0,0,stay\n0,p0,8,2,\n")
+    assert run_cli("replay", "--trajectory", lone) == 0
+    assert printed_grid_widths(capsys.readouterr().out) == {9}
+    assert run_cli("replay", "--trajectory", lone, "--side", 10) == 0
+    assert printed_grid_widths(capsys.readouterr().out) == {10}

@@ -20,6 +20,7 @@ from pursuitrl.experiment import (
 from pursuitrl.knowledge import extract_rules, induce_tree, parse_rules
 from pursuitrl.profit_sharing import load_weights
 from pursuitrl.q_learning import load_q_table
+from reference import ModuleKey, cell_id, pack
 
 QUICK = ExperimentConfig(trials=5, step_cap=60, block_ends=(3, 5))
 
@@ -136,6 +137,22 @@ def test_parse_config_rejects_unknown_keys():
         parse_config("trials 3")
 
 
+def test_config_rejects_unknown_rule_fallback():
+    with pytest.raises(ValueError, match="rule_fallback"):
+        ExperimentConfig(rule_fallback="stey")
+    with pytest.raises(ValueError, match="rule_fallback"):
+        parse_config("rule_fallback = learnr")
+    assert ExperimentConfig(rule_fallback="stay").rule_fallback == "stay"
+
+
+def test_config_rejects_unknown_candidate_mode():
+    with pytest.raises(ValueError, match="candidate_mode"):
+        ExperimentConfig(candidate_mode="ring3")
+    with pytest.raises(ValueError, match="candidate_mode"):
+        parse_config("candidate_mode = everywhere")
+    assert ExperimentConfig(candidate_mode="all").candidate_mode == "all"
+
+
 def test_parse_config_ignores_comments_and_blanks():
     parsed = parse_config("# a comment\n\ntrials = 7\natf_enabled = off\n")
     assert parsed.trials == 7
@@ -178,7 +195,9 @@ def test_saved_tables_reload(tmp_path):
     merged = {}
     for prey in (0, 1):
         bank, _ = load_weights(tmp_path / f"upper_h0_p{prey}.tsv")
-        merged.update(bank.weights)
+        merged.update({(pack(ModuleKey(*state), QUICK.grid_side),
+                        cell_id(action, QUICK.grid_side)): weight
+                       for (state, action), weight in bank.weights.items()})
     assert merged == agent.upper.weights
 
 

@@ -3,19 +3,23 @@ from random import Random
 
 import pytest
 
-from pursuitrl.env import Action, Position, PreyKind, PreyState, WorldState, step
+from pursuitrl.env import Action, Position, PreyKind, PreyState, WorldState, grid_for, step
 from pursuitrl.hmrl import (
     ATFieldParams,
     HunterAgent,
-    ModuleKey,
     UpperTrace,
     atf,
-    candidate_cells,
     deliver_rewards,
     reinforce_upper,
     select_target,
 )
 from pursuitrl.profit_sharing import EpisodeTrace, PSParams, WeightTable, reinforce_episode
+from reference import ModuleKey, candidate_cells, cell_id, pack, upper_table
+
+
+def grid_candidates(goal, side, mode):
+    grid = grid_for(side)
+    return tuple(grid.cells[c] for c in grid.candidates[mode][grid.cell(goal)])
 
 
 def make_world(hunters, prey_positions, alive=(True, True),
@@ -45,15 +49,15 @@ def test_atf_validates():
 
 
 def test_candidate_cells_ring():
-    cells = candidate_cells(Position(3, 3), 7, "ring2")
+    cells = grid_candidates(Position(3, 3), 7, "ring2")
     assert len(cells) == 12
     assert all(1 <= abs(c.x - 3) + abs(c.y - 3) <= 2 for c in cells)
-    corner = candidate_cells(Position(0, 0), 7, "ring2")
+    corner = grid_candidates(Position(0, 0), 7, "ring2")
     assert set(corner) == {(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)}
 
 
 def test_candidate_cells_all_excludes_goal():
-    cells = candidate_cells(Position(2, 2), 3, "all")
+    cells = grid_candidates(Position(2, 2), 3, "all")
     assert len(cells) == 8
     assert (2, 2) not in cells
 
@@ -64,8 +68,8 @@ def test_select_target_equal_weights_prefers_nearest():
     weights = WeightTable()
     for cell in candidate_cells(Position(3, 3), 7, "ring2"):
         for peer in (Position(6, 6), Position(6, 0), Position(0, 6)):
-            weights.add(ModuleKey(0, 0, Position(0, 0), peer, Position(3, 3)),
-                        cell, 1.0)
+            weights.add(pack(ModuleKey(0, 0, Position(0, 0), peer, Position(3, 3)), 7),
+                        cell_id(cell, 7), 1.0)
     choice = select_target(weights, 0, world, Random(0), reach_discount=2.0)
     # Nearest candidates to (0,0) around prey (3,3) sit at distance 4.
     assert abs(choice.target.x) + abs(choice.target.y) == 4
@@ -94,19 +98,19 @@ def test_select_target_matches_exhaustive_argmax():
     world = make_world([(0, 0), (2, 2), (2, 0), (0, 2)], [(1, 1), (0, 1)],
                        alive=(True, False), side=3)
     rng = Random(7)
-    weights = WeightTable()
+    rules = {}
     goal = Position(1, 1)
     peers = [Position(2, 2), Position(2, 0), Position(0, 2)]
     cells = candidate_cells(goal, 3, "all")
     for cell in cells:
         for peer in peers:
-            weights.add(ModuleKey(0, 0, Position(0, 0), peer, goal), cell,
-                        rng.uniform(0, 5))
+            rules[ModuleKey(0, 0, Position(0, 0), peer, goal), cell] = rng.uniform(0, 5)
+    weights = upper_table(rules, 3)
 
     def brute_force_best():
         scored = {
             cell: sum(
-                weights.get(ModuleKey(0, 0, Position(0, 0), peer, goal), cell)
+                rules[ModuleKey(0, 0, Position(0, 0), peer, goal), cell]
                 for peer in peers)
             for cell in cells
         }
@@ -122,20 +126,20 @@ def test_select_target_scale_invariant_argmax():
     world = make_world([(2, 2), (6, 6), (6, 0), (0, 6)], [(3, 3), (6, 3)],
                        alive=(True, False))
     rng = Random(21)
-    weights = WeightTable()
+    rules = {}
     goal = Position(3, 3)
     peers = [Position(6, 6), Position(6, 0), Position(0, 6)]
     cells = candidate_cells(goal, 7, "ring2")
     for cell in cells:
         for peer in peers:
-            weights.add(ModuleKey(0, 0, Position(2, 2), peer, goal), cell,
-                        rng.uniform(0, 3))
-    scaled = WeightTable()
-    scaled.weights = {key: 4.0 * w for key, w in weights.weights.items()}
+            rules[ModuleKey(0, 0, Position(2, 2), peer, goal), cell] = rng.uniform(0, 3)
+    weights = upper_table(rules, 7)
+    scaled = upper_table({key: 4.0 * w for key, w in rules.items()}, 7)
 
     def argmax_set(table):
         def score(cell):
-            total = sum(table.get(ModuleKey(0, 0, Position(2, 2), peer, goal), cell)
+            total = sum(table.get(pack(ModuleKey(0, 0, Position(2, 2), peer, goal), 7),
+                                  cell_id(cell, 7))
                         for peer in peers)
             return total / 2.0 ** (abs(2 - cell.x) + abs(2 - cell.y))
         scores = {cell: score(cell) for cell in cells}
@@ -173,18 +177,23 @@ def test_select_target_stays_in_candidate_set():
 
 def fired_step(tag):
     key = ModuleKey(0, 0, Position(tag, 0), Position(6, 6), Position(3, 3))
-    return ((key, Position(2, 3)),)
+    return (pack(key, 7),), cell_id(Position(2, 3), 7)
+
+
+def fired_rule(tag):
+    (module,), cell = fired_step(tag)
+    return module, cell
 
 
 def test_reinforce_upper_geometric_recursion():
     weights = WeightTable()
     trace = UpperTrace()
     for tag in range(3):
-        trace.record(fired_step(tag))
+        trace.record(*fired_step(tag))
     reinforce_upper(weights, trace, 100.0, [3, 3, 3], ATFieldParams(decay=0.8))
-    assert weights.get(*fired_step(2)[0]) == 100.0
-    assert weights.get(*fired_step(1)[0]) == pytest.approx(80.0)
-    assert weights.get(*fired_step(0)[0]) == pytest.approx(64.0)
+    assert weights.get(*fired_rule(2)) == 100.0
+    assert weights.get(*fired_rule(1)) == pytest.approx(80.0)
+    assert weights.get(*fired_rule(0)) == pytest.approx(64.0)
     assert len(trace) == 0
 
 
@@ -192,27 +201,27 @@ def test_reinforce_upper_gate_zeroes_upstream():
     weights = WeightTable()
     trace = UpperTrace()
     for tag in range(3):
-        trace.record(fired_step(tag))
+        trace.record(*fired_step(tag))
     reinforce_upper(weights, trace, 100.0, [3, 3, 1], ATFieldParams())
-    assert weights.get(*fired_step(2)[0]) == 100.0
-    assert weights.get(*fired_step(1)[0]) == 0.0
-    assert weights.get(*fired_step(0)[0]) == 0.0
+    assert weights.get(*fired_rule(2)) == 100.0
+    assert weights.get(*fired_rule(1)) == 0.0
+    assert weights.get(*fired_rule(0)) == 0.0
 
 
 def test_reinforce_upper_identity_chain():
     weights = WeightTable()
     trace = UpperTrace()
     for tag in range(4):
-        trace.record(fired_step(tag))
+        trace.record(*fired_step(tag))
     reinforce_upper(weights, trace, 100.0, [4, 4, 4, 4],
                     ATFieldParams(decay=1.0))
     for tag in range(4):
-        assert weights.get(*fired_step(tag)[0]) == 100.0
+        assert weights.get(*fired_rule(tag)) == 100.0
 
 
 def test_reinforce_upper_misaligned_lengths():
     trace = UpperTrace()
-    trace.record(fired_step(0))
+    trace.record(*fired_step(0))
     with pytest.raises(ValueError):
         reinforce_upper(WeightTable(), trace, 100.0, [3, 3], ATFieldParams())
 
@@ -220,7 +229,7 @@ def test_reinforce_upper_misaligned_lengths():
 def test_reinforce_upper_zero_reward_only_clears():
     weights = WeightTable()
     trace = UpperTrace()
-    trace.record(fired_step(0))
+    trace.record(*fired_step(0))
     reinforce_upper(weights, trace, 0.0, [2], ATFieldParams())
     assert len(weights) == 0
     assert len(trace) == 0
@@ -235,18 +244,18 @@ def test_single_prey_reduction_matches_plain_profit_sharing():
     upper = WeightTable()
     trace = UpperTrace()
     for tag in range(depth):
-        trace.record(fired_step(tag))
+        trace.record(*fired_step(tag))
     reinforce_upper(upper, trace, 100.0, [None] * depth,
                     ATFieldParams(decay=decay), gated=True)
 
     plain = WeightTable()
     episode = EpisodeTrace()
     for tag in range(depth):
-        episode.record(*fired_step(tag)[0])
+        episode.record(*fired_rule(tag))
     reinforce_episode(plain, episode, 100.0,
                       PSParams(discount=1 / decay, rule_bound=0))
     for tag in range(depth):
-        rule = fired_step(tag)[0]
+        rule = fired_rule(tag)
         assert upper.get(*rule) == pytest.approx(plain.get(*rule), rel=1e-12)
 
 
@@ -261,7 +270,8 @@ def test_agent_policy_step_records_and_acts():
     action = agent.policy_step(world, Random(0), exploration=0.0)
     assert action in Action
     assert len(agent.trace) == 1
-    assert len(agent.trace.entries()[0]) == 3       # one rule per peer
+    modules, cell = agent.trace.entries()[0]
+    assert len(modules) == 3                        # one rule per peer
     assert agent.prey_distances[0] == 4             # prey at (3,3) and (6,4)
     rel, chosen, target, prey = agent.pending
     assert rel == (target.x - 2, target.y - 2)
@@ -270,12 +280,13 @@ def test_agent_policy_step_records_and_acts():
 def test_agent_greedy_walks_trained_corridor():
     agent, world = trained_agent_world()
     # Teach the lower layer that one step east is best from offset (1, 0).
-    agent.q.values[((1, 0), Action.EAST, 0)] = 10.0
+    agent.q.values[((1, 0), Action.EAST.index, 0)] = 10.0
     # Pin the upper layer to command the cell one east of the hunter.
     goal = Position(3, 3)
     target = Position(3, 2)
     for peer in (Position(6, 6), Position(6, 0), Position(0, 6)):
-        agent.upper.add(ModuleKey(0, 0, Position(2, 2), peer, goal), target, 50.0)
+        agent.upper.add(pack(ModuleKey(0, 0, Position(2, 2), peer, goal), 7),
+                        cell_id(target, 7), 50.0)
     action = agent.policy_step(world, Random(0), exploration=0.0)
     assert agent.pending[2] == target
     assert action is Action.EAST
@@ -284,11 +295,11 @@ def test_agent_greedy_walks_trained_corridor():
 def test_agent_zero_offset_prefers_stay_once_trained():
     world = make_world([(2, 3), (6, 6), (6, 0), (0, 6)], [(3, 3), (6, 4)])
     agent = HunterAgent(0)
-    agent.q.values[((0, 0), Action.STAY, 0)] = 10.0
+    agent.q.values[((0, 0), Action.STAY.index, 0)] = 10.0
     goal = Position(3, 3)
     for peer in (Position(6, 6), Position(6, 0), Position(0, 6)):
-        agent.upper.add(ModuleKey(0, 0, Position(2, 3), peer, goal),
-                        Position(2, 3), 50.0)
+        agent.upper.add(pack(ModuleKey(0, 0, Position(2, 3), peer, goal), 7),
+                        cell_id(Position(2, 3), 7), 50.0)
     action = agent.policy_step(world, Random(0), exploration=0.0)
     assert agent.pending[0] == (0, 0)
     assert action is Action.STAY

@@ -2,8 +2,11 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pursuitrl.env import Action
+import reference
+from pursuitrl.env import ACTIONS, Action
 from pursuitrl.knowledge import (
     IfThenRule,
     Instance,
@@ -286,6 +289,43 @@ def test_fallback_invoked_exactly_once_when_unmatched():
 
     rule_policy_act(rules, 5, 5, fallback)
     assert calls == [(5, 5)]
+
+
+conditions = st.lists(st.tuples(st.sampled_from(("theta_X", "theta_Y")),
+                                 st.sampled_from(("<=", ">")),
+                                 st.integers(-26, 26).map(lambda t: t / 2)),
+                       max_size=4)
+rule_sets = st.lists(st.builds(IfThenRule, conditions.map(tuple), st.sampled_from(ACTIONS),
+                               st.floats(0.0, 1.0)), max_size=12)
+
+
+def assert_matches_condition_scan(rules, side):
+    # Every offset a hunter can have to a target on a side-``side`` grid.
+    bound = 2 * (side - 1)
+    for x in range(-bound, bound + 1):
+        for y in range(-bound, bound + 1):
+            calls = []
+
+            def fallback(*offset):
+                calls.append(offset)
+                return None
+
+            expected = next((rule.action for rule in rules
+                             if reference.rule_matches(rule, x, y)), None)
+            assert rule_policy_act(rules, x, y, fallback=fallback) is expected
+            assert calls == ([] if expected is not None else [(x, y)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rules=rule_sets)
+def test_rule_lookup_matches_condition_scan(rules):
+    assert_matches_condition_scan(rules, side=7)
+
+
+@pytest.mark.parametrize("side", (5, 7, 9))
+def test_extracted_rule_lookup_matches_condition_scan(side):
+    rules = extract_rules(induce_tree(grid_instances(planted_label)))
+    assert_matches_condition_scan(rules + parse_rules(REFERENCE_RULES), side)
 
 
 def test_rule_file_round_trip(tmp_path):

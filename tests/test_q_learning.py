@@ -19,20 +19,20 @@ from pursuitrl.q_learning import (
 
 def test_q_update_terminal_arithmetic():
     table = QTable(alpha=0.1, gamma=0.9)
-    q_update(table, "s", Action.STAY, 100.0, "t", terminal=True)
-    assert table.get("s", Action.STAY) == 10.0
+    q_update(table, "s", Action.STAY.index, 100.0, "t", terminal=True)
+    assert table.get("s", Action.STAY.index) == 10.0
 
 
 def test_q_update_decays_toward_bootstrap():
     table = QTable(alpha=0.1, gamma=0.9)
-    table.values[("s", Action.STAY, None)] = 10.0
-    q_update(table, "s", Action.STAY, 0.0, "t", terminal=False)
-    assert table.get("s", Action.STAY) == pytest.approx(9.0)
+    table.values[("s", Action.STAY.index, None)] = 10.0
+    q_update(table, "s", Action.STAY.index, 0.0, "t", terminal=False)
+    assert table.get("s", Action.STAY.index) == pytest.approx(9.0)
 
 
 def test_q_update_rejects_non_finite_reward():
     with pytest.raises(ValueError):
-        q_update(QTable(), "s", Action.STAY, float("nan"), "t", terminal=True)
+        q_update(QTable(), "s", Action.STAY.index, float("nan"), "t", terminal=True)
 
 
 def test_qtable_validates_parameters():
@@ -46,25 +46,27 @@ def test_two_state_chain_converges_to_closed_form():
     # A -go-> B (no reward), B -go-> B with reward r each arrival.
     gamma, r = 0.9, 10.0
     table = QTable(alpha=0.2, gamma=gamma, actions=("go",))
+    go = table.actions.index("go")
     for _ in range(2000):
-        q_update(table, "A", "go", 0.0, "B", terminal=False)
-        q_update(table, "B", "go", r, "B", terminal=False)
-    assert table.get("B", "go") == pytest.approx(r / (1 - gamma), abs=1e-6)
-    assert table.get("A", "go") == pytest.approx(gamma * r / (1 - gamma), abs=1e-6)
+        q_update(table, "A", go, 0.0, "B", terminal=False)
+        q_update(table, "B", go, r, "B", terminal=False)
+    assert table.get("B", go) == pytest.approx(r / (1 - gamma), abs=1e-6)
+    assert table.get("A", go) == pytest.approx(gamma * r / (1 - gamma), abs=1e-6)
 
 
 def test_epsilon_greedy_prefers_value():
     table = QTable()
-    table.values[("s", Action.NORTH, None)] = 5.0
-    table.values[("s", Action.STAY, None)] = 1.0
-    picked = epsilon_greedy(table, "s", (Action.NORTH, Action.STAY), 0.0, Random(0))
-    assert picked is Action.NORTH
+    table.values[("s", Action.NORTH.index, None)] = 5.0
+    table.values[("s", Action.STAY.index, None)] = 1.0
+    picked = epsilon_greedy(table, "s", (Action.NORTH.index, Action.STAY.index), 0.0,
+                            Random(0))
+    assert picked == Action.NORTH.index
 
 
 def test_epsilon_greedy_uniform_over_ties():
     table = QTable()
     rng = Random(5)
-    legal = (Action.STAY, Action.NORTH, Action.EAST)
+    legal = (Action.STAY.index, Action.NORTH.index, Action.EAST.index)
     counts = Counter(epsilon_greedy(table, "s", legal, 0.0, rng)
                      for _ in range(9000))
     for action in legal:
@@ -75,13 +77,13 @@ def test_epsilon_greedy_exploration_frequency():
     # With a unique argmax, a non-greedy outcome happens only via the
     # exploration branch picking one of the other k-1 actions.
     table = QTable()
-    table.values[("s", Action.NORTH, None)] = 5.0
-    legal = tuple(Action)
+    table.values[("s", Action.NORTH.index, None)] = 5.0
+    legal = tuple(a.index for a in Action)
     epsilon = 0.1
     rng = Random(13)
     draws = 100_000
     non_greedy = sum(
-        epsilon_greedy(table, "s", legal, epsilon, rng) is not Action.NORTH
+        epsilon_greedy(table, "s", legal, epsilon, rng) != Action.NORTH.index
         for _ in range(draws)
     )
     expected = epsilon * (1 - 1 / len(legal))
@@ -196,7 +198,7 @@ def test_values_stay_bounded_by_reward_horizon():
     states = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
     for _ in range(20_000):
         s = rng.choice(states)
-        a = rng.choice(ACTIONS_ALL)
+        a = rng.choice(ACTIONS_ALL).index
         ns = rng.choice(states)
         q_update(table, s, a, rng.choice((0.0, 100.0)), ns,
                  terminal=rng.random() < 0.05)
@@ -224,7 +226,7 @@ def test_q_table_round_trip_bit_exact(tmp_path):
     rng = Random(8)
     for dx in range(-3, 4):
         for action in Action:
-            table.values[((dx, -dx), action, rng.choice((0, 1)))] = rng.random() * 97
+            table.values[((dx, -dx), action.index, rng.choice((0, 1)))] = rng.random() * 97
     path = tmp_path / "q.tsv"
     save_q_table(path, table, {"note": "test"})
     loaded, meta = load_q_table(path)
