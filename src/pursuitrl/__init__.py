@@ -10,8 +10,6 @@ from .env import (
     StepOutcome,
     WorldState,
     grid_for,
-    is_captured,
-    legal_moves,
     manhattan_distance,
     new_world,
     step,
@@ -24,14 +22,12 @@ from .experiment import (
     TrialRecord,
     compute_metrics,
     export_report,
-    run_rule_eval,
     run_training,
 )
 from .hmrl import (
     ATFieldParams,
     HunterAgent,
     TargetChoice,
-    UpperTrace,
     atf,
     deliver_rewards,
     reinforce_upper,
@@ -45,15 +41,7 @@ from .knowledge import (
     induce_tree,
     rule_policy_act,
 )
-from .profit_sharing import (
-    EpisodeTrace,
-    PSParams,
-    WeightTable,
-    check_suppression,
-    reinforce_episode,
-    reinforcement_value,
-    select_by_weight,
-)
-from .q_learning import ExplicitMDP, QTable, epsilon_greedy, q_update, solve_value_iteration
+from .profit_sharing import PSParams, WeightTable, check_suppression
+from .q_learning import QTable, epsilon_greedy, q_update
 
 __version__ = "0.1.0"

@@ -69,7 +69,7 @@ def cmd_extract_rules(args) -> int:
 def cmd_eval_rules(args) -> int:
     rules = knowledge.load_rules(args.rules)
     config = _load_base_config(args)
-    result = experiment.run_rule_eval(config, rules)
+    result = experiment.run_training(config, rules=rules)
     _export_run(result, Path(args.out))
     return 0
 

@@ -17,6 +17,8 @@ from functools import lru_cache
 from random import Random
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+from .tableio import load_csv
+
 
 class Position(NamedTuple):
     x: int
@@ -69,6 +71,8 @@ PREY_IDS = tuple(f"p{j}" for j in range(N_PREY))
 
 CANDIDATE_MODES = ("ring2", "all")
 
+TRAJECTORY_HEADER = ("step", "agent", "x", "y", "action")
+
 
 class Grid:
     """Integer-coded topology of one square grid side.
@@ -110,9 +114,6 @@ class Grid:
         }
         self._powers: dict[float, tuple[float, ...]] = {}
 
-    def cell(self, pos: Position | tuple[int, int]) -> int:
-        return pos[0] * self.side + pos[1]
-
     def discount_powers(self, base: float) -> tuple[float, ...]:
         """``base ** d`` for every distance ``d`` on this grid."""
         powers = self._powers.get(base)
@@ -147,14 +148,6 @@ class WorldState:
     prey: list[PreyState]
     step_count: int = 0
 
-    def occupied_cells(self) -> set[Position]:
-        cells = set(self.hunters)
-        cells.update(p.position for p in self.prey if p.alive)
-        return cells
-
-    def alive_prey_indices(self) -> list[int]:
-        return [j for j, p in enumerate(self.prey) if p.alive]
-
 
 @dataclass
 class StepOutcome:
@@ -167,28 +160,8 @@ def manhattan_distance(a: Position | tuple[int, int], b: Position | tuple[int, i
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-def in_bounds(pos: tuple[int, int], side: int) -> bool:
-    return 0 <= pos[0] < side and 0 <= pos[1] < side
-
-
 def legal_actions_at(pos: Position, side: int) -> tuple[Action, ...]:
     return grid_for(side).legal_actions[pos[0] * side + pos[1]]
-
-
-def _agent_position(state: WorldState, agent_id: str) -> Position:
-    if agent_id in HUNTER_IDS:
-        return state.hunters[int(agent_id[1:])]
-    if agent_id in PREY_IDS:
-        prey = state.prey[int(agent_id[1:])]
-        if not prey.alive:
-            raise ValueError(f"agent {agent_id} is dead")
-        return prey.position
-    raise KeyError(f"unknown agent id: {agent_id!r}")
-
-
-def legal_moves(state: WorldState, agent_id: str) -> set[Action]:
-    """Actions whose destination stays on the grid. Stay is always legal."""
-    return set(legal_actions_at(_agent_position(state, agent_id), state.side))
 
 
 def new_world(seed: int, config: GridConfig = GridConfig()) -> WorldState:
@@ -206,16 +179,6 @@ def new_world(seed: int, config: GridConfig = GridConfig()) -> WorldState:
         for j in range(N_PREY)
     ]
     return WorldState(side=config.side, hunters=hunters, prey=prey)
-
-
-def is_captured(state: WorldState, prey_index: int) -> bool:
-    """True when every in-bounds neighbour cell of the prey holds a hunter."""
-    prey = state.prey[prey_index]
-    if not prey.alive:
-        raise ValueError(f"prey {prey_index} is dead")
-    grid = grid_for(state.side)
-    hunter_cells = {grid.cell(pos) for pos in state.hunters}
-    return hunter_cells.issuperset(grid.neighbors[grid.cell(prey.position)])
 
 
 PreyPolicy = Callable[[WorldState, int, Sequence[Action], Random], Action]
@@ -323,14 +286,10 @@ def trajectory_rows(state: WorldState) -> list[tuple[int, str, int, int]]:
 def save_trajectory(path, rows: Iterable[tuple[int, str, int, int, str]]) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["step", "agent", "x", "y", "action"])
+        writer.writerow(TRAJECTORY_HEADER)
         writer.writerows(rows)
 
 
 def load_trajectory(path) -> list[tuple[int, str, int, int, str]]:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if header != ["step", "agent", "x", "y", "action"]:
-            raise ValueError(f"unexpected trajectory header: {header}")
-        return [(int(s), a, int(x), int(y), act) for s, a, x, y, act in reader]
+    return load_csv(path, TRAJECTORY_HEADER,
+                    lambda s, agent, x, y, act: (int(s), agent, int(x), int(y), act))

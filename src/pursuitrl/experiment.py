@@ -73,6 +73,20 @@ class ExperimentConfig:
     trajectory_trial: int | None = None
 
     def __post_init__(self) -> None:
+        if self.trials < 1 or self.step_cap < 1:
+            raise ValueError(f"trials and step_cap must be >= 1, "
+                             f"got {self.trials} and {self.step_cap}")
+        if self.grid_side < 3:
+            raise ValueError(f"grid_side must be >= 3, got {self.grid_side}")
+        for name in ("epsilon_start", "epsilon_final", "epsilon_anneal_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        # A block runs from one end + 1 to the next: ends that do not rise
+        # would count trials twice in blocks.csv.
+        ends = (0, *self.block_ends)
+        if any(a >= b for a, b in zip(ends, ends[1:])):
+            raise ValueError(f"block_ends must be positive and strictly rising, "
+                             f"got {self.block_ends}")
         if self.candidate_mode not in CANDIDATE_MODES:
             raise ValueError(f"candidate_mode must be one of {CANDIDATE_MODES}, "
                              f"got {self.candidate_mode!r}")
@@ -145,15 +159,13 @@ def build_agents(config: ExperimentConfig) -> list[HunterAgent]:
             reach_discount=config.reach_discount,
             candidates=config.candidate_mode,
             goal_reward=config.reward,
-            trace_cap=config.step_cap,
         )
         for index in range(env.N_HUNTERS)
     ]
 
 
 def run_training(config: ExperimentConfig, seed: int | None = None,
-                 rules: Sequence[IfThenRule] | None = None,
-                 agents: list[HunterAgent] | None = None) -> TrainingResult:
+                 rules: Sequence[IfThenRule] | None = None) -> TrainingResult:
     """Run one full training (or rule-driven) session.
 
     With ``rules`` given, each hunter's move is taken from the first
@@ -165,8 +177,7 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
         seed = config.seeds[0]
     rng = Random(seed)
     grid = config.grid_config()
-    if agents is None:
-        agents = build_agents(config)
+    agents = build_agents(config)
 
     window = config.instance_window
     if window is None:
@@ -250,13 +261,6 @@ def _apply_rule_override(agent: HunterAgent, world: env.WorldState,
         if commanded not in env.legal_actions_at(own, world.side):
             commanded = chosen      # rule walked off the grid; keep the learner's pick
         agent.pending = (rel, commanded, target, prey_tag)
-
-
-def run_rule_eval(config: ExperimentConfig, rules: Sequence[IfThenRule],
-                  seed: int | None = None,
-                  agents: list[HunterAgent] | None = None) -> TrainingResult:
-    """Same trial loop as training, with moves taken from the rule set."""
-    return run_training(config, seed=seed, rules=rules, agents=agents)
 
 
 def blocks_for(trials: int, block_ends: Sequence[int]) -> list[tuple[int, int]]:
@@ -345,38 +349,23 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-_FIELD_PARSERS = {
-    "trials": int,
-    "step_cap": int,
-    "seeds": _parse_int_tuple,
-    "atf_enabled": _parse_bool,
-    "reward": float,
-    "dangerous_reward": float,
-    "ps_discount": float,
-    "ps_rule_bound": int,
-    "alpha": float,
-    "gamma": float,
-    "epsilon_start": float,
-    "epsilon_final": float,
-    "epsilon_anneal_fraction": float,
-    "atf_near": int,
-    "atf_far": int,
-    "upper_decay": float,
-    "reach_discount": float,
-    "candidate_mode": str,
-    "block_ends": _parse_int_tuple,
-    "instance_window": lambda text: (None if text.strip().lower() == "none"
-                                     else _parse_int_tuple(text)),
-    "grid_side": int,
-    "prey_kinds": lambda text: tuple(part.strip() for part in text.split(",")),
-    "prey_alive": lambda text: tuple(_parse_bool(part) for part in text.split(",")),
-    "rule_fallback": str,
-    "strict_reset": _parse_bool,
-    "trajectory_trial": lambda text: (None if text.strip().lower() == "none"
-                                      else int(text)),
-}
+def _optional(parse):
+    return lambda text: None if text.strip().lower() == "none" else parse(text)
 
-assert set(_FIELD_PARSERS) == {f.name for f in fields(ExperimentConfig)}
+
+# One parser per field annotation; a field of a new type fails here at import.
+_TYPE_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": _parse_bool,
+    "tuple[int, ...]": _parse_int_tuple,
+    "tuple[int, int] | None": _optional(_parse_int_tuple),
+    "int | None": _optional(int),
+    "tuple[str, str]": lambda text: tuple(part.strip() for part in text.split(",")),
+    "tuple[bool, bool]": lambda text: tuple(_parse_bool(part) for part in text.split(",")),
+}
+_FIELD_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def config_to_lines(config: ExperimentConfig, seed: int | None = None) -> list[str]:
@@ -388,8 +377,9 @@ def config_to_lines(config: ExperimentConfig, seed: int | None = None) -> list[s
 
 
 def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Parse ``key = value`` lines; unknown keys are errors."""
+    """Parse ``key = value`` lines; unknown or repeated keys are errors."""
     overrides = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -402,6 +392,10 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
             continue
         if key not in _FIELD_PARSERS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ValueError(f"line {lineno}: duplicate config key {key!r} "
+                             f"(first set on line {first_line[key]})")
+        first_line[key] = lineno
         overrides[key] = _FIELD_PARSERS[key](value.strip())
     return replace(base or ExperimentConfig(), **overrides)
 
@@ -475,8 +469,7 @@ def save_learned_tables(out_dir, result: TrainingResult) -> None:
     grid = env.grid_for(result.config.grid_side)
     encode_module = partial(module_text, grid)
     for agent in result.agents:
-        banks = [profit_sharing.WeightTable(agent.upper.default_weight)
-                 for _ in range(env.N_PREY)]
+        banks = [profit_sharing.WeightTable() for _ in range(env.N_PREY)]
         for (module, cell), weight in agent.upper.weights.items():
             banks[module_prey(grid, module)].weights[module, cell] = weight
         for prey_index, bank in enumerate(banks):

@@ -20,7 +20,6 @@ and the target's cell id; a lower rule by the action's index.
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass
 from random import Random
 from typing import Literal, NamedTuple, Sequence
@@ -104,7 +103,6 @@ def module_prey(grid: Grid, key: int) -> int:
 class TargetChoice(NamedTuple):
     target: Position
     prey: int
-    score: float
     modules: tuple[int, ...]   # packed module key per peer: the rules fired with
     cell: int                  # the target's cell id
 
@@ -114,7 +112,6 @@ CandidateMode = Literal["ring2", "all"]
 
 def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
                   rng: Random, reach_discount: float = 2.0,
-                  mode: Literal["single", "two_prey"] = "two_prey",
                   exploration: float = 0.0,
                   candidates: CandidateMode = "ring2") -> TargetChoice:
     """Pick the commanded target cell for one hunter.
@@ -137,8 +134,6 @@ def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
     own = hunters[hunter_index]
     distance = grid.distance[own[0] * side + own[1]]
     if first.alive and second.alive:
-        if mode == "single":
-            raise ValueError("single mode expects exactly one alive prey")
         d0 = distance[first.position[0] * side + first.position[1]]
         d1 = distance[second.position[0] * side + second.position[1]]
         if d0 != d1:
@@ -156,25 +151,19 @@ def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
     head = ((hunter_index * N_PREY + prey_index) * n + own[0] * side + own[1]) * n
     modules = tuple([(head + hunters[k][0] * side + hunters[k][1]) * n + goal
                      for k in _PEERS[hunter_index]])
-    default = weights.default_weight
-    get = weights.weights.get
-    # Peer weights are summed in peer order. A module with no rule adds the
-    # default to every cell, which changes no sum when it is zero.
-    fired = modules if default else [key for key in modules if key in weights.states]
-    powers = grid.discount_powers(reach_discount)
-
     if exploration > 0.0 and rng.random() < exploration:
         target = rng.choice(cells)
-        total = 0.0
-        for module in fired:
-            total += get((module, target), default)
-        return TargetChoice(grid.cells[target], prey_index, total / powers[distance[target]],
-                            modules, target)
+        return TargetChoice(grid.cells[target], prey_index, modules, target)
 
+    get = weights.weights.get
+    # Peer weights are summed in peer order. A module with no rule adds 0
+    # to every cell, which changes no sum, so only modules with rules are read.
+    fired = [key for key in modules if key in weights.states]
     if fired:
+        powers = grid.discount_powers(reach_discount)
         totals = [0.0] * len(cells)
         for module in fired:
-            totals = [total + get((module, cell), default) for total, cell in zip(totals, cells)]
+            totals = [total + get((module, cell), 0.0) for total, cell in zip(totals, cells)]
         scores = [total / powers[distance[cell]] for total, cell in zip(totals, cells)]
         best_score = max(scores)
         if scores.count(best_score) == 1:
@@ -182,58 +171,33 @@ def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
         else:
             best = [cell for cell, score in zip(cells, scores) if score == best_score]
     else:
-        best_score = 0.0        # zero weights everywhere: every candidate ties
-        best = cells
+        best = cells            # zero weights everywhere: every candidate ties
     target = best[0] if len(best) == 1 else rng.choice(best)
-    return TargetChoice(grid.cells[target], prey_index, best_score, modules, target)
+    return TargetChoice(grid.cells[target], prey_index, modules, target)
 
 
-class UpperTrace:
-    """Per-step fired upper rules of the current trial, oldest first.
+# A trace step: the fired packed modules (one per peer), the commanded cell
+# id, and the inter-prey distance (None with a lone prey).
+TraceStep = tuple[tuple[int, ...], int, int | None]
 
-    A step holds the packed module keys of its rules (one per peer) and
-    the cell id they commanded.
+
+def reinforce_upper(weights: WeightTable, trace: list[TraceStep], reward: float,
+                    params: ATFieldParams, gated: bool = True) -> WeightTable:
+    """Share ``reward`` backward over a trial's fired upper rules, then clear the trace.
+
+    The newest step gets the whole reward. The share entering each
+    earlier step is the later step's share times the decay, times (when
+    ``gated``) the gate at the later step's prey distance; a ``None``
+    distance leaves the gate open. The walk stops once a share falls
+    below :data:`CREDIT_FLOOR`.
     """
-
-    def __init__(self, max_length: int | None = None):
-        self._steps: deque[tuple[tuple[int, ...], int]] = deque(maxlen=max_length)
-
-    def record(self, modules: tuple[int, ...], cell: int) -> None:
-        self._steps.append((modules, cell))
-
-    def entries(self) -> list[tuple[tuple[int, ...], int]]:
-        return list(self._steps)
-
-    def clear(self) -> None:
-        self._steps.clear()
-
-    def __len__(self) -> int:
-        return len(self._steps)
-
-
-def reinforce_upper(weights: WeightTable, trace: UpperTrace, reward: float,
-                    prey_distances: Sequence[int | None], params: ATFieldParams,
-                    gated: bool = True) -> WeightTable:
-    """Share ``reward`` backward over the fired upper rules, then clear.
-
-    The share entering each earlier step is the later step's share times
-    the decay, times (when ``gated``) the prey-distance gate at that
-    later step. A ``None`` distance (lone prey) leaves the gate open.
-    """
-    steps = trace.entries()
-    if len(steps) != len(prey_distances):
-        raise ValueError(
-            f"trace length {len(steps)} != distance history {len(prey_distances)}"
-        )
     if reward != 0.0:
+        if not trace:
+            raise ValueError("cannot reinforce an empty trace with a nonzero reward")
         credit = reward
-        for idx in range(len(steps) - 1, -1, -1):
-            modules, cell = steps[idx]
+        for modules, cell, gap in reversed(trace):
             for module in modules:
                 weights.add(module, cell, credit)
-            if idx == 0:
-                break
-            gap = prey_distances[idx]
             gate = atf(gap, params) if (gated and gap is not None) else 1.0
             credit *= params.decay * gate
             if abs(credit) < CREDIT_FLOOR:
@@ -243,12 +207,12 @@ def reinforce_upper(weights: WeightTable, trace: UpperTrace, reward: float,
 
 
 class HunterAgent:
-    """One hunter's learning state: upper weight bank, lower Q table, traces."""
+    """One hunter's learning state: upper weight bank, lower Q table, trace."""
 
     def __init__(self, index: int, *, alpha: float = 0.1, gamma: float = 0.9,
                  atf_params: ATFieldParams = ATFieldParams(),
                  reach_discount: float = 2.0, candidates: CandidateMode = "ring2",
-                 goal_reward: float = 100.0, trace_cap: int | None = None):
+                 goal_reward: float = 100.0):
         self.index = index
         self.upper = WeightTable()
         self.q = QTable(alpha=alpha, gamma=gamma)
@@ -256,13 +220,11 @@ class HunterAgent:
         self.reach_discount = reach_discount
         self.candidates: CandidateMode = candidates
         self.goal_reward = goal_reward
-        self.trace = UpperTrace(trace_cap)
-        self.prey_distances: deque[int | None] = deque(maxlen=trace_cap)
+        self.trace: list[TraceStep] = []
         self.pending: tuple[tuple[int, int], Action, Position, int] | None = None
 
     def begin_trial(self) -> None:
         self.trace.clear()
-        self.prey_distances.clear()
         self.pending = None
 
     def policy_step(self, state: WorldState, rng: Random, exploration: float) -> Action:
@@ -270,12 +232,11 @@ class HunterAgent:
         choice = select_target(self.upper, self.index, state, rng,
                                reach_discount=self.reach_discount,
                                exploration=exploration, candidates=self.candidates)
-        self.trace.record(choice.modules, choice.cell)
         first, second = state.prey
-        self.prey_distances.append(
-            abs(first.position[0] - second.position[0])
-            + abs(first.position[1] - second.position[1])
-            if first.alive and second.alive else None)
+        self.trace.append((choice.modules, choice.cell,
+                           abs(first.position[0] - second.position[0])
+                           + abs(first.position[1] - second.position[1])
+                           if first.alive and second.alive else None))
 
         own = state.hunters[self.index]
         target = choice.target
@@ -302,9 +263,7 @@ class HunterAgent:
 
     def finish_trial(self, reward: float, gated: bool) -> None:
         """Upper-layer reinforcement (or plain trace reset when reward is 0)."""
-        reinforce_upper(self.upper, self.trace, reward, list(self.prey_distances),
-                        self.atf_params, gated=gated)
-        self.prey_distances.clear()
+        reinforce_upper(self.upper, self.trace, reward, self.atf_params, gated=gated)
 
 
 def deliver_rewards(agents: Sequence[HunterAgent], outcome: StepOutcome,

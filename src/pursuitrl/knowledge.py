@@ -16,8 +16,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .env import ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, Action
+from .tableio import load_csv
 
 ATTRIBUTES = ("theta_X", "theta_Y")
+
+INSTANCE_HEADER = ("theta_x", "theta_y", "action")
 
 # Splits must beat this in information gain; guards against float noise
 # promoting a do-nothing split.
@@ -186,14 +189,6 @@ def induce_tree(instances: Sequence[Instance], min_leaf: int = 2,
     return _grow(items, min_leaf, max_depth, depth=0)
 
 
-def classify(tree: TreeNode, theta_x: int, theta_y: int) -> Action:
-    node = tree
-    while isinstance(node, Split):
-        value = theta_x if node.attribute == "theta_X" else theta_y
-        node = node.le_child if value <= node.threshold else node.gt_child
-    return node.label
-
-
 def _leaf_text(leaf: Leaf) -> str:
     label = ACTION_LABELS[leaf.label]
     if leaf.errors:
@@ -284,22 +279,27 @@ _COND_RE = re.compile(r"(theta_[XY])\s*(<=|>)\s*(-?\d+(?:\.\d+)?)")
 
 
 def parse_rules(text: str) -> list[IfThenRule]:
+    """Rules in the :func:`format_rules` layout; a line that is not one
+    raises ``ValueError`` naming its line number."""
     rules: list[IfThenRule] = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("No."):
             continue
         match = _RULE_RE.match(line)
-        if not match:
-            raise ValueError(f"unparseable rule line: {line!r}")
-        conditions_text, label, cf_text = match.groups()
-        conditions = tuple(
-            (attribute, op, float(threshold))
-            for attribute, op, threshold in _COND_RE.findall(conditions_text)
-        )
-        if label not in ACTION_BY_LABEL:
-            raise ValueError(f"unknown action label: {label!r}")
-        rules.append(IfThenRule(conditions, ACTION_BY_LABEL[label], float(cf_text)))
+        try:
+            if not match or _COND_RE.sub("", match[1]).strip():
+                raise ValueError("not an If-Then rule")
+            conditions_text, label, cf_text = match.groups()
+            conditions = tuple(
+                (attribute, op, float(threshold))
+                for attribute, op, threshold in _COND_RE.findall(conditions_text)
+            )
+            if label not in ACTION_BY_LABEL:
+                raise ValueError(f"unknown action label {label!r}")
+            rules.append(IfThenRule(conditions, ACTION_BY_LABEL[label], float(cf_text)))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}: {line!r}") from None
     return rules
 
 
@@ -310,14 +310,18 @@ def save_rules(path, rules: Sequence[IfThenRule]) -> None:
 
 def load_rules(path) -> list[IfThenRule]:
     with open(path) as handle:
-        return parse_rules(handle.read())
+        text = handle.read()
+    try:
+        return parse_rules(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_instances(path, instances: Iterable[Instance]) -> int:
     count = 0
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["theta_x", "theta_y", "action"])
+        writer.writerow(INSTANCE_HEADER)
         for inst in instances:
             writer.writerow([inst.theta_x, inst.theta_y, ACTION_LABELS[inst.label]])
             count += 1
@@ -325,10 +329,5 @@ def save_instances(path, instances: Iterable[Instance]) -> int:
 
 
 def load_instances(path) -> list[Instance]:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if header != ["theta_x", "theta_y", "action"]:
-            raise ValueError(f"unexpected instance header: {header}")
-        return [Instance(int(x), int(y), ACTION_BY_LABEL[label])
-                for x, y, label in reader]
+    return load_csv(path, INSTANCE_HEADER,
+                    lambda x, y, label: Instance(int(x), int(y), ACTION_BY_LABEL[label]))

@@ -1,4 +1,4 @@
-"""Tabular off-policy Q-learning plus a value-iteration oracle for tests.
+"""Tabular off-policy Q-learning.
 
 The action-value table is keyed by (state, action index, target tag);
 for the pursuit hunters the state is the (dx, dy) offset to the
@@ -9,11 +9,10 @@ to. Actions are addressed by their index in the table's action set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from random import Random
 from typing import Hashable, Sequence
 
-from .env import ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, Action
+from .env import ACTION_BY_LABEL, ACTION_LABELS, ACTIONS
 from .tableio import load_table, save_table
 
 StateKey = Hashable
@@ -77,89 +76,19 @@ def epsilon_greedy(table: QTable, state: StateKey, legal: Sequence[int],
     return rng.choice([a for a, value in zip(legal, scores) if value == best_value])
 
 
-@dataclass
-class ExplicitMDP:
-    """Small enumerated MDP for oracle computations.
-
-    ``transitions[(state, action)]`` lists ``(probability, next_state,
-    reward)`` triples; probabilities per pair must sum to 1. Terminal
-    states have value 0 and no outgoing transitions.
-    """
-
-    states: tuple
-    actions: tuple
-    transitions: dict
-    gamma: float
-    terminal: frozenset = field(default_factory=frozenset)
-
-
-def solve_value_iteration(mdp: ExplicitMDP, tolerance: float = 1e-9,
-                          max_sweeps: int = 100_000) -> dict:
-    """Fixed point of the optimal Bellman backup, to ``tolerance``."""
-    if not 0.0 <= mdp.gamma < 1.0:
-        raise ValueError("value iteration needs gamma in [0, 1)")
-    values = {s: 0.0 for s in mdp.states}
-    for _ in range(max_sweeps):
-        delta = 0.0
-        for s in mdp.states:
-            if s in mdp.terminal:
-                continue
-            best = -float("inf")
-            for a in mdp.actions:
-                if (s, a) not in mdp.transitions:
-                    continue
-                total = sum(
-                    p * (r + mdp.gamma * values[ns])
-                    for p, ns, r in mdp.transitions[(s, a)]
-                )
-                best = max(best, total)
-            delta = max(delta, abs(best - values[s]))
-            values[s] = best
-        if delta < tolerance:
-            return values
-    raise RuntimeError(f"value iteration did not converge in {max_sweeps} sweeps")
-
-
-def greedy_action(mdp: ExplicitMDP, values: dict, state) -> object:
-    """Best action under the solved values; ties go to action order."""
-    best_a, best_v = None, -float("inf")
-    for a in mdp.actions:
-        if (state, a) not in mdp.transitions:
-            continue
-        total = sum(p * (r + mdp.gamma * values[ns])
-                    for p, ns, r in mdp.transitions[(state, a)])
-        if total > best_v:
-            best_a, best_v = a, total
-    return best_a
-
-
-def _encode_action(action) -> str:
-    if isinstance(action, Action):
-        return ACTION_LABELS[action]
-    return repr(action)
-
-
-def _decode_action(text: str):
-    if text in ACTION_BY_LABEL:
-        return ACTION_BY_LABEL[text]
-    import ast
-
-    return ast.literal_eval(text)
-
-
 def save_q_table(path, table: QTable, meta: dict[str, object] | None = None) -> None:
+    """Write a table over the grid actions, each action by its label."""
     header = {"alpha": table.alpha, "gamma": table.gamma}
     header.update(meta or {})
     # Flatten (state, action, target) onto the two-column persistence
     # scheme: the stored state is (state, target).
-    labels = [_encode_action(action) for action in table.actions]
+    labels = [ACTION_LABELS[action] for action in table.actions]
     entries = {((s, t), a): v for (s, a, t), v in table.values.items()}
     save_table(path, entries, header, encode_action=labels.__getitem__)
 
 
 def load_q_table(path) -> tuple[QTable, dict[str, object]]:
-    entries, meta = load_table(path, decode_action=_decode_action)
+    entries, meta = load_table(path, decode_action=lambda label: ACTION_BY_LABEL[label].index)
     table = QTable(alpha=float(meta.pop("alpha")), gamma=float(meta.pop("gamma")))
-    index = {action: a for a, action in enumerate(table.actions)}
-    table.values = {(s, index[action], t): v for ((s, t), action), v in entries.items()}
+    table.values = {(s, a, t): v for ((s, t), a), v in entries.items()}
     return table, meta

@@ -1,4 +1,5 @@
-"""Tab-separated persistence for learned weight/value tables.
+"""Tab-separated persistence for learned weight/value tables, and the
+checked reader of the CSV logs.
 
 Format: ``# key = repr(value)`` header lines describing the run
 parameters, then one ``state<TAB>action<TAB>weight`` row per entry,
@@ -9,7 +10,8 @@ survive a save/load round trip bit-exactly.
 from __future__ import annotations
 
 import ast
-from typing import Callable, Mapping
+import csv
+from typing import Callable, Mapping, Sequence
 
 Encoder = Callable[[object], str]
 Decoder = Callable[[str], object]
@@ -29,24 +31,49 @@ def save_table(path, entries: Mapping, meta: Mapping[str, object] | None = None,
             handle.write("\t".join(row) + "\n")
 
 
-def load_table(path, decode_state: Decoder = ast.literal_eval,
-               decode_action: Decoder = ast.literal_eval):
+def load_table(path, decode_action: Decoder = ast.literal_eval):
     """Read a table written by :func:`save_table`.
 
-    Returns ``(entries, meta)`` where meta values are parsed back with
-    ``ast.literal_eval``.
+    Returns ``(entries, meta)`` where states and meta values are parsed
+    back with ``ast.literal_eval``. A malformed line raises ``ValueError`` naming the
+    file and line.
     """
     entries: dict = {}
     meta: dict[str, object] = {}
     with open(path) as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                meta[key.strip()] = ast.literal_eval(value.strip())
-                continue
-            state_s, action_s, weight_s = line.split("\t")
-            entries[(decode_state(state_s), decode_action(action_s))] = float(weight_s)
+            try:
+                if line.startswith("#"):
+                    key, _, value = line[1:].partition("=")
+                    meta[key.strip()] = ast.literal_eval(value.strip())
+                    continue
+                state_s, action_s, weight_s = line.split("\t")
+                entries[ast.literal_eval(state_s), decode_action(action_s)] = float(weight_s)
+            except (ValueError, SyntaxError, KeyError) as exc:
+                raise ValueError(f"{path}:{lineno}: malformed table line {line!r}: "
+                                 f"{exc}") from None
     return entries, meta
+
+
+def load_csv(path, header: Sequence[str], parse_row: Callable[..., object]) -> list:
+    """``parse_row(*fields)`` of every row below ``header``.
+
+    A row that does not parse raises ``ValueError`` naming the file, the
+    line and the row.
+    """
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        found = next(reader, None)
+        if found != list(header):
+            raise ValueError(f"{path}: expected header {list(header)}, got {found}")
+        rows = []
+        for row in reader:
+            try:
+                rows.append(parse_row(*row))
+            except (TypeError, ValueError, KeyError) as exc:
+                raise ValueError(f"{path}:{reader.line_num}: malformed row "
+                                 f"{','.join(row)!r}: {exc!r}") from None
+        return rows

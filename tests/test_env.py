@@ -9,8 +9,7 @@ from pursuitrl.env import (
     PreyKind,
     PreyState,
     WorldState,
-    is_captured,
-    legal_moves,
+    grid_for,
     load_trajectory,
     manhattan_distance,
     new_world,
@@ -54,28 +53,17 @@ def test_new_world_grid_too_small():
         new_world(0, GridConfig(side=2))
 
 
+def legal_at(x, y, side=7):
+    return set(grid_for(side).legal_actions[x * side + y])
+
+
 def test_legal_moves_corner():
-    world = make_world([(0, 0), (5, 5), (5, 6), (6, 5)], [(3, 3), (4, 4)])
-    assert legal_moves(world, "h0") == {Action.STAY, Action.SOUTH, Action.EAST}
+    assert legal_at(0, 0) == {Action.STAY, Action.SOUTH, Action.EAST}
 
 
 def test_legal_moves_interior_and_wall():
-    world = make_world([(3, 3), (6, 3), (5, 5), (0, 5)], [(1, 1), (4, 4)])
-    assert legal_moves(world, "h0") == set(Action)
-    assert legal_moves(world, "h1") == set(Action) - {Action.EAST}
-
-
-def test_legal_moves_unknown_agent():
-    world = new_world(1)
-    with pytest.raises(KeyError):
-        legal_moves(world, "x9")
-
-
-def test_legal_moves_dead_prey():
-    world = make_world([(0, 0), (5, 5), (5, 6), (6, 5)], [(3, 3), (4, 4)],
-                       alive=(True, False))
-    with pytest.raises(ValueError):
-        legal_moves(world, "p1")
+    assert legal_at(3, 3) == set(Action)
+    assert legal_at(6, 3) == set(Action) - {Action.EAST}
 
 
 def test_step_unobstructed_move():
@@ -158,26 +146,25 @@ def test_captures_only_previously_alive_prey():
     assert out.captures == []
 
 
+def still_step(world):
+    """Captures of a step in which every hunter and prey stays put."""
+    return step(world, [Action.STAY] * 4, Random(0),
+                prey_policy=lambda state, j, legal, rng: Action.STAY).captures
+
+
 def test_is_captured_interior():
     world = make_world([(2, 3), (4, 3), (3, 2), (3, 4)], [(3, 3), (6, 6)])
-    assert is_captured(world, 0)
+    assert still_step(world) == [(0, PreyKind.POSITIVE)]
 
 
 def test_is_captured_corner_walls_block():
     world = make_world([(1, 0), (0, 1), (5, 5), (6, 6)], [(0, 0), (3, 3)])
-    assert is_captured(world, 0)
+    assert still_step(world) == [(0, PreyKind.POSITIVE)]
 
 
 def test_is_captured_missing_hunter():
     world = make_world([(2, 3), (4, 3), (3, 2), (0, 0)], [(3, 3), (6, 6)])
-    assert not is_captured(world, 0)
-
-
-def test_is_captured_dead_prey_rejected():
-    world = make_world([(2, 3), (4, 3), (3, 2), (3, 4)], [(3, 3), (6, 6)],
-                       alive=(False, True))
-    with pytest.raises(ValueError):
-        is_captured(world, 0)
+    assert still_step(world) == []
 
 
 def test_manhattan_distance_values():
@@ -203,7 +190,7 @@ def test_fuzz_occupancy_and_bounds():
     rng = Random(123)
     world = new_world(9)
     for _ in range(10_000):
-        if not world.alive_prey_indices():
+        if not any(prey.alive for prey in world.prey):
             world = new_world(rng.getrandbits(32))
         out = step(world, random_hunter_actions(world, rng), rng)
         world = out.next_state
@@ -247,3 +234,10 @@ def test_trajectory_csv_round_trip(tmp_path):
     path = tmp_path / "trajectory.csv"
     save_trajectory(path, rows)
     assert load_trajectory(path) == rows
+
+
+def test_load_trajectory_names_malformed_row(tmp_path):
+    path = tmp_path / "trajectory.csv"
+    path.write_text("step,agent,x,y,action\n0,h0,1,2,stay\n1,h0,one,2,stay\n")
+    with pytest.raises(ValueError, match=r"trajectory\.csv:3: .*'1,h0,one,2,stay'"):
+        load_trajectory(path)

@@ -13,7 +13,6 @@ from pursuitrl.experiment import (
     export_report,
     parse_config,
     read_blocks_csv,
-    run_rule_eval,
     run_training,
     save_learned_tables,
 )
@@ -153,6 +152,48 @@ def test_config_rejects_unknown_candidate_mode():
     assert ExperimentConfig(candidate_mode="all").candidate_mode == "all"
 
 
+def test_config_rejects_block_ends_that_do_not_rise():
+    with pytest.raises(ValueError, match="block_ends"):
+        ExperimentConfig(trials=300, block_ends=(200, 100))
+    with pytest.raises(ValueError, match="block_ends"):
+        ExperimentConfig(block_ends=(200, 200))
+    with pytest.raises(ValueError, match="block_ends"):
+        ExperimentConfig(block_ends=(0, 5))
+    assert ExperimentConfig(block_ends=(8,)).block_ends == (8,)
+
+
+@pytest.mark.parametrize("name", ["epsilon_start", "epsilon_final",
+                                  "epsilon_anneal_fraction"])
+def test_config_rejects_epsilon_outside_unit_interval(name):
+    with pytest.raises(ValueError, match=name):
+        ExperimentConfig(**{name: 3.0})
+    with pytest.raises(ValueError, match=name):
+        ExperimentConfig(**{name: -0.1})
+    assert getattr(ExperimentConfig(**{name: 1.0}), name) == 1.0
+    assert getattr(ExperimentConfig(**{name: 0.0}), name) == 0.0
+
+
+def test_config_rejects_grid_side_below_three():
+    with pytest.raises(ValueError, match="grid_side"):
+        ExperimentConfig(grid_side=2)
+    with pytest.raises(ValueError, match="grid_side"):
+        parse_config("grid_side = 2")
+    assert ExperimentConfig(grid_side=3).grid_side == 3
+
+
+def test_config_rejects_empty_runs():
+    with pytest.raises(ValueError, match="trials"):
+        ExperimentConfig(trials=0)
+    with pytest.raises(ValueError, match="step_cap"):
+        ExperimentConfig(step_cap=0)
+    assert ExperimentConfig(trials=1, step_cap=1, block_ends=(1,)).trials == 1
+
+
+def test_parse_config_rejects_duplicate_key():
+    with pytest.raises(ValueError, match=r"line 3: duplicate config key 'trials'.*line 1"):
+        parse_config("trials = 7\natf_enabled = off\ntrials = 9\n")
+
+
 def test_parse_config_ignores_comments_and_blanks():
     parsed = parse_config("# a comment\n\ntrials = 7\natf_enabled = off\n")
     assert parsed.trials == 7
@@ -203,7 +244,7 @@ def test_saved_tables_reload(tmp_path):
 
 def test_rule_eval_stay_fallback_times_out():
     config = replace(QUICK, trials=3, step_cap=30, rule_fallback="stay")
-    result = run_rule_eval(config, rules=[], seed=4)
+    result = run_training(config, seed=4, rules=[])
     assert all(r.outcome is TrialOutcome.STEP_CAPPED for r in result.records)
     assert all(r.steps == 30 for r in result.records)
 
@@ -214,7 +255,7 @@ def test_rule_eval_with_distilled_rules_runs():
     tree = induce_tree(training.instances)
     rules = extract_rules(tree)
     assert rules
-    evaluation = run_rule_eval(replace(QUICK, trials=5), rules, seed=11)
+    evaluation = run_training(replace(QUICK, trials=5), seed=11, rules=rules)
     assert len(evaluation.records) == 5
 
 
@@ -229,7 +270,7 @@ def test_rule_eval_single_prey_world_captures():
     )
     config = ExperimentConfig(trials=8, step_cap=400, block_ends=(8,),
                               prey_alive=(True, False))
-    result = run_rule_eval(config, rules, seed=2)
+    result = run_training(config, seed=2, rules=rules)
     captured = [r for r in result.records
                 if r.outcome is TrialOutcome.POSITIVE_CAPTURED]
     assert captured

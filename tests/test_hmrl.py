@@ -1,25 +1,27 @@
-from collections import Counter
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference
 from pursuitrl.env import Action, Position, PreyKind, PreyState, WorldState, grid_for, step
 from pursuitrl.hmrl import (
+    CREDIT_FLOOR,
     ATFieldParams,
     HunterAgent,
-    UpperTrace,
     atf,
     deliver_rewards,
     reinforce_upper,
     select_target,
 )
-from pursuitrl.profit_sharing import EpisodeTrace, PSParams, WeightTable, reinforce_episode
+from pursuitrl.profit_sharing import WeightTable
 from reference import ModuleKey, candidate_cells, cell_id, pack, upper_table
 
 
 def grid_candidates(goal, side, mode):
     grid = grid_for(side)
-    return tuple(grid.cells[c] for c in grid.candidates[mode][grid.cell(goal)])
+    return tuple(grid.cells[c] for c in grid.candidates[mode][cell_id(goal, side)])
 
 
 def make_world(hunters, prey_positions, alive=(True, True),
@@ -158,12 +160,6 @@ def test_select_target_requires_alive_prey():
         select_target(WeightTable(), 0, world, Random(0))
 
 
-def test_select_target_single_mode_guard():
-    world = make_world([(0, 0), (6, 6), (6, 0), (0, 6)], [(3, 3), (6, 3)])
-    with pytest.raises(ValueError):
-        select_target(WeightTable(), 0, world, Random(0), mode="single")
-
-
 def test_select_target_stays_in_candidate_set():
     rng = Random(5)
     for seed in range(30):
@@ -175,22 +171,24 @@ def test_select_target_stays_in_candidate_set():
         assert choice.target in candidate_cells(goal, 7, "ring2")
 
 
-def fired_step(tag):
-    key = ModuleKey(0, 0, Position(tag, 0), Position(6, 6), Position(3, 3))
-    return (pack(key, 7),), cell_id(Position(2, 3), 7)
-
-
 def fired_rule(tag):
-    (module,), cell = fired_step(tag)
-    return module, cell
+    key = ModuleKey(0, 0, Position(tag, 0), Position(6, 6), Position(3, 3))
+    return pack(key, 7), cell_id(Position(2, 3), 7)
+
+
+def upper_trace(distances):
+    """One fired rule per step, step ``tag`` at prey distance ``distances[tag]``."""
+    trace = []
+    for tag, distance in enumerate(distances):
+        module, cell = fired_rule(tag)
+        trace.append(((module,), cell, distance))
+    return trace
 
 
 def test_reinforce_upper_geometric_recursion():
     weights = WeightTable()
-    trace = UpperTrace()
-    for tag in range(3):
-        trace.record(*fired_step(tag))
-    reinforce_upper(weights, trace, 100.0, [3, 3, 3], ATFieldParams(decay=0.8))
+    trace = upper_trace([3, 3, 3])
+    reinforce_upper(weights, trace, 100.0, ATFieldParams(decay=0.8))
     assert weights.get(*fired_rule(2)) == 100.0
     assert weights.get(*fired_rule(1)) == pytest.approx(80.0)
     assert weights.get(*fired_rule(0)) == pytest.approx(64.0)
@@ -199,10 +197,7 @@ def test_reinforce_upper_geometric_recursion():
 
 def test_reinforce_upper_gate_zeroes_upstream():
     weights = WeightTable()
-    trace = UpperTrace()
-    for tag in range(3):
-        trace.record(*fired_step(tag))
-    reinforce_upper(weights, trace, 100.0, [3, 3, 1], ATFieldParams())
+    reinforce_upper(weights, upper_trace([3, 3, 1]), 100.0, ATFieldParams())
     assert weights.get(*fired_rule(2)) == 100.0
     assert weights.get(*fired_rule(1)) == 0.0
     assert weights.get(*fired_rule(0)) == 0.0
@@ -210,53 +205,84 @@ def test_reinforce_upper_gate_zeroes_upstream():
 
 def test_reinforce_upper_identity_chain():
     weights = WeightTable()
-    trace = UpperTrace()
-    for tag in range(4):
-        trace.record(*fired_step(tag))
-    reinforce_upper(weights, trace, 100.0, [4, 4, 4, 4],
-                    ATFieldParams(decay=1.0))
+    reinforce_upper(weights, upper_trace([4, 4, 4, 4]), 100.0, ATFieldParams(decay=1.0))
     for tag in range(4):
         assert weights.get(*fired_rule(tag)) == 100.0
 
 
-def test_reinforce_upper_misaligned_lengths():
-    trace = UpperTrace()
-    trace.record(*fired_step(0))
-    with pytest.raises(ValueError):
-        reinforce_upper(WeightTable(), trace, 100.0, [3, 3], ATFieldParams())
-
-
 def test_reinforce_upper_zero_reward_only_clears():
     weights = WeightTable()
-    trace = UpperTrace()
-    trace.record(*fired_step(0))
-    reinforce_upper(weights, trace, 0.0, [2], ATFieldParams())
+    trace = upper_trace([2])
+    reinforce_upper(weights, trace, 0.0, ATFieldParams())
     assert len(weights) == 0
     assert len(trace) == 0
 
 
 def test_single_prey_reduction_matches_plain_profit_sharing():
     # With the gate forced open the upper update is a pure geometric
-    # chain; dividing by 1/decay reproduces it through the generic
-    # profit-sharing learner.
+    # chain: plain Profit Sharing with the discount 1/decay.
     decay = 0.8
     depth = 6
     upper = WeightTable()
-    trace = UpperTrace()
-    for tag in range(depth):
-        trace.record(*fired_step(tag))
-    reinforce_upper(upper, trace, 100.0, [None] * depth,
+    reinforce_upper(upper, upper_trace([None] * depth), 100.0,
                     ATFieldParams(decay=decay), gated=True)
 
-    plain = WeightTable()
-    episode = EpisodeTrace()
-    for tag in range(depth):
-        episode.record(*fired_rule(tag))
-    reinforce_episode(plain, episode, 100.0,
-                      PSParams(discount=1 / decay, rule_bound=0))
+    plain = reference.profit_sharing([fired_rule(tag) for tag in range(depth)],
+                                     100.0, 1 / decay)
     for tag in range(depth):
         rule = fired_rule(tag)
-        assert upper.get(*rule) == pytest.approx(plain.get(*rule), rel=1e-12)
+        assert upper.get(*rule) == pytest.approx(plain[rule], rel=1e-12)
+
+
+class CountingTable(WeightTable):
+    """A weight table that records every ``add`` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.adds = []
+
+    def add(self, state, action, amount):
+        self.adds.append((state, action, amount))
+        super().add(state, action, amount)
+
+
+trace_steps = st.tuples(
+    st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple),   # fired modules
+    st.integers(0, 3),                                                # commanded cell
+    st.none() | st.integers(0, 12),                                   # prey distance
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace=st.lists(trace_steps, min_size=1, max_size=60), gated=st.booleans(),
+       decay=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+       reward=st.floats(min_value=1e-3, max_value=1e3))
+@example(trace=[((0,), 0, None)] * 40, gated=False, decay=0.5, reward=1e-3)  # share 20 < floor
+@example(trace=[((0, 1), 2, 4)] * 30 + [((3,), 1, 7)], gated=True, decay=0.5, reward=1e-3)
+def test_reinforce_upper_closed_form(trace, gated, decay, reward):
+    # Step i is credited reward * prod_{j > i} (decay * gate_j), multiplied
+    # newest first, until a share falls below the floor.
+    params = ATFieldParams(decay=decay)
+    expected_adds = []
+    share = reward
+    for i in range(len(trace) - 1, -1, -1):
+        if i < len(trace) - 1:
+            later = trace[i + 1][2]
+            share *= decay * (atf(later, params) if gated and later is not None else 1.0)
+            if abs(share) < CREDIT_FLOOR:
+                break
+        modules, cell, _ = trace[i]
+        expected_adds.extend((module, cell, share) for module in modules)
+    expected = {}
+    for module, cell, amount in expected_adds:
+        expected[module, cell] = expected.get((module, cell), 0.0) + amount
+
+    table = CountingTable()
+    steps = list(trace)
+    reinforce_upper(table, steps, reward, params, gated=gated)
+    assert table.adds == expected_adds
+    assert table.weights == expected
+    assert steps == []
 
 
 def trained_agent_world():
@@ -270,9 +296,9 @@ def test_agent_policy_step_records_and_acts():
     action = agent.policy_step(world, Random(0), exploration=0.0)
     assert action in Action
     assert len(agent.trace) == 1
-    modules, cell = agent.trace.entries()[0]
+    modules, cell, prey_distance = agent.trace[0]
     assert len(modules) == 3                        # one rule per peer
-    assert agent.prey_distances[0] == 4             # prey at (3,3) and (6,4)
+    assert prey_distance == 4                       # prey at (3,3) and (6,4)
     rel, chosen, target, prey = agent.pending
     assert rel == (target.x - 2, target.y - 2)
 
@@ -350,16 +376,3 @@ def test_dead_prey_never_targeted():
         choice = select_target(WeightTable(), 0, world, Random(seed),
                                exploration=0.3)
         assert choice.prey == 1
-
-
-def test_trace_cap_keeps_distances_aligned():
-    agent = HunterAgent(0, trace_cap=3)
-    world = make_world([(2, 2), (6, 6), (6, 0), (0, 6)], [(3, 3), (6, 4)])
-    rng = Random(0)
-    for _ in range(10):
-        agent.policy_step(world, rng, 0.0)
-        agent.pending = None
-    assert len(agent.trace) == 3
-    assert len(agent.prey_distances) == 3
-    agent.finish_trial(100.0, gated=True)       # alignment check must pass
-    assert len(agent.trace) == 0

@@ -12,7 +12,6 @@ from pursuitrl.knowledge import (
     Instance,
     Leaf,
     Split,
-    classify,
     extract_rules,
     format_rules,
     format_tree,
@@ -25,6 +24,7 @@ from pursuitrl.knowledge import (
     save_instances,
     save_rules,
 )
+from reference import classify
 
 
 def inst(x, y, label):
@@ -344,6 +344,29 @@ def test_parse_rules_rejects_garbage():
         parse_rules("If theta_X <= 1 Do something\n")
     with pytest.raises(ValueError):
         parse_rules("If theta_X <= 1 Then sideways with CF=1.0\n")
+
+
+def test_parse_rules_names_line_of_bad_condition_or_cf():
+    good = "No.1\nIf theta_X <= 1 Then up with CF=1.0\n"
+    with pytest.raises(ValueError, match=r"line 4: .*theta_Z"):
+        parse_rules(good + "No.2\nIf theta_Z <= 1 Then up with CF=1.0\n")
+    with pytest.raises(ValueError, match=r"line 4: .*CF=high"):
+        parse_rules(good + "No.2\nIf theta_X > 1 Then up with CF=high\n")
+
+
+def test_load_rules_names_file_and_line(tmp_path):
+    path = tmp_path / "rules.txt"
+    path.write_text("No.1\nIf theta_X <= 1 Then sideways with CF=1.0\n")
+    with pytest.raises(ValueError, match=r"rules\.txt: line 2: .*sideways"):
+        load_rules(path)
+
+
+@pytest.mark.parametrize("row", ["1,2,sideways", "1,two,up", "1,2", "1,2,up,down"])
+def test_load_instances_names_malformed_row(tmp_path, row):
+    path = tmp_path / "instances.csv"
+    path.write_text(f"theta_x,theta_y,action\n0,1,up\n{row}\n")
+    with pytest.raises(ValueError, match=rf"instances\.csv:3: .*'{row}'"):
+        load_instances(path)
 
 
 # --- formatting ---------------------------------------------------------

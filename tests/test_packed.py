@@ -47,7 +47,7 @@ def test_grid_tables_match_geometry(side):
     for x in range(side):
         for y in range(side):
             pos = Position(x, y)
-            cell = grid.cell(pos)
+            cell = cell_id(pos, side)
             assert grid.cells[cell] == pos
             assert grid.cell_text[cell] == repr((x, y))
             assert grid.legal_actions[cell] == reference.legal_actions(pos, side)
@@ -63,7 +63,7 @@ def test_grid_tables_match_geometry(side):
                 assert (tuple(grid.cells[c] for c in grid.candidates[mode][cell])
                         == reference.candidate_cells(pos, side, mode))
             for other in grid.cells:
-                assert grid.distance[cell][grid.cell(other)] == manhattan_distance(pos, other)
+                assert grid.distance[cell][cell_id(other, side)] == manhattan_distance(pos, other)
 
 
 @st.composite
@@ -103,17 +103,16 @@ def random_rules(world: WorldState, hunter: int, mode: str, seed: int) -> dict:
 @settings(max_examples=200, deadline=None)
 @given(world=worlds(), hunter=st.integers(0, 3), mode=st.sampled_from(CANDIDATE_MODES),
        reach=st.sampled_from((1.0, 1.5, 2.0)), exploration=st.sampled_from((0.0, 0.3, 1.0)),
-       default=st.sampled_from((0.0, 0.0, 0.5)), weight_seed=st.integers(0, 2**32 - 1),
-       seed=st.integers(0, 2**32 - 1))
-def test_select_target_matches_brute_force(world, hunter, mode, reach, exploration, default,
+       weight_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
+def test_select_target_matches_brute_force(world, hunter, mode, reach, exploration,
                                            weight_seed, seed):
     rules = random_rules(world, hunter, mode, weight_seed)
     rng, reference_rng = Random(seed), Random(seed)
-    choice = select_target(upper_table(rules, world.side, default), hunter, world, rng,
+    choice = select_target(upper_table(rules, world.side), hunter, world, rng,
                            reach_discount=reach, exploration=exploration, candidates=mode)
-    target, prey, score = reference.select_target(rules, hunter, world, reference_rng,
-                                                  reach, exploration, mode, default)
-    assert (choice.target, choice.prey, choice.score) == (target, prey, score)
+    target, prey = reference.select_target(rules, hunter, world, reference_rng,
+                                           reach, exploration, mode)
+    assert (choice.target, choice.prey) == (target, prey)
     assert rng.getstate() == reference_rng.getstate()
     own, goal = world.hunters[hunter], world.prey[prey].position
     assert choice.modules == tuple(pack(ModuleKey(hunter, prey, own, peer, goal), world.side)

@@ -1,44 +1,16 @@
-import math
-from collections import Counter
 from random import Random
 
 import pytest
 
+import reference
+from pursuitrl.hmrl import ATFieldParams, reinforce_upper
 from pursuitrl.profit_sharing import (
-    EpisodeTrace,
     PSParams,
     WeightTable,
     check_suppression,
     load_weights,
-    reinforce_episode,
-    reinforcement_value,
     save_weights,
-    select_by_weight,
 )
-
-
-def test_reinforcement_value_cases():
-    assert reinforcement_value(100.0, 0, 5.0) == 100.0
-    assert reinforcement_value(100.0, 2, 5.0) == 4.0
-    assert reinforcement_value(0.0, 7, 5.0) == 0.0
-
-
-def test_reinforcement_value_geometric_decay_to_one_ulp():
-    rng = Random(3)
-    for _ in range(500):
-        f0 = rng.uniform(1.0, 200.0)
-        m = rng.uniform(1.5, 9.0)
-        i = rng.randrange(0, 30)
-        stepped = reinforcement_value(f0, i + 1, m) * m
-        exact = reinforcement_value(f0, i, m)
-        assert abs(stepped - exact) <= math.ulp(exact)
-
-
-def test_reinforcement_value_validates():
-    with pytest.raises(ValueError):
-        reinforcement_value(1.0, -1, 5.0)
-    with pytest.raises(ValueError):
-        reinforcement_value(1.0, 0, 0.0)
 
 
 def test_params_require_wide_discount():
@@ -47,82 +19,62 @@ def test_params_require_wide_discount():
     PSParams(discount=5.0, rule_bound=4)
 
 
+def rule_trace(*rules):
+    """An upper trace that fires one (state, action) rule per step, lone prey."""
+    return [((state,), action, None) for state, action in rules]
+
+
 def test_reinforce_single_rule():
     table = WeightTable()
-    trace = EpisodeTrace()
-    trace.record("sA", "a")
-    reinforce_episode(table, trace, 100.0, PSParams())
+    trace = rule_trace(("sA", "a"))
+    reinforce_upper(table, trace, 100.0, ATFieldParams(decay=0.2))
     assert table.get("sA", "a") == 100.0
     assert len(trace) == 0
 
 
 def test_reinforce_two_rules():
     table = WeightTable()
-    trace = EpisodeTrace()
-    trace.record("sA", "a")
-    trace.record("sB", "b")      # fired last, credited first
-    reinforce_episode(table, trace, 100.0, PSParams())
+    trace = rule_trace(("sA", "a"), ("sB", "b"))     # sB fired last, credited first
+    reinforce_upper(table, trace, 100.0, ATFieldParams(decay=0.2))
     assert table.get("sB", "b") == 100.0
-    assert table.get("sA", "a") == 20.0
+    assert table.get("sA", "a") == pytest.approx(20.0, rel=1e-15)
 
 
 def test_repeated_rule_gets_both_shares():
-    # Oracle: explicit per-offset loop over the same trace.
     fired = [("sA", "a"), ("sB", "b"), ("sA", "a")]
-    params = PSParams()
-    expected = Counter()
-    for offset, rule in enumerate(reversed(fired)):
-        expected[rule] += reinforcement_value(100.0, offset, params.discount)
-
+    expected = reference.profit_sharing(fired, 100.0, 5.0)
     table = WeightTable()
-    trace = EpisodeTrace()
-    for state, action in fired:
-        trace.record(state, action)
-    reinforce_episode(table, trace, 100.0, params)
+    reinforce_upper(table, rule_trace(*fired), 100.0, ATFieldParams(decay=0.2))
+    assert set(table.weights) == set(expected)
     for rule, total in expected.items():
-        assert table.get(*rule) == total
+        assert table.get(*rule) == pytest.approx(total, rel=1e-15)
 
 
 def test_empty_trace_with_reward_is_protocol_misuse():
     with pytest.raises(ValueError):
-        reinforce_episode(WeightTable(), EpisodeTrace(), 100.0, PSParams())
+        reinforce_upper(WeightTable(), [], 100.0, ATFieldParams())
 
 
 def test_zero_reward_leaves_table_unchanged():
     table = WeightTable()
     table.add("s", "a", 3.0)
-    trace = EpisodeTrace()
-    trace.record("s", "a")
-    trace.record("t", "b")
-    reinforce_episode(table, trace, 0.0, PSParams())
+    trace = rule_trace(("s", "a"), ("t", "b"))
+    reinforce_upper(table, trace, 0.0, ATFieldParams())
     assert table.weights == {("s", "a"): 3.0}
     assert len(trace) == 0
 
 
-def test_trace_cap_drops_oldest():
-    table = WeightTable()
-    trace = EpisodeTrace(max_length=2)
-    for name in ("old", "mid", "new"):
-        trace.record(name, "a")
-    reinforce_episode(table, trace, 100.0, PSParams())
-    assert table.get("old", "a") == 0.0
-    assert table.get("mid", "a") == 20.0
-    assert table.get("new", "a") == 100.0
-
-
 def test_credit_conservation_matches_closed_form():
-    params = PSParams()
+    decay = 0.8
     for length in (1, 3, 10, 40):
         table = WeightTable()
-        trace = EpisodeTrace()
-        for i in range(length):
-            trace.record(f"s{i}", "a")
-        reinforce_episode(table, trace, 100.0, params)
+        fired = [(f"s{i}", "a") for i in range(length)]
+        reinforce_upper(table, rule_trace(*fired), 100.0, ATFieldParams(decay=decay),
+                        gated=False)
         total = sum(table.weights.values())
-        m = params.discount
-        closed_form = 100.0 * (1 - m**-length) / (1 - 1 / m)
-        loop = sum(reinforcement_value(100.0, i, m) for i in range(length))
-        assert total == pytest.approx(loop, rel=1e-12)
+        closed_form = 100.0 * (1 - decay**length) / (1 - decay)
+        plain = sum(reference.profit_sharing(fired, 100.0, 1 / decay).values())
+        assert total == pytest.approx(plain, rel=1e-12)
         assert total == pytest.approx(closed_form, rel=1e-12)
 
 
@@ -146,7 +98,6 @@ def test_suppression_examples_match_oracle():
     narrow = PSParams.__new__(PSParams)       # bypass the M >= L+1 guard
     object.__setattr__(narrow, "discount", 4.0)
     object.__setattr__(narrow, "rule_bound", 4)
-    object.__setattr__(narrow, "reward", 100.0)
     assert check_suppression(narrow, 10) is False
     assert suppression_oracle(4, 4.0, 10) is False
 
@@ -160,7 +111,6 @@ def test_suppression_agrees_with_oracle_on_grid():
             params = PSParams.__new__(PSParams)
             object.__setattr__(params, "discount", float(discount))
             object.__setattr__(params, "rule_bound", rule_bound)
-            object.__setattr__(params, "reward", 100.0)
             for length in (1, 2, 7, 25):
                 assert (check_suppression(params, length)
                         == suppression_oracle(rule_bound, discount, length))
@@ -169,38 +119,6 @@ def test_suppression_agrees_with_oracle_on_grid():
 def test_suppression_rejects_bad_length():
     with pytest.raises(ValueError):
         check_suppression(PSParams(), 0)
-
-
-def test_select_by_weight_greedy():
-    table = WeightTable()
-    table.add("s", "a", 3.0)
-    table.add("s", "b", 1.0)
-    assert select_by_weight(table, "s", ["a", "b"], Random(0)) == "a"
-
-
-def test_select_by_weight_uniform_over_ties():
-    table = WeightTable()
-    rng = Random(11)
-    counts = Counter(select_by_weight(table, "s", ["a", "b", "c", "d"], rng)
-                     for _ in range(10_000))
-    for action in "abcd":
-        assert abs(counts[action] - 2500) < 5 * math.sqrt(10_000 * 0.25 * 0.75)
-
-
-def test_select_by_weight_full_exploration_ignores_weights():
-    table = WeightTable()
-    table.add("s", "a", 1e9)
-    rng = Random(2)
-    counts = Counter(
-        select_by_weight(table, "s", ["a", "b"], rng, exploration=1.0)
-        for _ in range(10_000)
-    )
-    assert abs(counts["b"] - 5000) < 5 * math.sqrt(10_000 * 0.25)
-
-
-def test_select_by_weight_empty_candidates():
-    with pytest.raises(ValueError):
-        select_by_weight(WeightTable(), "s", [], Random(0))
 
 
 def test_weight_table_round_trip_is_bit_exact(tmp_path):
@@ -212,5 +130,19 @@ def test_weight_table_round_trip_is_bit_exact(tmp_path):
     path = tmp_path / "weights.tsv"
     save_weights(path, table, {"upper_decay": 0.8})
     loaded, meta = load_weights(path)
-    assert loaded == table
+    assert loaded.weights == table.weights and loaded.states == table.states
     assert meta == {"upper_decay": 0.8}
+
+
+def test_load_weights_rejects_nonzero_default(tmp_path):
+    path = tmp_path / "weights.tsv"
+    path.write_text("# default_weight = 0.5\n('s',)\t'a'\t1.0\n")
+    with pytest.raises(ValueError, match="weights.tsv.*default_weight"):
+        load_weights(path)
+
+
+def test_load_weights_names_malformed_line(tmp_path):
+    path = tmp_path / "weights.tsv"
+    path.write_text("# default_weight = 0.0\n('s',)\t'a'\t1.0\n('t',)\t'b'\n")
+    with pytest.raises(ValueError, match=r"weights\.tsv:3: .*\('t',\)"):
+        load_weights(path)

@@ -5,16 +5,8 @@ from random import Random
 import pytest
 
 from pursuitrl.env import Action
-from pursuitrl.q_learning import (
-    ExplicitMDP,
-    QTable,
-    epsilon_greedy,
-    greedy_action,
-    load_q_table,
-    q_update,
-    save_q_table,
-    solve_value_iteration,
-)
+from pursuitrl.q_learning import QTable, epsilon_greedy, load_q_table, q_update, save_q_table
+from reference import ExplicitMDP, greedy_action, solve_value_iteration
 
 
 def test_q_update_terminal_arithmetic():
@@ -233,3 +225,10 @@ def test_q_table_round_trip_bit_exact(tmp_path):
     assert loaded.values == table.values
     assert loaded.alpha == table.alpha and loaded.gamma == table.gamma
     assert meta == {"note": "test"}
+
+
+def test_load_q_table_names_malformed_line(tmp_path):
+    path = tmp_path / "q.tsv"
+    path.write_text("# alpha = 0.1\n# gamma = 0.9\n((0, 1), 0)\tup\t2.5\n((1, 1), 0)\tup\n")
+    with pytest.raises(ValueError, match=r"q\.tsv:4: .*\(\(1, 1\), 0\)"):
+        load_q_table(path)
