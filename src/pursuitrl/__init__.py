@@ -10,7 +10,6 @@ from .env import (
     StepOutcome,
     WorldState,
     grid_for,
-    manhattan_distance,
     new_world,
     step,
 )
@@ -36,6 +35,7 @@ from .hmrl import (
 from .knowledge import (
     IfThenRule,
     Instance,
+    compile_rules,
     extract_rules,
     gain_ratio,
     induce_tree,

@@ -80,9 +80,10 @@ class Grid:
     Cell ``x * side + y`` is ``Position(x, y)``, so ascending ids run
     x-outer, y-inner. Per cell it holds the move destination of every
     action (-1 off the grid), the legal actions, the in-bounds
-    4-neighbours, the Manhattan distance to every cell, and per candidate
-    mode the target cells a hunter may be sent to for a prey there.
-    Build it with :func:`grid_for`, which keeps one per side.
+    4-neighbours, the Manhattan distance and the offset id to every cell,
+    and per candidate mode the target cells a hunter may be sent to for a
+    prey there. Offset ids run over ``(dx, dy)``, ``|dx|, |dy| < side``,
+    dx-outer, dy-inner. Build it with :func:`grid_for`, which keeps one per side.
     """
 
     def __init__(self, side: int):
@@ -104,6 +105,13 @@ class Grid:
                                for row, legal in zip(self.moves, self.legal))
         self.distance = tuple(tuple(abs(x - u) + abs(y - v) for u, v in self.cells)
                               for x, y in self.cells)
+        reach = range(1 - side, side)
+        self.offsets = tuple((dx, dy) for dx in reach for dy in reach)
+        # repr of the offset as a plain tuple, as persisted tables spell it
+        self.offset_text = tuple(f"({dx}, {dy})" for dx, dy in self.offsets)
+        # offset[own][target]: id of the target's offset from the own cell
+        self.offset = tuple(tuple((u - x + side - 1) * len(reach) + v - y + side - 1
+                                  for u, v in self.cells) for x, y in self.cells)
         # ring2: cells within distance 2 of the prey (surrounding needs the
         # adjacent slots); all: the whole grid. Never the prey's own cell.
         self.candidates = {
@@ -136,7 +144,7 @@ class GridConfig:
 
 @dataclass
 class PreyState:
-    position: Position
+    cell: int               # cell id on the world's grid
     alive: bool
     kind: PreyKind
 
@@ -144,7 +152,7 @@ class PreyState:
 @dataclass
 class WorldState:
     side: int
-    hunters: list[Position]
+    hunters: list[int]      # cell ids on the world's grid
     prey: list[PreyState]
     step_count: int = 0
 
@@ -156,14 +164,6 @@ class StepOutcome:
     blocked_moves: list[str] = field(default_factory=list)
 
 
-def manhattan_distance(a: Position | tuple[int, int], b: Position | tuple[int, int]) -> int:
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-
-def legal_actions_at(pos: Position, side: int) -> tuple[Action, ...]:
-    return grid_for(side).legal_actions[pos[0] * side + pos[1]]
-
-
 def new_world(seed: int, config: GridConfig = GridConfig()) -> WorldState:
     """Place 4 hunters and 2 prey on distinct random cells."""
     n_agents = N_HUNTERS + N_PREY
@@ -171,10 +171,10 @@ def new_world(seed: int, config: GridConfig = GridConfig()) -> WorldState:
         raise ValueError(
             f"grid of side {config.side} cannot hold {n_agents} distinct agents"
         )
-    picks = Random(seed).sample(grid_for(config.side).cells, n_agents)
+    picks = Random(seed).sample(range(config.side * config.side), n_agents)
     hunters = picks[:N_HUNTERS]
     prey = [
-        PreyState(position=picks[N_HUNTERS + j], alive=config.prey_alive[j],
+        PreyState(cell=picks[N_HUNTERS + j], alive=config.prey_alive[j],
                   kind=config.prey_kinds[j])
         for j in range(N_PREY)
     ]
@@ -201,24 +201,22 @@ def step(state: WorldState, hunter_actions: Sequence[Action], rng: Random,
     if len(hunter_actions) != N_HUNTERS:
         raise ValueError(f"expected {N_HUNTERS} hunter actions")
 
-    side = state.side
-    grid = grid_for(side)
+    grid = grid_for(state.side)
     moves = grid.moves
     # Agent-index arrays over the agents taking part: the hunters, then
     # the live prey in prey order.
-    current = [x * side + y for x, y in state.hunters]
+    current = list(state.hunters)
     dest = [moves[cell][action.index] for cell, action in zip(current, hunter_actions)]
     if -1 in dest:
         i = dest.index(-1)
         raise ValueError(f"illegal action {hunter_actions[i].name} for hunter {i} "
-                         f"at {state.hunters[i]}")
+                         f"at {grid.cells[current[i]]}")
 
     # Prey draws happen before the priority draw, in prey order, so the
     # rng stream for a step is well defined.
     live = [j for j, prey in enumerate(state.prey) if prey.alive]
     for j in live:
-        x, y = state.prey[j].position
-        cell = x * side + y
+        cell = state.prey[j].cell
         action = prey_policy(state, j, grid.legal_actions[cell], rng)
         target = moves[cell][action.index]
         if target < 0:
@@ -255,12 +253,10 @@ def step(state: WorldState, hunter_actions: Sequence[Action], rng: Random,
                 changed = True
 
     final = [d if m else c for c, d, m in zip(current, dest, moving)]
-    cells = grid.cells
-    prey = [PreyState(p.position, p.alive, p.kind) for p in state.prey]
+    prey = [PreyState(p.cell, p.alive, p.kind) for p in state.prey]
     for j, cell in zip(live, final[N_HUNTERS:]):
-        prey[j].position = cells[cell]
-    next_state = WorldState(side, [cells[cell] for cell in final[:N_HUNTERS]], prey,
-                            state.step_count + 1)
+        prey[j].cell = cell
+    next_state = WorldState(state.side, final[:N_HUNTERS], prey, state.step_count + 1)
 
     captures: list[tuple[int, PreyKind]] = []
     hunter_cells = set(final[:N_HUNTERS])
@@ -276,9 +272,10 @@ def step(state: WorldState, hunter_actions: Sequence[Action], rng: Random,
 
 def trajectory_rows(state: WorldState) -> list[tuple[int, str, int, int]]:
     """Positions of all live agents at one step, for trajectory dumps."""
-    rows = [(state.step_count, HUNTER_IDS[i], p.x, p.y)
-            for i, p in enumerate(state.hunters)]
-    rows.extend((state.step_count, PREY_IDS[j], p.position.x, p.position.y)
+    cells = grid_for(state.side).cells
+    rows = [(state.step_count, HUNTER_IDS[i], *cells[cell])
+            for i, cell in enumerate(state.hunters)]
+    rows.extend((state.step_count, PREY_IDS[j], *cells[p.cell])
                 for j, p in enumerate(state.prey) if p.alive)
     return rows
 

@@ -18,9 +18,9 @@ from random import Random
 from typing import Sequence
 
 from . import env, hmrl, knowledge, profit_sharing, q_learning
-from .env import ACTION_LABELS, CANDIDATE_MODES, GridConfig, PreyKind, manhattan_distance
+from .env import ACTION_LABELS, ACTIONS, CANDIDATE_MODES, N_PREY, Action, PreyKind
 from .hmrl import ATFieldParams, HunterAgent, deliver_rewards, module_prey, module_text
-from .knowledge import IfThenRule, Instance, rule_policy_act
+from .knowledge import IfThenRule, Instance, compile_rules, rule_policy_act
 
 
 RULE_FALLBACKS = ("learner", "stay")
@@ -73,6 +73,8 @@ class ExperimentConfig:
     trajectory_trial: int | None = None
 
     def __post_init__(self) -> None:
+        if not self.seeds:
+            raise ValueError("seeds must hold at least one seed")
         if self.trials < 1 or self.step_cap < 1:
             raise ValueError(f"trials and step_cap must be >= 1, "
                              f"got {self.trials} and {self.step_cap}")
@@ -93,15 +95,21 @@ class ExperimentConfig:
         if self.rule_fallback not in RULE_FALLBACKS:
             raise ValueError(f"rule_fallback must be one of {RULE_FALLBACKS}, "
                              f"got {self.rule_fallback!r}")
+        kinds = tuple(kind.value for kind in PreyKind)
+        if len(self.prey_kinds) != N_PREY or not set(self.prey_kinds) <= set(kinds):
+            raise ValueError(f"prey_kinds must be {N_PREY} of {kinds}, got {self.prey_kinds}")
+        if len(self.prey_alive) != N_PREY or not any(self.prey_alive):
+            raise ValueError(f"prey_alive must be {N_PREY} flags with at least one on, "
+                             f"got {self.prey_alive}")
 
     def atf_params(self) -> ATFieldParams:
         return ATFieldParams(near_distance=self.atf_near, far_distance=self.atf_far,
                              decay=self.upper_decay)
 
-    def grid_config(self) -> GridConfig:
+    def grid_config(self) -> env.GridConfig:
         kinds = tuple(PreyKind(kind) for kind in self.prey_kinds)
-        return GridConfig(side=self.grid_side, prey_kinds=kinds,
-                          prey_alive=self.prey_alive)
+        return env.GridConfig(side=self.grid_side, prey_kinds=kinds,
+                              prey_alive=self.prey_alive)
 
     def epsilon_at(self, trial: int) -> float:
         anneal_trials = self.epsilon_anneal_fraction * self.trials
@@ -118,9 +126,6 @@ class TrialRecord:
     actions: int                 # raw hunter action count incl. target resets
     outcome: TrialOutcome
     gd_at_capture: int | None    # inter-prey distance when captured
-
-    def per_hunter_actions(self) -> float:
-        return self.actions / env.N_HUNTERS
 
 
 @dataclass
@@ -171,12 +176,16 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
     With ``rules`` given, each hunter's move is taken from the first
     matching rule and the learner's own epsilon-greedy pick serves as
     the fallback; all learning updates still apply to the action
-    actually taken. Fully deterministic for a given seed.
+    actually taken. Runs ``seed``, else the one seed of ``config.seeds``;
+    fully deterministic for a given seed.
     """
     if seed is None:
+        if len(config.seeds) != 1:
+            raise ValueError(f"run_training runs one seed: pick one of {config.seeds}")
         seed = config.seeds[0]
     rng = Random(seed)
-    grid = config.grid_config()
+    grid = env.grid_for(config.grid_side)
+    compiled = None if rules is None else compile_rules(rules, grid)
     agents = build_agents(config)
 
     window = config.instance_window
@@ -194,7 +203,7 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
             for agent, blank in zip(agents, fresh):
                 agent.upper = blank.upper
                 agent.q = blank.q
-        world = env.new_world(rng.getrandbits(64), grid)
+        world = env.new_world(rng.getrandbits(64), config.grid_config())
         for agent in agents:
             agent.begin_trial()
         epsilon = config.epsilon_at(trial)
@@ -205,14 +214,14 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
         resets = 0
         for _ in range(config.step_cap):
             actions = [agent.policy_step(world, rng, epsilon) for agent in agents]
-            if rules is not None:
+            if compiled is not None:
                 for agent in agents:
-                    _apply_rule_override(agent, world, rules, config.rule_fallback)
-                actions = [agent.pending[1] for agent in agents]
+                    _apply_rule_override(agent, world, compiled, config.rule_fallback, grid)
+                actions = [ACTIONS[agent.pending[1]] for agent in agents]
             if in_window:
                 for agent, action in zip(agents, actions):
-                    rel = agent.pending[0]
-                    instances.append(Instance(rel[0], rel[1], action))
+                    dx, dy = grid.offsets[agent.pending[0] // N_PREY]
+                    instances.append(Instance(dx, dy, action))
             if log_trajectory:
                 labels = [ACTION_LABELS[action] for action in actions]
                 for row, label in zip(env.trajectory_rows(world), labels + ["", ""]):
@@ -236,7 +245,7 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
             positive = any(kind is PreyKind.POSITIVE for _, kind in captures)
             outcome_kind = (TrialOutcome.POSITIVE_CAPTURED if positive
                             else TrialOutcome.DANGEROUS_CAPTURED)
-            gd = (manhattan_distance(world.prey[0].position, world.prey[1].position)
+            gd = (grid.distance[world.prey[0].cell][world.prey[1].cell]
                   if two_alive else None)
         else:
             outcome_kind = TrialOutcome.STEP_CAPPED
@@ -251,16 +260,15 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
 
 
 def _apply_rule_override(agent: HunterAgent, world: env.WorldState,
-                         rules: Sequence[IfThenRule], fallback_mode: str) -> None:
+                         compiled: Sequence[int], fallback_mode: str, grid: env.Grid) -> None:
     """Swap the pending action for the rule-commanded one when usable."""
-    rel, chosen, target, prey_tag = agent.pending
-    unmatched = env.Action.STAY if fallback_mode == "stay" else chosen
-    commanded = rule_policy_act(rules, rel[0], rel[1], fallback=lambda *_: unmatched)
-    if commanded is not chosen:
-        own = world.hunters[agent.index]
-        if commanded not in env.legal_actions_at(own, world.side):
+    lower, chosen, target = agent.pending
+    unmatched = Action.STAY.index if fallback_mode == "stay" else chosen
+    commanded = rule_policy_act(compiled, lower // N_PREY, fallback=lambda _: unmatched)
+    if commanded != chosen:
+        if grid.moves[world.hunters[agent.index]][commanded] < 0:
             commanded = chosen      # rule walked off the grid; keep the learner's pick
-        agent.pending = (rel, commanded, target, prey_tag)
+        agent.pending = (lower, commanded, target)
 
 
 def blocks_for(trials: int, block_ends: Sequence[int]) -> list[tuple[int, int]]:
@@ -308,7 +316,7 @@ def compute_metrics(records: Sequence[TrialRecord], near_distance: int = 2,
             positive_ratio = 0.0
         distances = [r.gd_at_capture for r in block if r.gd_at_capture is not None]
         steps = [r.steps for r in block]
-        actions = [r.per_hunter_actions() for r in block]
+        actions = [r.actions / env.N_HUNTERS for r in block]
         metrics.append(BlockMetrics(
             start=start, end=end, trials=n,
             safety_target=safety_target,
@@ -476,7 +484,8 @@ def save_learned_tables(out_dir, result: TrainingResult) -> None:
             profit_sharing.save_weights(
                 out / f"upper_h{agent.index}_p{prey_index}.tsv", bank, meta,
                 encode_state=encode_module, encode_action=grid.cell_text.__getitem__)
-        q_learning.save_q_table(out / f"q_h{agent.index}.tsv", agent.q, meta)
+        q_learning.save_q_table(out / f"q_h{agent.index}.tsv", agent.q,
+                                partial(hmrl.lower_state_text, grid), meta)
 
 
 def log_instances(result: TrainingResult, path) -> int:

@@ -14,7 +14,8 @@ apart.
 
 Both layers run on the integer-coded grid of :func:`env.grid_for`. An
 upper rule is keyed by the packed module key (see :func:`module_text`)
-and the target's cell id; a lower rule by the action's index.
+and the target's cell id; a lower rule by the lower state id (see
+:func:`lower_state_text`) and the action's index.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .env import (
     N_PREY,
     Action,
     Grid,
-    Position,
     PreyKind,
     StepOutcome,
     WorldState,
@@ -100,8 +100,20 @@ def module_prey(grid: Grid, key: int) -> int:
     return key // grid.size**3 % N_PREY
 
 
+def lower_state_text(grid: Grid, state: int) -> str:
+    """The persisted spelling ``((dx, dy), prey)`` of a lower-layer state
+    id, which packs the target's offset id from the hunter and the prey
+    the target belongs to as ``offset * N_PREY + prey``."""
+    offset, prey = divmod(state, N_PREY)
+    return f"({grid.offset_text[offset]}, {prey})"
+
+
+def lower_state_ids(grid: Grid) -> dict[str, int]:
+    """Every lower-layer state id by its :func:`lower_state_text` spelling."""
+    return {lower_state_text(grid, s): s for s in range(len(grid.offsets) * N_PREY)}
+
+
 class TargetChoice(NamedTuple):
-    target: Position
     prey: int
     modules: tuple[int, ...]   # packed module key per peer: the rules fired with
     cell: int                  # the target's cell id
@@ -127,15 +139,14 @@ def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
     if not (first.alive or second.alive):
         raise ValueError("no alive prey to target")
 
-    side = state.side
-    grid = grid_for(side)
+    grid = grid_for(state.side)
     n = grid.size
     hunters = state.hunters
     own = hunters[hunter_index]
-    distance = grid.distance[own[0] * side + own[1]]
+    distance = grid.distance[own]
     if first.alive and second.alive:
-        d0 = distance[first.position[0] * side + first.position[1]]
-        d1 = distance[second.position[0] * side + second.position[1]]
+        d0 = distance[first.cell]
+        d1 = distance[second.cell]
         if d0 != d1:
             prey_index = 0 if d0 < d1 else 1
         else:
@@ -145,15 +156,12 @@ def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
     else:
         prey_index = 0 if first.alive else 1
 
-    x, y = prey[prey_index].position
-    goal = x * side + y
+    goal = prey[prey_index].cell
     cells = grid.candidates[candidates][goal]
-    head = ((hunter_index * N_PREY + prey_index) * n + own[0] * side + own[1]) * n
-    modules = tuple([(head + hunters[k][0] * side + hunters[k][1]) * n + goal
-                     for k in _PEERS[hunter_index]])
+    head = ((hunter_index * N_PREY + prey_index) * n + own) * n
+    modules = tuple([(head + hunters[k]) * n + goal for k in _PEERS[hunter_index]])
     if exploration > 0.0 and rng.random() < exploration:
-        target = rng.choice(cells)
-        return TargetChoice(grid.cells[target], prey_index, modules, target)
+        return TargetChoice(prey_index, modules, rng.choice(cells))
 
     get = weights.weights.get
     # Peer weights are summed in peer order. A module with no rule adds 0
@@ -173,7 +181,7 @@ def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
     else:
         best = cells            # zero weights everywhere: every candidate ties
     target = best[0] if len(best) == 1 else rng.choice(best)
-    return TargetChoice(grid.cells[target], prey_index, modules, target)
+    return TargetChoice(prey_index, modules, target)
 
 
 # A trace step: the fired packed modules (one per peer), the commanded cell
@@ -221,7 +229,8 @@ class HunterAgent:
         self.candidates: CandidateMode = candidates
         self.goal_reward = goal_reward
         self.trace: list[TraceStep] = []
-        self.pending: tuple[tuple[int, int], Action, Position, int] | None = None
+        # (lower state id, action index, target cell id) of the move in flight
+        self.pending: tuple[int, int, int] | None = None
 
     def begin_trial(self) -> None:
         self.trace.clear()
@@ -232,33 +241,31 @@ class HunterAgent:
         choice = select_target(self.upper, self.index, state, rng,
                                reach_discount=self.reach_discount,
                                exploration=exploration, candidates=self.candidates)
+        grid = grid_for(state.side)
         first, second = state.prey
-        self.trace.append((choice.modules, choice.cell,
-                           abs(first.position[0] - second.position[0])
-                           + abs(first.position[1] - second.position[1])
+        target = choice.cell
+        self.trace.append((choice.modules, target,
+                           grid.distance[first.cell][second.cell]
                            if first.alive and second.alive else None))
 
         own = state.hunters[self.index]
-        target = choice.target
-        rel = (target[0] - own[0], target[1] - own[1])
-        legal = grid_for(state.side).legal[own[0] * state.side + own[1]]
-        action = ACTIONS[epsilon_greedy(self.q, rel, legal, exploration, rng,
-                                        target=choice.prey)]
-        self.pending = (rel, action, target, choice.prey)
-        return action
+        lower = grid.offset[own][target] * N_PREY + choice.prey
+        action = epsilon_greedy(self.q, lower, grid.legal[own], exploration, rng)
+        self.pending = (lower, action, target)
+        return ACTIONS[action]
 
     def observe(self, next_state: WorldState) -> bool:
         """Lower-layer update after the world moved; True if the target was reached."""
         if self.pending is None:
             raise RuntimeError("observe() without a preceding policy_step()")
-        rel, action, target, prey_tag = self.pending
+        lower, action, target = self.pending
         self.pending = None
-        new_pos = next_state.hunters[self.index]
-        reached = new_pos == target
+        cell = next_state.hunters[self.index]
+        reached = cell == target
         reward = self.goal_reward if reached else 0.0
-        next_rel = (target[0] - new_pos[0], target[1] - new_pos[1])
-        q_update(self.q, rel, action.index, reward, next_rel, terminal=reached,
-                 target=prey_tag)
+        next_lower = (grid_for(next_state.side).offset[cell][target] * N_PREY
+                      + lower % N_PREY)
+        q_update(self.q, lower, action, reward, next_lower, terminal=reached)
         return reached
 
     def finish_trial(self, reward: float, gated: bool) -> None:

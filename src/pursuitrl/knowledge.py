@@ -3,7 +3,7 @@
 Logged (theta_x, theta_y) -> action instances are grown into a binary
 decision tree by gain ratio, the tree is flattened into If-Then rules
 with a confidence factor per rule, and the rules can be replayed as a
-policy with first-match-by-confidence semantics.
+policy with first-match-by-confidence semantics, compiled per grid.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-from .env import ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, Action
+from .env import ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, Action, Grid
 from .tableio import load_csv
 
 ATTRIBUTES = ("theta_X", "theta_Y")
@@ -246,18 +246,21 @@ def extract_rules(tree: TreeNode) -> list[IfThenRule]:
     return rules
 
 
-def rule_policy_act(rules: Sequence[IfThenRule], theta_x: int, theta_y: int,
-                    fallback: Callable[[int, int], Action]) -> Action:
-    """Action of the first matching rule; the fallback policy handles the rest.
+def compile_rules(rules: Sequence[IfThenRule], grid: Grid) -> tuple[int, ...]:
+    """Per offset id of ``grid``: the action index of the first of
+    ``rules`` (sorted by confidence factor descending, as
+    :func:`extract_rules` returns them) matching the offset, else -1."""
+    bounds = [(rule.bounds, rule.action.index) for rule in rules]
+    return tuple(next((action for (x_lower, x_upper, y_lower, y_upper), action in bounds
+                       if x_lower < theta_x <= x_upper and y_lower < theta_y <= y_upper), -1)
+                 for theta_x, theta_y in grid.offsets)
 
-    Expects ``rules`` sorted by confidence factor descending, as
-    :func:`extract_rules` returns them.
-    """
-    for rule in rules:
-        x_lower, x_upper, y_lower, y_upper = rule.bounds
-        if x_lower < theta_x <= x_upper and y_lower < theta_y <= y_upper:
-            return rule.action
-    return fallback(theta_x, theta_y)
+
+def rule_policy_act(compiled: Sequence[int], offset: int,
+                    fallback: Callable[[int], int]) -> int:
+    """Action index of the compiled rules at an offset id, else ``fallback(offset)``."""
+    action = compiled[offset]
+    return fallback(offset) if action < 0 else action
 
 
 def _conditions_text(conditions: Sequence[tuple[str, str, float]]) -> str:

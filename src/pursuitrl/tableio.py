@@ -31,12 +31,13 @@ def save_table(path, entries: Mapping, meta: Mapping[str, object] | None = None,
             handle.write("\t".join(row) + "\n")
 
 
-def load_table(path, decode_action: Decoder = ast.literal_eval):
+def load_table(path, decode_state: Decoder = ast.literal_eval,
+               decode_action: Decoder = ast.literal_eval):
     """Read a table written by :func:`save_table`.
 
-    Returns ``(entries, meta)`` where states and meta values are parsed
-    back with ``ast.literal_eval``. A malformed line raises ``ValueError`` naming the
-    file and line.
+    Returns ``(entries, meta)`` with states and actions parsed back by the
+    decoders and meta values by ``ast.literal_eval``. A malformed line
+    raises ``ValueError`` naming the file and line.
     """
     entries: dict = {}
     meta: dict[str, object] = {}
@@ -51,7 +52,7 @@ def load_table(path, decode_action: Decoder = ast.literal_eval):
                     meta[key.strip()] = ast.literal_eval(value.strip())
                     continue
                 state_s, action_s, weight_s = line.split("\t")
-                entries[ast.literal_eval(state_s), decode_action(action_s)] = float(weight_s)
+                entries[decode_state(state_s), decode_action(action_s)] = float(weight_s)
             except (ValueError, SyntaxError, KeyError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed table line {line!r}: "
                                  f"{exc}") from None

@@ -3,7 +3,8 @@
 The grid, target-choice and world-step references work on positions and
 named keys by direct geometry, the way the program did before its tables
 were integer-coded, and share no code with the :class:`pursuitrl.env.Grid`
-tables. Plain Profit Sharing and value iteration are the textbook
+tables; they convert the program's cell-id world states at their
+boundary. Plain Profit Sharing and value iteration are the textbook
 algorithms the two learning layers reduce to.
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import NamedTuple
 
-from pursuitrl.env import ACTIONS, N_PREY, Position, PreyState, WorldState
+from pursuitrl.env import ACTIONS, N_PREY, Position, PreyKind, PreyState, WorldState
 from pursuitrl.knowledge import Split
 from pursuitrl.profit_sharing import WeightTable
 
@@ -30,6 +31,30 @@ class ModuleKey(NamedTuple):
 
 def cell_id(pos, side: int) -> int:
     return pos[0] * side + pos[1]
+
+
+def position(cell: int, side: int) -> Position:
+    return Position(*divmod(cell, side))
+
+
+def make_world(hunters, prey, alive=(True, True),
+               kinds=(PreyKind.POSITIVE, PreyKind.DANGEROUS), side=7) -> WorldState:
+    """A cell-id world state from hunter and prey ``(x, y)`` positions."""
+    return WorldState(side=side, hunters=[cell_id(h, side) for h in hunters],
+                      prey=[PreyState(cell_id(p, side), a, k)
+                            for p, a, k in zip(prey, alive, kinds)])
+
+
+def positions(state: WorldState) -> tuple[list[Position], list[Position]]:
+    """The hunter and prey positions of a cell-id world state."""
+    return ([position(cell, state.side) for cell in state.hunters],
+            [position(p.cell, state.side) for p in state.prey])
+
+
+def lower_state(offset, prey: int, side: int) -> int:
+    """Lower-layer state id of a ``(dx, dy)`` offset and a prey, by direct arithmetic."""
+    span = 2 * side - 1
+    return ((offset[0] + side - 1) * span + offset[1] + side - 1) * N_PREY + prey
 
 
 def pack(key: ModuleKey, side: int) -> int:
@@ -80,17 +105,18 @@ def select_target(rules: dict, hunter: int, state: WorldState, rng: Random,
                   mode: str = "ring2") -> tuple[Position, int]:
     """Brute-force target choice over ``{(ModuleKey, Position): weight}``:
     ``(target, prey)``, drawing from ``rng`` as the program does."""
-    own = state.hunters[hunter]
+    hunters, prey_positions = positions(state)
+    own = hunters[hunter]
     alive = [j for j, prey in enumerate(state.prey) if prey.alive]
     if len(alive) == 1:
         prey = alive[0]
     else:
-        d = [abs(own[0] - state.prey[j].position[0]) + abs(own[1] - state.prey[j].position[1])
+        d = [abs(own[0] - prey_positions[j][0]) + abs(own[1] - prey_positions[j][1])
              for j in alive]
         prey = alive[0] if d[0] < d[1] else alive[1] if d[1] < d[0] else rng.choice(alive)
-    goal = state.prey[prey].position
+    goal = prey_positions[prey]
     keys = [ModuleKey(hunter, prey, own, peer, goal)
-            for k, peer in enumerate(state.hunters) if k != hunter]
+            for k, peer in enumerate(hunters) if k != hunter]
     cells = candidate_cells(goal, state.side, mode)
 
     def score(cell):
@@ -136,17 +162,18 @@ def step(state: WorldState, hunter_actions, rng: Random):
     Same rules and rng draws as :func:`pursuitrl.env.step` with random prey.
     """
     side = state.side
+    hunter_positions, prey_positions = positions(state)
     current, dest = {}, {}
     for i, action in enumerate(hunter_actions):
-        pos = state.hunters[i]
+        pos = hunter_positions[i]
         current[f"h{i}"] = pos
         dest[f"h{i}"] = Position(pos.x + action.value[0], pos.y + action.value[1])
     for j, prey in enumerate(state.prey):
         if prey.alive:
-            action = rng.choice(legal_actions(prey.position, side))
-            current[f"p{j}"] = prey.position
-            dest[f"p{j}"] = Position(prey.position.x + action.value[0],
-                                     prey.position.y + action.value[1])
+            pos = prey_positions[j]
+            action = rng.choice(legal_actions(pos, side))
+            current[f"p{j}"] = pos
+            dest[f"p{j}"] = Position(pos.x + action.value[0], pos.y + action.value[1])
     order = list(current)
     rng.shuffle(order)
     rank = {aid: k for k, aid in enumerate(order)}
@@ -172,15 +199,18 @@ def step(state: WorldState, hunter_actions, rng: Random):
                 changed = True
     final = {aid: (dest[aid] if aid in movers else current[aid]) for aid in current}
     hunters = [final[f"h{i}"] for i in range(len(state.hunters))]
-    prey = [PreyState(final.get(f"p{j}", p.position), p.alive, p.kind)
-            for j, p in enumerate(state.prey)]
+    prey_final = [final.get(f"p{j}", pos) for j, pos in enumerate(prey_positions)]
+    prey = [PreyState(cell_id(pos, side), p.alive, p.kind)
+            for pos, p in zip(prey_final, state.prey)]
     captures = []
     for j, p in enumerate(prey):
-        if p.alive and all(cell in set(hunters) for cell in neighbor_cells(p.position, side)):
+        surrounded = all(cell in set(hunters) for cell in neighbor_cells(prey_final[j], side))
+        if p.alive and surrounded:
             captures.append((j, p.kind))
             p.alive = False
     blocked.sort(key=rank.__getitem__)
-    next_state = WorldState(side, hunters, prey, state.step_count + 1)
+    next_state = WorldState(side, [cell_id(pos, side) for pos in hunters], prey,
+                            state.step_count + 1)
     return next_state, captures, blocked
 
 

@@ -18,13 +18,13 @@ from random import Random
 import pytest
 
 from pursuitrl import cli
-from pursuitrl.env import ACTIONS, Action, Position, legal_actions_at
+from pursuitrl.env import ACTIONS, Action, Position
 from pursuitrl.experiment import ExperimentConfig, compute_metrics, run_training
 from pursuitrl.hmrl import ATFieldParams, atf
 from pursuitrl.knowledge import Instance, Leaf, extract_rules, gain_ratio, induce_tree
 from pursuitrl.profit_sharing import PSParams, check_suppression
 from pursuitrl.q_learning import QTable, q_update
-from reference import ExplicitMDP, classify, solve_value_iteration
+from reference import ExplicitMDP, classify, legal_actions, solve_value_iteration
 
 pytestmark = pytest.mark.slow
 
@@ -123,7 +123,7 @@ def test_criterion_4_q_learning_matches_value_iteration():
     for state in states:
         if state == target:
             continue
-        for action in legal_actions_at(state, side):
+        for action in legal_actions(state, side):
             nxt = Position(state.x + action.value[0], state.y + action.value[1])
             transitions[(state, action)] = (
                 (1.0, nxt, reward if nxt == target else 0.0),)
@@ -138,7 +138,7 @@ def test_criterion_4_q_learning_matches_value_iteration():
     nonterminal = [s for s in states if s != target]
     for _ in range(100_000):
         state = rng.choice(nonterminal)
-        action = rng.choice(legal_actions_at(state, side))
+        action = rng.choice(legal_actions(state, side))
         visits[(state, action)] += 1
         (_, nxt, r), = transitions[(state, action)]
         q_update(table, state, action.index, r, nxt, terminal=nxt == target,
@@ -147,7 +147,7 @@ def test_criterion_4_q_learning_matches_value_iteration():
     tolerance = 1e-3
     tie_eps = 1e-6
     for state in nonterminal:
-        legal = legal_actions_at(state, side)
+        legal = legal_actions(state, side)
         learned_best = max(table.get(state, a.index) for a in legal)
         assert learned_best == pytest.approx(oracle[state], abs=tolerance)
         learned_greedy = {a for a in legal

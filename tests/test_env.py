@@ -1,32 +1,29 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pursuitrl.env import (
+    HUNTER_IDS,
+    PREY_IDS,
     Action,
     GridConfig,
-    Position,
     PreyKind,
     PreyState,
     WorldState,
     grid_for,
     load_trajectory,
-    manhattan_distance,
     new_world,
     save_trajectory,
     step,
     trajectory_rows,
 )
+from reference import make_world, neighbor_cells, position, positions
 
 
-def make_world(hunters, prey_positions, alive=(True, True),
-               kinds=(PreyKind.POSITIVE, PreyKind.DANGEROUS), side=7):
-    return WorldState(
-        side=side,
-        hunters=[Position(*h) for h in hunters],
-        prey=[PreyState(Position(*p), a, k)
-              for p, a, k in zip(prey_positions, alive, kinds)],
-    )
+def hunter_positions(out):
+    return positions(out.next_state)[0]
 
 
 def test_new_world_deterministic():
@@ -36,9 +33,9 @@ def test_new_world_deterministic():
 def test_new_world_positions_distinct():
     for seed in range(50):
         world = new_world(seed)
-        cells = [*world.hunters, *(p.position for p in world.prey)]
+        cells = [*world.hunters, *(p.cell for p in world.prey)]
         assert len(set(cells)) == 6
-        assert all(0 <= c.x < 7 and 0 <= c.y < 7 for c in cells)
+        assert all(0 <= c < 49 for c in cells)
 
 
 def test_new_world_prey_kinds_follow_config():
@@ -70,7 +67,7 @@ def test_step_unobstructed_move():
     world = make_world([(0, 0), (5, 5), (5, 6), (6, 5)], [(3, 3), (4, 4)],
                        alive=(False, False))
     out = step(world, [Action.EAST, Action.STAY, Action.STAY, Action.STAY], Random(0))
-    assert out.next_state.hunters[0] == (1, 0)
+    assert hunter_positions(out)[0] == (1, 0)
     assert out.blocked_moves == []
     assert out.next_state.step_count == 1
 
@@ -92,7 +89,7 @@ def test_step_same_destination_priority_draw():
                            alive=(False, False))
         actions = [Action.EAST, Action.WEST, Action.STAY, Action.STAY]
         out = step(world, actions, Random(seed))
-        h0, h1 = out.next_state.hunters[0], out.next_state.hunters[1]
+        h0, h1 = hunter_positions(out)[:2]
         assert {h0, h1} in ({(1, 0), (2, 0)}, {(0, 0), (1, 0)})
 
         expected_order = ["h0", "h1", "h2", "h3"]
@@ -109,7 +106,7 @@ def test_step_move_onto_stayer_blocked():
     world = make_world([(0, 0), (1, 0), (5, 6), (6, 5)], [(3, 3), (4, 4)],
                        alive=(False, False))
     out = step(world, [Action.EAST, Action.STAY, Action.STAY, Action.STAY], Random(0))
-    assert out.next_state.hunters[0] == (0, 0)
+    assert hunter_positions(out)[0] == (0, 0)
     assert out.blocked_moves == ["h0"]
 
 
@@ -118,7 +115,7 @@ def test_step_chain_behind_stayer_blocked():
     world = make_world([(0, 0), (1, 0), (2, 0), (6, 5)], [(3, 3), (4, 4)],
                        alive=(False, False))
     out = step(world, [Action.EAST, Action.EAST, Action.STAY, Action.STAY], Random(0))
-    assert out.next_state.hunters[:3] == [(0, 0), (1, 0), (2, 0)]
+    assert hunter_positions(out)[:3] == [(0, 0), (1, 0), (2, 0)]
     assert set(out.blocked_moves) == {"h0", "h1"}
 
 
@@ -126,7 +123,7 @@ def test_step_train_of_movers_advances():
     world = make_world([(0, 0), (1, 0), (2, 0), (6, 5)], [(3, 3), (4, 4)],
                        alive=(False, False))
     out = step(world, [Action.EAST, Action.EAST, Action.EAST, Action.STAY], Random(0))
-    assert out.next_state.hunters[:3] == [(1, 0), (2, 0), (3, 0)]
+    assert hunter_positions(out)[:3] == [(1, 0), (2, 0), (3, 0)]
     assert out.blocked_moves == []
 
 
@@ -168,22 +165,22 @@ def test_is_captured_missing_hunter():
 
 
 def test_manhattan_distance_values():
-    assert manhattan_distance(Position(0, 0), Position(3, 4)) == 7
-    assert manhattan_distance(Position(2, 2), Position(2, 2)) == 0
+    distance = grid_for(7).distance
+    assert distance[0 * 7 + 0][3 * 7 + 4] == 7
+    assert distance[2 * 7 + 2][2 * 7 + 2] == 0
 
 
 def test_manhattan_distance_symmetric():
     rng = Random(7)
+    distance = grid_for(7).distance
     for _ in range(200):
-        a = Position(rng.randrange(7), rng.randrange(7))
-        b = Position(rng.randrange(7), rng.randrange(7))
-        assert manhattan_distance(a, b) == manhattan_distance(b, a)
+        a, b = rng.randrange(49), rng.randrange(49)
+        assert distance[a][b] == distance[b][a]
 
 
 def random_hunter_actions(world, rng):
-    from pursuitrl.env import legal_actions_at
-
-    return [rng.choice(legal_actions_at(pos, world.side)) for pos in world.hunters]
+    legal = grid_for(world.side).legal_actions
+    return [rng.choice(legal[cell]) for cell in world.hunters]
 
 
 def test_fuzz_occupancy_and_bounds():
@@ -195,9 +192,9 @@ def test_fuzz_occupancy_and_bounds():
         out = step(world, random_hunter_actions(world, rng), rng)
         world = out.next_state
         occupied = [*world.hunters,
-                    *(p.position for p in world.prey if p.alive)]
+                    *(p.cell for p in world.prey if p.alive)]
         assert len(set(occupied)) == len(occupied)
-        assert all(0 <= c.x < 7 and 0 <= c.y < 7 for c in occupied)
+        assert all(0 <= c < 49 for c in occupied)
 
 
 def test_trajectory_determinism():
@@ -208,7 +205,7 @@ def test_trajectory_determinism():
         for _ in range(200):
             world = step(world, random_hunter_actions(world, rng), rng).next_state
             states.append((tuple(world.hunters),
-                           tuple((p.position, p.alive) for p in world.prey)))
+                           tuple((p.cell, p.alive) for p in world.prey)))
         return states
 
     assert run(5) == run(5)
@@ -221,11 +218,11 @@ def test_dead_prey_never_moves_or_returns():
                prey_policy=lambda state, j, legal, r: Action.STAY)
     assert out.captures
     world = out.next_state
-    resting = world.prey[0].position
+    resting = world.prey[0].cell
     for _ in range(100):
         world = step(world, random_hunter_actions(world, rng), rng).next_state
         assert not world.prey[0].alive
-        assert world.prey[0].position == resting
+        assert world.prey[0].cell == resting
 
 
 def test_trajectory_csv_round_trip(tmp_path):
@@ -241,3 +238,73 @@ def test_load_trajectory_names_malformed_row(tmp_path):
     path.write_text("step,agent,x,y,action\n0,h0,1,2,stay\n1,h0,one,2,stay\n")
     with pytest.raises(ValueError, match=r"trajectory\.csv:3: .*'1,h0,one,2,stay'"):
         load_trajectory(path)
+
+
+@st.composite
+def stepped_worlds(draw):
+    """A cell-id world on a side 3-9 grid (dead prey anywhere, even on an
+    occupied cell), legal hunter actions and an rng seed."""
+    side = draw(st.integers(3, 9))
+    grid = grid_for(side)
+    cells = draw(st.lists(st.integers(0, grid.size - 1), min_size=6, max_size=6, unique=True))
+    alive = draw(st.tuples(st.booleans(), st.booleans()))
+    kinds = draw(st.permutations((PreyKind.POSITIVE, PreyKind.DANGEROUS)))
+    prey = [PreyState(cells[4 + j] if alive[j] else draw(st.integers(0, grid.size - 1)),
+                      alive[j], kinds[j]) for j in range(2)]
+    world = WorldState(side, cells[:4], prey)
+    actions = [draw(st.sampled_from(grid.legal_actions[cell])) for cell in world.hunters]
+    return world, actions, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=stepped_worlds(), dead_cells=st.tuples(st.integers(0, 80), st.integers(0, 80)))
+def test_step_invariants(case, dead_cells):
+    world, actions, seed = case
+    grid = grid_for(world.side)
+    rng = Random(seed)
+    out = step(world, actions, rng)
+    after = out.next_state
+    live = [j for j, p in enumerate(world.prey) if p.alive]
+    before_cells = world.hunters + [world.prey[j].cell for j in live]
+    after_cells = after.hunters + [after.prey[j].cell for j in live]
+    ids = [*HUNTER_IDS, *(PREY_IDS[j] for j in live)]
+
+    # Agents stay on distinct cells and move at most one cell.
+    assert len(set(after_cells)) == len(after_cells)
+    assert all(grid.distance[a][b] <= 1 for a, b in zip(before_cells, after_cells))
+    # A blocked agent stays put; an unblocked hunter reaches its destination.
+    assert len(set(out.blocked_moves)) == len(out.blocked_moves)
+    for agent, before, now in zip(ids, before_cells, after_cells):
+        if agent in out.blocked_moves:
+            assert now == before
+    for i, (cell, action) in enumerate(zip(world.hunters, actions)):
+        if HUNTER_IDS[i] not in out.blocked_moves:
+            assert after.hunters[i] == grid.moves[cell][action.index]
+    # A live prey is captured exactly when every in-bounds neighbour holds a hunter.
+    hunters = {position(cell, world.side) for cell in after.hunters}
+    for j in live:
+        surrounded = all(n in hunters
+                         for n in neighbor_cells(position(after.prey[j].cell, world.side),
+                                                 world.side))
+        assert ((j, world.prey[j].kind) in out.captures) == surrounded
+        assert after.prey[j].alive is not surrounded
+
+    # Dead prey never move, are never captured and block no one: the step
+    # is the same wherever they lie.
+    dead = [j for j in range(2) if j not in live]
+    for j in dead:
+        assert after.prey[j] == world.prey[j]
+        assert PREY_IDS[j] not in out.blocked_moves
+        assert all(captured != j for captured, _ in out.captures)
+    moved = WorldState(world.side, list(world.hunters),
+                       [PreyState(dead_cells[j] % grid.size if j in dead else p.cell,
+                                  p.alive, p.kind)
+                        for j, p in enumerate(world.prey)])
+    moved_rng = Random(seed)
+    again = step(moved, actions, moved_rng)
+    assert again.next_state.hunters == after.hunters
+    assert [p.cell for j, p in enumerate(again.next_state.prey) if j in live] == \
+        [after.prey[j].cell for j in live]
+    assert again.blocked_moves == out.blocked_moves
+    assert again.captures == out.captures
+    assert moved_rng.getstate() == rng.getstate()

@@ -16,10 +16,12 @@ from pursuitrl.experiment import (
     run_training,
     save_learned_tables,
 )
-from pursuitrl.knowledge import extract_rules, induce_tree, parse_rules
+from pursuitrl.env import grid_for
+from pursuitrl.hmrl import lower_state_ids
+from pursuitrl.knowledge import compile_rules, extract_rules, induce_tree, parse_rules
 from pursuitrl.profit_sharing import load_weights
 from pursuitrl.q_learning import load_q_table
-from reference import ModuleKey, cell_id, pack
+from reference import ModuleKey, cell_id, pack, rule_matches
 
 QUICK = ExperimentConfig(trials=5, step_cap=60, block_ends=(3, 5))
 
@@ -189,6 +191,37 @@ def test_config_rejects_empty_runs():
     assert ExperimentConfig(trials=1, step_cap=1, block_ends=(1,)).trials == 1
 
 
+def test_config_rejects_empty_seeds():
+    with pytest.raises(ValueError, match="seeds"):
+        ExperimentConfig(seeds=())
+    with pytest.raises(ValueError, match="seeds"):
+        parse_config("seeds = ")
+
+
+def test_run_training_rejects_several_seeds_without_an_explicit_one():
+    config = replace(QUICK, trials=1, step_cap=5, block_ends=(1,), seeds=(1, 2))
+    with pytest.raises(ValueError, match=r"\(1, 2\)"):
+        run_training(config)
+    assert run_training(config, seed=2).seed == 2
+    assert run_training(replace(config, seeds=(2,))).seed == 2
+
+
+def test_config_rejects_unknown_prey_kind():
+    with pytest.raises(ValueError, match="postive"):
+        ExperimentConfig(prey_kinds=("positive", "postive"))
+    with pytest.raises(ValueError, match="prey_kinds"):
+        parse_config("prey_kinds = positive, dangerous, positive")
+    assert ExperimentConfig(prey_kinds=("dangerous", "dangerous")).prey_kinds[1] == "dangerous"
+
+
+def test_config_rejects_no_live_prey():
+    with pytest.raises(ValueError, match="prey_alive"):
+        ExperimentConfig(prey_alive=(False, False))
+    with pytest.raises(ValueError, match="prey_alive"):
+        parse_config("prey_alive = off, off")
+    assert ExperimentConfig(prey_alive=(False, True)).prey_alive == (False, True)
+
+
 def test_parse_config_rejects_duplicate_key():
     with pytest.raises(ValueError, match=r"line 3: duplicate config key 'trials'.*line 1"):
         parse_config("trials = 7\natf_enabled = off\ntrials = 9\n")
@@ -229,7 +262,8 @@ def test_saved_tables_reload(tmp_path):
     result = run_training(replace(QUICK, trials=6), seed=9)
     save_learned_tables(tmp_path, result)
     agent = result.agents[0]
-    q_loaded, meta = load_q_table(tmp_path / "q_h0.tsv")
+    q_loaded, meta = load_q_table(tmp_path / "q_h0.tsv",
+                                  lower_state_ids(grid_for(QUICK.grid_side)).__getitem__)
     assert q_loaded.values == agent.q.values
     assert meta["upper_decay"] == QUICK.upper_decay
 
@@ -292,3 +326,53 @@ def test_trial_records_never_exceed_cap():
     result = run_training(replace(QUICK, trials=8, step_cap=25), seed=6)
     assert all(r.steps <= 25 for r in result.records)
     assert all(r.actions >= r.steps * 4 for r in result.records)
+
+
+# Non-default scenarios: other grid sides, one live prey, capped trials.
+SCENARIOS = {
+    "side5": replace(QUICK, grid_side=5),
+    "side9": replace(QUICK, grid_side=9),
+    "one_live_prey": replace(QUICK, prey_alive=(False, True)),
+    "step_capped": replace(QUICK, step_cap=4),
+}
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_scenario_tables_instances_and_rules(name, tmp_path):
+    config = SCENARIOS[name]
+    side = config.grid_side
+    grid = grid_for(side)
+    result = run_training(config, seed=13)
+    if name == "step_capped":
+        assert any(r.outcome is TrialOutcome.STEP_CAPPED for r in result.records)
+    if name == "one_live_prey":
+        assert all(r.gd_at_capture is None for r in result.records)
+
+    # Q and upper tables survive save/load bit-exactly.
+    save_learned_tables(tmp_path, result)
+    for agent in result.agents:
+        q_loaded, _ = load_q_table(tmp_path / f"q_h{agent.index}.tsv",
+                                   lower_state_ids(grid).__getitem__)
+        assert agent.q.values
+        assert ({key: value.hex() for key, value in q_loaded.values.items()}
+                == {key: value.hex() for key, value in agent.q.values.items()})
+        upper = {}
+        for prey in (0, 1):
+            bank, _ = load_weights(tmp_path / f"upper_h{agent.index}_p{prey}.tsv")
+            upper.update({(pack(ModuleKey(*state), side), cell_id(target, side)): weight.hex()
+                          for (state, target), weight in bank.weights.items()})
+        assert upper == {key: weight.hex() for key, weight in agent.upper.weights.items()}
+
+    # Every logged offset is one a hunter can have on this grid.
+    assert result.instances
+    assert all(abs(i.theta_x) <= side - 1 and abs(i.theta_y) <= side - 1
+               for i in result.instances)
+
+    # The compiled rules are the first-match scan on every offset of the grid,
+    # and drive a rule evaluation on the same scenario.
+    rules = extract_rules(induce_tree(result.instances))
+    assert compile_rules(rules, grid) == tuple(
+        next((rule.action.index for rule in rules if rule_matches(rule, x, y)), -1)
+        for x, y in grid.offsets)
+    evaluation = run_training(config, seed=13, rules=rules)
+    assert len(evaluation.records) == config.trials

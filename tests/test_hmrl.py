@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from pursuitrl.env import Action, Position, PreyKind, PreyState, WorldState, grid_for, step
+from pursuitrl.env import ACTIONS, Action, Position, PreyKind, grid_for, step
 from pursuitrl.hmrl import (
     CREDIT_FLOOR,
     ATFieldParams,
@@ -16,22 +16,21 @@ from pursuitrl.hmrl import (
     select_target,
 )
 from pursuitrl.profit_sharing import WeightTable
-from reference import ModuleKey, candidate_cells, cell_id, pack, upper_table
+from reference import (
+    ModuleKey,
+    candidate_cells,
+    cell_id,
+    lower_state,
+    make_world,
+    pack,
+    position,
+    upper_table,
+)
 
 
 def grid_candidates(goal, side, mode):
     grid = grid_for(side)
     return tuple(grid.cells[c] for c in grid.candidates[mode][cell_id(goal, side)])
-
-
-def make_world(hunters, prey_positions, alive=(True, True),
-               kinds=(PreyKind.POSITIVE, PreyKind.DANGEROUS), side=7):
-    return WorldState(
-        side=side,
-        hunters=[Position(*h) for h in hunters],
-        prey=[PreyState(Position(*p), a, k)
-              for p, a, k in zip(prey_positions, alive, kinds)],
-    )
 
 
 def test_atf_bands():
@@ -74,7 +73,8 @@ def test_select_target_equal_weights_prefers_nearest():
                         cell_id(cell, 7), 1.0)
     choice = select_target(weights, 0, world, Random(0), reach_discount=2.0)
     # Nearest candidates to (0,0) around prey (3,3) sit at distance 4.
-    assert abs(choice.target.x) + abs(choice.target.y) == 4
+    target = position(choice.cell, 7)
+    assert abs(target.x) + abs(target.y) == 4
 
 
 def test_select_target_uses_nearer_prey_bank():
@@ -121,7 +121,7 @@ def test_select_target_matches_exhaustive_argmax():
 
     choice = select_target(weights, 0, world, Random(0), reach_discount=1.0,
                            candidates="all")
-    assert choice.target in brute_force_best()
+    assert position(choice.cell, 3) in brute_force_best()
 
 
 def test_select_target_scale_invariant_argmax():
@@ -150,7 +150,7 @@ def test_select_target_scale_invariant_argmax():
 
     assert argmax_set(weights) == argmax_set(scaled)
     pick = select_target(weights, 0, world, Random(3))
-    assert pick.target in argmax_set(weights)
+    assert position(pick.cell, 7) in argmax_set(weights)
 
 
 def test_select_target_requires_alive_prey():
@@ -167,8 +167,8 @@ def test_select_target_stays_in_candidate_set():
                             (6, 6), (6, 0), (0, 6)], [(3, 4), (1, 1)])
         choice = select_target(WeightTable(), 0, world, Random(seed),
                                exploration=0.5)
-        goal = world.prey[choice.prey].position
-        assert choice.target in candidate_cells(goal, 7, "ring2")
+        goal = position(world.prey[choice.prey].cell, 7)
+        assert position(choice.cell, 7) in candidate_cells(goal, 7, "ring2")
 
 
 def fired_rule(tag):
@@ -299,14 +299,16 @@ def test_agent_policy_step_records_and_acts():
     modules, cell, prey_distance = agent.trace[0]
     assert len(modules) == 3                        # one rule per peer
     assert prey_distance == 4                       # prey at (3,3) and (6,4)
-    rel, chosen, target, prey = agent.pending
-    assert rel == (target.x - 2, target.y - 2)
+    lower, chosen, target = agent.pending
+    assert ACTIONS[chosen] is action
+    target = position(target, 7)
+    assert lower == lower_state((target.x - 2, target.y - 2), lower % 2, 7)
 
 
 def test_agent_greedy_walks_trained_corridor():
     agent, world = trained_agent_world()
     # Teach the lower layer that one step east is best from offset (1, 0).
-    agent.q.values[((1, 0), Action.EAST.index, 0)] = 10.0
+    agent.q.set(lower_state((1, 0), 0, 7), Action.EAST.index, 10.0)
     # Pin the upper layer to command the cell one east of the hunter.
     goal = Position(3, 3)
     target = Position(3, 2)
@@ -314,21 +316,27 @@ def test_agent_greedy_walks_trained_corridor():
         agent.upper.add(pack(ModuleKey(0, 0, Position(2, 2), peer, goal), 7),
                         cell_id(target, 7), 50.0)
     action = agent.policy_step(world, Random(0), exploration=0.0)
-    assert agent.pending[2] == target
+    assert position(agent.pending[2], 7) == target
     assert action is Action.EAST
 
 
 def test_agent_zero_offset_prefers_stay_once_trained():
     world = make_world([(2, 3), (6, 6), (6, 0), (0, 6)], [(3, 3), (6, 4)])
     agent = HunterAgent(0)
-    agent.q.values[((0, 0), Action.STAY.index, 0)] = 10.0
+    agent.q.set(lower_state((0, 0), 0, 7), Action.STAY.index, 10.0)
     goal = Position(3, 3)
     for peer in (Position(6, 6), Position(6, 0), Position(0, 6)):
         agent.upper.add(pack(ModuleKey(0, 0, Position(2, 3), peer, goal), 7),
                         cell_id(Position(2, 3), 7), 50.0)
     action = agent.policy_step(world, Random(0), exploration=0.0)
-    assert agent.pending[0] == (0, 0)
+    assert agent.pending[0] == lower_state((0, 0), 0, 7)
     assert action is Action.STAY
+
+
+def stay_put(agent):
+    """Replace the agent's pending move by staying."""
+    lower, _, target = agent.pending
+    agent.pending = (lower, Action.STAY.index, target)
 
 
 def test_deliver_rewards_terminal_reach_and_capture():
@@ -339,8 +347,7 @@ def test_deliver_rewards_terminal_reach_and_capture():
     actions = [a.policy_step(world, rng, 0.0) for a in agents]
     # Freeze everyone in place so the capture happens now.
     for agent in agents:
-        rel, _, target, prey = agent.pending
-        agent.pending = (rel, Action.STAY, target, prey)
+        stay_put(agent)
     outcome = step(world, [Action.STAY] * 4, rng,
                    prey_policy=lambda s, j, legal, r: Action.STAY)
     assert (0, PreyKind.POSITIVE) in outcome.captures
@@ -358,8 +365,7 @@ def test_deliver_rewards_dangerous_capture_no_upper_change():
     rng = Random(0)
     for a in agents:
         a.policy_step(world, rng, 0.0)
-        rel, _, target, prey = a.pending
-        a.pending = (rel, Action.STAY, target, prey)
+        stay_put(a)
     outcome = step(world, [Action.STAY] * 4, rng,
                    prey_policy=lambda s, j, legal, r: Action.STAY)
     assert (0, PreyKind.DANGEROUS) in outcome.captures

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from pursuitrl.env import ACTIONS, Action
+from pursuitrl.env import ACTIONS, Action, grid_for
 from pursuitrl.knowledge import (
+    ATTRIBUTES,
+    GAIN_EPS,
     IfThenRule,
     Instance,
     Leaf,
     Split,
+    compile_rules,
     extract_rules,
     format_rules,
     format_tree,
@@ -248,11 +251,12 @@ def test_rules_match_tree_on_every_offset():
     rules = extract_rules(tree)
     assert all(0.0 <= rule.cf <= 1.0 for rule in rules)
     fallback_hits = []
-    for x in range(-6, 7):
-        for y in range(-6, 7):
-            ruled = rule_policy_act(rules, x, y,
-                                    fallback=lambda *_: fallback_hits.append(1))
-            assert ruled is classify(tree, x, y)
+    grid = grid_for(7)                  # offsets -6..6 on both axes
+    compiled = compile_rules(rules, grid)
+    for offset, (x, y) in enumerate(grid.offsets):
+        ruled = rule_policy_act(compiled, offset,
+                                fallback=lambda *_: fallback_hits.append(1))
+        assert ACTIONS[ruled] is classify(tree, x, y)
     assert not fallback_hits        # leaf rules partition the whole plane
 
 
@@ -270,24 +274,31 @@ If theta_X <= -1 theta_Y <= 0 theta_Y > -1 Then left with CF=0.8476715392603243
 """
 
 
+def act(rules, x, y, fallback, side=7):
+    """The action the rules, compiled for a side-``side`` grid, command at (x, y)."""
+    grid = grid_for(side)
+    return ACTIONS[rule_policy_act(compile_rules(rules, grid), grid.offsets.index((x, y)),
+                                   fallback=fallback)]
+
+
 def test_reference_rules_drive_expected_actions():
     rules = parse_rules(REFERENCE_RULES)
-    fallback = lambda x, y: Action.SOUTH
-    assert rule_policy_act(rules, 0, 0, fallback) is Action.STAY
-    assert rule_policy_act(rules, -3, 0, fallback) is Action.WEST
-    assert rule_policy_act(rules, 0, -4, fallback) is Action.NORTH
-    assert rule_policy_act(rules, 1, 0, fallback) is Action.EAST
+    fallback = lambda offset: Action.SOUTH.index
+    assert act(rules, 0, 0, fallback) is Action.STAY
+    assert act(rules, -3, 0, fallback) is Action.WEST
+    assert act(rules, 0, -4, fallback) is Action.NORTH
+    assert act(rules, 1, 0, fallback) is Action.EAST
 
 
 def test_fallback_invoked_exactly_once_when_unmatched():
     rules = parse_rules(REFERENCE_RULES)
     calls = []
 
-    def fallback(x, y):
-        calls.append((x, y))
-        return Action.STAY
+    def fallback(offset):
+        calls.append(grid_for(7).offsets[offset])
+        return Action.STAY.index
 
-    rule_policy_act(rules, 5, 5, fallback)
+    assert act(rules, 5, 5, fallback) is Action.STAY
     assert calls == [(5, 5)]
 
 
@@ -300,29 +311,33 @@ rule_sets = st.lists(st.builds(IfThenRule, conditions.map(tuple), st.sampled_fro
 
 
 def assert_matches_condition_scan(rules, side):
-    # Every offset a hunter can have to a target on a side-``side`` grid.
-    bound = 2 * (side - 1)
-    for x in range(-bound, bound + 1):
-        for y in range(-bound, bound + 1):
-            calls = []
+    # Every offset a hunter can have to a target on a side-``side`` grid:
+    # the compiled table against a first-match scan of the conditions.
+    grid = grid_for(side)
+    compiled = compile_rules(rules, grid)
+    assert len(compiled) == (2 * side - 1) ** 2
+    for offset, (x, y) in enumerate(grid.offsets):
+        calls = []
 
-            def fallback(*offset):
-                calls.append(offset)
-                return None
+        def fallback(offset):
+            calls.append(offset)
+            return -1
 
-            expected = next((rule.action for rule in rules
-                             if reference.rule_matches(rule, x, y)), None)
-            assert rule_policy_act(rules, x, y, fallback=fallback) is expected
-            assert calls == ([] if expected is not None else [(x, y)])
+        expected = next((rule.action.index for rule in rules
+                         if reference.rule_matches(rule, x, y)), -1)
+        assert compiled[offset] == expected
+        assert rule_policy_act(compiled, offset, fallback=fallback) == expected
+        assert calls == ([] if expected >= 0 else [offset])
 
 
 @settings(max_examples=60, deadline=None)
 @given(rules=rule_sets)
 def test_rule_lookup_matches_condition_scan(rules):
-    assert_matches_condition_scan(rules, side=7)
+    # Side 13 spans offsets -12..12, past every threshold the rules draw.
+    assert_matches_condition_scan(rules, side=13)
 
 
-@pytest.mark.parametrize("side", (5, 7, 9))
+@pytest.mark.parametrize("side", (5, 7, 9, 13, 17))
 def test_extracted_rule_lookup_matches_condition_scan(side):
     rules = extract_rules(induce_tree(grid_instances(planted_label)))
     assert_matches_condition_scan(rules + parse_rules(REFERENCE_RULES), side)
@@ -421,3 +436,46 @@ def test_load_instances_rejects_wrong_header(tmp_path):
 def test_induce_tree_rejects_empty_input():
     with pytest.raises(ValueError):
         induce_tree([])
+
+
+small_instance_sets = st.lists(
+    st.builds(Instance, st.integers(-3, 3), st.integers(-3, 3),
+              st.sampled_from(ACTIONS[:3])),
+    min_size=2, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances=small_instance_sets, min_leaf=st.integers(1, 4))
+def test_root_split_has_the_largest_gain_ratio(instances, min_leaf):
+    # The split the tree grows at its root is one gain_ratio scores best,
+    # within 1e-12, among the admissible thresholds: min_leaf per side and
+    # positive gain. Without one the root is a leaf.
+    n = len(instances)
+    admissible = {}
+    for attr_idx, attribute in enumerate(ATTRIBUTES):
+        for threshold in sorted({item[attr_idx] for item in instances})[:-1]:
+            n_left = sum(item[attr_idx] <= threshold for item in instances)
+            if n_left < min_leaf or n - n_left < min_leaf:
+                continue
+            ratio = gain_ratio(instances, attribute, threshold)
+            split_info = -sum(k / n * math.log2(k / n) for k in (n_left, n - n_left))
+            if ratio * split_info > GAIN_EPS:
+                admissible[threshold, attr_idx] = ratio
+    tree = induce_tree(instances, min_leaf=min_leaf)
+    if not admissible:
+        assert isinstance(tree, Leaf)
+        return
+    assert isinstance(tree, Split)
+    root = (tree.threshold, ATTRIBUTES.index(tree.attribute))
+    assert root in admissible
+    assert admissible[root] >= max(admissible.values()) - 1e-12
+
+
+def test_tied_splits_go_to_the_smallest_threshold_then_attribute():
+    # theta_X <= 0 and theta_X <= 1 score the same, in the same arithmetic.
+    tree = induce_tree([inst(0, 0, Action.STAY), inst(1, 0, Action.NORTH),
+                        inst(2, 0, Action.STAY)], min_leaf=1)
+    assert (tree.attribute, tree.threshold) == ("theta_X", 0)
+    # Mirror-symmetric in x and y: each threshold ties across the attributes.
+    tree = induce_tree([inst(0, 0, Action.STAY), inst(1, 1, Action.NORTH)] * 2, min_leaf=1)
+    assert (tree.attribute, tree.threshold) == ("theta_X", 0)

@@ -25,13 +25,12 @@ from pursuitrl.env import (
     PreyState,
     WorldState,
     grid_for,
-    manhattan_distance,
     step,
 )
 from pursuitrl.experiment import ExperimentConfig, TrainingResult, build_agents, save_learned_tables
 from pursuitrl.hmrl import select_target
 from pursuitrl.profit_sharing import load_weights
-from reference import ModuleKey, cell_id, pack, upper_table
+from reference import ModuleKey, cell_id, lower_state, pack, positions, upper_table
 
 
 def test_action_index_is_position_in_actions():
@@ -63,7 +62,15 @@ def test_grid_tables_match_geometry(side):
                 assert (tuple(grid.cells[c] for c in grid.candidates[mode][cell])
                         == reference.candidate_cells(pos, side, mode))
             for other in grid.cells:
-                assert grid.distance[cell][cell_id(other, side)] == manhattan_distance(pos, other)
+                other_cell = cell_id(other, side)
+                assert grid.distance[cell][other_cell] == abs(x - other.x) + abs(y - other.y)
+                offset = grid.offset[cell][other_cell]
+                assert grid.offsets[offset] == (other.x - x, other.y - y)
+                assert grid.offset_text[offset] == repr((other.x - x, other.y - y))
+                assert lower_state(grid.offsets[offset], 1, side) == offset * 2 + 1
+    assert len(grid.offsets) == (2 * side - 1) ** 2
+    assert grid.offsets == tuple((dx, dy) for dx in range(1 - side, side)
+                                 for dy in range(1 - side, side))
 
 
 @st.composite
@@ -74,8 +81,8 @@ def worlds(draw, sides=st.integers(3, 9)):
     alive = draw(st.sampled_from([(True, True), (True, False), (False, True)]))
     kinds = draw(st.sampled_from([(PreyKind.POSITIVE, PreyKind.DANGEROUS),
                                   (PreyKind.DANGEROUS, PreyKind.POSITIVE)]))
-    return WorldState(side=side, hunters=[Position(*c) for c in cells[:4]],
-                      prey=[PreyState(Position(*cells[4 + j]), alive[j], kinds[j])
+    return WorldState(side=side, hunters=[cell_id(c, side) for c in cells[:4]],
+                      prey=[PreyState(cell_id(cells[4 + j], side), alive[j], kinds[j])
                             for j in range(2)])
 
 
@@ -85,13 +92,14 @@ def random_rules(world: WorldState, hunter: int, mode: str, seed: int) -> dict:
     rng = Random(seed)
     side = world.side
     rules = {}
-    own = world.hunters[hunter]
-    for j, prey in enumerate(world.prey):
-        for k, peer in enumerate(world.hunters):
+    hunters, prey_positions = positions(world)
+    own = hunters[hunter]
+    for j, goal in enumerate(prey_positions):
+        for k, peer in enumerate(hunters):
             if k == hunter:
                 continue
-            key = ModuleKey(hunter, j, own, peer, prey.position)
-            for cell in reference.candidate_cells(prey.position, side, mode):
+            key = ModuleKey(hunter, j, own, peer, goal)
+            for cell in reference.candidate_cells(goal, side, mode):
                 if rng.random() < 0.5:
                     rules[key, cell] = rng.choice((0.25, 1.0, 2.0, 3.5, 7.0))
     for _ in range(5):
@@ -112,19 +120,19 @@ def test_select_target_matches_brute_force(world, hunter, mode, reach, explorati
                            reach_discount=reach, exploration=exploration, candidates=mode)
     target, prey = reference.select_target(rules, hunter, world, reference_rng,
                                            reach, exploration, mode)
-    assert (choice.target, choice.prey) == (target, prey)
+    assert (choice.cell, choice.prey) == (cell_id(target, world.side), prey)
     assert rng.getstate() == reference_rng.getstate()
-    own, goal = world.hunters[hunter], world.prey[prey].position
+    hunters, prey_positions = positions(world)
+    own, goal = hunters[hunter], prey_positions[prey]
     assert choice.modules == tuple(pack(ModuleKey(hunter, prey, own, peer, goal), world.side)
-                                   for k, peer in enumerate(world.hunters) if k != hunter)
-    assert choice.cell == cell_id(target, world.side)
+                                   for k, peer in enumerate(hunters) if k != hunter)
 
 
 @settings(max_examples=300, deadline=None)
 @given(world=worlds(sides=st.integers(3, 6)), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_step_matches_agent_dict_reference(world, data, seed):
     actions = [data.draw(st.sampled_from(reference.legal_actions(pos, world.side)))
-               for pos in world.hunters]
+               for pos in positions(world)[0]]
     rng, reference_rng = Random(seed), Random(seed)
     outcome = step(world, actions, rng)
     next_state, captures, blocked = reference.step(world, actions, reference_rng)

@@ -1,12 +1,17 @@
 import math
 from collections import Counter
+from functools import partial
 from random import Random
 
 import pytest
 
-from pursuitrl.env import Action
+from pursuitrl.env import Action, grid_for
+from pursuitrl.hmrl import lower_state_ids, lower_state_text
 from pursuitrl.q_learning import QTable, epsilon_greedy, load_q_table, q_update, save_q_table
-from reference import ExplicitMDP, greedy_action, solve_value_iteration
+from reference import ExplicitMDP, greedy_action, lower_state, solve_value_iteration
+
+GRID = grid_for(7)
+STATE_IDS = lower_state_ids(GRID)
 
 
 def test_q_update_terminal_arithmetic():
@@ -17,7 +22,7 @@ def test_q_update_terminal_arithmetic():
 
 def test_q_update_decays_toward_bootstrap():
     table = QTable(alpha=0.1, gamma=0.9)
-    table.values[("s", Action.STAY.index, None)] = 10.0
+    table.set("s", Action.STAY.index, 10.0)
     q_update(table, "s", Action.STAY.index, 0.0, "t", terminal=False)
     assert table.get("s", Action.STAY.index) == pytest.approx(9.0)
 
@@ -48,8 +53,8 @@ def test_two_state_chain_converges_to_closed_form():
 
 def test_epsilon_greedy_prefers_value():
     table = QTable()
-    table.values[("s", Action.NORTH.index, None)] = 5.0
-    table.values[("s", Action.STAY.index, None)] = 1.0
+    table.set("s", Action.NORTH.index, 5.0)
+    table.set("s", Action.STAY.index, 1.0)
     picked = epsilon_greedy(table, "s", (Action.NORTH.index, Action.STAY.index), 0.0,
                             Random(0))
     assert picked == Action.NORTH.index
@@ -69,7 +74,7 @@ def test_epsilon_greedy_exploration_frequency():
     # With a unique argmax, a non-greedy outcome happens only via the
     # exploration branch picking one of the other k-1 actions.
     table = QTable()
-    table.values[("s", Action.NORTH.index, None)] = 5.0
+    table.set("s", Action.NORTH.index, 5.0)
     legal = tuple(a.index for a in Action)
     epsilon = 0.1
     rng = Random(13)
@@ -205,7 +210,7 @@ def test_update_is_idempotent_at_fixed_point():
     oracle = solve_value_iteration(mdp, tolerance=1e-14)
     table = QTable(alpha=0.3, gamma=mdp.gamma, actions=mdp.actions)
     for (s, a), ((_, ns, r),) in mdp.transitions.items():
-        table.values[(s, a, None)] = r + mdp.gamma * oracle[ns]
+        table.set(s, a, r + mdp.gamma * oracle[ns])
     before = dict(table.values)
     for (s, a), ((_, ns, r),) in mdp.transitions.items():
         q_update(table, s, a, r, ns, terminal=ns in mdp.terminal)
@@ -218,10 +223,11 @@ def test_q_table_round_trip_bit_exact(tmp_path):
     rng = Random(8)
     for dx in range(-3, 4):
         for action in Action:
-            table.values[((dx, -dx), action.index, rng.choice((0, 1)))] = rng.random() * 97
+            table.set(lower_state((dx, -dx), rng.choice((0, 1)), 7), action.index,
+                      rng.random() * 97)
     path = tmp_path / "q.tsv"
-    save_q_table(path, table, {"note": "test"})
-    loaded, meta = load_q_table(path)
+    save_q_table(path, table, partial(lower_state_text, GRID), {"note": "test"})
+    loaded, meta = load_q_table(path, STATE_IDS.__getitem__)
     assert loaded.values == table.values
     assert loaded.alpha == table.alpha and loaded.gamma == table.gamma
     assert meta == {"note": "test"}
@@ -231,4 +237,24 @@ def test_load_q_table_names_malformed_line(tmp_path):
     path = tmp_path / "q.tsv"
     path.write_text("# alpha = 0.1\n# gamma = 0.9\n((0, 1), 0)\tup\t2.5\n((1, 1), 0)\tup\n")
     with pytest.raises(ValueError, match=r"q\.tsv:4: .*\(\(1, 1\), 0\)"):
-        load_q_table(path)
+        load_q_table(path, STATE_IDS.__getitem__)
+
+
+@pytest.mark.parametrize("state", ["((7, 0), 0)", "((0, 1), 2)", "5"])
+def test_load_q_table_names_state_off_the_grid(tmp_path, state):
+    path = tmp_path / "q.tsv"
+    path.write_text(f"# alpha = 0.1\n# gamma = 0.9\n((0, 1), 0)\tup\t2.5\n{state}\tup\t1.0\n")
+    with pytest.raises(ValueError, match=r"q\.tsv:4: "):
+        load_q_table(path, STATE_IDS.__getitem__)
+
+
+def test_q_table_lists_written_entries_only(tmp_path):
+    # A backup that writes 0.0 is an entry; the other slots of its row are not.
+    table = QTable()
+    q_update(table, 3, Action.EAST.index, 0.0, 4, terminal=False)
+    q_update(table, 5, Action.STAY.index, 100.0, 5, terminal=True)
+    assert table.values == {(3, Action.EAST.index): 0.0, (5, Action.STAY.index): 10.0}
+    path = tmp_path / "q.tsv"
+    save_q_table(path, table, partial(lower_state_text, GRID))
+    rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    assert rows == ["((-6, -4), 1)\tstay\t10.0", "((-6, -5), 1)\tright\t0.0"]
