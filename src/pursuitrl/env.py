@@ -120,6 +120,9 @@ class Grid:
             "all": tuple(tuple(c for c in range(self.size) if c != goal)
                          for goal in range(self.size)),
         }
+        # slots[mode][goal]: each candidate cell's index in candidates[mode][goal]
+        self.slots = {mode: tuple(dict(zip(cells, range(len(cells)))) for cells in rows)
+                      for mode, rows in self.candidates.items()}
         self._powers: dict[float, tuple[float, ...]] = {}
 
     def discount_powers(self, base: float) -> tuple[float, ...]:
@@ -181,12 +184,22 @@ def new_world(seed: int, config: GridConfig = GridConfig()) -> WorldState:
     return WorldState(side=config.side, hunters=hunters, prey=prey)
 
 
+def below(rng: Random, n: int) -> int:
+    """The index ``rng.choice`` draws from a sequence of length ``n >= 1``,
+    by the same ``getrandbits`` calls, so the rng stream is the stdlib's."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 PreyPolicy = Callable[[WorldState, int, Sequence[Action], Random], Action]
 
 
 def random_prey_policy(state: WorldState, prey_index: int,
                        legal: Sequence[Action], rng: Random) -> Action:
-    return rng.choice(legal)
+    return legal[below(rng, len(legal))]
 
 
 def step(state: WorldState, hunter_actions: Sequence[Action], rng: Random,
@@ -225,7 +238,9 @@ def step(state: WorldState, hunter_actions: Sequence[Action], rng: Random,
         dest.append(target)
 
     order = list(range(len(current)))
-    rng.shuffle(order)
+    for i in range(len(order) - 1, 0, -1):     # Random.shuffle's Fisher-Yates walk
+        j = below(rng, i + 1)
+        order[i], order[j] = order[j], order[i]
     moving = [d != c for c, d in zip(current, dest)]
     blocked = [False] * len(current)
 

@@ -101,6 +101,12 @@ class ExperimentConfig:
         if len(self.prey_alive) != N_PREY or not any(self.prey_alive):
             raise ValueError(f"prey_alive must be {N_PREY} flags with at least one on, "
                              f"got {self.prey_alive}")
+        if not self.reach_discount >= 1.0:
+            raise ValueError(f"reach_discount must be >= 1, got {self.reach_discount}")
+        # Out of range, alpha and gamma fail once training starts and an
+        # upper_decay above 1 diverges: run the learners' own checks now.
+        q_learning.QTable(self.alpha, self.gamma)
+        self.atf_params()
 
     def atf_params(self) -> ATFieldParams:
         return ATFieldParams(near_distance=self.atf_near, far_distance=self.atf_far,

@@ -34,6 +34,7 @@ from .env import (
     PreyKind,
     StepOutcome,
     WorldState,
+    below,
     grid_for,
 )
 from .profit_sharing import WeightTable
@@ -57,10 +58,10 @@ class ATFieldParams:
     decay: float = 0.8        # per-step upper-layer credit decay
 
     def __post_init__(self) -> None:
-        if not 0 < self.near_distance < self.far_distance:
-            raise ValueError(
-                f"need 0 < near < far, got {self.near_distance}, {self.far_distance}"
-            )
+        if not (0 < self.near_distance < self.far_distance and 0.0 < self.decay <= 1.0):
+            raise ValueError(f"need 0 < near < far and 0 < decay <= 1, got near "
+                             f"{self.near_distance}, far {self.far_distance}, "
+                             f"decay {self.decay}")
 
 
 def atf(prey_distance: int, params: ATFieldParams) -> float:
@@ -150,7 +151,7 @@ def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
         if d0 != d1:
             prey_index = 0 if d0 < d1 else 1
         else:
-            prey_index = rng.choice((0, 1))
+            prey_index = below(rng, 2)
             logger.debug("hunter %d equidistant from both prey, chose %d",
                          hunter_index, prey_index)
     else:
@@ -159,29 +160,33 @@ def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
     goal = prey[prey_index].cell
     cells = grid.candidates[candidates][goal]
     head = ((hunter_index * N_PREY + prey_index) * n + own) * n
-    modules = tuple([(head + hunters[k]) * n + goal for k in _PEERS[hunter_index]])
+    p0, p1, p2 = _PEERS[hunter_index]       # N_HUNTERS == 4
+    modules = ((head + hunters[p0]) * n + goal, (head + hunters[p1]) * n + goal,
+               (head + hunters[p2]) * n + goal)
     if exploration > 0.0 and rng.random() < exploration:
-        return TargetChoice(prey_index, modules, rng.choice(cells))
+        return TargetChoice(prey_index, modules, cells[below(rng, len(cells))])
 
-    get = weights.weights.get
-    # Peer weights are summed in peer order. A module with no rule adds 0
-    # to every cell, which changes no sum, so only modules with rules are read.
-    fired = [key for key in modules if key in weights.states]
-    if fired:
-        powers = grid.discount_powers(reach_discount)
+    states = weights.states
+    if modules[0] in states or modules[1] in states or modules[2] in states:
+        # Each module's rules are added into their cells' slots, in peer
+        # order; a missing rule would add +0.0, which changes no sum.
+        weight = weights.weights
+        slot = grid.slots[candidates][goal]
         totals = [0.0] * len(cells)
-        for module in fired:
-            totals = [total + get((module, cell), 0.0) for total, cell in zip(totals, cells)]
+        for module in modules:
+            for cell in states.get(module, ()):
+                i = slot.get(cell)
+                if i is not None:
+                    totals[i] += weight[module, cell]
+        powers = grid.discount_powers(reach_discount)
         scores = [total / powers[distance[cell]] for total, cell in zip(totals, cells)]
         best_score = max(scores)
         if scores.count(best_score) == 1:
-            best = [cells[scores.index(best_score)]]
-        else:
-            best = [cell for cell, score in zip(cells, scores) if score == best_score]
+            return TargetChoice(prey_index, modules, cells[scores.index(best_score)])
+        best = [cell for cell, score in zip(cells, scores) if score == best_score]
     else:
         best = cells            # zero weights everywhere: every candidate ties
-    target = best[0] if len(best) == 1 else rng.choice(best)
-    return TargetChoice(prey_index, modules, target)
+    return TargetChoice(prey_index, modules, best[below(rng, len(best))])
 
 
 # A trace step: the fired packed modules (one per peer), the commanded cell
@@ -238,9 +243,8 @@ class HunterAgent:
 
     def policy_step(self, state: WorldState, rng: Random, exploration: float) -> Action:
         """Select this step's target, then the move toward it."""
-        choice = select_target(self.upper, self.index, state, rng,
-                               reach_discount=self.reach_discount,
-                               exploration=exploration, candidates=self.candidates)
+        choice = select_target(self.upper, self.index, state, rng, self.reach_discount,
+                               exploration, self.candidates)
         grid = grid_for(state.side)
         first, second = state.prey
         target = choice.cell

@@ -37,21 +37,25 @@ class PSParams:
 class WeightTable:
     """Rule weights keyed by (state, action); unseen rules read as 0.
 
-    ``states`` holds every state with at least one rule (kept in step by
-    :meth:`add`), so a reader can skip the states no rule has fired in.
+    ``states`` indexes the rules: every state with at least one rule maps
+    to the actions it has rules for, in the order they were first added
+    (kept in step by :meth:`add`), so a reader visits only rules that exist.
     """
 
     def __init__(self):
         self.weights: dict[tuple[StateKey, ActionKey], float] = {}
-        self.states: set[StateKey] = set()
+        self.states: dict[StateKey, tuple[ActionKey, ...]] = {}
 
     def get(self, state: StateKey, action: ActionKey) -> float:
         return self.weights.get((state, action), 0.0)
 
     def add(self, state: StateKey, action: ActionKey, amount: float) -> None:
         key = (state, action)
-        self.weights[key] = self.weights.get(key, 0.0) + amount
-        self.states.add(state)
+        old = self.weights.get(key)
+        if old is None:             # a new rule: index it after its state's others
+            old = 0.0
+            self.states[state] = self.states.get(state, ()) + (action,)
+        self.weights[key] = old + amount
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -99,5 +103,6 @@ def load_weights(path) -> tuple[WeightTable, dict[str, object]]:
         raise ValueError(f"{path}: default_weight must be 0.0, got {default!r}")
     table = WeightTable()
     table.weights = entries
-    table.states = {state for state, _ in entries}
+    for state, action in entries:
+        table.states[state] = table.states.get(state, ()) + (action,)
     return table, meta

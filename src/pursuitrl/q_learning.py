@@ -9,7 +9,7 @@ import math
 from random import Random
 from typing import Hashable, Sequence
 
-from .env import ACTION_BY_LABEL, ACTION_LABELS, ACTIONS
+from .env import ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, below
 from .tableio import Decoder, Encoder, load_table, save_table
 
 StateKey = Hashable
@@ -72,13 +72,14 @@ def epsilon_greedy(table: QTable, state: StateKey, legal: Sequence[int],
     if not legal:
         raise ValueError("no legal actions")
     if epsilon > 0.0 and rng.random() < epsilon:
-        return rng.choice(legal)
+        return legal[below(rng, len(legal))]
     row = table.rows.get(state)
     scores = [row[a] for a in legal] if row else [0.0] * len(legal)
     best_value = max(scores)
     if scores.count(best_value) == 1:
         return legal[scores.index(best_value)]
-    return rng.choice([a for a, value in zip(legal, scores) if value == best_value])
+    ties = [a for a, value in zip(legal, scores) if value == best_value]
+    return ties[below(rng, len(ties))]
 
 
 def save_q_table(path, table: QTable, encode_state: Encoder,

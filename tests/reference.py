@@ -70,9 +70,7 @@ def upper_table(rules: dict, side: int) -> WeightTable:
     """A packed weight table from ``{(ModuleKey, target Position): weight}``."""
     table = WeightTable()
     for (key, target), weight in rules.items():
-        module = pack(key, side)
-        table.weights[module, cell_id(target, side)] = weight
-        table.states.add(module)
+        table.add(pack(key, side), cell_id(target, side), weight)
     return table
 
 

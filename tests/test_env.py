@@ -12,6 +12,7 @@ from pursuitrl.env import (
     PreyKind,
     PreyState,
     WorldState,
+    below,
     grid_for,
     load_trajectory,
     new_world,
@@ -308,3 +309,55 @@ def test_step_invariants(case, dead_cells):
     assert again.blocked_moves == out.blocked_moves
     assert again.captures == out.captures
     assert moved_rng.getstate() == rng.getstate()
+
+
+def rng_states():
+    """A seeded Random moved on by 0-700 32-bit words of its stream."""
+    def advanced(seed, words):
+        rng = Random(seed)
+        rng.getrandbits(32 * words)
+        return rng
+    return st.builds(advanced, st.integers(0, 2**64), st.integers(0, 700))
+
+
+def copy_of(rng):
+    copy = Random()
+    copy.setstate(rng.getstate())
+    return copy
+
+
+@settings(max_examples=100, deadline=None)
+@given(rng=rng_states(), ns=st.lists(st.integers(1, 300), min_size=1, max_size=30))
+def test_below_matches_choice(rng, ns):
+    stdlib = copy_of(rng)
+    for n in ns:
+        assert below(rng, n) == stdlib.choice(range(n))
+        assert rng.getstate() == stdlib.getstate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(rng=rng_states(), items=st.lists(st.integers(), max_size=8))
+def test_fisher_yates_over_below_matches_shuffle(rng, items):
+    stdlib = copy_of(rng)
+    order, expected = list(items), list(items)
+    for i in range(len(order) - 1, 0, -1):
+        j = below(rng, i + 1)
+        order[i], order[j] = order[j], order[i]
+    stdlib.shuffle(expected)
+    assert order == expected
+    assert rng.getstate() == stdlib.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=stepped_worlds())
+def test_step_draws_one_prey_move_per_live_prey_then_one_shuffle(case):
+    world, actions, seed = case
+    live = [j for j, p in enumerate(world.prey) if p.alive]
+    grid = grid_for(world.side)
+    rng = Random(seed)
+    replay = copy_of(rng)
+    step(world, actions, rng)
+    for j in live:
+        replay.choice(grid.legal_actions[world.prey[j].cell])
+    replay.shuffle(list(range(len(world.hunters) + len(live))))
+    assert rng.getstate() == replay.getstate()

@@ -222,6 +222,28 @@ def test_config_rejects_no_live_prey():
     assert ExperimentConfig(prey_alive=(False, True)).prey_alive == (False, True)
 
 
+@pytest.mark.parametrize("name, message, bad, good", [
+    ("alpha", "alpha", (0.0, 1.5, float("nan")), 1.0),
+    ("gamma", "gamma", (-0.1, 1.0), 0.0),
+    ("upper_decay", "decay", (0.0, -0.5, 1.5), 1.0),
+    ("reach_discount", "reach_discount", (0.5, float("nan")), 1.0),
+])
+def test_config_rejects_learning_parameter_out_of_range(name, message, bad, good):
+    for value in bad:
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{name: value})
+    assert getattr(ExperimentConfig(**{name: good}), name) == good
+
+
+def test_config_rejects_atf_bands_out_of_order():
+    for near, far in ((5, 5), (6, 5), (0, 5)):
+        with pytest.raises(ValueError, match="near < far"):
+            ExperimentConfig(atf_near=near, atf_far=far)
+    with pytest.raises(ValueError, match="near < far"):
+        parse_config("atf_near = 5\natf_far = 2")
+    assert ExperimentConfig(atf_near=1, atf_far=2).atf_params().far_distance == 2
+
+
 def test_parse_config_rejects_duplicate_key():
     with pytest.raises(ValueError, match=r"line 3: duplicate config key 'trials'.*line 1"):
         parse_config("trials = 7\natf_enabled = off\ntrials = 9\n")
@@ -334,6 +356,7 @@ SCENARIOS = {
     "side9": replace(QUICK, grid_side=9),
     "one_live_prey": replace(QUICK, prey_alive=(False, True)),
     "step_capped": replace(QUICK, step_cap=4),
+    "two_positive": replace(QUICK, prey_kinds=("positive", "positive")),
 }
 
 
@@ -347,6 +370,10 @@ def test_scenario_tables_instances_and_rules(name, tmp_path):
         assert any(r.outcome is TrialOutcome.STEP_CAPPED for r in result.records)
     if name == "one_live_prey":
         assert all(r.gd_at_capture is None for r in result.records)
+    if name == "two_positive":
+        outcomes = {r.outcome for r in result.records}
+        assert TrialOutcome.POSITIVE_CAPTURED in outcomes
+        assert TrialOutcome.DANGEROUS_CAPTURED not in outcomes
 
     # Q and upper tables survive save/load bit-exactly.
     save_learned_tables(tmp_path, result)

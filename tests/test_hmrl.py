@@ -49,6 +49,13 @@ def test_atf_validates():
         atf(-1, ATFieldParams())
 
 
+@pytest.mark.parametrize("decay", [0.0, -0.5, 1.5, float("nan")])
+def test_atf_params_reject_decay_outside_unit_interval(decay):
+    with pytest.raises(ValueError, match="decay"):
+        ATFieldParams(decay=decay)
+    assert ATFieldParams(decay=1.0).decay == 1.0
+
+
 def test_candidate_cells_ring():
     cells = grid_candidates(Position(3, 3), 7, "ring2")
     assert len(cells) == 12

@@ -88,7 +88,8 @@ def worlds(draw, sides=st.integers(3, 9)):
 
 def random_rules(world: WorldState, hunter: int, mode: str, seed: int) -> dict:
     """Weights on part of the rules ``hunter`` reads in ``world``, from a
-    small value set so that ties occur, plus rules of other modules."""
+    small value set so that ties occur, plus rules the choice must not
+    read: on the prey's cell, and of other modules."""
     rng = Random(seed)
     side = world.side
     rules = {}
@@ -102,6 +103,8 @@ def random_rules(world: WorldState, hunter: int, mode: str, seed: int) -> dict:
             for cell in reference.candidate_cells(goal, side, mode):
                 if rng.random() < 0.5:
                     rules[key, cell] = rng.choice((0.25, 1.0, 2.0, 3.5, 7.0))
+            if rng.random() < 0.3:
+                rules[key, goal] = 9.0      # the prey's own cell is never a candidate
     for _ in range(5):
         cells = [Position(rng.randrange(side), rng.randrange(side)) for _ in range(4)]
         rules[ModuleKey(rng.randrange(4), rng.randrange(2), *cells[:3]), cells[3]] = 9.0

@@ -1,6 +1,8 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from pursuitrl.hmrl import ATFieldParams, reinforce_upper
@@ -130,8 +132,26 @@ def test_weight_table_round_trip_is_bit_exact(tmp_path):
     path = tmp_path / "weights.tsv"
     save_weights(path, table, {"upper_decay": 0.8})
     loaded, meta = load_weights(path)
-    assert loaded.weights == table.weights and loaded.states == table.states
+    assert loaded.weights == table.weights
+    # A loaded table adds its rules in the file's sorted text order.
+    assert ({state: set(actions) for state, actions in loaded.states.items()}
+            == {state: set(actions) for state, actions in table.states.items()})
     assert meta == {"upper_decay": 0.8}
+
+
+@settings(max_examples=200, deadline=None)
+@given(adds=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                               st.sampled_from((0.0, -0.0, 1.0, -2.5, 1e-300))),
+                     max_size=60))
+def test_rule_index_lists_each_rule_of_a_state_once(adds):
+    table = WeightTable()
+    first_added: dict = {}
+    for state, action, amount in adds:
+        table.add(state, action, amount)
+        first_added.setdefault(state, {}).setdefault(action, None)
+    assert table.states == {state: tuple(actions) for state, actions in first_added.items()}
+    assert sorted((s, a) for s, actions in table.states.items() for a in actions) \
+        == sorted(table.weights)
 
 
 def test_load_weights_rejects_nonzero_default(tmp_path):
