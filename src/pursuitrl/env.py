@@ -92,6 +92,7 @@ class Grid:
         self.cells = tuple(Position(x, y) for x in range(side) for y in range(side))
         # repr of the cell as a plain tuple, as persisted tables spell it
         self.cell_text = tuple(f"({x}, {y})" for x, y in self.cells)
+        self.cell_ids = {text: cell for cell, text in enumerate(self.cell_text)}
         self.moves = tuple(
             tuple((x + a.dx) * side + y + a.dy
                   if 0 <= x + a.dx < side and 0 <= y + a.dy < side else -1
@@ -120,8 +121,9 @@ class Grid:
             "all": tuple(tuple(c for c in range(self.size) if c != goal)
                          for goal in range(self.size)),
         }
-        # slots[mode][goal]: each candidate cell's index in candidates[mode][goal]
-        self.slots = {mode: tuple(dict(zip(cells, range(len(cells)))) for cells in rows)
+        # slots[mode][goal][cell]: the cell's index in candidates[mode][goal],
+        # or the index one past the last candidate for any other cell
+        self.slots = {mode: tuple(_slots(cells, self.size) for cells in rows)
                       for mode, rows in self.candidates.items()}
         self._powers: dict[float, tuple[float, ...]] = {}
 
@@ -131,6 +133,13 @@ class Grid:
         if powers is None:
             powers = self._powers[base] = tuple(base**d for d in range(2 * self.side - 1))
         return powers
+
+
+def _slots(cells: Sequence[int], size: int) -> tuple[int, ...]:
+    slot = [len(cells)] * size
+    for i, cell in enumerate(cells):
+        slot[cell] = i
+    return tuple(slot)
 
 
 @lru_cache(maxsize=None)

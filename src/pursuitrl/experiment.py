@@ -483,13 +483,14 @@ def save_learned_tables(out_dir, result: TrainingResult) -> None:
     grid = env.grid_for(result.config.grid_side)
     encode_module = partial(module_text, grid)
     for agent in result.agents:
-        banks = [profit_sharing.WeightTable() for _ in range(env.N_PREY)]
-        for (module, cell), weight in agent.upper.weights.items():
-            banks[module_prey(grid, module)].weights[module, cell] = weight
-        for prey_index, bank in enumerate(banks):
+        banks: list[list[int]] = [[] for _ in range(env.N_PREY)]    # modules by prey
+        for module in agent.upper.states:
+            banks[module_prey(grid, module)].append(module)
+        for prey_index, modules in enumerate(banks):
             profit_sharing.save_weights(
-                out / f"upper_h{agent.index}_p{prey_index}.tsv", bank, meta,
-                encode_state=encode_module, encode_action=grid.cell_text.__getitem__)
+                out / f"upper_h{agent.index}_p{prey_index}.tsv", agent.upper, meta,
+                encode_state=encode_module, encode_action=grid.cell_text.__getitem__,
+                states=modules)
         q_learning.save_q_table(out / f"q_h{agent.index}.tsv", agent.q,
                                 partial(hmrl.lower_state_text, grid), meta)
 

@@ -20,6 +20,7 @@ and the target's cell id; a lower rule by the lower state id (see
 
 from __future__ import annotations
 
+import ast
 import logging
 from dataclasses import dataclass
 from random import Random
@@ -96,6 +97,17 @@ def module_text(grid: Grid, key: int) -> str:
     return f"({hunter}, {prey}, {text[own]}, {text[peer]}, {text[goal]})"
 
 
+def module_key(grid: Grid, text: str) -> int:
+    """The packed module key that :func:`module_text` spells as ``text``."""
+    hunter, prey, *cells = ast.literal_eval(text)
+    if hunter not in range(N_HUNTERS) or prey not in range(N_PREY) or len(cells) != 3:
+        raise ValueError(f"not a module of {N_HUNTERS} hunters and {N_PREY} prey: {text}")
+    key = hunter * N_PREY + prey
+    for x, y in cells:
+        key = key * grid.size + grid.cell_ids[f"({x}, {y})"]
+    return key
+
+
 def module_prey(grid: Grid, key: int) -> int:
     """The prey a packed module key belongs to."""
     return key // grid.size**3 % N_PREY
@@ -169,15 +181,20 @@ def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
     states = weights.states
     if modules[0] in states or modules[1] in states or modules[2] in states:
         # Each module's rules are added into their cells' slots, in peer
-        # order; a missing rule would add +0.0, which changes no sum.
-        weight = weights.weights
+        # order; a missing rule would add +0.0, which changes no sum. A
+        # cell outside the candidates lands in the spare last slot.
+        weight, cell_of = weights.weight, weights.cell
         slot = grid.slots[candidates][goal]
-        totals = [0.0] * len(cells)
+        totals = [0.0] * (len(cells) + 1)
         for module in modules:
-            for cell in states.get(module, ()):
-                i = slot.get(cell)
-                if i is not None:
-                    totals[i] += weight[module, cell]
+            rules = states.get(module)
+            if rules is None:
+                continue
+            if rules.__class__ is int:
+                totals[slot[cell_of[rules]]] += weight[rules]
+            else:
+                for rule in rules:
+                    totals[slot[cell_of[rule]]] += weight[rule]
         powers = grid.discount_powers(reach_discount)
         scores = [total / powers[distance[cell]] for total, cell in zip(totals, cells)]
         best_score = max(scores)

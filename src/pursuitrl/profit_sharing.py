@@ -11,14 +11,12 @@ walk over a trial's trace is :func:`hmrl.reinforce_upper`.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable
+from typing import Iterable, Iterator
 
-from .tableio import Encoder, load_table, save_table
-
-StateKey = Hashable
-ActionKey = Hashable
+from .tableio import Decoder, Encoder, load_table, save_table
 
 
 @dataclass(frozen=True)
@@ -35,30 +33,56 @@ class PSParams:
 
 
 class WeightTable:
-    """Rule weights keyed by (state, action); unseen rules read as 0.
+    """Rule weights keyed by (state, action id); unseen rules read as 0.
 
-    ``states`` indexes the rules: every state with at least one rule maps
-    to the actions it has rules for, in the order they were first added
-    (kept in step by :meth:`add`), so a reader visits only rules that exist.
+    Rules are numbered in first-add order: ``weight[rule]`` is a rule's
+    weight and ``cell[rule]`` its action id (a target cell id). ``states``
+    indexes them: every state with at least one rule maps to its rule id,
+    or to the tuple of its rule ids in first-add order once it has a
+    second rule, so a reader visits only rules that exist.
     """
 
     def __init__(self):
-        self.weights: dict[tuple[StateKey, ActionKey], float] = {}
-        self.states: dict[StateKey, tuple[ActionKey, ...]] = {}
+        self.weight = array("d")
+        self.cell = array("i")
+        self.states: dict[int, int | tuple[int, ...]] = {}
 
-    def get(self, state: StateKey, action: ActionKey) -> float:
-        return self.weights.get((state, action), 0.0)
+    def rule_ids(self, state: int) -> tuple[int, ...]:
+        rules = self.states.get(state, ())
+        return (rules,) if rules.__class__ is int else rules
 
-    def add(self, state: StateKey, action: ActionKey, amount: float) -> None:
-        key = (state, action)
-        old = self.weights.get(key)
-        if old is None:             # a new rule: index it after its state's others
-            old = 0.0
-            self.states[state] = self.states.get(state, ()) + (action,)
-        self.weights[key] = old + amount
+    def get(self, state: int, action: int) -> float:
+        for rule in self.rule_ids(state):
+            if self.cell[rule] == action:
+                return self.weight[rule]
+        return 0.0
+
+    def add(self, state: int, action: int, amount: float) -> None:
+        states, weight, cell = self.states, self.weight, self.cell
+        rules = states.get(state)
+        if rules is None:
+            states[state] = len(weight)
+        else:
+            if rules.__class__ is int:
+                rules = (rules,)
+            for rule in rules:
+                if cell[rule] == action:
+                    weight[rule] += amount
+                    return
+            states[state] = rules + (len(weight),)
+        weight.append(0.0 + amount)     # a new rule, after its state's others
+        cell.append(action)
+
+    def rules(self, states: Iterable[int] | None = None) -> Iterator[tuple[int, int, float]]:
+        """``(state, action, weight)`` of every rule of ``states`` (default:
+        all), state by state, each state's rules in first-add order."""
+        weight, cell = self.weight, self.cell
+        for state in self.states if states is None else states:
+            for rule in self.rule_ids(state):
+                yield state, cell[rule], weight[rule]
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self.weight)
 
 
 def check_suppression(params: PSParams, episode_length: int) -> bool:
@@ -90,19 +114,23 @@ def check_suppression(params: PSParams, episode_length: int) -> bool:
 
 
 def save_weights(path, table: WeightTable, meta: dict[str, object] | None = None,
-                 encode_state: Encoder = repr, encode_action: Encoder = repr) -> None:
+                 encode_state: Encoder = repr, encode_action: Encoder = repr,
+                 states: Iterable[int] | None = None) -> None:
+    """Write the rules of ``states`` (default: every state) of ``table``."""
     header = {"default_weight": 0.0}        # what unseen rules read as
     header.update(meta or {})
-    save_table(path, table.weights, header, encode_state, encode_action)
+    save_table(path, list(table.rules(states)), header, encode_state, encode_action)
 
 
-def load_weights(path) -> tuple[WeightTable, dict[str, object]]:
-    entries, meta = load_table(path)
+def load_weights(path, decode_state: Decoder,
+                 decode_action: Decoder) -> tuple[WeightTable, dict[str, object]]:
+    """Read a :func:`save_weights` table, states and actions by the decoders
+    of their text; each row is one :meth:`WeightTable.add`, in file order."""
+    entries, meta = load_table(path, decode_state, decode_action)
     default = meta.pop("default_weight", 0.0)
     if default != 0.0:
         raise ValueError(f"{path}: default_weight must be 0.0, got {default!r}")
     table = WeightTable()
-    table.weights = entries
-    for state, action in entries:
-        table.states[state] = table.states.get(state, ()) + (action,)
+    for (state, action), weight in entries.items():
+        table.add(state, action, weight)
     return table, meta

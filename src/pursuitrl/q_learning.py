@@ -88,8 +88,9 @@ def save_q_table(path, table: QTable, encode_state: Encoder,
     header = {"alpha": table.alpha, "gamma": table.gamma}
     header.update(meta or {})
     labels = [ACTION_LABELS[action] for action in table.actions]
-    save_table(path, table.values, header, encode_state=encode_state,
-               encode_action=labels.__getitem__)
+    rows = table.rows
+    save_table(path, [(state, action, rows[state][action]) for state, action in table.written],
+               header, encode_state=encode_state, encode_action=labels.__getitem__)
 
 
 def load_q_table(path, decode_state: Decoder) -> tuple[QTable, dict[str, object]]:

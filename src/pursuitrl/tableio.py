@@ -11,24 +11,26 @@ from __future__ import annotations
 
 import ast
 import csv
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 Encoder = Callable[[object], str]
 Decoder = Callable[[str], object]
 
 
-def save_table(path, entries: Mapping, meta: Mapping[str, object] | None = None,
+def save_table(path, entries: Collection[tuple[object, object, float]],
+               meta: Mapping[str, object] | None = None,
                encode_state: Encoder = repr, encode_action: Encoder = repr) -> None:
-    """Write ``{(state, action): weight}`` entries with a metadata header."""
-    rows = sorted(
-        (encode_state(state), encode_action(action), repr(weight))
-        for (state, action), weight in entries.items()
-    )
+    """Write ``(state, action, weight)`` entries with a metadata header.
+
+    Rows are sorted as whole lines; a tab sorts below every printable
+    character, so that is the order of the (state, action, weight) texts.
+    """
+    rows = sorted(f"{encode_state(state)}\t{encode_action(action)}\t{weight!r}\n"
+                  for state, action, weight in entries)
     with open(path, "w") as handle:
         for key, value in (meta or {}).items():
             handle.write(f"# {key} = {value!r}\n")
-        for row in rows:
-            handle.write("\t".join(row) + "\n")
+        handle.writelines(rows)
 
 
 def load_table(path, decode_state: Decoder = ast.literal_eval,
@@ -36,10 +38,12 @@ def load_table(path, decode_state: Decoder = ast.literal_eval,
     """Read a table written by :func:`save_table`.
 
     Returns ``(entries, meta)`` with states and actions parsed back by the
-    decoders and meta values by ``ast.literal_eval``. A malformed line
-    raises ``ValueError`` naming the file and line.
+    decoders and meta values by ``ast.literal_eval``. A malformed line, or
+    a second row for the same (state, action), raises ``ValueError``
+    naming the file and the line(s).
     """
     entries: dict = {}
+    first_line: dict = {}
     meta: dict[str, object] = {}
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -52,10 +56,14 @@ def load_table(path, decode_state: Decoder = ast.literal_eval,
                     meta[key.strip()] = ast.literal_eval(value.strip())
                     continue
                 state_s, action_s, weight_s = line.split("\t")
-                entries[decode_state(state_s), decode_action(action_s)] = float(weight_s)
+                key = decode_state(state_s), decode_action(action_s)
+                entries[key] = float(weight_s)
             except (ValueError, SyntaxError, KeyError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed table line {line!r}: "
                                  f"{exc}") from None
+            if first_line.setdefault(key, lineno) != lineno:
+                raise ValueError(f"{path}:{lineno}: repeats the state and action of "
+                                 f"line {first_line[key]}: {line!r}")
     return entries, meta
 
 

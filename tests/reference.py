@@ -74,6 +74,11 @@ def upper_table(rules: dict, side: int) -> WeightTable:
     return table
 
 
+def rule_weights(table: WeightTable) -> dict:
+    """A weight table's rules as ``{(state, action): weight}``."""
+    return {(state, action): weight for state, action, weight in table.rules()}
+
+
 def legal_actions(pos, side: int):
     return tuple(a for a in ACTIONS
                  if 0 <= pos[0] + a.value[0] < side and 0 <= pos[1] + a.value[1] < side)

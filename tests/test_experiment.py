@@ -1,4 +1,5 @@
 from dataclasses import fields, replace
+from functools import partial
 
 import pytest
 
@@ -11,17 +12,18 @@ from pursuitrl.experiment import (
     compute_metrics,
     config_to_lines,
     export_report,
+    log_instances,
     parse_config,
     read_blocks_csv,
     run_training,
     save_learned_tables,
 )
 from pursuitrl.env import grid_for
-from pursuitrl.hmrl import lower_state_ids
+from pursuitrl.hmrl import lower_state_ids, module_key
 from pursuitrl.knowledge import compile_rules, extract_rules, induce_tree, parse_rules
 from pursuitrl.profit_sharing import load_weights
 from pursuitrl.q_learning import load_q_table
-from reference import ModuleKey, cell_id, pack, rule_matches
+from reference import rule_matches, rule_weights
 
 QUICK = ExperimentConfig(trials=5, step_cap=60, block_ends=(3, 5))
 
@@ -289,13 +291,13 @@ def test_saved_tables_reload(tmp_path):
     assert q_loaded.values == agent.q.values
     assert meta["upper_decay"] == QUICK.upper_decay
 
+    grid = grid_for(QUICK.grid_side)
     merged = {}
     for prey in (0, 1):
-        bank, _ = load_weights(tmp_path / f"upper_h0_p{prey}.tsv")
-        merged.update({(pack(ModuleKey(*state), QUICK.grid_side),
-                        cell_id(action, QUICK.grid_side)): weight
-                       for (state, action), weight in bank.weights.items()})
-    assert merged == agent.upper.weights
+        bank, _ = load_weights(tmp_path / f"upper_h0_p{prey}.tsv",
+                               partial(module_key, grid), grid.cell_ids.__getitem__)
+        merged.update(rule_weights(bank))
+    assert merged == rule_weights(agent.upper)
 
 
 def test_rule_eval_stay_fallback_times_out():
@@ -385,10 +387,10 @@ def test_scenario_tables_instances_and_rules(name, tmp_path):
                 == {key: value.hex() for key, value in agent.q.values.items()})
         upper = {}
         for prey in (0, 1):
-            bank, _ = load_weights(tmp_path / f"upper_h{agent.index}_p{prey}.tsv")
-            upper.update({(pack(ModuleKey(*state), side), cell_id(target, side)): weight.hex()
-                          for (state, target), weight in bank.weights.items()})
-        assert upper == {key: weight.hex() for key, weight in agent.upper.weights.items()}
+            bank, _ = load_weights(tmp_path / f"upper_h{agent.index}_p{prey}.tsv",
+                                   partial(module_key, grid), grid.cell_ids.__getitem__)
+            upper.update({key: weight.hex() for key, weight in rule_weights(bank).items()})
+        assert upper == {key: weight.hex() for key, weight in rule_weights(agent.upper).items()}
 
     # Every logged offset is one a hunter can have on this grid.
     assert result.instances
@@ -403,3 +405,10 @@ def test_scenario_tables_instances_and_rules(name, tmp_path):
         for x, y in grid.offsets)
     evaluation = run_training(config, seed=13, rules=rules)
     assert len(evaluation.records) == config.trials
+
+
+def test_inverted_instance_window_logs_nothing(tmp_path):
+    result = run_training(replace(QUICK, instance_window=(4, 2)), seed=3)
+    assert result.instances == []
+    assert log_instances(result, tmp_path / "instances.csv") == 0
+    assert (tmp_path / "instances.csv").read_text() == "theta_x,theta_y,action\n"

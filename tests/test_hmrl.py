@@ -288,7 +288,7 @@ def test_reinforce_upper_closed_form(trace, gated, decay, reward):
     steps = list(trace)
     reinforce_upper(table, steps, reward, params, gated=gated)
     assert table.adds == expected_adds
-    assert table.weights == expected
+    assert reference.rule_weights(table) == expected
     assert steps == []
 
 

@@ -7,6 +7,7 @@ gives the same result and leaves the rng in the same state.
 
 from __future__ import annotations
 
+import ast
 import tempfile
 from pathlib import Path
 from random import Random
@@ -28,9 +29,9 @@ from pursuitrl.env import (
     step,
 )
 from pursuitrl.experiment import ExperimentConfig, TrainingResult, build_agents, save_learned_tables
-from pursuitrl.hmrl import select_target
+from pursuitrl.hmrl import module_key, module_text, select_target
 from pursuitrl.profit_sharing import load_weights
-from reference import ModuleKey, cell_id, lower_state, pack, positions, upper_table
+from reference import ModuleKey, cell_id, lower_state, pack, positions, rule_weights, upper_table
 
 
 def test_action_index_is_position_in_actions():
@@ -49,6 +50,7 @@ def test_grid_tables_match_geometry(side):
             cell = cell_id(pos, side)
             assert grid.cells[cell] == pos
             assert grid.cell_text[cell] == repr((x, y))
+            assert grid.cell_ids[repr((x, y))] == cell
             assert grid.legal_actions[cell] == reference.legal_actions(pos, side)
             assert tuple(ACTIONS[a] for a in grid.legal[cell]) == grid.legal_actions[cell]
             for action in ACTIONS:
@@ -59,8 +61,12 @@ def test_grid_tables_match_geometry(side):
             assert ([grid.cells[n] for n in grid.neighbors[cell]]
                     == reference.neighbor_cells(pos, side))
             for mode in CANDIDATE_MODES:
-                assert (tuple(grid.cells[c] for c in grid.candidates[mode][cell])
+                candidates = grid.candidates[mode][cell]
+                assert (tuple(grid.cells[c] for c in candidates)
                         == reference.candidate_cells(pos, side, mode))
+                assert grid.slots[mode][cell] == tuple(
+                    candidates.index(c) if c in candidates else len(candidates)
+                    for c in range(grid.size))
             for other in grid.cells:
                 other_cell = cell_id(other, side)
                 assert grid.distance[cell][other_cell] == abs(x - other.x) + abs(y - other.y)
@@ -166,9 +172,37 @@ def test_packed_tables_survive_save_load(side, data):
         for agent in agents:
             loaded = {}
             for prey in (0, 1):
-                bank, _ = load_weights(Path(out) / f"upper_h{agent.index}_p{prey}.tsv")
-                for (state, target), weight in bank.weights.items():
-                    key = ModuleKey(*state)
+                def decode_module(text, prey=prey):
+                    key = ModuleKey(*ast.literal_eval(text))
                     assert key.prey == prey and key.hunter == agent.index
-                    loaded[pack(key, side), cell_id(target, side)] = weight
-            assert loaded == agent.upper.weights
+                    return pack(key, side)
+
+                bank, _ = load_weights(Path(out) / f"upper_h{agent.index}_p{prey}.tsv",
+                                       decode_module,
+                                       lambda text: cell_id(ast.literal_eval(text), side))
+                loaded.update({(state, target): weight.hex()
+                               for state, target, weight in bank.rules()})
+            assert loaded == {key: weight.hex()
+                              for key, weight in rule_weights(agent.upper).items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(side=st.integers(3, 9), data=st.data())
+def test_module_key_reads_module_text(side, data):
+    coords = st.builds(Position, st.integers(0, side - 1), st.integers(0, side - 1))
+    key = data.draw(st.builds(ModuleKey, st.integers(0, 3), st.integers(0, 1),
+                              coords, coords, coords))
+    grid = grid_for(side)
+    packed = pack(key, side)
+    assert module_text(grid, packed) == repr(tuple(tuple(part) if isinstance(part, tuple)
+                                                   else part for part in key))
+    assert module_key(grid, module_text(grid, packed)) == packed
+
+
+@pytest.mark.parametrize("text", ["(4, 0, (0, 0), (0, 0), (0, 0))",
+                                  "(0, 2, (0, 0), (0, 0), (0, 0))",
+                                  "(0, 0, (0, 0), (0, 0))",
+                                  "(0, 0, (0, 0), (0, 0), (7, 0))"])
+def test_module_key_rejects_a_module_off_the_grid(text):
+    with pytest.raises((ValueError, KeyError)):
+        module_key(grid_for(7), text)

@@ -1,3 +1,4 @@
+import tracemalloc
 from random import Random
 
 import pytest
@@ -21,6 +22,10 @@ def test_params_require_wide_discount():
     PSParams(discount=5.0, rule_bound=4)
 
 
+# Rule states and actions are ids: states 10 and 11, actions 0 and 1.
+S_A, S_B, A, B = 10, 11, 0, 1
+
+
 def rule_trace(*rules):
     """An upper trace that fires one (state, action) rule per step, lone prey."""
     return [((state,), action, None) for state, action in rules]
@@ -28,26 +33,26 @@ def rule_trace(*rules):
 
 def test_reinforce_single_rule():
     table = WeightTable()
-    trace = rule_trace(("sA", "a"))
+    trace = rule_trace((S_A, A))
     reinforce_upper(table, trace, 100.0, ATFieldParams(decay=0.2))
-    assert table.get("sA", "a") == 100.0
+    assert table.get(S_A, A) == 100.0
     assert len(trace) == 0
 
 
 def test_reinforce_two_rules():
     table = WeightTable()
-    trace = rule_trace(("sA", "a"), ("sB", "b"))     # sB fired last, credited first
+    trace = rule_trace((S_A, A), (S_B, B))     # S_B fired last, credited first
     reinforce_upper(table, trace, 100.0, ATFieldParams(decay=0.2))
-    assert table.get("sB", "b") == 100.0
-    assert table.get("sA", "a") == pytest.approx(20.0, rel=1e-15)
+    assert table.get(S_B, B) == 100.0
+    assert table.get(S_A, A) == pytest.approx(20.0, rel=1e-15)
 
 
 def test_repeated_rule_gets_both_shares():
-    fired = [("sA", "a"), ("sB", "b"), ("sA", "a")]
+    fired = [(S_A, A), (S_B, B), (S_A, A)]
     expected = reference.profit_sharing(fired, 100.0, 5.0)
     table = WeightTable()
     reinforce_upper(table, rule_trace(*fired), 100.0, ATFieldParams(decay=0.2))
-    assert set(table.weights) == set(expected)
+    assert set(reference.rule_weights(table)) == set(expected)
     for rule, total in expected.items():
         assert table.get(*rule) == pytest.approx(total, rel=1e-15)
 
@@ -59,10 +64,10 @@ def test_empty_trace_with_reward_is_protocol_misuse():
 
 def test_zero_reward_leaves_table_unchanged():
     table = WeightTable()
-    table.add("s", "a", 3.0)
-    trace = rule_trace(("s", "a"), ("t", "b"))
+    table.add(S_A, A, 3.0)
+    trace = rule_trace((S_A, A), (S_B, B))
     reinforce_upper(table, trace, 0.0, ATFieldParams())
-    assert table.weights == {("s", "a"): 3.0}
+    assert reference.rule_weights(table) == {(S_A, A): 3.0}
     assert len(trace) == 0
 
 
@@ -70,10 +75,10 @@ def test_credit_conservation_matches_closed_form():
     decay = 0.8
     for length in (1, 3, 10, 40):
         table = WeightTable()
-        fired = [(f"s{i}", "a") for i in range(length)]
+        fired = [(i, A) for i in range(length)]
         reinforce_upper(table, rule_trace(*fired), 100.0, ATFieldParams(decay=decay),
                         gated=False)
-        total = sum(table.weights.values())
+        total = sum(table.weight)
         closed_form = 100.0 * (1 - decay**length) / (1 - decay)
         plain = sum(reference.profit_sharing(fired, 100.0, 1 / decay).values())
         assert total == pytest.approx(plain, rel=1e-12)
@@ -127,15 +132,18 @@ def test_weight_table_round_trip_is_bit_exact(tmp_path):
     table = WeightTable()
     rng = Random(9)
     for i in range(200):
-        state = (i % 7, (i * 3) % 5)
-        table.add(state, f"a{i % 4}", rng.uniform(-1e3, 1e3) / 3.0)
+        state = (i % 7) * 5 + (i * 3) % 5
+        table.add(state, i % 4, rng.uniform(-1e3, 1e3) / 3.0)
     path = tmp_path / "weights.tsv"
     save_weights(path, table, {"upper_decay": 0.8})
-    loaded, meta = load_weights(path)
-    assert loaded.weights == table.weights
+    loaded, meta = load_weights(path, int, int)
+    assert ({rule: weight.hex() for rule, weight in reference.rule_weights(loaded).items()}
+            == {rule: weight.hex() for rule, weight in reference.rule_weights(table).items()})
     # A loaded table adds its rules in the file's sorted text order.
-    assert ({state: set(actions) for state, actions in loaded.states.items()}
-            == {state: set(actions) for state, actions in table.states.items()})
+    assert ({state: {loaded.cell[rule] for rule in loaded.rule_ids(state)}
+             for state in loaded.states}
+            == {state: {table.cell[rule] for rule in table.rule_ids(state)}
+                for state in table.states})
     assert meta == {"upper_decay": 0.8}
 
 
@@ -145,24 +153,63 @@ def test_weight_table_round_trip_is_bit_exact(tmp_path):
                      max_size=60))
 def test_rule_index_lists_each_rule_of_a_state_once(adds):
     table = WeightTable()
-    first_added: dict = {}
+    first_added: dict = {}          # state -> action -> rule id, in first-add order
+    expected: dict = {}
     for state, action, amount in adds:
         table.add(state, action, amount)
-        first_added.setdefault(state, {}).setdefault(action, None)
-    assert table.states == {state: tuple(actions) for state, actions in first_added.items()}
-    assert sorted((s, a) for s, actions in table.states.items() for a in actions) \
-        == sorted(table.weights)
+        actions = first_added.setdefault(state, {})
+        if action not in actions:
+            actions[action] = len(expected)
+        expected[state, action] = expected.get((state, action), 0.0) + amount
+    # A state's index is its one rule id, or the tuple of its ids in first-add order.
+    assert table.states == {state: ids[0] if len(ids) == 1 else tuple(ids)
+                            for state, ids in ((state, list(actions.values()))
+                                               for state, actions in first_added.items())}
+    for state, actions in first_added.items():
+        assert [table.cell[rule] for rule in table.rule_ids(state)] == list(actions)
+    assert len(table) == len(expected) == len(table.weight) == len(table.cell)
+    assert ({rule: weight.hex() for rule, weight in reference.rule_weights(table).items()}
+            == {rule: weight.hex() for rule, weight in expected.items()})
+
+
+def test_weight_table_holds_a_rule_in_at_most_150_bytes():
+    # 20,000 modules with packed-size keys, one in eight with a second
+    # rule: about the shape of a trained table (most modules hold one rule).
+    start = tracemalloc.is_tracing()
+    if not start:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = WeightTable()
+        for i in range(20_000):
+            module = 1_000_003 + 37 * i
+            table.add(module, i % 49, 1.5)
+            if i % 8 == 0:
+                table.add(module, (i + 1) % 49, 2.5)
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not start:
+            tracemalloc.stop()
+    assert len(table) == 22_500
+    assert size / len(table) <= 150
 
 
 def test_load_weights_rejects_nonzero_default(tmp_path):
     path = tmp_path / "weights.tsv"
-    path.write_text("# default_weight = 0.5\n('s',)\t'a'\t1.0\n")
+    path.write_text("# default_weight = 0.5\n10\t0\t1.0\n")
     with pytest.raises(ValueError, match="weights.tsv.*default_weight"):
-        load_weights(path)
+        load_weights(path, int, int)
 
 
 def test_load_weights_names_malformed_line(tmp_path):
     path = tmp_path / "weights.tsv"
-    path.write_text("# default_weight = 0.0\n('s',)\t'a'\t1.0\n('t',)\t'b'\n")
-    with pytest.raises(ValueError, match=r"weights\.tsv:3: .*\('t',\)"):
-        load_weights(path)
+    path.write_text("# default_weight = 0.0\n10\t0\t1.0\n11\t1\n")
+    with pytest.raises(ValueError, match=r"weights\.tsv:3: .*'11\\t1'"):
+        load_weights(path, int, int)
+
+
+def test_load_weights_names_repeated_row(tmp_path):
+    path = tmp_path / "weights.tsv"
+    path.write_text("# default_weight = 0.0\n10\t0\t1.0\n10\t1\t2.0\n10\t0\t3.0\n")
+    with pytest.raises(ValueError, match=r"weights\.tsv:4: .* line 2"):
+        load_weights(path, int, int)

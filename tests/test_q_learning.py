@@ -258,3 +258,11 @@ def test_q_table_lists_written_entries_only(tmp_path):
     save_q_table(path, table, partial(lower_state_text, GRID))
     rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
     assert rows == ["((-6, -4), 1)\tstay\t10.0", "((-6, -5), 1)\tright\t0.0"]
+
+
+def test_load_q_table_names_repeated_row(tmp_path):
+    path = tmp_path / "q.tsv"
+    path.write_text("# alpha = 0.1\n# gamma = 0.9\n((0, 1), 0)\tup\t2.5\n"
+                    "((0, 1), 0)\tdown\t1.0\n((0, 1), 0)\tup\t3.5\n")
+    with pytest.raises(ValueError, match=r"q\.tsv:5: .* line 3"):
+        load_q_table(path, STATE_IDS.__getitem__)
