@@ -26,7 +26,6 @@ from .experiment import (
 from .hmrl import (
     ATFieldParams,
     HunterAgent,
-    TargetChoice,
     atf,
     deliver_rewards,
     reinforce_upper,

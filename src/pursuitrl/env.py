@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from random import Random
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .tableio import load_csv
 
@@ -125,14 +125,17 @@ class Grid:
         # or the index one past the last candidate for any other cell
         self.slots = {mode: tuple(_slots(cells, self.size) for cells in rows)
                       for mode, rows in self.candidates.items()}
-        self._powers: dict[float, tuple[float, ...]] = {}
+        self._divisors: dict[float, tuple[tuple[float, ...], ...]] = {}
 
-    def discount_powers(self, base: float) -> tuple[float, ...]:
-        """``base ** d`` for every distance ``d`` on this grid."""
-        powers = self._powers.get(base)
-        if powers is None:
-            powers = self._powers[base] = tuple(base**d for d in range(2 * self.side - 1))
-        return powers
+    def reach_divisors(self, base: float) -> tuple[tuple[float, ...], ...]:
+        """``base ** d`` for the distance ``d`` from every cell (outer) to
+        every cell (inner)."""
+        rows = self._divisors.get(base)
+        if rows is None:
+            powers = [base**d for d in range(2 * self.side - 1)]
+            rows = self._divisors[base] = tuple(tuple(powers[d] for d in row)
+                                                for row in self.distance)
+        return rows
 
 
 def _slots(cells: Sequence[int], size: int) -> tuple[int, ...]:
@@ -203,7 +206,8 @@ def below(rng: Random, n: int) -> int:
     return r
 
 
-PreyPolicy = Callable[[WorldState, int, Sequence[Action], Random], Action]
+if TYPE_CHECKING:   # a runtime subscription would pin this module in typing's cache
+    PreyPolicy = Callable[[WorldState, int, Sequence[Action], Random], Action]
 
 
 def random_prey_policy(state: WorldState, prey_index: int,
@@ -236,62 +240,70 @@ def step(state: WorldState, hunter_actions: Sequence[Action], rng: Random,
 
     # Prey draws happen before the priority draw, in prey order, so the
     # rng stream for a step is well defined.
-    live = [j for j, prey in enumerate(state.prey) if prey.alive]
-    for j in live:
-        cell = state.prey[j].cell
-        action = prey_policy(state, j, grid.legal_actions[cell], rng)
-        target = moves[cell][action.index]
-        if target < 0:
-            raise ValueError(f"illegal prey action {action.name} for prey {j}")
-        current.append(cell)
-        dest.append(target)
+    for j, prey in enumerate(state.prey):
+        if prey.alive:
+            cell = prey.cell
+            action = prey_policy(state, j, grid.legal_actions[cell], rng)
+            target = moves[cell][action.index]
+            if target < 0:
+                raise ValueError(f"illegal prey action {action.name} for prey {j}")
+            current.append(cell)
+            dest.append(target)
 
-    order = list(range(len(current)))
-    for i in range(len(order) - 1, 0, -1):     # Random.shuffle's Fisher-Yates walk
+    n = len(current)
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):     # Random.shuffle's Fisher-Yates walk
         j = below(rng, i + 1)
         order[i], order[j] = order[j], order[i]
-    moving = [d != c for c, d in zip(current, dest)]
-    blocked = [False] * len(current)
 
-    # Same destination: the best-ranked claimant moves, the rest stay.
-    claimed: set[int] = set()
-    for k in order:
-        if moving[k]:
-            if dest[k] in claimed:
-                moving[k] = False
-                blocked[k] = True
-            else:
-                claimed.add(dest[k])
-
-    # A move onto a cell whose occupant ends up staying is blocked; each
-    # new stayer can block further movers, so iterate to a fixed point.
-    stay_cells = {c for c, m in zip(current, moving) if not m}
-    changed = True
-    while changed:
-        changed = False
+    if len(set(dest)) == n:
+        # Distinct destinations: a stayer's destination is its own cell, so
+        # no move can be blocked.
+        final = dest
+        blocked_moves = []
+    else:
+        # Same destination: the best-ranked claimant moves, the rest stay.
+        heading: dict[int, int] = {}    # destination -> the mover that claimed it
+        blocked = [False] * n
         for k in order:
-            if moving[k] and dest[k] in stay_cells:
-                moving[k] = False
+            target = dest[k]
+            if target != current[k]:
+                if target in heading:
+                    blocked[k] = True
+                else:
+                    heading[target] = k
+        # A move onto a cell whose occupant ends up staying is blocked, and
+        # makes the blocked mover's own cell a stayer's cell in turn.
+        stay_cells = [c for c, d, b in zip(current, dest, blocked) if b or c == d]
+        while stay_cells:
+            k = heading.pop(stay_cells.pop(), None)
+            if k is not None:
                 blocked[k] = True
-                stay_cells.add(current[k])
-                changed = True
+                stay_cells.append(current[k])
+        final = current
+        for target, k in heading.items():
+            final[k] = target
+        names = HUNTER_IDS + tuple(PREY_IDS[j] for j, p in enumerate(state.prey) if p.alive)
+        blocked_moves = [names[k] for k in order if blocked[k]]
 
-    final = [d if m else c for c, d, m in zip(current, dest, moving)]
-    prey = [PreyState(p.cell, p.alive, p.kind) for p in state.prey]
-    for j, cell in zip(live, final[N_HUNTERS:]):
-        prey[j].cell = cell
-    next_state = WorldState(state.side, final[:N_HUNTERS], prey, state.step_count + 1)
-
+    hunters = final[:N_HUNTERS]
+    hunter_cells = set(hunters)
+    neighbors = grid.neighbors
     captures: list[tuple[int, PreyKind]] = []
-    hunter_cells = set(final[:N_HUNTERS])
-    for j, cell in zip(live, final[N_HUNTERS:]):
-        if hunter_cells.issuperset(grid.neighbors[cell]):
-            captures.append((j, prey[j].kind))
-            prey[j].alive = False
-
-    return StepOutcome(next_state, captures, [
-        HUNTER_IDS[k] if k < N_HUNTERS else PREY_IDS[live[k - N_HUNTERS]]
-        for k in order if blocked[k]])
+    next_prey: list[PreyState] = []
+    k = N_HUNTERS
+    for j, p in enumerate(state.prey):
+        if p.alive:
+            cell = final[k]
+            k += 1
+            alive = not hunter_cells.issuperset(neighbors[cell])
+            if not alive:
+                captures.append((j, p.kind))
+            next_prey.append(PreyState(cell, alive, p.kind))
+        else:
+            next_prey.append(PreyState(p.cell, False, p.kind))
+    return StepOutcome(WorldState(state.side, hunters, next_prey, state.step_count + 1),
+                       captures, blocked_moves)
 
 
 def trajectory_rows(state: WorldState) -> list[tuple[int, str, int, int]]:

@@ -23,8 +23,9 @@ from __future__ import annotations
 import ast
 import logging
 from dataclasses import dataclass
+from operator import truediv
 from random import Random
-from typing import Literal, NamedTuple, Sequence
+from typing import Literal, Sequence
 
 from .env import (
     ACTIONS,
@@ -126,20 +127,16 @@ def lower_state_ids(grid: Grid) -> dict[str, int]:
     return {lower_state_text(grid, s): s for s in range(len(grid.offsets) * N_PREY)}
 
 
-class TargetChoice(NamedTuple):
-    prey: int
-    modules: tuple[int, ...]   # packed module key per peer: the rules fired with
-    cell: int                  # the target's cell id
-
-
 CandidateMode = Literal["ring2", "all"]
 
 
 def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
                   rng: Random, reach_discount: float = 2.0,
                   exploration: float = 0.0,
-                  candidates: CandidateMode = "ring2") -> TargetChoice:
-    """Pick the commanded target cell for one hunter.
+                  candidates: CandidateMode = "ring2") -> tuple[int, tuple[int, ...], int]:
+    """Pick the commanded target cell for one hunter: ``(prey, modules,
+    cell)``, the chased prey, the packed module key per peer (the rules
+    fired with) and the target's cell id.
 
     With two live prey the nearer one (by Manhattan distance) is chased;
     equidistant prey are chosen at random. The cell is the candidate
@@ -149,15 +146,11 @@ def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
     if reach_discount < 1.0:
         raise ValueError(f"reach discount must be >= 1, got {reach_discount}")
     first, second = prey = state.prey      # N_PREY == 2
-    if not (first.alive or second.alive):
-        raise ValueError("no alive prey to target")
-
     grid = grid_for(state.side)
-    n = grid.size
     hunters = state.hunters
     own = hunters[hunter_index]
-    distance = grid.distance[own]
     if first.alive and second.alive:
+        distance = grid.distance[own]
         d0 = distance[first.cell]
         d1 = distance[second.cell]
         if d0 != d1:
@@ -166,20 +159,23 @@ def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
             prey_index = below(rng, 2)
             logger.debug("hunter %d equidistant from both prey, chose %d",
                          hunter_index, prey_index)
-    else:
+    elif first.alive or second.alive:
         prey_index = 0 if first.alive else 1
+    else:
+        raise ValueError("no alive prey to target")
 
     goal = prey[prey_index].cell
     cells = grid.candidates[candidates][goal]
-    head = ((hunter_index * N_PREY + prey_index) * n + own) * n
+    n = grid.size
+    head = ((hunter_index * N_PREY + prey_index) * n + own) * n * n + goal
     p0, p1, p2 = _PEERS[hunter_index]       # N_HUNTERS == 4
-    modules = ((head + hunters[p0]) * n + goal, (head + hunters[p1]) * n + goal,
-               (head + hunters[p2]) * n + goal)
+    m0, m1, m2 = modules = (head + hunters[p0] * n, head + hunters[p1] * n,
+                            head + hunters[p2] * n)
     if exploration > 0.0 and rng.random() < exploration:
-        return TargetChoice(prey_index, modules, cells[below(rng, len(cells))])
+        return prey_index, modules, cells[below(rng, len(cells))]
 
     states = weights.states
-    if modules[0] in states or modules[1] in states or modules[2] in states:
+    if m0 in states or m1 in states or m2 in states:
         # Each module's rules are added into their cells' slots, in peer
         # order; a missing rule would add +0.0, which changes no sum. A
         # cell outside the candidates lands in the spare last slot.
@@ -195,15 +191,15 @@ def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
             else:
                 for rule in rules:
                     totals[slot[cell_of[rule]]] += weight[rule]
-        powers = grid.discount_powers(reach_discount)
-        scores = [total / powers[distance[cell]] for total, cell in zip(totals, cells)]
+        divisors = grid.reach_divisors(reach_discount)[own]
+        scores = list(map(truediv, totals, map(divisors.__getitem__, cells)))
         best_score = max(scores)
         if scores.count(best_score) == 1:
-            return TargetChoice(prey_index, modules, cells[scores.index(best_score)])
+            return prey_index, modules, cells[scores.index(best_score)]
         best = [cell for cell, score in zip(cells, scores) if score == best_score]
     else:
         best = cells            # zero weights everywhere: every candidate ties
-    return TargetChoice(prey_index, modules, best[below(rng, len(best))])
+    return prey_index, modules, best[below(rng, len(best))]
 
 
 # A trace step: the fired packed modules (one per peer), the commanded cell
@@ -260,26 +256,27 @@ class HunterAgent:
 
     def policy_step(self, state: WorldState, rng: Random, exploration: float) -> Action:
         """Select this step's target, then the move toward it."""
-        choice = select_target(self.upper, self.index, state, rng, self.reach_discount,
-                               exploration, self.candidates)
+        index = self.index
+        prey, modules, target = select_target(self.upper, index, state, rng,
+                                              self.reach_discount, exploration,
+                                              self.candidates)
         grid = grid_for(state.side)
         first, second = state.prey
-        target = choice.cell
-        self.trace.append((choice.modules, target,
-                           grid.distance[first.cell][second.cell]
+        self.trace.append((modules, target, grid.distance[first.cell][second.cell]
                            if first.alive and second.alive else None))
 
-        own = state.hunters[self.index]
-        lower = grid.offset[own][target] * N_PREY + choice.prey
+        own = state.hunters[index]
+        lower = grid.offset[own][target] * N_PREY + prey
         action = epsilon_greedy(self.q, lower, grid.legal[own], exploration, rng)
         self.pending = (lower, action, target)
         return ACTIONS[action]
 
     def observe(self, next_state: WorldState) -> bool:
         """Lower-layer update after the world moved; True if the target was reached."""
-        if self.pending is None:
+        pending = self.pending
+        if pending is None:
             raise RuntimeError("observe() without a preceding policy_step()")
-        lower, action, target = self.pending
+        lower, action, target = pending
         self.pending = None
         cell = next_state.hunters[self.index]
         reached = cell == target
@@ -303,7 +300,8 @@ def deliver_rewards(agents: Sequence[HunterAgent], outcome: StepOutcome,
     traces are settled with the positive or the dangerous reward.
     Returns the per-hunter target-reached flags.
     """
-    reached = [agent.observe(outcome.next_state) for agent in agents]
+    next_state = outcome.next_state
+    reached = [agent.observe(next_state) for agent in agents]
     if outcome.captures:
         positive = any(kind is PreyKind.POSITIVE for _, kind in outcome.captures)
         reward = positive_reward if positive else dangerous_reward

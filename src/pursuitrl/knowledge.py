@@ -13,7 +13,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, Union
 
 from .env import ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, Action, Grid
 from .tableio import load_csv
@@ -50,7 +50,8 @@ class Split:
     gt_child: "TreeNode"
 
 
-TreeNode = Union[Leaf, Split]
+if TYPE_CHECKING:   # a runtime subscription would pin this module in typing's cache
+    TreeNode = Union[Leaf, Split]
 
 
 @dataclass(frozen=True)

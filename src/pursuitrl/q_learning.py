@@ -5,14 +5,12 @@ The hunters' states are lower-layer state ids (:func:`hmrl.lower_state_text`).
 
 from __future__ import annotations
 
-import math
+from math import isfinite
 from random import Random
 from typing import Hashable, Sequence
 
 from .env import ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, below
 from .tableio import Decoder, Encoder, load_table, save_table
-
-StateKey = Hashable
 
 
 class QTable:
@@ -31,41 +29,40 @@ class QTable:
         self.alpha = alpha
         self.gamma = gamma
         self.actions = tuple(actions)
-        self.rows: dict[StateKey, list[float]] = {}
-        self.written: set[tuple[StateKey, int]] = set()
+        self.rows: dict[Hashable, list[float]] = {}
+        self.written: set[tuple[Hashable, int]] = set()
 
     @property
-    def values(self) -> dict[tuple[StateKey, int], float]:
+    def values(self) -> dict[tuple[Hashable, int], float]:
         """The written entries by ``(state, action index)``."""
         rows = self.rows
         return {(state, action): rows[state][action] for state, action in self.written}
 
-    def get(self, state: StateKey, action: int) -> float:
+    def get(self, state: Hashable, action: int) -> float:
         row = self.rows.get(state)
         return 0.0 if row is None else row[action]
 
-    def set(self, state: StateKey, action: int, value: float) -> None:
+    def set(self, state: Hashable, action: int, value: float) -> None:
         self.rows.setdefault(state, [0.0] * len(self.actions))[action] = value
         self.written.add((state, action))
 
 
-def q_update(table: QTable, state: StateKey, action: int, reward: float,
-             next_state: StateKey, terminal: bool, alpha: float | None = None) -> QTable:
+def q_update(table: QTable, state: Hashable, action: int, reward: float,
+             next_state: Hashable, terminal: bool) -> QTable:
     """One temporal-difference backup toward reward + discounted best next value."""
-    if not math.isfinite(reward):
+    if not isfinite(reward):
         raise ValueError(f"non-finite reward: {reward}")
-    step = table.alpha if alpha is None else alpha
     rows = table.rows
     next_row = None if terminal else rows.get(next_state)
     bootstrap = 0.0 if next_row is None else table.gamma * max(next_row)
     row = rows.get(state) or rows.setdefault(state, [0.0] * len(table.actions))
     old = row[action]
-    row[action] = old + step * (reward + bootstrap - old)
+    row[action] = old + table.alpha * (reward + bootstrap - old)
     table.written.add((state, action))
     return table
 
 
-def epsilon_greedy(table: QTable, state: StateKey, legal: Sequence[int],
+def epsilon_greedy(table: QTable, state: Hashable, legal: Sequence[int],
                    epsilon: float, rng: Random) -> int:
     """Greedy action index over ``legal`` with uniform tie-break, exploring
     with probability ``epsilon``."""
@@ -74,7 +71,7 @@ def epsilon_greedy(table: QTable, state: StateKey, legal: Sequence[int],
     if epsilon > 0.0 and rng.random() < epsilon:
         return legal[below(rng, len(legal))]
     row = table.rows.get(state)
-    scores = [row[a] for a in legal] if row else [0.0] * len(legal)
+    scores = list(map(row.__getitem__, legal)) if row else [0.0] * len(legal)
     best_value = max(scores)
     if scores.count(best_value) == 1:
         return legal[scores.index(best_value)]

@@ -159,10 +159,12 @@ def rule_matches(rule, theta_x: int, theta_y: int) -> bool:
     return True
 
 
-def step(state: WorldState, hunter_actions, rng: Random):
+def step(state: WorldState, hunter_actions, rng: Random, prey_actions=None):
     """One world tick with agent-id dicts: ``(next_state, captures, blocked)``.
 
-    Same rules and rng draws as :func:`pursuitrl.env.step` with random prey.
+    Same rules and rng draws as :func:`pursuitrl.env.step` with random prey,
+    or with the prey policy that moves each live prey ``j`` by
+    ``prey_actions[j]`` (drawing nothing for it).
     """
     side = state.side
     hunter_positions, prey_positions = positions(state)
@@ -174,7 +176,8 @@ def step(state: WorldState, hunter_actions, rng: Random):
     for j, prey in enumerate(state.prey):
         if prey.alive:
             pos = prey_positions[j]
-            action = rng.choice(legal_actions(pos, side))
+            action = (rng.choice(legal_actions(pos, side)) if prey_actions is None
+                      else prey_actions[j])
             current[f"p{j}"] = pos
             dest[f"p{j}"] = Position(pos.x + action.value[0], pos.y + action.value[1])
     order = list(current)

@@ -141,8 +141,8 @@ def test_criterion_4_q_learning_matches_value_iteration():
         action = rng.choice(legal_actions(state, side))
         visits[(state, action)] += 1
         (_, nxt, r), = transitions[(state, action)]
-        q_update(table, state, action.index, r, nxt, terminal=nxt == target,
-                 alpha=visits[(state, action)] ** -0.6)
+        table.alpha = visits[(state, action)] ** -0.6     # decaying per-entry step size
+        q_update(table, state, action.index, r, nxt, terminal=nxt == target)
 
     tolerance = 1e-3
     tie_eps = 1e-6

@@ -1,3 +1,9 @@
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pursuitrl
 from pursuitrl import cli
 from pursuitrl.experiment import read_blocks_csv
 from pursuitrl.knowledge import load_rules
@@ -85,3 +91,24 @@ def test_replay_takes_side_from_run_metadata(tmp_path, capsys):
     assert printed_grid_widths(capsys.readouterr().out) == {9}
     assert run_cli("replay", "--trajectory", lone, "--side", 10) == 0
     assert printed_grid_widths(capsys.readouterr().out) == {10}
+
+
+def test_reimporting_the_package_frees_the_old_copies():
+    # A shell command imports the package afresh; an earlier copy must not
+    # stay reachable (say, from typing's subscription cache) with its grids.
+    # A subprocess keeps the re-imported classes out of the other tests.
+    script = textwrap.dedent(f"""
+        import gc, importlib, sys, weakref
+        sys.path.insert(0, {str(Path(pursuitrl.__file__).parents[1])!r})
+        copies = []
+        for _ in range(5):
+            for name in [n for n in sys.modules if n.split(".")[0] == "pursuitrl"]:
+                del sys.modules[name]
+            importlib.import_module("pursuitrl.cli")
+            copies.append(weakref.ref(sys.modules["pursuitrl.env"].Action))
+        gc.collect()
+        print(sum(copy() is not None for copy in copies))
+    """)
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.strip() == "1"

@@ -78,25 +78,25 @@ def test_select_target_equal_weights_prefers_nearest():
         for peer in (Position(6, 6), Position(6, 0), Position(0, 6)):
             weights.add(pack(ModuleKey(0, 0, Position(0, 0), peer, Position(3, 3)), 7),
                         cell_id(cell, 7), 1.0)
-    choice = select_target(weights, 0, world, Random(0), reach_discount=2.0)
+    _, _, cell = select_target(weights, 0, world, Random(0), reach_discount=2.0)
     # Nearest candidates to (0,0) around prey (3,3) sit at distance 4.
-    target = position(choice.cell, 7)
+    target = position(cell, 7)
     assert abs(target.x) + abs(target.y) == 4
 
 
 def test_select_target_uses_nearer_prey_bank():
     world = make_world([(2, 3), (6, 6), (6, 0), (0, 6)], [(3, 3), (0, 6)])
-    choice = select_target(WeightTable(), 0, world, Random(1))
-    assert choice.prey == 0
+    prey, _, _ = select_target(WeightTable(), 0, world, Random(1))
+    assert prey == 0
 
     far_world = make_world([(1, 6), (6, 6), (6, 0), (3, 0)], [(3, 3), (0, 6)])
-    choice = select_target(WeightTable(), 0, far_world, Random(1))
-    assert choice.prey == 1
+    prey, _, _ = select_target(WeightTable(), 0, far_world, Random(1))
+    assert prey == 1
 
 
 def test_select_target_equidistant_prey_random():
     world = make_world([(3, 0), (6, 6), (6, 0), (0, 6)], [(1, 0), (5, 0)])
-    picks = {select_target(WeightTable(), 0, world, Random(seed)).prey
+    picks = {select_target(WeightTable(), 0, world, Random(seed))[0]
              for seed in range(40)}
     assert picks == {0, 1}
 
@@ -126,9 +126,9 @@ def test_select_target_matches_exhaustive_argmax():
         top = max(scored.values())
         return {cell for cell, s in scored.items() if s == top}
 
-    choice = select_target(weights, 0, world, Random(0), reach_discount=1.0,
-                           candidates="all")
-    assert position(choice.cell, 3) in brute_force_best()
+    _, _, cell = select_target(weights, 0, world, Random(0), reach_discount=1.0,
+                               candidates="all")
+    assert position(cell, 3) in brute_force_best()
 
 
 def test_select_target_scale_invariant_argmax():
@@ -156,8 +156,8 @@ def test_select_target_scale_invariant_argmax():
         return {cell for cell, s in scores.items() if s >= top * (1 - 1e-12)}
 
     assert argmax_set(weights) == argmax_set(scaled)
-    pick = select_target(weights, 0, world, Random(3))
-    assert position(pick.cell, 7) in argmax_set(weights)
+    _, _, pick = select_target(weights, 0, world, Random(3))
+    assert position(pick, 7) in argmax_set(weights)
 
 
 def test_select_target_requires_alive_prey():
@@ -172,10 +172,10 @@ def test_select_target_stays_in_candidate_set():
     for seed in range(30):
         world = make_world([(rng.randrange(7), rng.randrange(7)),
                             (6, 6), (6, 0), (0, 6)], [(3, 4), (1, 1)])
-        choice = select_target(WeightTable(), 0, world, Random(seed),
-                               exploration=0.5)
-        goal = position(world.prey[choice.prey].cell, 7)
-        assert position(choice.cell, 7) in candidate_cells(goal, 7, "ring2")
+        prey, _, cell = select_target(WeightTable(), 0, world, Random(seed),
+                                      exploration=0.5)
+        goal = position(world.prey[prey].cell, 7)
+        assert position(cell, 7) in candidate_cells(goal, 7, "ring2")
 
 
 def fired_rule(tag):
@@ -386,6 +386,6 @@ def test_dead_prey_never_targeted():
     world = make_world([(5, 5), (6, 6), (6, 0), (0, 6)], [(3, 3), (6, 4)],
                        alive=(False, True))
     for seed in range(20):
-        choice = select_target(WeightTable(), 0, world, Random(seed),
-                               exploration=0.3)
-        assert choice.prey == 1
+        prey, _, _ = select_target(WeightTable(), 0, world, Random(seed),
+                                   exploration=0.3)
+        assert prey == 1

@@ -13,7 +13,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -125,16 +125,17 @@ def test_select_target_matches_brute_force(world, hunter, mode, reach, explorati
                                            weight_seed, seed):
     rules = random_rules(world, hunter, mode, weight_seed)
     rng, reference_rng = Random(seed), Random(seed)
-    choice = select_target(upper_table(rules, world.side), hunter, world, rng,
-                           reach_discount=reach, exploration=exploration, candidates=mode)
+    chosen_prey, modules, cell = select_target(upper_table(rules, world.side), hunter, world,
+                                               rng, reach_discount=reach,
+                                               exploration=exploration, candidates=mode)
     target, prey = reference.select_target(rules, hunter, world, reference_rng,
                                            reach, exploration, mode)
-    assert (choice.cell, choice.prey) == (cell_id(target, world.side), prey)
+    assert (cell, chosen_prey) == (cell_id(target, world.side), prey)
     assert rng.getstate() == reference_rng.getstate()
     hunters, prey_positions = positions(world)
     own, goal = hunters[hunter], prey_positions[prey]
-    assert choice.modules == tuple(pack(ModuleKey(hunter, prey, own, peer, goal), world.side)
-                                   for k, peer in enumerate(hunters) if k != hunter)
+    assert modules == tuple(pack(ModuleKey(hunter, prey, own, peer, goal), world.side)
+                            for k, peer in enumerate(hunters) if k != hunter)
 
 
 @settings(max_examples=300, deadline=None)
@@ -148,6 +149,58 @@ def test_step_matches_agent_dict_reference(world, data, seed):
     assert outcome.next_state == next_state
     assert outcome.captures == captures
     assert outcome.blocked_moves == blocked
+    assert rng.getstate() == reference_rng.getstate()
+
+
+@st.composite
+def steps_with_known_prey_moves(draw):
+    """A world, legal hunter actions, and a legal move for each live prey."""
+    world = draw(worlds())
+    hunters, prey_positions = positions(world)
+    actions = [draw(st.sampled_from(reference.legal_actions(pos, world.side)))
+               for pos in hunters]
+    prey_actions = {j: draw(st.sampled_from(reference.legal_actions(prey_positions[j],
+                                                                    world.side)))
+                    for j, prey in enumerate(world.prey) if prey.alive}
+    return world, actions, prey_actions
+
+
+def corner_world(hunters, prey):
+    """Side-5 world with hunters and both prey alive at ``(x, y)`` cells."""
+    return WorldState(5, [cell_id(c, 5) for c in hunters],
+                      [PreyState(cell_id(c, 5), True, kind)
+                       for c, kind in zip(prey, (PreyKind.POSITIVE, PreyKind.DANGEROUS))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=steps_with_known_prey_moves(), seed=st.integers(0, 2**32 - 1))
+# Every destination distinct, prey moves included.
+@example(case=(corner_world([(0, 0), (0, 4), (4, 0), (4, 4)], [(2, 2), (1, 2)]),
+               [Action.SOUTH, Action.NORTH, Action.SOUTH, Action.NORTH],
+               {0: Action.STAY, 1: Action.WEST}), seed=1)
+# Hunter destinations distinct, but prey 1 claims hunter 0's destination.
+@example(case=(corner_world([(0, 1), (0, 4), (4, 0), (4, 4)], [(2, 2), (1, 2)]),
+               [Action.SOUTH, Action.NORTH, Action.SOUTH, Action.NORTH],
+               {0: Action.STAY, 1: Action.WEST}), seed=1)
+def test_step_blocks_no_one_when_destinations_are_distinct(case, seed):
+    world, actions, prey_actions = case
+    grid = grid_for(world.side)
+    cells = [*world.hunters, *(world.prey[j].cell for j in prey_actions)]
+    dest = [grid.moves[cell][action.index]
+            for cell, action in zip(cells, [*actions, *prey_actions.values()])]
+    rng, reference_rng = Random(seed), Random(seed)
+    outcome = step(world, actions, rng,
+                   prey_policy=lambda state, j, legal, rng: prey_actions[j])
+    if len(set(dest)) == len(dest):
+        event("distinct destinations")
+        assert outcome.blocked_moves == []
+        assert outcome.next_state.hunters == dest[:len(world.hunters)]
+        assert ([outcome.next_state.prey[j].cell for j in prey_actions]
+                == dest[len(world.hunters):])
+    else:
+        event("a shared destination")
+    assert (outcome.next_state, outcome.captures, outcome.blocked_moves) == \
+        reference.step(world, actions, reference_rng, prey_actions)
     assert rng.getstate() == reference_rng.getstate()
 
 
