@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import env, hmrl, knowledge, profit_sharing, q_learning
 from .env import ACTION_LABELS, ACTIONS, CANDIDATE_MODES, N_PREY, Action, PreyKind
-from .hmrl import ATFieldParams, HunterAgent, deliver_rewards, module_prey, module_text
+from .hmrl import ATFieldParams, HunterAgent, deliver_rewards, module_text
 from .knowledge import IfThenRule, Instance, compile_rules, rule_policy_act
 
 
@@ -482,10 +482,11 @@ def save_learned_tables(out_dir, result: TrainingResult) -> None:
     meta = run_meta(result.config)
     grid = env.grid_for(result.config.grid_side)
     encode_module = partial(module_text, grid)
+    prey_place = grid.size ** 3         # place value of a module key's prey digit
     for agent in result.agents:
-        banks: list[list[int]] = [[] for _ in range(env.N_PREY)]    # modules by prey
+        banks: list[list[int]] = [[] for _ in range(N_PREY)]    # modules by prey
         for module in agent.upper.states:
-            banks[module_prey(grid, module)].append(module)
+            banks[module // prey_place % N_PREY].append(module)
         for prey_index, modules in enumerate(banks):
             profit_sharing.save_weights(
                 out / f"upper_h{agent.index}_p{prey_index}.tsv", agent.upper, meta,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import ast
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import truediv
 from random import Random
 from typing import Literal, Sequence
@@ -91,11 +92,16 @@ def module_text(grid: Grid, key: int) -> str:
     """
     n = grid.size
     rest, goal = divmod(key, n)
-    rest, peer = divmod(rest, n)
-    rest, own = divmod(rest, n)
-    hunter, prey = divmod(rest, N_PREY)
+    head, peer = divmod(rest, n)
     text = grid.cell_text
-    return f"({hunter}, {prey}, {text[own]}, {text[peer]}, {text[goal]})"
+    return f"{_module_heads(grid)[head]}{text[peer]}, {text[goal]})"
+
+
+@lru_cache(maxsize=None)
+def _module_heads(grid: Grid) -> tuple[str, ...]:
+    """``"(hunter, prey, (x, y), "`` by ``(hunter * N_PREY + prey) * n + own``."""
+    return tuple(f"({hunter}, {prey}, {own}, " for hunter in range(N_HUNTERS)
+                 for prey in range(N_PREY) for own in grid.cell_text)
 
 
 def module_key(grid: Grid, text: str) -> int:
@@ -107,11 +113,6 @@ def module_key(grid: Grid, text: str) -> int:
     for x, y in cells:
         key = key * grid.size + grid.cell_ids[f"({x}, {y})"]
     return key
-
-
-def module_prey(grid: Grid, key: int) -> int:
-    """The prey a packed module key belongs to."""
-    return key // grid.size**3 % N_PREY
 
 
 def lower_state_text(grid: Grid, state: int) -> str:

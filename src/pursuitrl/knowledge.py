@@ -321,15 +321,13 @@ def load_rules(path) -> list[IfThenRule]:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def save_instances(path, instances: Iterable[Instance]) -> int:
-    count = 0
+def save_instances(path, instances: Sequence[Instance]) -> int:
+    labels = tuple(ACTION_LABELS[action] for action in ACTIONS)    # by Action.index
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(INSTANCE_HEADER)
-        for inst in instances:
-            writer.writerow([inst.theta_x, inst.theta_y, ACTION_LABELS[inst.label]])
-            count += 1
-    return count
+        writer.writerows((x, y, labels[label.index]) for x, y, label in instances)
+    return len(instances)
 
 
 def load_instances(path) -> list[Instance]:

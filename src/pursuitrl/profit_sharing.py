@@ -14,7 +14,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .tableio import Decoder, Encoder, load_table, save_table
 
@@ -47,16 +47,6 @@ class WeightTable:
         self.cell = array("i")
         self.states: dict[int, int | tuple[int, ...]] = {}
 
-    def rule_ids(self, state: int) -> tuple[int, ...]:
-        rules = self.states.get(state, ())
-        return (rules,) if rules.__class__ is int else rules
-
-    def get(self, state: int, action: int) -> float:
-        for rule in self.rule_ids(state):
-            if self.cell[rule] == action:
-                return self.weight[rule]
-        return 0.0
-
     def add(self, state: int, action: int, amount: float) -> None:
         states, weight, cell = self.states, self.weight, self.cell
         rules = states.get(state)
@@ -72,14 +62,6 @@ class WeightTable:
             states[state] = rules + (len(weight),)
         weight.append(0.0 + amount)     # a new rule, after its state's others
         cell.append(action)
-
-    def rules(self, states: Iterable[int] | None = None) -> Iterator[tuple[int, int, float]]:
-        """``(state, action, weight)`` of every rule of ``states`` (default:
-        all), state by state, each state's rules in first-add order."""
-        weight, cell = self.weight, self.cell
-        for state in self.states if states is None else states:
-            for rule in self.rule_ids(state):
-                yield state, cell[rule], weight[rule]
 
     def __len__(self) -> int:
         return len(self.weight)
@@ -116,10 +98,22 @@ def check_suppression(params: PSParams, episode_length: int) -> bool:
 def save_weights(path, table: WeightTable, meta: dict[str, object] | None = None,
                  encode_state: Encoder = repr, encode_action: Encoder = repr,
                  states: Iterable[int] | None = None) -> None:
-    """Write the rules of ``states`` (default: every state) of ``table``."""
+    """Write the rules of ``states`` (default: every state) of ``table``,
+    spelling each state once."""
     header = {"default_weight": 0.0}        # what unseen rules read as
     header.update(meta or {})
-    save_table(path, list(table.rules(states)), header, encode_state, encode_action)
+    index, weight, cell = table.states, table.weight, table.cell
+    rows: list[str] = []
+    append = rows.append
+    for state in index if states is None else states:
+        rules = index[state]
+        text = encode_state(state)
+        if rules.__class__ is int:
+            append(f"{text}\t{encode_action(cell[rules])}\t{weight[rules]!r}\n")
+        else:
+            for rule in rules:
+                append(f"{text}\t{encode_action(cell[rule])}\t{weight[rule]!r}\n")
+    save_table(path, rows, header)
 
 
 def load_weights(path, decode_state: Decoder,

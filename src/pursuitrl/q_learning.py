@@ -17,7 +17,8 @@ class QTable:
     """Action values with step size ``alpha`` and discount ``gamma``.
 
     A row has a slot per index of ``actions`` (default: the grid moves);
-    a state with no row reads 0. Only the ``written`` slots are entries.
+    a state with no row reads 0. Only written slots are entries: bit
+    ``action`` of ``written[state]``. An unwritten slot holds 0.0.
     """
 
     def __init__(self, alpha: float = 0.1, gamma: float = 0.9,
@@ -30,13 +31,14 @@ class QTable:
         self.gamma = gamma
         self.actions = tuple(actions)
         self.rows: dict[Hashable, list[float]] = {}
-        self.written: set[tuple[Hashable, int]] = set()
+        self.written: dict[Hashable, int] = {}
 
     @property
     def values(self) -> dict[tuple[Hashable, int], float]:
         """The written entries by ``(state, action index)``."""
         rows = self.rows
-        return {(state, action): rows[state][action] for state, action in self.written}
+        return {(state, action): rows[state][action] for state, mask in self.written.items()
+                for action in range(len(self.actions)) if mask >> action & 1}
 
     def get(self, state: Hashable, action: int) -> float:
         row = self.rows.get(state)
@@ -44,7 +46,7 @@ class QTable:
 
     def set(self, state: Hashable, action: int, value: float) -> None:
         self.rows.setdefault(state, [0.0] * len(self.actions))[action] = value
-        self.written.add((state, action))
+        self.written[state] = self.written.get(state, 0) | 1 << action
 
 
 def q_update(table: QTable, state: Hashable, action: int, reward: float,
@@ -58,7 +60,8 @@ def q_update(table: QTable, state: Hashable, action: int, reward: float,
     row = rows.get(state) or rows.setdefault(state, [0.0] * len(table.actions))
     old = row[action]
     row[action] = old + table.alpha * (reward + bootstrap - old)
-    table.written.add((state, action))
+    if old == 0.0:      # maybe the slot's first write: a nonzero slot is marked already
+        table.written[state] = table.written.get(state, 0) | 1 << action
     return table
 
 
@@ -85,9 +88,8 @@ def save_q_table(path, table: QTable, encode_state: Encoder,
     header = {"alpha": table.alpha, "gamma": table.gamma}
     header.update(meta or {})
     labels = [ACTION_LABELS[action] for action in table.actions]
-    rows = table.rows
-    save_table(path, [(state, action, rows[state][action]) for state, action in table.written],
-               header, encode_state=encode_state, encode_action=labels.__getitem__)
+    save_table(path, [f"{encode_state(state)}\t{labels[action]}\t{value!r}\n"
+                      for (state, action), value in table.values.items()], header)
 
 
 def load_q_table(path, decode_state: Decoder) -> tuple[QTable, dict[str, object]]:

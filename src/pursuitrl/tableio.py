@@ -3,30 +3,31 @@ checked reader of the CSV logs.
 
 Format: ``# key = repr(value)`` header lines describing the run
 parameters, then one ``state<TAB>action<TAB>weight`` row per entry,
-sorted by the encoded keys. Values are written with ``repr`` so floats
-survive a save/load round trip bit-exactly.
+sorted as whole lines. The writers of the two tables
+(:func:`profit_sharing.save_weights`, :func:`q_learning.save_q_table`)
+encode their rows and :func:`save_table` only orders and writes them.
+Values are written with ``repr`` so floats survive a save/load round
+trip bit-exactly.
 """
 
 from __future__ import annotations
 
 import ast
 import csv
-from typing import Callable, Collection, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 Encoder = Callable[[object], str]
 Decoder = Callable[[str], object]
 
 
-def save_table(path, entries: Collection[tuple[object, object, float]],
-               meta: Mapping[str, object] | None = None,
-               encode_state: Encoder = repr, encode_action: Encoder = repr) -> None:
-    """Write ``(state, action, weight)`` entries with a metadata header.
+def save_table(path, rows: list[str], meta: Mapping[str, object] | None = None) -> None:
+    """Write encoded ``state<TAB>action<TAB>weight`` lines under a metadata header.
 
-    Rows are sorted as whole lines; a tab sorts below every printable
-    character, so that is the order of the (state, action, weight) texts.
+    ``rows`` is sorted in place as whole lines; a tab sorts below every
+    printable character, so that is the order of the (state, action,
+    weight) texts.
     """
-    rows = sorted(f"{encode_state(state)}\t{encode_action(action)}\t{weight!r}\n"
-                  for state, action, weight in entries)
+    rows.sort()
     with open(path, "w") as handle:
         for key, value in (meta or {}).items():
             handle.write(f"# {key} = {value!r}\n")

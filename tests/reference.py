@@ -11,10 +11,12 @@ algorithms the two learning layers reduce to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from random import Random
 from typing import NamedTuple
 
-from pursuitrl.env import ACTIONS, N_PREY, Position, PreyKind, PreyState, WorldState
+from pursuitrl.env import ACTION_LABELS, ACTIONS, N_PREY, Position, PreyKind, PreyState, WorldState
+from pursuitrl.experiment import run_meta
 from pursuitrl.knowledge import Split
 from pursuitrl.profit_sharing import WeightTable
 
@@ -66,6 +68,52 @@ def pack(key: ModuleKey, side: int) -> int:
     return packed
 
 
+def unpack(packed: int, side: int) -> ModuleKey:
+    """The module a packed row key names; the inverse of :func:`pack`."""
+    n = side * side
+    rest, goal = divmod(packed, n)
+    rest, peer = divmod(rest, n)
+    rest, own = divmod(rest, n)
+    hunter, prey = divmod(rest, N_PREY)
+    return ModuleKey(hunter, prey, position(own, side), position(peer, side),
+                     position(goal, side))
+
+
+def plain(value):
+    """``value`` with every named tuple in it turned into a plain tuple."""
+    return tuple(map(plain, value)) if isinstance(value, tuple) else value
+
+
+def save_learned_tables(out_dir, result) -> None:
+    """The table files of :func:`pursuitrl.experiment.save_learned_tables`,
+    written from decoded keys: each row is ``repr`` of the plain state,
+    action and weight, and a file's rows are sorted as whole lines."""
+    side = result.config.grid_side
+    meta = run_meta(result.config)
+    span = 2 * side - 1
+
+    def write(name, header, rows):
+        with open(Path(out_dir) / name, "w") as handle:
+            handle.writelines(f"# {key} = {value!r}\n" for key, value in header.items())
+            handle.writelines(sorted(rows))
+
+    for agent in result.agents:
+        banks: dict[int, list[str]] = {prey: [] for prey in range(N_PREY)}
+        for state, cell, weight in table_rules(agent.upper):
+            key = unpack(state, side)
+            banks[key.prey].append(
+                f"{plain(key)!r}\t{plain(position(cell, side))!r}\t{weight!r}\n")
+        for prey, rows in banks.items():
+            write(f"upper_h{agent.index}_p{prey}.tsv", {"default_weight": 0.0, **meta}, rows)
+        rows = []
+        for (state, action), value in agent.q.values.items():
+            offset, prey = divmod(state // N_PREY, span), state % N_PREY
+            dx, dy = offset[0] - (side - 1), offset[1] - (side - 1)
+            rows.append(f"{((dx, dy), prey)!r}\t{ACTION_LABELS[ACTIONS[action]]}\t{value!r}\n")
+        write(f"q_h{agent.index}.tsv",
+              {"alpha": agent.q.alpha, "gamma": agent.q.gamma, **meta}, rows)
+
+
 def upper_table(rules: dict, side: int) -> WeightTable:
     """A packed weight table from ``{(ModuleKey, target Position): weight}``."""
     table = WeightTable()
@@ -74,9 +122,31 @@ def upper_table(rules: dict, side: int) -> WeightTable:
     return table
 
 
+def rule_ids(table: WeightTable, state: int) -> tuple[int, ...]:
+    """The rule ids of ``state`` in first-add order."""
+    rules = table.states.get(state, ())
+    return (rules,) if rules.__class__ is int else rules
+
+
+def rule_weight(table: WeightTable, state: int, action: int) -> float:
+    """The weight of a rule; an unseen rule reads 0.0."""
+    for rule in rule_ids(table, state):
+        if table.cell[rule] == action:
+            return table.weight[rule]
+    return 0.0
+
+
+def table_rules(table: WeightTable, states=None):
+    """``(state, action, weight)`` of every rule of ``states`` (default:
+    all), state by state, each state's rules in first-add order."""
+    for state in table.states if states is None else states:
+        for rule in rule_ids(table, state):
+            yield state, table.cell[rule], table.weight[rule]
+
+
 def rule_weights(table: WeightTable) -> dict:
     """A weight table's rules as ``{(state, action): weight}``."""
-    return {(state, action): weight for state, action, weight in table.rules()}
+    return {(state, action): weight for state, action, weight in table_rules(table)}
 
 
 def legal_actions(pos, side: int):

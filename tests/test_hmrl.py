@@ -147,8 +147,8 @@ def test_select_target_scale_invariant_argmax():
 
     def argmax_set(table):
         def score(cell):
-            total = sum(table.get(pack(ModuleKey(0, 0, Position(2, 2), peer, goal), 7),
-                                  cell_id(cell, 7))
+            total = sum(reference.rule_weight(
+                table, pack(ModuleKey(0, 0, Position(2, 2), peer, goal), 7), cell_id(cell, 7))
                         for peer in peers)
             return total / 2.0 ** (abs(2 - cell.x) + abs(2 - cell.y))
         scores = {cell: score(cell) for cell in cells}
@@ -196,25 +196,25 @@ def test_reinforce_upper_geometric_recursion():
     weights = WeightTable()
     trace = upper_trace([3, 3, 3])
     reinforce_upper(weights, trace, 100.0, ATFieldParams(decay=0.8))
-    assert weights.get(*fired_rule(2)) == 100.0
-    assert weights.get(*fired_rule(1)) == pytest.approx(80.0)
-    assert weights.get(*fired_rule(0)) == pytest.approx(64.0)
+    assert reference.rule_weight(weights, *fired_rule(2)) == 100.0
+    assert reference.rule_weight(weights, *fired_rule(1)) == pytest.approx(80.0)
+    assert reference.rule_weight(weights, *fired_rule(0)) == pytest.approx(64.0)
     assert len(trace) == 0
 
 
 def test_reinforce_upper_gate_zeroes_upstream():
     weights = WeightTable()
     reinforce_upper(weights, upper_trace([3, 3, 1]), 100.0, ATFieldParams())
-    assert weights.get(*fired_rule(2)) == 100.0
-    assert weights.get(*fired_rule(1)) == 0.0
-    assert weights.get(*fired_rule(0)) == 0.0
+    assert reference.rule_weight(weights, *fired_rule(2)) == 100.0
+    assert reference.rule_weight(weights, *fired_rule(1)) == 0.0
+    assert reference.rule_weight(weights, *fired_rule(0)) == 0.0
 
 
 def test_reinforce_upper_identity_chain():
     weights = WeightTable()
     reinforce_upper(weights, upper_trace([4, 4, 4, 4]), 100.0, ATFieldParams(decay=1.0))
     for tag in range(4):
-        assert weights.get(*fired_rule(tag)) == 100.0
+        assert reference.rule_weight(weights, *fired_rule(tag)) == 100.0
 
 
 def test_reinforce_upper_zero_reward_only_clears():
@@ -238,7 +238,7 @@ def test_single_prey_reduction_matches_plain_profit_sharing():
                                      100.0, 1 / decay)
     for tag in range(depth):
         rule = fired_rule(tag)
-        assert upper.get(*rule) == pytest.approx(plain[rule], rel=1e-12)
+        assert reference.rule_weight(upper, *rule) == pytest.approx(plain[rule], rel=1e-12)
 
 
 class CountingTable(WeightTable):

@@ -1,3 +1,4 @@
+import csv
 import math
 from random import Random
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from pursuitrl.env import ACTIONS, Action, grid_for
+from pursuitrl.env import ACTION_LABELS, ACTIONS, Action, grid_for
 from pursuitrl.knowledge import (
     ATTRIBUTES,
     GAIN_EPS,
@@ -424,6 +425,19 @@ def test_instances_csv_round_trip(tmp_path):
     assert count == 57
     assert load_instances(path) == instances
     assert path.read_text().splitlines()[0] == "theta_x,theta_y,action"
+
+
+def test_save_instances_writes_what_a_plain_csv_loop_writes(tmp_path):
+    instances = [inst(x, y, action) for x in (-12, -1, 0, 3, 10) for y in (-6, 0, 7)
+                 for action in ACTIONS]
+    path, expected = tmp_path / "instances.csv", tmp_path / "expected.csv"
+    assert save_instances(path, instances) == len(instances)
+    with open(expected, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["theta_x", "theta_y", "action"])
+        for x, y, label in instances:
+            writer.writerow([x, y, ACTION_LABELS[label]])
+    assert path.read_bytes() == expected.read_bytes()
 
 
 def test_load_instances_rejects_wrong_header(tmp_path):

@@ -31,7 +31,8 @@ from pursuitrl.env import (
 from pursuitrl.experiment import ExperimentConfig, TrainingResult, build_agents, save_learned_tables
 from pursuitrl.hmrl import module_key, module_text, select_target
 from pursuitrl.profit_sharing import load_weights
-from reference import ModuleKey, cell_id, lower_state, pack, positions, rule_weights, upper_table
+from reference import (ModuleKey, cell_id, lower_state, pack, positions, rule_weights, table_rules,
+                       upper_table)
 
 
 def test_action_index_is_position_in_actions():
@@ -234,9 +235,62 @@ def test_packed_tables_survive_save_load(side, data):
                                        decode_module,
                                        lambda text: cell_id(ast.literal_eval(text), side))
                 loaded.update({(state, target): weight.hex()
-                               for state, target, weight in bank.rules()})
+                               for state, target, weight in table_rules(bank)})
             assert loaded == {key: weight.hex()
                               for key, weight in rule_weights(agent.upper).items()}
+
+
+@st.composite
+def learned_tables(draw):
+    """A grid side, upper rules ``{(ModuleKey, target): weight}`` and Q entries
+    ``{((dx, dy), prey, action index): value}`` on it. Half the sides are 11
+    or 12, with two-digit coordinates, where the order of the row texts
+    differs from the order of the cell ids."""
+    side = draw(st.one_of(st.integers(3, 10), st.integers(11, 12)))
+    coords = st.builds(Position, st.integers(0, side - 1), st.integers(0, side - 1))
+    keys = st.builds(ModuleKey, st.integers(0, 3), st.integers(0, 1), coords, coords, coords)
+    signed = st.one_of(st.just(-0.0), weights)
+    modules = draw(st.dictionaries(
+        keys, st.dictionaries(coords, signed, min_size=1, max_size=3), max_size=30))
+    offsets = st.tuples(st.integers(1 - side, side - 1), st.integers(1 - side, side - 1))
+    q_entries = draw(st.dictionaries(
+        st.tuples(offsets, st.integers(0, 1), st.integers(0, len(ACTIONS) - 1)), signed,
+        max_size=12))
+    return side, {(key, cell): weight for key, targets in modules.items()
+                  for cell, weight in targets.items()}, q_entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables=learned_tables())
+@example(tables=(11, {(ModuleKey(0, 1, Position(10, 3), Position(2, 0), Position(0, 9)),
+                       Position(9, 9)): -2.5,
+                      (ModuleKey(0, 1, Position(2, 3), Position(2, 0), Position(0, 9)),
+                       Position(10, 9)): 1.0,
+                      (ModuleKey(0, 1, Position(2, 3), Position(2, 0), Position(0, 9)),
+                       Position(3, 9)): 0.25},
+                 {((-10, 2), 0, 1): -0.0, ((-2, 2), 0, 1): 3.0}))
+def test_learned_tables_match_reference_writer(tables):
+    side, rules, q_entries = tables
+    event(f"side {'11-12' if side > 10 else '3-10'}")
+    event(f"a module with two or more rules: "
+          f"{len(rules) > len({key for key, _ in rules})}")
+    event(f"a negative weight: {any(str(w).startswith('-') for w in rules.values())}")
+    config = ExperimentConfig(grid_side=side)
+    agents = build_agents(config)
+    for agent in agents:
+        agent.upper = upper_table({(key, cell): w for (key, cell), w in rules.items()
+                                   if key.hunter == agent.index}, side)
+        for (offset, prey, action), value in q_entries.items():
+            agent.q.set(lower_state(offset, prey, side), action, value)
+    result = TrainingResult(config=config, seed=0, records=[], agents=agents,
+                            instances=[], trajectory=[])
+    with tempfile.TemporaryDirectory() as out, tempfile.TemporaryDirectory() as expected:
+        save_learned_tables(out, result)
+        reference.save_learned_tables(expected, result)
+        names = sorted(path.name for path in Path(expected).iterdir())
+        assert sorted(path.name for path in Path(out).iterdir()) == names
+        for name in names:
+            assert (Path(out) / name).read_bytes() == (Path(expected) / name).read_bytes(), name
 
 
 @settings(max_examples=200, deadline=None)
