@@ -136,10 +136,10 @@ def rule_weight(table: WeightTable, state: int, action: int) -> float:
     return 0.0
 
 
-def table_rules(table: WeightTable, states=None):
-    """``(state, action, weight)`` of every rule of ``states`` (default:
-    all), state by state, each state's rules in first-add order."""
-    for state in table.states if states is None else states:
+def table_rules(table: WeightTable):
+    """``(state, action, weight)`` of every rule, state by state, each
+    state's rules in first-add order."""
+    for state in table.states:
         for rule in rule_ids(table, state):
             yield state, table.cell[rule], table.weight[rule]
 
