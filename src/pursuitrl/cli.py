@@ -54,6 +54,8 @@ def cmd_train(args) -> int:
 
 def cmd_extract_rules(args) -> int:
     instances = knowledge.load_instances(args.instances)
+    if not instances:
+        raise ValueError(f"{args.instances}: no instances to induce rules from")
     tree = knowledge.induce_tree(instances, min_leaf=args.min_leaf,
                                  max_depth=args.max_depth)
     rules = knowledge.extract_rules(tree)

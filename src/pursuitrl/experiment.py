@@ -200,6 +200,8 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
 
     records: list[TrialRecord] = []
     instances: list[Instance] = []
+    # the log holds references to one instance per (offset id, action index)
+    logged = [[Instance(dx, dy, action) for action in ACTIONS] for dx, dy in grid.offsets]
     trajectory: list[tuple[int, str, int, int, str]] = []
     two_alive = all(config.prey_alive)
 
@@ -225,9 +227,9 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
                     _apply_rule_override(agent, world, compiled, config.rule_fallback, grid)
                 actions = [ACTIONS[agent.pending[1]] for agent in agents]
             if in_window:
-                for agent, action in zip(agents, actions):
-                    dx, dy = grid.offsets[agent.pending[0] // N_PREY]
-                    instances.append(Instance(dx, dy, action))
+                for agent in agents:
+                    lower, action, _ = agent.pending
+                    instances.append(logged[lower // N_PREY][action])
             if log_trajectory:
                 labels = [ACTION_LABELS[action] for action in actions]
                 for row, label in zip(env.trajectory_rows(world), labels + ["", ""]):
@@ -410,12 +412,19 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
             raise ValueError(f"line {lineno}: duplicate config key {key!r} "
                              f"(first set on line {first_line[key]})")
         first_line[key] = lineno
-        overrides[key] = _FIELD_PARSERS[key](value.strip())
+        try:
+            overrides[key] = _FIELD_PARSERS[key](value.strip())
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
     return replace(base or ExperimentConfig(), **overrides)
 
 
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    return parse_config(Path(path).read_text(), base)
+    """:func:`parse_config` of a file; its errors start with the path."""
+    try:
+        return parse_config(Path(path).read_text(), base)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _csv_cell(value) -> str:

@@ -8,7 +8,6 @@ policy with first-match-by-confidence semantics, compiled per grid.
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 from collections import Counter
@@ -25,8 +24,6 @@ INSTANCE_HEADER = ("theta_x", "theta_y", "action")
 # Splits must beat this in information gain; guards against float noise
 # promoting a do-nothing split.
 GAIN_EPS = 1e-12
-
-_LABEL_ORDER = {action: i for i, action in enumerate(ACTIONS)}
 
 
 class Instance(NamedTuple):
@@ -182,9 +179,7 @@ def induce_tree(instances: Sequence[Instance], min_leaf: int = 2,
     """
     if not instances:
         raise ValueError("cannot induce a tree from no instances")
-    grouped = Counter(
-        (inst.theta_x, inst.theta_y, _LABEL_ORDER[inst.label]) for inst in instances
-    )
+    grouped = Counter((inst.theta_x, inst.theta_y, inst.label.index) for inst in instances)
     items = sorted((x, y, label_idx, weight)
                    for (x, y, label_idx), weight in grouped.items())
     return _grow(items, min_leaf, max_depth, depth=0)
@@ -322,14 +317,20 @@ def load_rules(path) -> list[IfThenRule]:
 
 
 def save_instances(path, instances: Sequence[Instance]) -> int:
+    """Write ``instances`` as ``csv.writer`` would, spelling each distinct
+    object once: a run and :func:`load_instances` share one object per row."""
     labels = tuple(ACTION_LABELS[action] for action in ACTIONS)    # by Action.index
+    lines: dict[int, str] = {}
+    for inst in instances:
+        if id(inst) not in lines:
+            lines[id(inst)] = f"{inst.theta_x},{inst.theta_y},{labels[inst.label.index]}\r\n"
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(INSTANCE_HEADER)
-        writer.writerows((x, y, labels[label.index]) for x, y, label in instances)
+        handle.write(",".join(INSTANCE_HEADER) + "\r\n")
+        handle.writelines(map(lines.__getitem__, map(id, instances)))
     return len(instances)
 
 
 def load_instances(path) -> list[Instance]:
+    """The instances of a :func:`save_instances` file; equal rows load as one object."""
     return load_csv(path, INSTANCE_HEADER,
                     lambda x, y, label: Instance(int(x), int(y), ACTION_BY_LABEL[label]))

@@ -69,21 +69,28 @@ def load_table(path, decode_state: Decoder = ast.literal_eval,
 
 
 def load_csv(path, header: Sequence[str], parse_row: Callable[..., object]) -> list:
-    """``parse_row(*fields)`` of every row below ``header``.
+    """``parse_row(*fields)`` of every line below ``header``; no row spans lines.
 
-    A row that does not parse raises ``ValueError`` naming the file, the
-    line and the row.
+    Each distinct line is parsed once: a repeated line yields the same
+    object. A row that does not parse, or has not one field per header
+    column, raises ``ValueError`` naming the file, the line and the row.
     """
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        found = next(reader, None)
+        found = next(csv.reader(handle), None)
         if found != list(header):
             raise ValueError(f"{path}: expected header {list(header)}, got {found}")
+        parsed: dict[str, object] = {}
         rows = []
-        for row in reader:
-            try:
-                rows.append(parse_row(*row))
-            except (TypeError, ValueError, KeyError) as exc:
-                raise ValueError(f"{path}:{reader.line_num}: malformed row "
-                                 f"{','.join(row)!r}: {exc!r}") from None
+        for lineno, line in enumerate(handle, start=2):
+            item = parsed.get(line)
+            if item is None:
+                row = next(csv.reader((line,)))
+                try:
+                    if len(row) != len(header):
+                        raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                    item = parsed[line] = parse_row(*row)
+                except (ValueError, KeyError) as exc:
+                    raise ValueError(f"{path}:{lineno}: malformed row "
+                                     f"{','.join(row)!r}: {exc!r}") from None
+            rows.append(item)
         return rows

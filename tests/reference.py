@@ -10,14 +10,16 @@ algorithms the two learning layers reduce to.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
 from typing import NamedTuple
 
-from pursuitrl.env import ACTION_LABELS, ACTIONS, N_PREY, Position, PreyKind, PreyState, WorldState
+from pursuitrl.env import (ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, N_PREY, Position, PreyKind,
+                           PreyState, WorldState)
 from pursuitrl.experiment import run_meta
-from pursuitrl.knowledge import Split
+from pursuitrl.knowledge import INSTANCE_HEADER, Instance, Split
 from pursuitrl.profit_sharing import WeightTable
 
 
@@ -204,6 +206,27 @@ def select_target(rules: dict, hunter: int, state: WorldState, rng: Random,
     top = max(scores.values())
     best = [cell for cell in cells if scores[cell] == top]
     return (best[0] if len(best) == 1 else rng.choice(best)), prey
+
+
+def load_instances(path) -> list[Instance]:
+    """An instance log read by a plain ``csv.reader`` loop, one new object
+    per row; errors use the program's ``path:line: malformed row`` layout."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header != list(INSTANCE_HEADER):
+            raise ValueError(f"{path}: expected header {list(INSTANCE_HEADER)}, got {header}")
+        instances = []
+        for row in reader:
+            try:
+                if len(row) != len(INSTANCE_HEADER):
+                    raise ValueError(f"expected {len(INSTANCE_HEADER)} fields, got {len(row)}")
+                x, y, label = row
+                instances.append(Instance(int(x), int(y), ACTION_BY_LABEL[label]))
+            except (ValueError, KeyError) as exc:
+                raise ValueError(f"{path}:{reader.line_num}: malformed row "
+                                 f"{','.join(row)!r}: {exc!r}") from None
+    return instances
 
 
 def classify(tree, theta_x: int, theta_y: int):

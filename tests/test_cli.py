@@ -1,7 +1,10 @@
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import pursuitrl
 from pursuitrl import cli
@@ -31,6 +34,30 @@ def test_train_applies_config_file(tmp_path):
     rows = read_blocks_csv(out / "blocks.csv")
     assert [(r["block_start"], r["block_end"]) for r in rows] == [("1", "2"), ("3", "4")]
     assert "trials = 4" in (out / "metadata.txt").read_text()
+
+
+@pytest.mark.parametrize("text, error", [
+    ("step_cap = 40\ntrials = abc\n",
+     "line 2: trials: invalid literal for int() with base 10: 'abc'"),
+    ("trial = 4\n", "line 1: unknown config key 'trial'"),
+])
+def test_train_config_errors_name_file_and_line(tmp_path, text, error):
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{config}: {error}')}$"):
+        run_cli("train", "--config", config, "--seed", 1, "--out", tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
+def test_extract_rules_names_an_empty_instance_file(tmp_path):
+    # An inverted instance window logs no instances on purpose.
+    config = tmp_path / "window.cfg"
+    config.write_text("instance_window = 4,2\nstep_cap = 40\n")
+    run_cli("train", "--config", config, "--trials", 4, "--seed", 1, "--out", tmp_path / "run")
+    instances = tmp_path / "run" / "instances.csv"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(instances))}: no instances"):
+        run_cli("extract-rules", "--instances", instances, "--out", tmp_path / "rules.txt")
+    assert not (tmp_path / "rules.txt").exists()
 
 
 def test_full_pipeline_extract_then_eval(tmp_path, capsys):

@@ -18,7 +18,7 @@ from pursuitrl.experiment import (
     run_training,
     save_learned_tables,
 )
-from pursuitrl.env import grid_for
+from pursuitrl.env import ACTIONS, grid_for
 from pursuitrl.hmrl import lower_state_ids, module_key
 from pursuitrl.knowledge import compile_rules, extract_rules, induce_tree, parse_rules
 from pursuitrl.profit_sharing import load_weights
@@ -62,6 +62,16 @@ def test_instance_window_counts():
 
     empty = run_training(replace(config, instance_window=(2, 1)), seed=5)
     assert empty.instances == []
+
+
+def test_run_logs_one_object_per_offset_and_action():
+    config = replace(QUICK, trials=20, instance_window=(1, 20))
+    n_offsets = len(grid_for(config.grid_side).offsets)
+    for rules in (None, parse_rules("No.1\nIf theta_X <= 0 Then left with CF=1.0\n")):
+        result = run_training(config, seed=7, rules=rules)
+        distinct = {id(item) for item in result.instances}
+        assert len(distinct) <= n_offsets * len(ACTIONS)
+        assert len(distinct) < len(result.instances)
 
 
 def test_step_capped_outcome():

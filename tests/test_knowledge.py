@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 from random import Random
 
 import pytest
@@ -377,7 +378,7 @@ def test_load_rules_names_file_and_line(tmp_path):
         load_rules(path)
 
 
-@pytest.mark.parametrize("row", ["1,2,sideways", "1,two,up", "1,2", "1,2,up,down"])
+@pytest.mark.parametrize("row", ["1,2,sideways", "1,two,up", "1,2", "1,2,up,down", ""])
 def test_load_instances_names_malformed_row(tmp_path, row):
     path = tmp_path / "instances.csv"
     path.write_text(f"theta_x,theta_y,action\n0,1,up\n{row}\n")
@@ -428,8 +429,10 @@ def test_instances_csv_round_trip(tmp_path):
 
 
 def test_save_instances_writes_what_a_plain_csv_loop_writes(tmp_path):
-    instances = [inst(x, y, action) for x in (-12, -1, 0, 3, 10) for y in (-6, 0, 7)
-                 for action in ACTIONS]
+    distinct = [inst(x, y, action) for x in (-12, -1, 0, 3, 10) for y in (-6, 0, 7)
+                for action in ACTIONS]
+    # Repeats of one object, as a run logs them, and equal copies.
+    instances = distinct + distinct[::-3] * 4 + [inst(*item) for item in distinct[::7]]
     path, expected = tmp_path / "instances.csv", tmp_path / "expected.csv"
     assert save_instances(path, instances) == len(instances)
     with open(expected, "w", newline="") as handle:
@@ -438,6 +441,63 @@ def test_save_instances_writes_what_a_plain_csv_loop_writes(tmp_path):
         for x, y, label in instances:
             writer.writerow([x, y, ACTION_LABELS[label]])
     assert path.read_bytes() == expected.read_bytes()
+
+
+def test_repeated_rows_load_as_one_object(tmp_path):
+    path = tmp_path / "instances.csv"
+    path.write_text("theta_x,theta_y,action\n0,1,up\n2,-3,stay\n0,1,up\n0,1,up\n")
+    loaded = load_instances(path)
+    assert loaded == [inst(0, 1, Action.NORTH), inst(2, -3, Action.STAY),
+                      inst(0, 1, Action.NORTH), inst(0, 1, Action.NORTH)]
+    assert loaded[0] is loaded[2] is loaded[3]
+
+
+instance_rows = st.tuples(st.integers(-12, 12), st.integers(-12, 12),
+                          st.sampled_from([ACTION_LABELS[action] for action in ACTIONS]))
+malformed_rows = st.sampled_from(["1,2,sideways", "1,two,up", "1,2", "1,2,up,down",
+                                  "1.5,0,stay", "0,0,Stay", ",,"])
+
+
+@st.composite
+def instance_logs(draw):
+    """(rows, malformed row or None, line ending, final newline): rows drawn
+    from a few distinct ones, so most repeat."""
+    pool = draw(st.lists(instance_rows, min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+    rows = [",".join(map(str, pool[i])) for i in picks]
+    bad = draw(st.one_of(st.none(), malformed_rows))
+    if bad is not None:
+        rows.insert(draw(st.integers(0, len(rows))), bad)
+    return rows, bad, draw(st.sampled_from(["\r\n", "\n"])), draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(log=instance_logs())
+def test_load_instances_matches_a_plain_csv_reader(tmp_path_factory, log):
+    rows, bad, ending, final_newline = log
+    path = tmp_path_factory.mktemp("log") / "instances.csv"
+    path.write_bytes((ending.join(["theta_x,theta_y,action", *rows])
+                      + (ending if final_newline else "")).encode())
+    if bad is not None:
+        with pytest.raises(ValueError) as expected:
+            reference.load_instances(path)
+        assert re.match(rf"{re.escape(str(path))}:\d+: malformed row '{re.escape(bad)}': ",
+                        str(expected.value))
+        with pytest.raises(ValueError) as got:
+            load_instances(path)
+        assert str(got.value) == str(expected.value)
+        return
+    loaded = load_instances(path)
+    assert loaded == reference.load_instances(path)
+    # One object per distinct line; a last line without its newline is another.
+    lines = [row + ending for row in rows]
+    if rows and not final_newline:
+        lines[-1] = rows[-1]
+    assert len({id(item) for item in loaded}) == len(set(lines))
+    if ending == "\r\n" and final_newline:     # as save_instances writes a log
+        copy = path.with_name("copy.csv")
+        save_instances(copy, loaded)
+        assert copy.read_bytes() == path.read_bytes()
 
 
 def test_load_instances_rejects_wrong_header(tmp_path):
