@@ -102,6 +102,10 @@ class Grid:
         self.legal = tuple(tuple(i for i, dest in enumerate(row) if dest >= 0)
                            for row in self.moves)
         self.legal_actions = tuple(tuple(ACTIONS[i] for i in row) for row in self.legal)
+        # what a uniform random move draws from: (destinations, count, bits)
+        self.uniform_moves = tuple((tuple(row[i] for i in legal), len(legal),
+                                    len(legal).bit_length())
+                                   for row, legal in zip(self.moves, self.legal))
         self.neighbors = tuple(tuple(row[i] for i in legal if i != Action.STAY.index)
                                for row, legal in zip(self.moves, self.legal))
         self.distance = tuple(tuple(abs(x - u) + abs(y - v) for u, v in self.cells)
@@ -157,22 +161,30 @@ class GridConfig:
     prey_alive: tuple[bool, bool] = (True, True)
 
 
-@dataclass
+@dataclass(slots=True)
 class PreyState:
     cell: int               # cell id on the world's grid
     alive: bool
     kind: PreyKind
 
 
-@dataclass
+@dataclass(slots=True)
 class WorldState:
     side: int
     hunters: list[int]      # cell ids on the world's grid
     prey: list[PreyState]
     step_count: int = 0
+    # derived once for every hunter: the side's grid, the prey distance or None
+    grid: Grid = field(init=False, repr=False, compare=False)
+    gap: int | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.grid = grid = grid_for(self.side)
+        first, second = self.prey      # N_PREY == 2
+        self.gap = grid.distance[first.cell][second.cell] if first.alive and second.alive else None
 
 
-@dataclass
+@dataclass(slots=True)
 class StepOutcome:
     next_state: WorldState
     captures: list[tuple[int, PreyKind]] = field(default_factory=list)
@@ -227,7 +239,7 @@ def step(state: WorldState, hunter_actions: Sequence[Action], rng: Random,
     if len(hunter_actions) != N_HUNTERS:
         raise ValueError(f"expected {N_HUNTERS} hunter actions")
 
-    grid = grid_for(state.side)
+    grid = state.grid
     moves = grid.moves
     # Agent-index arrays over the agents taking part: the hunters, then
     # the live prey in prey order.
@@ -239,22 +251,32 @@ def step(state: WorldState, hunter_actions: Sequence[Action], rng: Random,
                          f"at {grid.cells[current[i]]}")
 
     # Prey draws happen before the priority draw, in prey order, so the
-    # rng stream for a step is well defined.
+    # rng stream for a step is well defined. Uniform picks are drawn as in below().
+    getrandbits = rng.getrandbits
     for j, prey in enumerate(state.prey):
         if prey.alive:
             cell = prey.cell
-            action = prey_policy(state, j, grid.legal_actions[cell], rng)
-            target = moves[cell][action.index]
-            if target < 0:
-                raise ValueError(f"illegal prey action {action.name} for prey {j}")
+            if prey_policy is random_prey_policy:
+                destinations, m, bits = grid.uniform_moves[cell]
+                r = getrandbits(bits)
+                while r >= m:
+                    r = getrandbits(bits)
+                target = destinations[r]
+            else:
+                action = prey_policy(state, j, grid.legal_actions[cell], rng)
+                target = moves[cell][action.index]
+                if target < 0:
+                    raise ValueError(f"illegal prey action {action.name} for prey {j}")
             current.append(cell)
             dest.append(target)
 
     n = len(current)
     order = list(range(n))
-    for i in range(n - 1, 0, -1):     # Random.shuffle's Fisher-Yates walk
-        j = below(rng, i + 1)
-        order[i], order[j] = order[j], order[i]
+    for m in range(n, 1, -1):         # Random.shuffle's Fisher-Yates walk
+        j = getrandbits(m.bit_length())
+        while j >= m:
+            j = getrandbits(m.bit_length())
+        order[m - 1], order[j] = order[j], order[m - 1]
 
     if len(set(dest)) == n:
         # Distinct destinations: a stayer's destination is its own cell, so

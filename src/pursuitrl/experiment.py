@@ -24,6 +24,8 @@ from .knowledge import IfThenRule, Instance, compile_rules, rule_policy_act
 
 
 RULE_FALLBACKS = ("learner", "stay")
+# _RETURN_ACTION[a]: the rule fallback that returns action index a
+_RETURN_ACTION = tuple((lambda _offset, action=action: action) for action in range(len(ACTIONS)))
 
 
 class TrialOutcome(Enum):
@@ -204,6 +206,10 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
     logged = [[Instance(dx, dy, action) for action in ACTIONS] for dx, dy in grid.offsets]
     trajectory: list[tuple[int, str, int, int, str]] = []
     two_alive = all(config.prey_alive)
+    # bound per call, not at import: a wrapper installed after import is called
+    step, deliver = env.step, deliver_rewards
+    decide = [agent.policy_step for agent in agents]     # N_HUNTERS == 4
+    gated, reward, dangerous_reward = config.atf_enabled, config.reward, config.dangerous_reward
 
     for trial in range(1, config.trials + 1):
         if config.strict_reset and trial > 1:
@@ -221,7 +227,8 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
         captures = None
         resets = 0
         for _ in range(config.step_cap):
-            actions = [agent.policy_step(world, rng, epsilon) for agent in agents]
+            actions = [decide[0](world, rng, epsilon), decide[1](world, rng, epsilon),
+                       decide[2](world, rng, epsilon), decide[3](world, rng, epsilon)]
             if compiled is not None:
                 for agent in agents:
                     _apply_rule_override(agent, world, compiled, config.rule_fallback, grid)
@@ -235,10 +242,8 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
                 for row, label in zip(env.trajectory_rows(world), labels + ["", ""]):
                     trajectory.append((*row, label))
 
-            outcome = env.step(world, actions, rng)
-            reached = deliver_rewards(agents, outcome, gated=config.atf_enabled,
-                                      positive_reward=config.reward,
-                                      dangerous_reward=config.dangerous_reward)
+            outcome = step(world, actions, rng)
+            reached = deliver(agents, outcome, gated, reward, dangerous_reward)
             resets += sum(reached)
             world = outcome.next_state
             if outcome.captures:
@@ -246,7 +251,7 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
                 break
         else:
             for agent in agents:
-                agent.finish_trial(0.0, gated=config.atf_enabled)
+                agent.finish_trial(0.0, gated)
 
         steps = world.step_count
         if captures:
@@ -272,7 +277,7 @@ def _apply_rule_override(agent: HunterAgent, world: env.WorldState,
     """Swap the pending action for the rule-commanded one when usable."""
     lower, chosen, target = agent.pending
     unmatched = Action.STAY.index if fallback_mode == "stay" else chosen
-    commanded = rule_policy_act(compiled, lower // N_PREY, fallback=lambda _: unmatched)
+    commanded = rule_policy_act(compiled, lower // N_PREY, fallback=_RETURN_ACTION[unmatched])
     if commanded != chosen:
         if grid.moves[world.hunters[agent.index]][commanded] < 0:
             commanded = chosen      # rule walked off the grid; keep the learner's pick

@@ -24,7 +24,6 @@ import ast
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import truediv
 from random import Random
 from typing import Literal, Sequence
 
@@ -38,7 +37,6 @@ from .env import (
     StepOutcome,
     WorldState,
     below,
-    grid_for,
 )
 from .profit_sharing import WeightTable
 from .q_learning import QTable, epsilon_greedy, q_update
@@ -144,13 +142,13 @@ def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
     maximizing the peer-summed rule weight discounted by the hunter's
     distance to it, ties uniform.
     """
-    if reach_discount < 1.0:
+    if not reach_discount >= 1.0:
         raise ValueError(f"reach discount must be >= 1, got {reach_discount}")
     first, second = prey = state.prey      # N_PREY == 2
-    grid = grid_for(state.side)
+    grid = state.grid
     hunters = state.hunters
     own = hunters[hunter_index]
-    if first.alive and second.alive:
+    if state.gap is not None:               # both prey alive
         distance = grid.distance[own]
         d0 = distance[first.cell]
         d1 = distance[second.cell]
@@ -178,22 +176,26 @@ def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
     states = weights.states
     if m0 in states or m1 in states or m2 in states:
         # Each module's rules are added into their cells' slots, in peer
-        # order; a missing rule would add +0.0, which changes no sum. A
-        # cell outside the candidates lands in the spare last slot.
+        # order, from 0.0; a missing rule would add +0.0, which changes no
+        # sum. A cell outside the candidates lands in the spare last slot.
         weight, cell_of = weights.weight, weights.cell
         slot = grid.slots[candidates][goal]
-        totals = [0.0] * (len(cells) + 1)
+        totals: dict[int, float] = {}       # slot -> sum, for the slots a rule reaches
         for module in modules:
             rules = states.get(module)
             if rules is None:
                 continue
-            if rules.__class__ is int:
-                totals[slot[cell_of[rules]]] += weight[rules]
-            else:
-                for rule in rules:
-                    totals[slot[cell_of[rule]]] += weight[rule]
+            for rule in (rules,) if rules.__class__ is int else rules:
+                at = slot[cell_of[rule]]
+                totals[at] = totals.get(at, 0.0) + weight[rule]
+        totals.pop(len(cells), None)        # the spare slot
+        # Any other slot scores 0.0 / d, which is 0.0: only reached ones divide.
         divisors = grid.reach_divisors(reach_discount)[own]
-        scores = list(map(truediv, totals, map(divisors.__getitem__, cells)))
+        scores = [0.0] * len(cells)
+        for at, total in totals.items():
+            scores[at] = score = total / divisors[cells[at]]
+        if len(totals) == 1 and score > 0.0:    # the one reached slot beats the zeros
+            return prey_index, modules, cells[at]
         best_score = max(scores)
         if scores.count(best_score) == 1:
             return prey_index, modules, cells[scores.index(best_score)]
@@ -261,11 +263,9 @@ class HunterAgent:
         prey, modules, target = select_target(self.upper, index, state, rng,
                                               self.reach_discount, exploration,
                                               self.candidates)
-        grid = grid_for(state.side)
-        first, second = state.prey
-        self.trace.append((modules, target, grid.distance[first.cell][second.cell]
-                           if first.alive and second.alive else None))
+        self.trace.append((modules, target, state.gap))
 
+        grid = state.grid
         own = state.hunters[index]
         lower = grid.offset[own][target] * N_PREY + prey
         action = epsilon_greedy(self.q, lower, grid.legal[own], exploration, rng)
@@ -280,12 +280,12 @@ class HunterAgent:
         lower, action, target = pending
         self.pending = None
         cell = next_state.hunters[self.index]
-        reached = cell == target
-        reward = self.goal_reward if reached else 0.0
-        next_lower = (grid_for(next_state.side).offset[cell][target] * N_PREY
-                      + lower % N_PREY)
-        q_update(self.q, lower, action, reward, next_lower, terminal=reached)
-        return reached
+        if cell == target:      # terminal: the backup reads no next state
+            q_update(self.q, lower, action, self.goal_reward, None, terminal=True)
+            return True
+        next_lower = next_state.grid.offset[cell][target] * N_PREY + lower % N_PREY
+        q_update(self.q, lower, action, 0.0, next_lower, terminal=False)
+        return False
 
     def finish_trial(self, reward: float, gated: bool) -> None:
         """Upper-layer reinforcement (or plain trace reset when reward is 0)."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 from .tableio import Decoder, Encoder, load_table, save_table
@@ -103,16 +104,17 @@ def save_weights(path, table: WeightTable, meta: dict[str, object] | None = None
     header = {"default_weight": 0.0}        # what unseen rules read as
     header.update(meta or {})
     index, weight, cell = table.states, table.weight, table.cell
+    # A recurring weight is spelled once (most distinct ones occur once, so the
+    # cache is bounded). Of equal floats only 0.0 and -0.0 spell apart, and add
+    # never stores -0.0: a rule starts at 0.0 + amount; x + y is -0.0 only if both are.
+    spell = lru_cache(maxsize=256)(repr)
     rows: list[str] = []
     append = rows.append
     for state in index if states is None else states:
         rules = index[state]
         text = encode_state(state)
-        if rules.__class__ is int:
-            append(f"{text}\t{encode_action(cell[rules])}\t{weight[rules]!r}\n")
-        else:
-            for rule in rules:
-                append(f"{text}\t{encode_action(cell[rule])}\t{weight[rule]!r}\n")
+        for rule in (rules,) if rules.__class__ is int else rules:
+            append(f"{text}\t{encode_action(cell[rule])}\t{spell(weight[rule])}\n")
     save_table(path, rows, header)
 
 

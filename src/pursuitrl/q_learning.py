@@ -74,7 +74,7 @@ def epsilon_greedy(table: QTable, state: Hashable, legal: Sequence[int],
     if epsilon > 0.0 and rng.random() < epsilon:
         return legal[below(rng, len(legal))]
     row = table.rows.get(state)
-    scores = list(map(row.__getitem__, legal)) if row else [0.0] * len(legal)
+    scores = [row[a] for a in legal] if row else [0.0] * len(legal)
     best_value = max(scores)
     if scores.count(best_value) == 1:
         return legal[scores.index(best_value)]

@@ -16,6 +16,7 @@ from pursuitrl.env import (
     grid_for,
     load_trajectory,
     new_world,
+    random_prey_policy,
     save_trajectory,
     step,
     trajectory_rows,
@@ -309,6 +310,54 @@ def test_step_invariants(case, dead_cells):
     assert again.blocked_moves == out.blocked_moves
     assert again.captures == out.captures
     assert moved_rng.getstate() == rng.getstate()
+
+
+def manhattan(a: int, b: int, side: int) -> int:
+    (x, y), (u, v) = position(a, side), position(b, side)
+    return abs(x - u) + abs(y - v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=stepped_worlds())
+def test_world_state_carries_its_grid_and_prey_gap(case):
+    world, actions, seed = case
+    after = step(world, actions, Random(seed)).next_state
+    for state in (world, after):
+        assert state.grid is grid_for(state.side)
+        first, second = state.prey
+        assert state.gap == (manhattan(first.cell, second.cell, state.side)
+                             if first.alive and second.alive else None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=stepped_worlds())
+def test_derived_world_fields_take_no_part_in_eq_or_repr(case):
+    world = case[0]
+    twin = WorldState(world.side, list(world.hunters),
+                      [PreyState(p.cell, p.alive, p.kind) for p in world.prey], world.step_count)
+    twin.grid, twin.gap = grid_for(3 if world.side != 3 else 4), -1
+    assert twin == world
+    assert repr(twin) == repr(world) == (
+        f"WorldState(side={world.side!r}, hunters={world.hunters!r}, "
+        f"prey={world.prey!r}, step_count={world.step_count!r})")
+    # Slotted: no state object carries a per-instance dict.
+    for state in (world, world.prey[0], step(world, case[1], Random(case[2]))):
+        assert not hasattr(state, "__dict__")
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=stepped_worlds())
+def test_default_prey_draws_as_random_prey_policy(case):
+    # step() draws the default policy's moves inline; any other policy
+    # object goes through the call.
+    world, actions, seed = case
+    rng, called_rng = Random(seed), Random(seed)
+    inline = step(world, actions, rng)
+    called = step(world, actions, called_rng,
+                  prey_policy=lambda *args: random_prey_policy(*args))
+    assert (inline.next_state, inline.captures, inline.blocked_moves) == \
+        (called.next_state, called.captures, called.blocked_moves)
+    assert rng.getstate() == called_rng.getstate()
 
 
 def rng_states():

@@ -54,6 +54,10 @@ def test_grid_tables_match_geometry(side):
             assert grid.cell_ids[repr((x, y))] == cell
             assert grid.legal_actions[cell] == reference.legal_actions(pos, side)
             assert tuple(ACTIONS[a] for a in grid.legal[cell]) == grid.legal_actions[cell]
+            legal = reference.legal_actions(pos, side)
+            assert grid.uniform_moves[cell] == (
+                tuple(cell_id((x + a.value[0], y + a.value[1]), side) for a in legal),
+                len(legal), len(legal).bit_length())
             for action in ACTIONS:
                 dest = (x + action.value[0], y + action.value[1])
                 on_grid = 0 <= dest[0] < side and 0 <= dest[1] < side
@@ -102,14 +106,17 @@ def random_rules(world: WorldState, hunter: int, mode: str, seed: int) -> dict:
     rules = {}
     hunters, prey_positions = positions(world)
     own = hunters[hunter]
+    # Sparse tables often reach one candidate slot; zero and negative
+    # weights let that slot score no better than the slots no rule reaches.
+    density = rng.choice((0.03, 0.5))
     for j, goal in enumerate(prey_positions):
         for k, peer in enumerate(hunters):
             if k == hunter:
                 continue
             key = ModuleKey(hunter, j, own, peer, goal)
             for cell in reference.candidate_cells(goal, side, mode):
-                if rng.random() < 0.5:
-                    rules[key, cell] = rng.choice((0.25, 1.0, 2.0, 3.5, 7.0))
+                if rng.random() < density:
+                    rules[key, cell] = rng.choice((-1.0, 0.0, 0.25, 1.0, 2.0, 3.5, 7.0))
             if rng.random() < 0.3:
                 rules[key, goal] = 9.0      # the prey's own cell is never a candidate
     for _ in range(5):

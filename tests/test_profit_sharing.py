@@ -1,8 +1,10 @@
+import tempfile
 import tracemalloc
+from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -14,6 +16,7 @@ from pursuitrl.profit_sharing import (
     load_weights,
     save_weights,
 )
+from pursuitrl.tableio import save_table
 
 
 def test_params_require_wide_discount():
@@ -145,6 +148,25 @@ def test_weight_table_round_trip_is_bit_exact(tmp_path):
             == {state: {table.cell[rule] for rule in reference.rule_ids(table, state)}
                 for state in table.states})
     assert meta == {"upper_decay": 0.8}
+
+
+@settings(max_examples=100, deadline=None)
+@given(adds=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 3),
+                               st.sampled_from((0.0, -0.0, 0.1, 0.2, -0.3, 2.5, 1e-300))),
+                     max_size=80))
+# Ten rules of weight 0.1, one cancelled to 0.0, one added as -0.0.
+@example(adds=[(s, s % 3, 0.1) for s in range(10)] + [(0, 0, -0.1), (20, 1, -0.0)])
+def test_save_weights_spells_repeated_weights_as_repr(adds):
+    table = WeightTable()
+    for state, action, amount in adds:
+        table.add(state, action, amount)
+    with tempfile.TemporaryDirectory() as tmp:
+        saved, expected = Path(tmp) / "saved.tsv", Path(tmp) / "expected.tsv"
+        save_weights(saved, table, {"upper_decay": 0.8})
+        save_table(expected, [f"{state!r}\t{cell!r}\t{weight!r}\n"
+                              for state, cell, weight in reference.table_rules(table)],
+                   {"default_weight": 0.0, "upper_decay": 0.8})
+        assert saved.read_bytes() == expected.read_bytes()
 
 
 @settings(max_examples=200, deadline=None)
