@@ -45,6 +45,8 @@ class Action(Enum):
 
 
 ACTIONS: tuple[Action, ...] = tuple(Action)
+# Every action index, ascending; Grid.legal shares it where every move is legal.
+ALL_ACTIONS = tuple(range(len(ACTIONS)))
 
 # Serialization vocabulary for CSV/rule files: screen directions, with
 # "down" meaning +y (south).
@@ -68,6 +70,13 @@ N_PREY = 2
 
 HUNTER_IDS = tuple(f"h{i}" for i in range(N_HUNTERS))
 PREY_IDS = tuple(f"p{j}" for j in range(N_PREY))
+
+# Names of a step's agents (the hunters, then the live prey) by the prey's alive flags.
+_AGENT_NAMES = {(a, b): HUNTER_IDS + tuple(name for name, alive in zip(PREY_IDS, (a, b)) if alive)
+                for a in (False, True) for b in (False, True)}    # N_PREY == 2
+# By agent count: (m, bits) of each draw of the priority walk, m falling to 2.
+_PRIORITY_DRAWS = tuple(tuple((m, m.bit_length()) for m in range(n, 1, -1))
+                        for n in range(N_HUNTERS + N_PREY + 1))
 
 CANDIDATE_MODES = ("ring2", "all")
 
@@ -99,7 +108,8 @@ class Grid:
                   for a in ACTIONS)
             for x, y in self.cells
         )
-        self.legal = tuple(tuple(i for i, dest in enumerate(row) if dest >= 0)
+        self.legal = tuple(ALL_ACTIONS if min(row) >= 0
+                           else tuple(i for i, dest in enumerate(row) if dest >= 0)
                            for row in self.moves)
         self.legal_actions = tuple(tuple(ACTIONS[i] for i in row) for row in self.legal)
         # what a uniform random move draws from: (destinations, count, bits)
@@ -243,8 +253,10 @@ def step(state: WorldState, hunter_actions: Sequence[Action], rng: Random,
     moves = grid.moves
     # Agent-index arrays over the agents taking part: the hunters, then
     # the live prey in prey order.
-    current = list(state.hunters)
-    dest = [moves[cell][action.index] for cell, action in zip(current, hunter_actions)]
+    h0, h1, h2, h3 = state.hunters          # N_HUNTERS == 4
+    a0, a1, a2, a3 = hunter_actions
+    current = [h0, h1, h2, h3]
+    dest = [moves[h0][a0.index], moves[h1][a1.index], moves[h2][a2.index], moves[h3][a3.index]]
     if -1 in dest:
         i = dest.index(-1)
         raise ValueError(f"illegal action {hunter_actions[i].name} for hunter {i} "
@@ -272,10 +284,10 @@ def step(state: WorldState, hunter_actions: Sequence[Action], rng: Random,
 
     n = len(current)
     order = list(range(n))
-    for m in range(n, 1, -1):         # Random.shuffle's Fisher-Yates walk
-        j = getrandbits(m.bit_length())
+    for m, bits in _PRIORITY_DRAWS[n]:  # Random.shuffle's Fisher-Yates walk
+        j = getrandbits(bits)
         while j >= m:
-            j = getrandbits(m.bit_length())
+            j = getrandbits(bits)
         order[m - 1], order[j] = order[j], order[m - 1]
 
     if len(set(dest)) == n:
@@ -287,16 +299,17 @@ def step(state: WorldState, hunter_actions: Sequence[Action], rng: Random,
         # Same destination: the best-ranked claimant moves, the rest stay.
         heading: dict[int, int] = {}    # destination -> the mover that claimed it
         blocked = [False] * n
+        stay_cells = []
         for k in order:
-            target = dest[k]
-            if target != current[k]:
-                if target in heading:
-                    blocked[k] = True
-                else:
-                    heading[target] = k
+            target, cell = dest[k], current[k]
+            if target != cell and target not in heading:
+                heading[target] = k
+            else:                       # a stayer, or a claim-blocked mover
+                blocked[k] = target != cell
+                stay_cells.append(cell)
         # A move onto a cell whose occupant ends up staying is blocked, and
-        # makes the blocked mover's own cell a stayer's cell in turn.
-        stay_cells = [c for c, d, b in zip(current, dest, blocked) if b or c == d]
+        # makes the blocked mover's own cell a stayer's cell in turn. A cell
+        # enters the list once, so the order it is worked in changes nothing.
         while stay_cells:
             k = heading.pop(stay_cells.pop(), None)
             if k is not None:
@@ -305,7 +318,7 @@ def step(state: WorldState, hunter_actions: Sequence[Action], rng: Random,
         final = current
         for target, k in heading.items():
             final[k] = target
-        names = HUNTER_IDS + tuple(PREY_IDS[j] for j, p in enumerate(state.prey) if p.alive)
+        names = _AGENT_NAMES[state.prey[0].alive, state.prey[1].alive]
         blocked_moves = [names[k] for k in order if blocked[k]]
 
     hunters = final[:N_HUNTERS]

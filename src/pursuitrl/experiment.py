@@ -210,6 +210,10 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
     step, deliver = env.step, deliver_rewards
     decide = [agent.policy_step for agent in agents]     # N_HUNTERS == 4
     gated, reward, dangerous_reward = config.atf_enabled, config.reward, config.dangerous_reward
+    moves = grid.moves
+    # fallbacks[chosen]: the rule fallback for the learner's pick, per the fallback mode
+    fallbacks = ((_RETURN_ACTION[Action.STAY.index],) * len(ACTIONS)
+                 if config.rule_fallback == "stay" else _RETURN_ACTION)
 
     for trial in range(1, config.trials + 1):
         if config.strict_reset and trial > 1:
@@ -230,9 +234,14 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
             actions = [decide[0](world, rng, epsilon), decide[1](world, rng, epsilon),
                        decide[2](world, rng, epsilon), decide[3](world, rng, epsilon)]
             if compiled is not None:
-                for agent in agents:
-                    _apply_rule_override(agent, world, compiled, config.rule_fallback, grid)
-                actions = [ACTIONS[agent.pending[1]] for agent in agents]
+                for i, agent in enumerate(agents):
+                    lower, chosen, target = agent.pending
+                    commanded = rule_policy_act(compiled, lower // N_PREY,
+                                                fallback=fallbacks[chosen])
+                    # a rule action off the grid leaves the learner's pick
+                    if commanded != chosen and moves[world.hunters[i]][commanded] >= 0:
+                        agent.pending = (lower, commanded, target)
+                        actions[i] = ACTIONS[commanded]
             if in_window:
                 for agent in agents:
                     lower, action, _ = agent.pending
@@ -270,18 +279,6 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
 
     return TrainingResult(config=config, seed=seed, records=records, agents=agents,
                           instances=instances, trajectory=trajectory)
-
-
-def _apply_rule_override(agent: HunterAgent, world: env.WorldState,
-                         compiled: Sequence[int], fallback_mode: str, grid: env.Grid) -> None:
-    """Swap the pending action for the rule-commanded one when usable."""
-    lower, chosen, target = agent.pending
-    unmatched = Action.STAY.index if fallback_mode == "stay" else chosen
-    commanded = rule_policy_act(compiled, lower // N_PREY, fallback=_RETURN_ACTION[unmatched])
-    if commanded != chosen:
-        if grid.moves[world.hunters[agent.index]][commanded] < 0:
-            commanded = chosen      # rule walked off the grid; keep the learner's pick
-        agent.pending = (lower, commanded, target)
 
 
 def blocks_for(trials: int, block_ends: Sequence[int]) -> list[tuple[int, int]]:

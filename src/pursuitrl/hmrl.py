@@ -29,6 +29,7 @@ from typing import Literal, Sequence
 
 from .env import (
     ACTIONS,
+    CANDIDATE_MODES,
     N_HUNTERS,
     N_PREY,
     Action,
@@ -242,6 +243,10 @@ class HunterAgent:
                  atf_params: ATFieldParams = ATFieldParams(),
                  reach_discount: float = 2.0, candidates: CandidateMode = "ring2",
                  goal_reward: float = 100.0):
+        if not reach_discount >= 1.0:
+            raise ValueError(f"reach discount must be >= 1, got {reach_discount}")
+        if candidates not in CANDIDATE_MODES:
+            raise ValueError(f"candidates must be one of {CANDIDATE_MODES}, got {candidates!r}")
         self.index = index
         self.upper = WeightTable()
         self.q = QTable(alpha=alpha, gamma=gamma)
@@ -302,7 +307,9 @@ def deliver_rewards(agents: Sequence[HunterAgent], outcome: StepOutcome,
     Returns the per-hunter target-reached flags.
     """
     next_state = outcome.next_state
-    reached = [agent.observe(next_state) for agent in agents]
+    a0, a1, a2, a3 = agents     # N_HUNTERS == 4
+    reached = [a0.observe(next_state), a1.observe(next_state), a2.observe(next_state),
+               a3.observe(next_state)]
     if outcome.captures:
         positive = any(kind is PreyKind.POSITIVE for _, kind in outcome.captures)
         reward = positive_reward if positive else dangerous_reward

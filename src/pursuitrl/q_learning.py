@@ -9,7 +9,7 @@ from math import isfinite
 from random import Random
 from typing import Hashable, Sequence
 
-from .env import ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, below
+from .env import ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, ALL_ACTIONS, below
 from .tableio import Decoder, Encoder, load_table, save_table
 
 
@@ -74,7 +74,10 @@ def epsilon_greedy(table: QTable, state: Hashable, legal: Sequence[int],
     if epsilon > 0.0 and rng.random() < epsilon:
         return legal[below(rng, len(legal))]
     row = table.rows.get(state)
-    scores = [row[a] for a in legal] if row else [0.0] * len(legal)
+    if not row:             # every action scores 0.0: a tie unless only one is legal
+        return legal[below(rng, len(legal))] if len(legal) > 1 else legal[0]
+    # Over every action in index order the row is the score list itself.
+    scores = row if legal is ALL_ACTIONS and len(row) == len(legal) else [row[a] for a in legal]
     best_value = max(scores)
     if scores.count(best_value) == 1:
         return legal[scores.index(best_value)]

@@ -5,7 +5,8 @@ named keys by direct geometry, the way the program did before its tables
 were integer-coded, and share no code with the :class:`pursuitrl.env.Grid`
 tables; they convert the program's cell-id world states at their
 boundary. Plain Profit Sharing and value iteration are the textbook
-algorithms the two learning layers reduce to.
+algorithms the two learning layers reduce to. The lower layer's action
+pick is kept in the form that copies the scored row for every call.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from random import Random
 from typing import NamedTuple
 
 from pursuitrl.env import (ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, N_PREY, Position, PreyKind,
-                           PreyState, WorldState)
+                           PreyState, WorldState, below)
 from pursuitrl.experiment import run_meta
 from pursuitrl.knowledge import INSTANCE_HEADER, Instance, Split
 from pursuitrl.profit_sharing import WeightTable
@@ -173,6 +174,22 @@ def candidate_cells(goal, side: int, mode: str = "ring2") -> tuple[Position, ...
         return tuple(Position(x, y) for x in range(side) for y in range(side)
                      if (x, y) != (gx, gy))
     raise ValueError(mode)
+
+
+def epsilon_greedy(table, state, legal, epsilon: float, rng: Random) -> int:
+    """Greedy action index over ``legal`` with uniform tie-break, exploring
+    with probability ``epsilon``; scores a copy of the row's legal slots."""
+    if not legal:
+        raise ValueError("no legal actions")
+    if epsilon > 0.0 and rng.random() < epsilon:
+        return legal[below(rng, len(legal))]
+    row = table.rows.get(state)
+    scores = [row[a] for a in legal] if row else [0.0] * len(legal)
+    best_value = max(scores)
+    if scores.count(best_value) == 1:
+        return legal[scores.index(best_value)]
+    ties = [a for a, value in zip(legal, scores) if value == best_value]
+    return ties[below(rng, len(ties))]
 
 
 def select_target(rules: dict, hunter: int, state: WorldState, rng: Random,

@@ -121,6 +121,18 @@ def test_step_chain_behind_stayer_blocked():
     assert set(out.blocked_moves) == {"h0", "h1"}
 
 
+def test_step_names_a_blocked_prey_by_its_prey_index():
+    # Prey 0 is dead, so prey 1 is the only live prey; it draws EAST onto
+    # h0, who stays, and must be reported as "p1", not by its place among
+    # the live prey.
+    world = make_world([(1, 0), (3, 3), (5, 6), (6, 5)], [(4, 4), (0, 0)],
+                       alive=(False, True))
+    assert Random(5).choice(grid_for(7).legal_actions[0]) is Action.EAST
+    out = step(world, [Action.STAY] * 4, Random(5))
+    assert out.blocked_moves == ["p1"]
+    assert positions(out.next_state)[1][1] == (0, 0)
+
+
 def test_step_train_of_movers_advances():
     world = make_world([(0, 0), (1, 0), (2, 0), (6, 5)], [(3, 3), (4, 4)],
                        alive=(False, False))

@@ -298,6 +298,17 @@ def trained_agent_world():
     return agent, world
 
 
+@pytest.mark.parametrize("reach_discount", [0.5, float("nan")])
+def test_agent_rejects_reach_discount_below_one(reach_discount):
+    with pytest.raises(ValueError, match="reach discount"):
+        HunterAgent(0, reach_discount=reach_discount)
+
+
+def test_agent_rejects_unknown_candidate_mode():
+    with pytest.raises(ValueError, match="ring3"):
+        HunterAgent(0, candidates="ring3")
+
+
 def test_agent_policy_step_records_and_acts():
     agent, world = trained_agent_world()
     action = agent.policy_step(world, Random(0), exploration=0.0)

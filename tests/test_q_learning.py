@@ -4,8 +4,11 @@ from functools import partial
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pursuitrl.env import Action, grid_for
+import reference
+from pursuitrl.env import ACTIONS, ALL_ACTIONS, Action, grid_for
 from pursuitrl.hmrl import lower_state_ids, lower_state_text
 from pursuitrl.q_learning import QTable, epsilon_greedy, load_q_table, q_update, save_q_table
 from reference import ExplicitMDP, greedy_action, lower_state, solve_value_iteration
@@ -91,6 +94,57 @@ def test_epsilon_greedy_exploration_frequency():
 def test_epsilon_greedy_rejects_empty_legal_set():
     with pytest.raises(ValueError):
         epsilon_greedy(QTable(), "s", (), 0.0, Random(0))
+
+
+@st.composite
+def greedy_cases(draw):
+    """A table, a legal index tuple and an epsilon for ``epsilon_greedy``.
+
+    ``legal`` is a cell's row of some grid (the shared full row included),
+    a permuted full row, or a subset of a table built with ``actions=``,
+    whose rows may be longer or shorter than the grid's five actions. The
+    state's row is missing, all zeros, tied, signed zeros or arbitrary.
+    """
+    source = draw(st.sampled_from(["grid", "permuted", "custom"]))
+    if source == "grid":
+        grid = grid_for(draw(st.integers(3, 9)))
+        table, legal = QTable(), grid.legal[draw(st.integers(0, grid.size - 1))]
+    elif source == "permuted":
+        table, legal = QTable(), tuple(draw(st.permutations(range(len(ACTIONS)))))
+    else:
+        table = QTable(actions=range(draw(st.integers(1, 8))))
+        n = len(table.actions)
+        legal = draw(st.sampled_from([
+            ALL_ACTIONS,
+            tuple(draw(st.permutations(range(n)))[:draw(st.integers(1, n))]),
+        ]))
+    values = draw(st.sampled_from([
+        "missing", st.just(0.0), st.sampled_from([0.0, -0.0]), st.sampled_from([-1.0, 0.0, 2.5]),
+        st.floats(-1e3, 1e3)]))
+    if values != "missing":
+        table.rows["s"] = draw(st.lists(values, min_size=len(table.actions),
+                                        max_size=len(table.actions)))
+    epsilon = draw(st.sampled_from([0.0, 0.0, 0.3, 1.0]))
+    return table, legal, epsilon
+
+
+def pick_or_error(function, table, legal, epsilon, rng):
+    try:
+        return function(table, "s", legal, epsilon, rng)
+    except IndexError as error:     # a legal index past the row's end
+        return type(error)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=greedy_cases(), seed=st.integers(0, 2**32 - 1))
+def test_epsilon_greedy_matches_row_copying_reference(case, seed):
+    table, legal, epsilon = case
+    row = list(table.rows.get("s", ()))
+    rng, reference_rng = Random(seed), Random(seed)
+    assert (pick_or_error(epsilon_greedy, table, legal, epsilon, rng)
+            == pick_or_error(reference.epsilon_greedy, table, legal, epsilon, reference_rng))
+    assert rng.getstate() == reference_rng.getstate()
+    assert list(table.rows.get("s", ())) == row
 
 
 def absorbing_mdp(reward=7.0, gamma=0.9):
