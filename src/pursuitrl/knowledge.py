@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, Union
 
 from .env import ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, Action, Grid
@@ -56,25 +56,13 @@ class IfThenRule:
     conditions: tuple[tuple[str, str, float], ...]   # (attribute, "<=" or ">", threshold)
     action: Action
     cf: float
-    # (theta_X lower, theta_X upper, theta_Y lower, theta_Y upper): the rule
-    # matches when lower < value <= upper on both attributes
-    bounds: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        lower = [-math.inf, -math.inf]
-        upper = [math.inf, math.inf]
-        for attribute, op, threshold in self.conditions:
-            idx = _attribute_index(attribute)
-            if op == "<=":
-                upper[idx] = min(upper[idx], threshold)
-            else:
-                lower[idx] = max(lower[idx], threshold)
-        object.__setattr__(self, "bounds", (lower[0], upper[0], lower[1], upper[1]))
 
 
 def _entropy(counts: Iterable[int], total: float) -> float:
+    """Base-2 entropy of ``counts``, summed in sorted order so that equal
+    multisets of counts give bit-identical results."""
     result = 0.0
-    for count in counts:
+    for count in sorted(counts):
         if count:
             p = count / total
             result -= p * math.log2(p)
@@ -88,25 +76,35 @@ def _attribute_index(attribute: str) -> int:
         raise ValueError(f"unknown attribute: {attribute!r}") from None
 
 
+def _split_score(node_entropy: float, counts: Sequence[int], left_counts: Sequence[int],
+                 total: int, left_total: int) -> tuple[float, float]:
+    """(information gain, gain ratio) of the binary split of a node with label
+    ``counts`` (entropy ``node_entropy``) that sends ``left_counts`` left;
+    both sides must be non-empty."""
+    right_total = total - left_total
+    after = (left_total / total) * _entropy(left_counts, left_total) \
+        + (right_total / total) * _entropy(
+            (c - l for c, l in zip(counts, left_counts)), right_total)
+    gain = node_entropy - after
+    return gain, gain / _entropy((left_total, right_total), total)
+
+
 def gain_ratio(instances: Sequence[Instance], attribute: str, threshold: float) -> float:
-    """Information gain of the binary split over its split entropy (base 2)."""
+    """Information gain of the binary split over its split entropy (base 2),
+    scored as :func:`induce_tree` scores its candidate splits."""
     if len(instances) < 2:
         raise ValueError("need at least 2 instances to split")
     idx = _attribute_index(attribute)
-    left = Counter()
-    right = Counter()
+    counts = [0] * len(ACTIONS)
+    left_counts = [0] * len(ACTIONS)
     for inst in instances:
-        (left if inst[idx] <= threshold else right)[inst.label] += 1
-    n_left, n_right = sum(left.values()), sum(right.values())
-    if n_left == 0 or n_right == 0:
+        counts[inst.label.index] += 1
+        if inst[idx] <= threshold:
+            left_counts[inst.label.index] += 1
+    total, left_total = len(instances), sum(left_counts)
+    if left_total == 0 or left_total == total:
         raise ValueError(f"degenerate split at {attribute} <= {threshold}")
-    total = n_left + n_right
-    before = _entropy((left + right).values(), total)
-    after = (n_left / total) * _entropy(left.values(), n_left) \
-        + (n_right / total) * _entropy(right.values(), n_right)
-    gain = before - after
-    split_info = _entropy((n_left, n_right), total)
-    return gain / split_info
+    return _split_score(_entropy(counts, total), counts, left_counts, total, left_total)[1]
 
 
 def _grow(items: list[tuple[int, int, int, int]], min_leaf: int, max_depth: int,
@@ -140,16 +138,11 @@ def _grow(items: list[tuple[int, int, int, int]], min_leaf: int, max_depth: int,
                 pos += 1
             if pos == len(ordered):
                 break                         # splitting past the max value is no split
-            right_total = total - left_total
-            if left_total < min_leaf or right_total < min_leaf:
+            if left_total < min_leaf or total - left_total < min_leaf:
                 continue
-            after = (left_total / total) * _entropy(left_counts, left_total) \
-                + (right_total / total) * _entropy(
-                    (c - l for c, l in zip(counts, left_counts)), right_total)
-            gain = node_entropy - after
+            gain, ratio = _split_score(node_entropy, counts, left_counts, total, left_total)
             if gain <= GAIN_EPS:
                 continue
-            ratio = gain / _entropy((left_total, right_total), total)
             if ratio > best_ratio:
                 best_ratio = ratio
                 best = [(value, attr_idx)]
@@ -246,8 +239,19 @@ def compile_rules(rules: Sequence[IfThenRule], grid: Grid) -> tuple[int, ...]:
     """Per offset id of ``grid``: the action index of the first of
     ``rules`` (sorted by confidence factor descending, as
     :func:`extract_rules` returns them) matching the offset, else -1."""
-    bounds = [(rule.bounds, rule.action.index) for rule in rules]
-    return tuple(next((action for (x_lower, x_upper, y_lower, y_upper), action in bounds
+    # Per rule: (lower, upper) per attribute; it matches when lower < value <= upper.
+    bounds = []
+    for rule in rules:
+        lower = [-math.inf, -math.inf]
+        upper = [math.inf, math.inf]
+        for attribute, op, threshold in rule.conditions:
+            idx = _attribute_index(attribute)
+            if op == "<=":
+                upper[idx] = min(upper[idx], threshold)
+            else:
+                lower[idx] = max(lower[idx], threshold)
+        bounds.append((lower[0], upper[0], lower[1], upper[1], rule.action.index))
+    return tuple(next((action for x_lower, x_upper, y_lower, y_upper, action in bounds
                        if x_lower < theta_x <= x_upper and y_lower < theta_y <= y_upper), -1)
                  for theta_x, theta_y in grid.offsets)
 

@@ -40,10 +40,6 @@ class QTable:
         return {(state, action): rows[state][action] for state, mask in self.written.items()
                 for action in range(len(self.actions)) if mask >> action & 1}
 
-    def get(self, state: Hashable, action: int) -> float:
-        row = self.rows.get(state)
-        return 0.0 if row is None else row[action]
-
     def set(self, state: Hashable, action: int, value: float) -> None:
         self.rows.setdefault(state, [0.0] * len(self.actions))[action] = value
         self.written[state] = self.written.get(state, 0) | 1 << action

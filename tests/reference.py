@@ -6,12 +6,14 @@ were integer-coded, and share no code with the :class:`pursuitrl.env.Grid`
 tables; they convert the program's cell-id world states at their
 boundary. Plain Profit Sharing and value iteration are the textbook
 algorithms the two learning layers reduce to. The lower layer's action
-pick is kept in the form that copies the scored row for every call.
+pick is kept in the form that copies the scored row for every call. The
+gain-ratio oracle works from probability lists over the instances.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
@@ -244,6 +246,34 @@ def load_instances(path) -> list[Instance]:
                 raise ValueError(f"{path}:{reader.line_num}: malformed row "
                                  f"{','.join(row)!r}: {exc!r}") from None
     return instances
+
+
+def brute_force_gain_ratio(instances, attribute: str, threshold) -> float:
+    """Gain ratio of the split ``attribute <= threshold``, straight from
+    probability lists over the instances of each side."""
+    idx = 0 if attribute == "theta_X" else 1
+
+    def entropy(group):
+        total = 0.0
+        for label in set(item.label for item in group):
+            p = sum(1 for item in group if item.label is label) / len(group)
+            total -= p * math.log2(p)
+        return total
+
+    left = [item for item in instances if item[idx] <= threshold]
+    right = [item for item in instances if item[idx] > threshold]
+    n = len(instances)
+    gain = entropy(instances) - (len(left) / n) * entropy(left) \
+        - (len(right) / n) * entropy(right)
+    fractions = (len(left) / n, len(right) / n)
+    split_info = -sum(f * math.log2(f) for f in fractions if f)
+    return gain / split_info
+
+
+def q_value(table, state, action: int) -> float:
+    """A Q table's value of ``(state, action index)``; a state with no row reads 0.0."""
+    row = table.rows.get(state)
+    return 0.0 if row is None else row[action]
 
 
 def classify(tree, theta_x: int, theta_y: int):

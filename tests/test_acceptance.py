@@ -2,12 +2,12 @@
 
 The multi-seed training sweeps are expensive, so they run once in
 module-scoped fixtures (two worker processes) and every directional
-criterion reads from the shared results. Each test prints a one-line
-PASS marker naming its criterion.
+criterion reads from the shared results; only the criteria that use
+them are marked slow. Each test prints a one-line PASS marker naming
+its criterion.
 """
 
 import filecmp
-import math
 import multiprocessing
 import statistics
 import time
@@ -24,9 +24,8 @@ from pursuitrl.hmrl import ATFieldParams, atf
 from pursuitrl.knowledge import Instance, Leaf, extract_rules, gain_ratio, induce_tree
 from pursuitrl.profit_sharing import PSParams, check_suppression
 from pursuitrl.q_learning import QTable, q_update
-from reference import ExplicitMDP, classify, legal_actions, solve_value_iteration
-
-pytestmark = pytest.mark.slow
+from reference import (ExplicitMDP, brute_force_gain_ratio, classify, legal_actions, q_value,
+                       solve_value_iteration)
 
 SEEDS = (1, 2, 3, 4, 5)
 SWEEP_CONFIG = ExperimentConfig(trials=2000)
@@ -148,10 +147,10 @@ def test_criterion_4_q_learning_matches_value_iteration():
     tie_eps = 1e-6
     for state in nonterminal:
         legal = legal_actions(state, side)
-        learned_best = max(table.get(state, a.index) for a in legal)
+        learned_best = max(q_value(table, state, a.index) for a in legal)
         assert learned_best == pytest.approx(oracle[state], abs=tolerance)
         learned_greedy = {a for a in legal
-                          if table.get(state, a.index) >= learned_best - tie_eps}
+                          if q_value(table, state, a.index) >= learned_best - tie_eps}
         exact_q = {
             a: transitions[(state, a)][0][2]
             + gamma * oracle[transitions[(state, a)][0][1]]
@@ -161,26 +160,6 @@ def test_criterion_4_q_learning_matches_value_iteration():
         oracle_greedy = {a for a in legal if exact_q[a] >= best_q - tie_eps}
         assert learned_greedy == oracle_greedy, state
     print("\n[criterion 4] PASS: greedy values within 1e-3 and policy identical")
-
-
-def brute_force_gain_ratio(instances, attr_index, threshold):
-    def entropy(group):
-        if not group:
-            return 0.0
-        total = 0.0
-        for label in set(item.label for item in group):
-            p = sum(1 for item in group if item.label is label) / len(group)
-            total -= p * math.log2(p)
-        return total
-
-    left = [item for item in instances if item[attr_index] <= threshold]
-    right = [item for item in instances if item[attr_index] > threshold]
-    n = len(instances)
-    gain = entropy(instances) - (len(left) / n) * entropy(left) \
-        - (len(right) / n) * entropy(right)
-    fractions = (len(left) / n, len(right) / n)
-    split_info = -sum(f * math.log2(f) for f in fractions if f)
-    return gain / split_info
 
 
 def planted_label(x, y):
@@ -203,7 +182,7 @@ def test_criterion_5_tree_induction_oracles():
         for attr_index, attribute in enumerate(("theta_X", "theta_Y")):
             values = sorted({item[attr_index] for item in instances})
             for threshold in values[:-1]:
-                expected = brute_force_gain_ratio(instances, attr_index, threshold)
+                expected = brute_force_gain_ratio(instances, attribute, threshold)
                 assert gain_ratio(instances, attribute, threshold) == pytest.approx(
                     expected, abs=1e-12)
                 checked += 1
@@ -220,6 +199,7 @@ def test_criterion_5_tree_induction_oracles():
           "planted rule recovered on all 169 offsets")
 
 
+@pytest.mark.slow
 def test_criterion_6_learning_curve_direction(sweep):
     for seed in SEEDS:
         records, _ = sweep["on"][seed]
@@ -233,6 +213,7 @@ def test_criterion_6_learning_curve_direction(sweep):
           f"{len(SEEDS)} seeds ({sweep['on_elapsed']:.0f}s for the sweep)")
 
 
+@pytest.mark.slow
 def test_criterion_7_atf_benefit_direction(sweep):
     with_gate = statistics.fmean(
         final_block(sweep["on"][seed][0]).positive_ratio for seed in SEEDS)
@@ -243,6 +224,7 @@ def test_criterion_7_atf_benefit_direction(sweep):
           f"{with_gate:.1%} (gated) >= {without_gate:.1%} (ungated)")
 
 
+@pytest.mark.slow
 def test_criterion_8_rule_distillation_closure(sweep, distilled):
     trained_safety, trained_steps = [], []
     ruled_safety, ruled_steps = [], []
@@ -274,6 +256,7 @@ def test_criterion_9_train_reports_byte_identical(tmp_path):
     print(f"\n[criterion 9] PASS: {len(match)} report files byte-identical")
 
 
+@pytest.mark.slow
 def test_criterion_10_metric_identity_exact(sweep):
     blocks = 0
     for bank in ("on", "off"):

@@ -4,7 +4,7 @@ import re
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -29,7 +29,7 @@ from pursuitrl.knowledge import (
     save_instances,
     save_rules,
 )
-from reference import classify
+from reference import brute_force_gain_ratio, classify
 
 
 def inst(x, y, label):
@@ -37,32 +37,6 @@ def inst(x, y, label):
 
 
 # --- gain ratio ---------------------------------------------------------
-
-def brute_force_gain_ratio(instances, attribute, threshold):
-    """Independent calculation straight from probability lists."""
-    idx = 0 if attribute == "theta_X" else 1
-
-    def entropy(subset):
-        if not subset:
-            return 0.0
-        total = 0.0
-        for label in set(i.label for i in subset):
-            p = sum(1 for i in subset if i.label is label) / len(subset)
-            total -= p * math.log(p, 2)
-        return total
-
-    left = [i for i in instances if i[idx] <= threshold]
-    right = [i for i in instances if i[idx] > threshold]
-    n = len(instances)
-    gain = entropy(instances) - (len(left) / n) * entropy(left) \
-        - (len(right) / n) * entropy(right)
-    split_info = entropy_of_fractions(len(left) / n, len(right) / n)
-    return gain / split_info
-
-
-def entropy_of_fractions(*fractions):
-    return -sum(f * math.log(f, 2) for f in fractions if f)
-
 
 def test_gain_ratio_zero_for_pure_labels():
     instances = [inst(x, 0, Action.STAY) for x in range(-3, 4)]
@@ -520,10 +494,16 @@ small_instance_sets = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(instances=small_instance_sets, min_leaf=st.integers(1, 4))
+# theta_Y <= 0 and theta_X <= 1 split 3 vs 3 with the same label counts in
+# another order: an exact tie that gain_ratio must score as the tree does.
+@example(instances=[inst(0, 0, Action.NORTH), inst(2, 0, Action.SOUTH), inst(1, 0, Action.STAY),
+                    inst(2, 1, Action.STAY), inst(0, 1, Action.SOUTH), inst(2, 1, Action.SOUTH)],
+         min_leaf=3)
 def test_root_split_has_the_largest_gain_ratio(instances, min_leaf):
-    # The split the tree grows at its root is one gain_ratio scores best,
-    # within 1e-12, among the admissible thresholds: min_leaf per side and
-    # positive gain. Without one the root is a leaf.
+    # The split the tree grows at its root is one gain_ratio scores best
+    # among the admissible thresholds (min_leaf per side and positive gain),
+    # and of the splits that tie for best, the smallest (threshold,
+    # attribute index). Without one the root is a leaf.
     n = len(instances)
     admissible = {}
     for attr_idx, attribute in enumerate(ATTRIBUTES):
@@ -542,7 +522,8 @@ def test_root_split_has_the_largest_gain_ratio(instances, min_leaf):
     assert isinstance(tree, Split)
     root = (tree.threshold, ATTRIBUTES.index(tree.attribute))
     assert root in admissible
-    assert admissible[root] >= max(admissible.values()) - 1e-12
+    assert admissible[root] == max(admissible.values())
+    assert root == min(split for split, ratio in admissible.items() if ratio == admissible[root])
 
 
 def test_tied_splits_go_to_the_smallest_threshold_then_attribute():
@@ -553,3 +534,9 @@ def test_tied_splits_go_to_the_smallest_threshold_then_attribute():
     # Mirror-symmetric in x and y: each threshold ties across the attributes.
     tree = induce_tree([inst(0, 0, Action.STAY), inst(1, 1, Action.NORTH)] * 2, min_leaf=1)
     assert (tree.attribute, tree.threshold) == ("theta_X", 0)
+    # theta_Y <= -1 and theta_Y <= 0 split 1 vs 6 with the same label counts
+    # in another order; their scores must not differ in the last bit.
+    tree = induce_tree([inst(0, 0, Action.STAY)] * 2 + [inst(0, 0, Action.NORTH)]
+                       + [inst(0, 0, Action.SOUTH)] * 2
+                       + [inst(0, 1, Action.SOUTH), inst(0, -1, Action.STAY)], min_leaf=1)
+    assert (tree.attribute, tree.threshold) == ("theta_Y", -1)

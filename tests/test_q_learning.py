@@ -11,7 +11,7 @@ import reference
 from pursuitrl.env import ACTIONS, ALL_ACTIONS, Action, grid_for
 from pursuitrl.hmrl import lower_state_ids, lower_state_text
 from pursuitrl.q_learning import QTable, epsilon_greedy, load_q_table, q_update, save_q_table
-from reference import ExplicitMDP, greedy_action, lower_state, solve_value_iteration
+from reference import ExplicitMDP, greedy_action, lower_state, q_value, solve_value_iteration
 
 GRID = grid_for(7)
 STATE_IDS = lower_state_ids(GRID)
@@ -20,14 +20,14 @@ STATE_IDS = lower_state_ids(GRID)
 def test_q_update_terminal_arithmetic():
     table = QTable(alpha=0.1, gamma=0.9)
     q_update(table, "s", Action.STAY.index, 100.0, "t", terminal=True)
-    assert table.get("s", Action.STAY.index) == 10.0
+    assert q_value(table, "s", Action.STAY.index) == 10.0
 
 
 def test_q_update_decays_toward_bootstrap():
     table = QTable(alpha=0.1, gamma=0.9)
     table.set("s", Action.STAY.index, 10.0)
     q_update(table, "s", Action.STAY.index, 0.0, "t", terminal=False)
-    assert table.get("s", Action.STAY.index) == pytest.approx(9.0)
+    assert q_value(table, "s", Action.STAY.index) == pytest.approx(9.0)
 
 
 def test_q_update_rejects_non_finite_reward():
@@ -50,8 +50,8 @@ def test_two_state_chain_converges_to_closed_form():
     for _ in range(2000):
         q_update(table, "A", go, 0.0, "B", terminal=False)
         q_update(table, "B", go, r, "B", terminal=False)
-    assert table.get("B", go) == pytest.approx(r / (1 - gamma), abs=1e-6)
-    assert table.get("A", go) == pytest.approx(gamma * r / (1 - gamma), abs=1e-6)
+    assert q_value(table, "B", go) == pytest.approx(r / (1 - gamma), abs=1e-6)
+    assert q_value(table, "A", go) == pytest.approx(gamma * r / (1 - gamma), abs=1e-6)
 
 
 def test_epsilon_greedy_prefers_value():
@@ -228,9 +228,9 @@ def test_q_learning_matches_value_iteration_on_random_mdp():
 
     greedy = {}
     for s in mdp.states:
-        assert max(table.get(s, a) for a in mdp.actions) == pytest.approx(
+        assert max(q_value(table, s, a) for a in mdp.actions) == pytest.approx(
             oracle[s], abs=1e-3)
-        greedy[s] = max(mdp.actions, key=lambda a: table.get(s, a))
+        greedy[s] = max(mdp.actions, key=lambda a: q_value(table, s, a))
 
     # Cross-check: evaluating the learned greedy policy reproduces the
     # optimal values (deterministic MDP, optimal policy recovered).
