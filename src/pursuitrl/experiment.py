@@ -12,14 +12,14 @@ import csv
 import statistics
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from functools import partial
+from math import isfinite
 from pathlib import Path
 from random import Random
 from typing import Sequence
 
 from . import env, hmrl, knowledge, profit_sharing, q_learning
 from .env import ACTION_LABELS, ACTIONS, CANDIDATE_MODES, N_PREY, Action, PreyKind
-from .hmrl import ATFieldParams, HunterAgent, deliver_rewards, module_text
+from .hmrl import ATFieldParams, HunterAgent, deliver_rewards
 from .knowledge import IfThenRule, Instance, compile_rules, rule_policy_act
 
 
@@ -80,8 +80,14 @@ class ExperimentConfig:
         if self.trials < 1 or self.step_cap < 1:
             raise ValueError(f"trials and step_cap must be >= 1, "
                              f"got {self.trials} and {self.step_cap}")
+        if self.trajectory_trial is not None and not 1 <= self.trajectory_trial <= self.trials:
+            raise ValueError(f"trajectory_trial must be in 1..{self.trials}, "
+                             f"got {self.trajectory_trial}")
         if self.grid_side < 3:
             raise ValueError(f"grid_side must be >= 3, got {self.grid_side}")
+        for name in ("reward", "dangerous_reward"):
+            if not isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("epsilon_start", "epsilon_final", "epsilon_anneal_fraction"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
@@ -492,19 +498,22 @@ def save_learned_tables(out_dir, result: TrainingResult) -> None:
     out.mkdir(parents=True, exist_ok=True)
     meta = run_meta(result.config)
     grid = env.grid_for(result.config.grid_side)
-    encode_module = partial(module_text, grid)
+    encode_module, encode_cell = hmrl.module_speller(grid), grid.cell_text.__getitem__
+    encode_lower = hmrl.lower_state_texts(grid).__getitem__
     prey_place = grid.size ** 3         # place value of a module key's prey digit
     for agent in result.agents:
         banks: list[list[int]] = [[] for _ in range(N_PREY)]    # modules by prey
         for module in agent.upper.states:
             banks[module // prey_place % N_PREY].append(module)
         for prey_index, modules in enumerate(banks):
+            # Up to side 10 every coordinate is one digit, so ascending keys
+            # spell in ascending line order (a module's own rules aside),
+            # which leaves save_table's sort little to do.
+            modules.sort()
             profit_sharing.save_weights(
                 out / f"upper_h{agent.index}_p{prey_index}.tsv", agent.upper, meta,
-                encode_state=encode_module, encode_action=grid.cell_text.__getitem__,
-                states=modules)
-        q_learning.save_q_table(out / f"q_h{agent.index}.tsv", agent.q,
-                                partial(hmrl.lower_state_text, grid), meta)
+                encode_state=encode_module, encode_action=encode_cell, states=modules)
+        q_learning.save_q_table(out / f"q_h{agent.index}.tsv", agent.q, encode_lower, meta)
 
 
 def log_instances(result: TrainingResult, path) -> int:

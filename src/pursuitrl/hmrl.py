@@ -23,9 +23,9 @@ from __future__ import annotations
 import ast
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
+from math import isfinite
 from random import Random
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 from .env import (
     ACTIONS,
@@ -87,20 +87,27 @@ def module_text(grid: Grid, key: int) -> str:
     A key packs (hunter, prey, own cell, peer cell, prey cell) as
     ``(((hunter * N_PREY + prey) * n + own) * n + peer) * n + goal`` over
     the grid's ``n`` cell ids; it is written as the plain tuple
-    ``(hunter, prey, (x, y), (x, y), (x, y))``.
+    ``(hunter, prey, (x, y), (x, y), (x, y))``. Each call builds the
+    tables of :func:`module_speller`: to spell many keys, call it once.
     """
-    n = grid.size
-    rest, goal = divmod(key, n)
-    head, peer = divmod(rest, n)
+    return module_speller(grid)(key)
+
+
+def module_speller(grid: Grid) -> Callable[[int], str]:
+    """:func:`module_text` on ``grid``, spelled from two tables: the key's
+    quotient by ``n * n`` indexes ``"(hunter, prey, (x, y), "`` and its
+    remainder ``"(x, y), (x, y))"`` (peer, prey cell).
+
+    The tables are not cached: a process that imports the package afresh
+    for each command, as ``bench/run.py`` does, would keep one pair (about
+    0.2 MB on side 7) alive in every stale copy of the package.
+    """
     text = grid.cell_text
-    return f"{_module_heads(grid)[head]}{text[peer]}, {text[goal]})"
-
-
-@lru_cache(maxsize=None)
-def _module_heads(grid: Grid) -> tuple[str, ...]:
-    """``"(hunter, prey, (x, y), "`` by ``(hunter * N_PREY + prey) * n + own``."""
-    return tuple(f"({hunter}, {prey}, {own}, " for hunter in range(N_HUNTERS)
-                 for prey in range(N_PREY) for own in grid.cell_text)
+    heads = tuple(f"({hunter}, {prey}, {own}, " for hunter in range(N_HUNTERS)
+                  for prey in range(N_PREY) for own in text)
+    tails = tuple(f"{peer}, {goal})" for peer in text for goal in text)
+    pair = grid.size * grid.size
+    return lambda key: heads[key // pair] + tails[key % pair]
 
 
 def module_key(grid: Grid, text: str) -> int:
@@ -122,9 +129,14 @@ def lower_state_text(grid: Grid, state: int) -> str:
     return f"({grid.offset_text[offset]}, {prey})"
 
 
+def lower_state_texts(grid: Grid) -> tuple[str, ...]:
+    """:func:`lower_state_text` of every lower-layer state id of ``grid``, by id."""
+    return tuple(lower_state_text(grid, state) for state in range(len(grid.offsets) * N_PREY))
+
+
 def lower_state_ids(grid: Grid) -> dict[str, int]:
     """Every lower-layer state id by its :func:`lower_state_text` spelling."""
-    return {lower_state_text(grid, s): s for s in range(len(grid.offsets) * N_PREY)}
+    return {text: state for state, text in enumerate(lower_state_texts(grid))}
 
 
 CandidateMode = Literal["ring2", "all"]
@@ -221,6 +233,8 @@ def reinforce_upper(weights: WeightTable, trace: list[TraceStep], reward: float,
     distance leaves the gate open. The walk stops once a share falls
     below :data:`CREDIT_FLOOR`.
     """
+    if not isfinite(reward):
+        raise ValueError(f"non-finite reward: {reward}")
     if reward != 0.0:
         if not trace:
             raise ValueError("cannot reinforce an empty trace with a nonzero reward")
@@ -247,6 +261,8 @@ class HunterAgent:
             raise ValueError(f"reach discount must be >= 1, got {reach_discount}")
         if candidates not in CANDIDATE_MODES:
             raise ValueError(f"candidates must be one of {CANDIDATE_MODES}, got {candidates!r}")
+        if not isfinite(goal_reward):
+            raise ValueError(f"goal reward must be finite, got {goal_reward}")
         self.index = index
         self.upper = WeightTable()
         self.q = QTable(alpha=alpha, gamma=gamma)

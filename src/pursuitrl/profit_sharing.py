@@ -99,8 +99,14 @@ def check_suppression(params: PSParams, episode_length: int) -> bool:
 def save_weights(path, table: WeightTable, meta: dict[str, object] | None = None,
                  encode_state: Encoder = repr, encode_action: Encoder = repr,
                  states: Iterable[int] | None = None) -> None:
-    """Write the rules of ``states`` (default: every state) of ``table``,
-    spelling each state once."""
+    """Write the rules of ``states`` (default: every state) of ``table``.
+
+    Every row is spelled here: its state once per state by
+    ``encode_state``, its action by ``encode_action`` and its weight by
+    ``repr``; :func:`save_table` only sorts and writes the rows. Rows come
+    in the order of ``states``, so states given in the order their texts
+    sort in leave that sort little to do.
+    """
     header = {"default_weight": 0.0}        # what unseen rules read as
     header.update(meta or {})
     index, weight, cell = table.states, table.weight, table.cell
@@ -112,8 +118,12 @@ def save_weights(path, table: WeightTable, meta: dict[str, object] | None = None
     append = rows.append
     for state in index if states is None else states:
         rules = index[state]
+        if rules.__class__ is int:      # most states hold one rule
+            append(f"{encode_state(state)}\t{encode_action(cell[rules])}\t"
+                   f"{spell(weight[rules])}\n")
+            continue
         text = encode_state(state)
-        for rule in (rules,) if rules.__class__ is int else rules:
+        for rule in rules:
             append(f"{text}\t{encode_action(cell[rule])}\t{spell(weight[rule])}\n")
     save_table(path, rows, header)
 

@@ -87,8 +87,12 @@ def save_q_table(path, table: QTable, encode_state: Encoder,
     header = {"alpha": table.alpha, "gamma": table.gamma}
     header.update(meta or {})
     labels = [ACTION_LABELS[action] for action in table.actions]
-    save_table(path, [f"{encode_state(state)}\t{labels[action]}\t{value!r}\n"
-                      for (state, action), value in table.values.items()], header)
+    rows: list[str] = []
+    for state, written in table.written.items():    # spell each state once
+        text, values = encode_state(state), table.rows[state]
+        rows += [f"{text}\t{label}\t{values[action]!r}\n"
+                 for action, label in enumerate(labels) if written >> action & 1]
+    save_table(path, rows, header)
 
 
 def load_q_table(path, decode_state: Decoder) -> tuple[QTable, dict[str, object]]:

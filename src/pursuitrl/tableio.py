@@ -5,9 +5,11 @@ Format: ``# key = repr(value)`` header lines describing the run
 parameters, then one ``state<TAB>action<TAB>weight`` row per entry,
 sorted as whole lines. The writers of the two tables
 (:func:`profit_sharing.save_weights`, :func:`q_learning.save_q_table`)
-encode their rows and :func:`save_table` only orders and writes them.
-Values are written with ``repr`` so floats survive a save/load round
-trip bit-exactly.
+spell their rows, each state once by the encoder they are given (the
+hunters' tables use the per-grid string tables of
+:func:`hmrl.module_speller` and :func:`hmrl.lower_state_texts`), and
+:func:`save_table` only orders and writes them. Values are written with
+``repr`` so floats survive a save/load round trip bit-exactly.
 """
 
 from __future__ import annotations

@@ -49,6 +49,14 @@ def test_train_config_errors_name_file_and_line(tmp_path, text, error):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("trial", [0, 99])
+def test_train_rejects_a_trajectory_trial_outside_the_run(tmp_path, trial):
+    with pytest.raises(ValueError, match=rf"^trajectory_trial must be in 1\.\.20, got {trial}$"):
+        run_cli("train", "--trials", 20, "--seed", 1, "--dump-trajectory", trial,
+                "--out", tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
 def test_extract_rules_names_an_empty_instance_file(tmp_path):
     # An inverted instance window logs no instances on purpose.
     config = tmp_path / "window.cfg"

@@ -203,6 +203,25 @@ def test_config_rejects_empty_runs():
     assert ExperimentConfig(trials=1, step_cap=1, block_ends=(1,)).trials == 1
 
 
+@pytest.mark.parametrize("name", ["reward", "dangerous_reward"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_config_rejects_non_finite_reward(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        ExperimentConfig(**{name: float(value)})
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        parse_config(f"{name} = {value}")
+
+
+@pytest.mark.parametrize("trial", [0, -1, 21])
+def test_config_rejects_trajectory_trial_outside_the_run(trial):
+    with pytest.raises(ValueError, match=rf"^trajectory_trial must be in 1\.\.20, got {trial}$"):
+        ExperimentConfig(trials=20, block_ends=(20,), trajectory_trial=trial)
+    with pytest.raises(ValueError, match="trajectory_trial"):
+        parse_config(f"trials = 20\ntrajectory_trial = {trial}")
+    assert ExperimentConfig(trials=20, trajectory_trial=20).trajectory_trial == 20
+    assert ExperimentConfig(trials=20, trajectory_trial=1).trajectory_trial == 1
+
+
 def test_config_rejects_empty_seeds():
     with pytest.raises(ValueError, match="seeds"):
         ExperimentConfig(seeds=())

@@ -225,6 +225,15 @@ def test_reinforce_upper_zero_reward_only_clears():
     assert len(trace) == 0
 
 
+@pytest.mark.parametrize("reward", [float("nan"), float("inf"), float("-inf")])
+def test_reinforce_upper_rejects_non_finite_reward(reward):
+    weights = WeightTable()
+    trace = upper_trace([3, 3])
+    with pytest.raises(ValueError, match="non-finite reward"):
+        reinforce_upper(weights, trace, reward, ATFieldParams())
+    assert len(weights) == 0
+
+
 def test_single_prey_reduction_matches_plain_profit_sharing():
     # With the gate forced open the upper update is a pure geometric
     # chain: plain Profit Sharing with the discount 1/decay.
@@ -307,6 +316,12 @@ def test_agent_rejects_reach_discount_below_one(reach_discount):
 def test_agent_rejects_unknown_candidate_mode():
     with pytest.raises(ValueError, match="ring3"):
         HunterAgent(0, candidates="ring3")
+
+
+@pytest.mark.parametrize("goal_reward", [float("nan"), float("inf"), float("-inf")])
+def test_agent_rejects_non_finite_goal_reward(goal_reward):
+    with pytest.raises(ValueError, match="goal reward"):
+        HunterAgent(0, goal_reward=goal_reward)
 
 
 def test_agent_policy_step_records_and_acts():

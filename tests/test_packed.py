@@ -29,7 +29,13 @@ from pursuitrl.env import (
     step,
 )
 from pursuitrl.experiment import ExperimentConfig, TrainingResult, build_agents, save_learned_tables
-from pursuitrl.hmrl import module_key, module_text, select_target
+from pursuitrl.hmrl import (
+    lower_state_ids,
+    lower_state_text,
+    module_key,
+    module_text,
+    select_target,
+)
 from pursuitrl.profit_sharing import load_weights
 from reference import (ModuleKey, cell_id, lower_state, pack, positions, rule_weights, table_rules,
                        upper_table)
@@ -301,8 +307,9 @@ def test_learned_tables_match_reference_writer(tables):
 
 
 @settings(max_examples=200, deadline=None)
-@given(side=st.integers(3, 9), data=st.data())
+@given(side=st.integers(3, 12), data=st.data())
 def test_module_key_reads_module_text(side, data):
+    event(f"side {'11-12' if side > 10 else '3-10'}")
     coords = st.builds(Position, st.integers(0, side - 1), st.integers(0, side - 1))
     key = data.draw(st.builds(ModuleKey, st.integers(0, 3), st.integers(0, 1),
                               coords, coords, coords))
@@ -311,6 +318,18 @@ def test_module_key_reads_module_text(side, data):
     assert module_text(grid, packed) == repr(tuple(tuple(part) if isinstance(part, tuple)
                                                    else part for part in key))
     assert module_key(grid, module_text(grid, packed)) == packed
+
+
+@settings(max_examples=200, deadline=None)
+@given(side=st.integers(3, 12), data=st.data())
+def test_lower_state_text_spells_the_offset_and_prey(side, data):
+    offset = data.draw(st.tuples(st.integers(1 - side, side - 1),
+                                 st.integers(1 - side, side - 1)))
+    prey = data.draw(st.integers(0, 1))
+    grid = grid_for(side)
+    state = lower_state(offset, prey, side)
+    assert lower_state_text(grid, state) == repr((offset, prey))
+    assert lower_state_ids(grid)[lower_state_text(grid, state)] == state
 
 
 @pytest.mark.parametrize("text", ["(4, 0, (0, 0), (0, 0), (0, 0))",
