@@ -27,9 +27,7 @@ def _load_base_config(args) -> experiment.ExperimentConfig:
 
 
 def _export_run(result: experiment.TrainingResult, out_dir: Path) -> None:
-    metrics = experiment.compute_metrics(
-        result.records, near_distance=result.config.atf_near,
-        block_ends=result.config.block_ends)
+    metrics = experiment.compute_metrics(result.records, result.config)
     experiment.export_report(metrics, result.records, out_dir, result.config,
                              result.seed)
     experiment.save_learned_tables(out_dir, result)
@@ -87,9 +85,14 @@ def _trajectory_side(path: Path, rows) -> int:
 
 def cmd_replay(args) -> int:
     rows = env.load_trajectory(args.trajectory)
+    if not rows:
+        raise ValueError(f"{args.trajectory}: no trajectory rows")
     side = args.side if args.side is not None else _trajectory_side(args.trajectory, rows)
     by_step: dict[int, list] = {}
-    for step_index, agent, x, y, action in rows:
+    for lineno, (step_index, agent, x, y, action) in enumerate(rows, start=2):
+        if not (0 <= x < side and 0 <= y < side):
+            raise ValueError(f"{args.trajectory}:{lineno}: {agent} at ({x}, {y}) "
+                             f"is outside a grid of side {side}")
         by_step.setdefault(step_index, []).append((agent, x, y, action))
     for step_index in sorted(by_step):
         grid = [["." for _ in range(side)] for _ in range(side)]
@@ -110,10 +113,12 @@ def cmd_report(args) -> int:
     columns = ("block", "trials", "steps_mean", "safety_target",
                "within_safety", "positive_ratio", "mean_distance")
     print(f"{'run':<24}" + "".join(f"{c:>16}" for c in columns))
+    status = 0
     for run_dir in args.runs:
         path = Path(run_dir) / "blocks.csv"
         if not path.exists():
             print(f"{run_dir:<24}  (no blocks.csv)", file=sys.stderr)
+            status = 1
             continue
         for row in experiment.read_blocks_csv(path):
             cells = [
@@ -126,7 +131,7 @@ def cmd_report(args) -> int:
                 _fmt(row["mean_distance"], "{:.2f}"),
             ]
             print(f"{Path(run_dir).name:<24}" + "".join(f"{c:>16}" for c in cells))
-    return 0
+    return status
 
 
 def _fmt(cell: str, spec: str) -> str:

@@ -19,6 +19,9 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .tableio import load_csv
 
+if TYPE_CHECKING:
+    from .experiment import ExperimentConfig
+
 
 class Position(NamedTuple):
     x: int
@@ -164,13 +167,6 @@ def grid_for(side: int) -> Grid:
     return Grid(side)
 
 
-@dataclass(frozen=True)
-class GridConfig:
-    side: int = 7
-    prey_kinds: tuple[PreyKind, PreyKind] = (PreyKind.POSITIVE, PreyKind.DANGEROUS)
-    prey_alive: tuple[bool, bool] = (True, True)
-
-
 @dataclass(slots=True)
 class PreyState:
     cell: int               # cell id on the world's grid
@@ -201,21 +197,13 @@ class StepOutcome:
     blocked_moves: list[str] = field(default_factory=list)
 
 
-def new_world(seed: int, config: GridConfig = GridConfig()) -> WorldState:
-    """Place 4 hunters and 2 prey on distinct random cells."""
-    n_agents = N_HUNTERS + N_PREY
-    if config.side * config.side < n_agents:
-        raise ValueError(
-            f"grid of side {config.side} cannot hold {n_agents} distinct agents"
-        )
-    picks = Random(seed).sample(range(config.side * config.side), n_agents)
-    hunters = picks[:N_HUNTERS]
-    prey = [
-        PreyState(cell=picks[N_HUNTERS + j], alive=config.prey_alive[j],
-                  kind=config.prey_kinds[j])
-        for j in range(N_PREY)
-    ]
-    return WorldState(side=config.side, hunters=hunters, prey=prey)
+def new_world(seed: int, config: ExperimentConfig) -> WorldState:
+    """Place 4 hunters and 2 prey on distinct random cells of the config's grid."""
+    side = config.grid_side
+    picks = Random(seed).sample(range(side * side), N_HUNTERS + N_PREY)
+    prey = [PreyState(picks[N_HUNTERS + j], config.prey_alive[j], PreyKind(config.prey_kinds[j]))
+            for j in range(N_PREY)]
+    return WorldState(side, picks[:N_HUNTERS], prey)
 
 
 def below(rng: Random, n: int) -> int:

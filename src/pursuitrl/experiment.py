@@ -120,11 +120,6 @@ class ExperimentConfig:
         return ATFieldParams(near_distance=self.atf_near, far_distance=self.atf_far,
                              decay=self.upper_decay)
 
-    def grid_config(self) -> env.GridConfig:
-        kinds = tuple(PreyKind(kind) for kind in self.prey_kinds)
-        return env.GridConfig(side=self.grid_side, prey_kinds=kinds,
-                              prey_alive=self.prey_alive)
-
     def epsilon_at(self, trial: int) -> float:
         anneal_trials = self.epsilon_anneal_fraction * self.trials
         if anneal_trials <= 0:
@@ -168,21 +163,6 @@ class TrainingResult:
     trajectory: list[tuple[int, str, int, int, str]]
 
 
-def build_agents(config: ExperimentConfig) -> list[HunterAgent]:
-    return [
-        HunterAgent(
-            index,
-            alpha=config.alpha,
-            gamma=config.gamma,
-            atf_params=config.atf_params(),
-            reach_discount=config.reach_discount,
-            candidates=config.candidate_mode,
-            goal_reward=config.reward,
-        )
-        for index in range(env.N_HUNTERS)
-    ]
-
-
 def run_training(config: ExperimentConfig, seed: int | None = None,
                  rules: Sequence[IfThenRule] | None = None) -> TrainingResult:
     """Run one full training (or rule-driven) session.
@@ -200,7 +180,7 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
     rng = Random(seed)
     grid = env.grid_for(config.grid_side)
     compiled = None if rules is None else compile_rules(rules, grid)
-    agents = build_agents(config)
+    agents = [HunterAgent(index, config) for index in range(env.N_HUNTERS)]
 
     window = config.instance_window
     if window is None:
@@ -215,7 +195,6 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
     # bound per call, not at import: a wrapper installed after import is called
     step, deliver = env.step, deliver_rewards
     decide = [agent.policy_step for agent in agents]     # N_HUNTERS == 4
-    gated, reward, dangerous_reward = config.atf_enabled, config.reward, config.dangerous_reward
     moves = grid.moves
     # fallbacks[chosen]: the rule fallback for the learner's pick, per the fallback mode
     fallbacks = ((_RETURN_ACTION[Action.STAY.index],) * len(ACTIONS)
@@ -223,11 +202,10 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
 
     for trial in range(1, config.trials + 1):
         if config.strict_reset and trial > 1:
-            fresh = build_agents(config)
-            for agent, blank in zip(agents, fresh):
-                agent.upper = blank.upper
-                agent.q = blank.q
-        world = env.new_world(rng.getrandbits(64), config.grid_config())
+            for agent in agents:
+                blank = HunterAgent(agent.index, config)
+                agent.upper, agent.q = blank.upper, blank.q
+        world = env.new_world(rng.getrandbits(64), config)
         for agent in agents:
             agent.begin_trial()
         epsilon = config.epsilon_at(trial)
@@ -258,7 +236,7 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
                     trajectory.append((*row, label))
 
             outcome = step(world, actions, rng)
-            reached = deliver(agents, outcome, gated, reward, dangerous_reward)
+            reached = deliver(agents, outcome, config)
             resets += sum(reached)
             world = outcome.next_state
             if outcome.captures:
@@ -266,7 +244,7 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
                 break
         else:
             for agent in agents:
-                agent.finish_trial(0.0, gated)
+                agent.finish_trial(0.0, config.atf_enabled)
 
         steps = world.step_count
         if captures:
@@ -302,9 +280,9 @@ def blocks_for(trials: int, block_ends: Sequence[int]) -> list[tuple[int, int]]:
     return ranges
 
 
-def compute_metrics(records: Sequence[TrialRecord], near_distance: int = 2,
-                    block_ends: Sequence[int] = (200, 2000, 17000, 20000)) -> list[BlockMetrics]:
-    """Per-block capture and step statistics.
+def compute_metrics(records: Sequence[TrialRecord],
+                    config: ExperimentConfig) -> list[BlockMetrics]:
+    """Per-block capture and step statistics over the config's blocks.
 
     positive_ratio is defined as the product safety_target *
     within_safety so the identity between the three ratios is exact.
@@ -313,14 +291,14 @@ def compute_metrics(records: Sequence[TrialRecord], near_distance: int = 2,
         raise ValueError("no trial records")
     by_trial = {record.trial: record for record in records}
     metrics: list[BlockMetrics] = []
-    for start, end in blocks_for(max(by_trial), block_ends):
+    for start, end in blocks_for(max(by_trial), config.block_ends):
         block = [by_trial[t] for t in range(start, end + 1) if t in by_trial]
         if not block:
             continue
         n = len(block)
         positives = [r for r in block if r.outcome is TrialOutcome.POSITIVE_CAPTURED]
         far = [r for r in positives
-               if r.gd_at_capture is not None and r.gd_at_capture > near_distance]
+               if r.gd_at_capture is not None and r.gd_at_capture > config.atf_near]
         safety_target = len(positives) / n
         if positives:
             within_safety = len(far) / len(positives)

@@ -13,9 +13,10 @@ prey were within the close range, slightly dampen it when they were far
 apart.
 
 Both layers run on the integer-coded grid of :func:`env.grid_for`. An
-upper rule is keyed by the packed module key (see :func:`module_text`)
+upper rule is keyed by the packed module key (see :func:`module_speller`)
 and the target's cell id; a lower rule by the lower state id (see
-:func:`lower_state_text`) and the action's index.
+:func:`lower_state_texts`) and the action's index. Agents and reward
+delivery take their values from the run's checked ``ExperimentConfig``.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ import logging
 from dataclasses import dataclass
 from math import isfinite
 from random import Random
-from typing import Callable, Literal, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .env import (
     ACTIONS,
-    CANDIDATE_MODES,
     N_HUNTERS,
     N_PREY,
     Action,
@@ -41,6 +41,9 @@ from .env import (
 )
 from .profit_sharing import WeightTable
 from .q_learning import QTable, epsilon_greedy, q_update
+
+if TYPE_CHECKING:
+    from .experiment import ExperimentConfig
 
 logger = logging.getLogger(__name__)
 
@@ -81,22 +84,15 @@ def atf(prey_distance: int, params: ATFieldParams) -> float:
     return 0.9
 
 
-def module_text(grid: Grid, key: int) -> str:
-    """The persisted spelling of a packed module key.
+def module_speller(grid: Grid) -> Callable[[int], str]:
+    """The persisted spelling of a packed module key on ``grid``.
 
     A key packs (hunter, prey, own cell, peer cell, prey cell) as
     ``(((hunter * N_PREY + prey) * n + own) * n + peer) * n + goal`` over
     the grid's ``n`` cell ids; it is written as the plain tuple
-    ``(hunter, prey, (x, y), (x, y), (x, y))``. Each call builds the
-    tables of :func:`module_speller`: to spell many keys, call it once.
-    """
-    return module_speller(grid)(key)
-
-
-def module_speller(grid: Grid) -> Callable[[int], str]:
-    """:func:`module_text` on ``grid``, spelled from two tables: the key's
-    quotient by ``n * n`` indexes ``"(hunter, prey, (x, y), "`` and its
-    remainder ``"(x, y), (x, y))"`` (peer, prey cell).
+    ``(hunter, prey, (x, y), (x, y), (x, y))``, spelled from two tables:
+    the key's quotient by ``n * n`` indexes ``"(hunter, prey, (x, y), "``
+    and its remainder ``"(x, y), (x, y))"`` (peer, prey cell).
 
     The tables are not cached: a process that imports the package afresh
     for each command, as ``bench/run.py`` does, would keep one pair (about
@@ -111,7 +107,7 @@ def module_speller(grid: Grid) -> Callable[[int], str]:
 
 
 def module_key(grid: Grid, text: str) -> int:
-    """The packed module key that :func:`module_text` spells as ``text``."""
+    """The packed module key that :func:`module_speller` spells as ``text``."""
     hunter, prey, *cells = ast.literal_eval(text)
     if hunter not in range(N_HUNTERS) or prey not in range(N_PREY) or len(cells) != 3:
         raise ValueError(f"not a module of {N_HUNTERS} hunters and {N_PREY} prey: {text}")
@@ -121,31 +117,23 @@ def module_key(grid: Grid, text: str) -> int:
     return key
 
 
-def lower_state_text(grid: Grid, state: int) -> str:
-    """The persisted spelling ``((dx, dy), prey)`` of a lower-layer state
-    id, which packs the target's offset id from the hunter and the prey
-    the target belongs to as ``offset * N_PREY + prey``."""
-    offset, prey = divmod(state, N_PREY)
-    return f"({grid.offset_text[offset]}, {prey})"
-
-
 def lower_state_texts(grid: Grid) -> tuple[str, ...]:
-    """:func:`lower_state_text` of every lower-layer state id of ``grid``, by id."""
-    return tuple(lower_state_text(grid, state) for state in range(len(grid.offsets) * N_PREY))
+    """The persisted spelling ``((dx, dy), prey)`` of every lower-layer
+    state id of ``grid``, by id. A state id packs the target's offset id
+    from the hunter and the prey the target belongs to as
+    ``offset * N_PREY + prey``."""
+    return tuple(f"({offset}, {prey})" for offset in grid.offset_text for prey in range(N_PREY))
 
 
 def lower_state_ids(grid: Grid) -> dict[str, int]:
-    """Every lower-layer state id by its :func:`lower_state_text` spelling."""
+    """Every lower-layer state id by its :func:`lower_state_texts` spelling."""
     return {text: state for state, text in enumerate(lower_state_texts(grid))}
-
-
-CandidateMode = Literal["ring2", "all"]
 
 
 def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
                   rng: Random, reach_discount: float = 2.0,
                   exploration: float = 0.0,
-                  candidates: CandidateMode = "ring2") -> tuple[int, tuple[int, ...], int]:
+                  candidates: str = "ring2") -> tuple[int, tuple[int, ...], int]:
     """Pick the commanded target cell for one hunter: ``(prey, modules,
     cell)``, the chased prey, the packed module key per peer (the rules
     fired with) and the target's cell id.
@@ -253,23 +241,14 @@ def reinforce_upper(weights: WeightTable, trace: list[TraceStep], reward: float,
 class HunterAgent:
     """One hunter's learning state: upper weight bank, lower Q table, trace."""
 
-    def __init__(self, index: int, *, alpha: float = 0.1, gamma: float = 0.9,
-                 atf_params: ATFieldParams = ATFieldParams(),
-                 reach_discount: float = 2.0, candidates: CandidateMode = "ring2",
-                 goal_reward: float = 100.0):
-        if not reach_discount >= 1.0:
-            raise ValueError(f"reach discount must be >= 1, got {reach_discount}")
-        if candidates not in CANDIDATE_MODES:
-            raise ValueError(f"candidates must be one of {CANDIDATE_MODES}, got {candidates!r}")
-        if not isfinite(goal_reward):
-            raise ValueError(f"goal reward must be finite, got {goal_reward}")
+    def __init__(self, index: int, config: ExperimentConfig):
         self.index = index
         self.upper = WeightTable()
-        self.q = QTable(alpha=alpha, gamma=gamma)
-        self.atf_params = atf_params
-        self.reach_discount = reach_discount
-        self.candidates: CandidateMode = candidates
-        self.goal_reward = goal_reward
+        self.q = QTable(alpha=config.alpha, gamma=config.gamma)
+        self.atf_params = config.atf_params()
+        self.reach_discount = config.reach_discount
+        self.candidates = config.candidate_mode
+        self.goal_reward = config.reward
         self.trace: list[TraceStep] = []
         # (lower state id, action index, target cell id) of the move in flight
         self.pending: tuple[int, int, int] | None = None
@@ -314,12 +293,12 @@ class HunterAgent:
 
 
 def deliver_rewards(agents: Sequence[HunterAgent], outcome: StepOutcome,
-                    gated: bool = True, positive_reward: float = 100.0,
-                    dangerous_reward: float = 0.0) -> list[bool]:
+                    config: ExperimentConfig) -> list[bool]:
     """Per-step reward plumbing for all hunters.
 
     Every hunter gets its lower-layer update; on a capture the upper
-    traces are settled with the positive or the dangerous reward.
+    traces are settled with the config's positive or dangerous reward,
+    gated when the config enables the AT field.
     Returns the per-hunter target-reached flags.
     """
     next_state = outcome.next_state
@@ -328,7 +307,7 @@ def deliver_rewards(agents: Sequence[HunterAgent], outcome: StepOutcome,
                a3.observe(next_state)]
     if outcome.captures:
         positive = any(kind is PreyKind.POSITIVE for _, kind in outcome.captures)
-        reward = positive_reward if positive else dangerous_reward
+        reward = config.reward if positive else config.dangerous_reward
         for agent in agents:
-            agent.finish_trial(reward, gated)
+            agent.finish_trial(reward, config.atf_enabled)
     return reached

@@ -170,6 +170,9 @@ def induce_tree(instances: Sequence[Instance], min_leaf: int = 2,
     or when no split has positive gain. The result depends only on the
     instance multiset, not its order.
     """
+    for name, value, least in (("min_leaf", min_leaf, 1), ("max_depth", max_depth, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     if not instances:
         raise ValueError("cannot induce a tree from no instances")
     grouped = Counter((inst.theta_x, inst.theta_y, inst.label.index) for inst in instances)

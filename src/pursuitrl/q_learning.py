@@ -1,6 +1,6 @@
 """Tabular off-policy Q-learning, one row of action values per state.
 
-The hunters' states are lower-layer state ids (:func:`hmrl.lower_state_text`).
+The hunters' states are lower-layer state ids (:func:`hmrl.lower_state_texts`).
 """
 
 from __future__ import annotations

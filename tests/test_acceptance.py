@@ -79,7 +79,7 @@ def distilled(sweep):
 
 
 def final_block(records, atf_enabled=True):
-    return compute_metrics(records, block_ends=SWEEP_CONFIG.block_ends)[-1]
+    return compute_metrics(records, SWEEP_CONFIG)[-1]
 
 
 def test_criterion_1_atf_field_exact():
@@ -203,7 +203,7 @@ def test_criterion_5_tree_induction_oracles():
 def test_criterion_6_learning_curve_direction(sweep):
     for seed in SEEDS:
         records, _ = sweep["on"][seed]
-        early, late = compute_metrics(records, block_ends=(200, 2000))
+        early, late = compute_metrics(records, SWEEP_CONFIG)
         assert (early.start, early.end) == (1, 200)
         assert (late.start, late.end) == (201, 2000)
         assert late.steps_mean < early.steps_mean, (
@@ -262,7 +262,7 @@ def test_criterion_10_metric_identity_exact(sweep):
     for bank in ("on", "off"):
         for seed in SEEDS:
             records, _ = sweep[bank][seed]
-            for m in compute_metrics(records, block_ends=(200, 2000)):
+            for m in compute_metrics(records, SWEEP_CONFIG):
                 if m.within_safety is None:
                     assert m.positive_ratio == 0.0
                 else:

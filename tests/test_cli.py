@@ -68,6 +68,16 @@ def test_extract_rules_names_an_empty_instance_file(tmp_path):
     assert not (tmp_path / "rules.txt").exists()
 
 
+@pytest.mark.parametrize("flag, value, error", [("--min-leaf", 0, "min_leaf must be >= 1"),
+                                                ("--max-depth", -1, "max_depth must be >= 0")])
+def test_extract_rules_rejects_a_tree_bound_out_of_range(tmp_path, flag, value, error):
+    run_cli("train", "--trials", 4, "--seed", 1, "--out", tmp_path / "run")
+    with pytest.raises(ValueError, match=f"^{error}, got {value}$"):
+        run_cli("extract-rules", "--instances", tmp_path / "run" / "instances.csv",
+                "--out", tmp_path / "rules.txt", flag, value)
+    assert not (tmp_path / "rules.txt").exists()
+
+
 def test_full_pipeline_extract_then_eval(tmp_path, capsys):
     train_dir = tmp_path / "train"
     run_cli("train", "--trials", 30, "--seed", 8, "--out", train_dir)
@@ -126,6 +136,34 @@ def test_replay_takes_side_from_run_metadata(tmp_path, capsys):
     assert printed_grid_widths(capsys.readouterr().out) == {9}
     assert run_cli("replay", "--trajectory", lone, "--side", 10) == 0
     assert printed_grid_widths(capsys.readouterr().out) == {10}
+
+
+@pytest.mark.parametrize("cell", [(6, 2), (0, -1)])
+def test_replay_names_a_row_outside_the_side(tmp_path, capsys, cell):
+    trajectory = tmp_path / "trajectory.csv"
+    trajectory.write_text(f"step,agent,x,y,action\n0,h0,0,0,stay\n0,p1,{cell[0]},{cell[1]},\n")
+    message = f"{trajectory}:3: p1 at {cell} is outside a grid of side 3"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_cli("replay", "--trajectory", trajectory, "--side", 3)
+    assert capsys.readouterr().out == ""
+
+
+def test_replay_names_an_empty_trajectory(tmp_path):
+    empty = tmp_path / "trajectory.csv"
+    empty.write_text("step,agent,x,y,action\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(empty))}: no trajectory rows$"):
+        run_cli("replay", "--trajectory", empty)
+
+
+def test_report_fails_on_a_run_without_blocks(tmp_path, capsys):
+    run_cli("train", "--trials", 3, "--seed", 2, "--out", tmp_path / "run")
+    capsys.readouterr()
+    (tmp_path / "missing").mkdir()
+    assert run_cli("report", "--runs", tmp_path / "run", tmp_path / "missing") == 1
+    printed = capsys.readouterr()
+    assert any(line.startswith("run ") for line in printed.out.splitlines()[1:])
+    assert "(no blocks.csv)" in printed.err
+    assert run_cli("report", "--runs", tmp_path / "run") == 0
 
 
 def test_reimporting_the_package_frees_the_old_copies():

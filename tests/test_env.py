@@ -8,7 +8,6 @@ from pursuitrl.env import (
     HUNTER_IDS,
     PREY_IDS,
     Action,
-    GridConfig,
     PreyKind,
     PreyState,
     WorldState,
@@ -21,6 +20,7 @@ from pursuitrl.env import (
     step,
     trajectory_rows,
 )
+from pursuitrl.experiment import ExperimentConfig
 from reference import make_world, neighbor_cells, position, positions
 
 
@@ -28,28 +28,26 @@ def hunter_positions(out):
     return positions(out.next_state)[0]
 
 
+CONFIG = ExperimentConfig()
+
+
 def test_new_world_deterministic():
-    assert new_world(42) == new_world(42)
+    assert new_world(42, CONFIG) == new_world(42, CONFIG)
 
 
 def test_new_world_positions_distinct():
     for seed in range(50):
-        world = new_world(seed)
+        world = new_world(seed, CONFIG)
         cells = [*world.hunters, *(p.cell for p in world.prey)]
         assert len(set(cells)) == 6
         assert all(0 <= c < 49 for c in cells)
 
 
 def test_new_world_prey_kinds_follow_config():
-    config = GridConfig(prey_kinds=(PreyKind.DANGEROUS, PreyKind.POSITIVE))
+    config = ExperimentConfig(prey_kinds=("dangerous", "positive"))
     world = new_world(3, config)
     assert world.prey[0].kind is PreyKind.DANGEROUS
     assert world.prey[1].kind is PreyKind.POSITIVE
-
-
-def test_new_world_grid_too_small():
-    with pytest.raises(ValueError):
-        new_world(0, GridConfig(side=2))
 
 
 def legal_at(x, y, side=7):
@@ -199,10 +197,10 @@ def random_hunter_actions(world, rng):
 
 def test_fuzz_occupancy_and_bounds():
     rng = Random(123)
-    world = new_world(9)
+    world = new_world(9, CONFIG)
     for _ in range(10_000):
         if not any(prey.alive for prey in world.prey):
-            world = new_world(rng.getrandbits(32))
+            world = new_world(rng.getrandbits(32), CONFIG)
         out = step(world, random_hunter_actions(world, rng), rng)
         world = out.next_state
         occupied = [*world.hunters,
@@ -214,7 +212,7 @@ def test_fuzz_occupancy_and_bounds():
 def test_trajectory_determinism():
     def run(seed):
         rng = Random(seed)
-        world = new_world(77)
+        world = new_world(77, CONFIG)
         states = []
         for _ in range(200):
             world = step(world, random_hunter_actions(world, rng), rng).next_state
@@ -240,7 +238,7 @@ def test_dead_prey_never_moves_or_returns():
 
 
 def test_trajectory_csv_round_trip(tmp_path):
-    world = new_world(4)
+    world = new_world(4, CONFIG)
     rows = [(*row, "stay") for row in trajectory_rows(world)]
     path = tmp_path / "trajectory.csv"
     save_trajectory(path, rows)

@@ -2,6 +2,8 @@ from dataclasses import fields, replace
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pursuitrl.experiment import (
     BLOCK_COLUMNS,
@@ -18,8 +20,9 @@ from pursuitrl.experiment import (
     run_training,
     save_learned_tables,
 )
-from pursuitrl.env import ACTIONS, grid_for
-from pursuitrl.hmrl import lower_state_ids, module_key
+from pursuitrl.env import (ACTIONS, CANDIDATE_MODES, N_HUNTERS, N_PREY, PreyKind, grid_for,
+                           new_world)
+from pursuitrl.hmrl import ATFieldParams, HunterAgent, lower_state_ids, module_key
 from pursuitrl.knowledge import compile_rules, extract_rules, induce_tree, parse_rules
 from pursuitrl.profit_sharing import load_weights
 from pursuitrl.q_learning import load_q_table
@@ -98,7 +101,7 @@ def test_compute_metrics_arithmetic():
         + [record(t, TrialOutcome.POSITIVE_CAPTURED, gd=1) for t in range(7, 9)]
         + [record(t, TrialOutcome.DANGEROUS_CAPTURED, gd=2) for t in range(9, 11)]
     )
-    (metrics,) = compute_metrics(records, near_distance=2, block_ends=(10,))
+    (metrics,) = compute_metrics(records, ExperimentConfig(atf_near=2, block_ends=(10,)))
     assert metrics.safety_target == 0.8
     assert metrics.within_safety == 0.75
     assert metrics.within_dangerous == 0.25
@@ -111,7 +114,7 @@ def test_compute_metrics_arithmetic():
 
 def test_compute_metrics_no_positive_captures():
     records = [record(t, TrialOutcome.DANGEROUS_CAPTURED, gd=3) for t in range(1, 5)]
-    (metrics,) = compute_metrics(records, block_ends=(4,))
+    (metrics,) = compute_metrics(records, ExperimentConfig(block_ends=(4,)))
     assert metrics.safety_target == 0.0
     assert metrics.within_safety is None
     assert metrics.within_dangerous is None
@@ -123,8 +126,20 @@ def test_compute_metrics_complement_identity():
         [record(t, TrialOutcome.POSITIVE_CAPTURED, gd=7) for t in range(1, 4)]
         + [record(t, TrialOutcome.POSITIVE_CAPTURED, gd=0) for t in range(4, 8)]
     )
-    (metrics,) = compute_metrics(records, block_ends=(7,))
+    (metrics,) = compute_metrics(records, ExperimentConfig(block_ends=(7,)))
     assert metrics.within_safety + metrics.within_dangerous == 1.0
+
+
+def test_compute_metrics_reads_the_near_band_from_the_config():
+    # A positive capture at gap 3 is within safety under the default band
+    # (atf_near 2) and within dangerous once atf_near is 3.
+    records = [record(1, TrialOutcome.POSITIVE_CAPTURED, gd=3),
+               record(2, TrialOutcome.POSITIVE_CAPTURED, gd=4)]
+    (default,) = compute_metrics(records, ExperimentConfig(block_ends=(2,)))
+    assert (default.within_safety, default.within_dangerous) == (1.0, 0.0)
+    (wider,) = compute_metrics(records, ExperimentConfig(atf_near=3, block_ends=(2,)))
+    assert (wider.within_safety, wider.within_dangerous) == (0.5, 0.5)
+    assert wider.positive_ratio == 0.5
 
 
 def test_blocks_clip_to_trial_count():
@@ -275,6 +290,46 @@ def test_config_rejects_atf_bands_out_of_order():
     assert ExperimentConfig(atf_near=1, atf_far=2).atf_params().far_distance == 2
 
 
+prey_kind_names = st.sampled_from([kind.value for kind in PreyKind])
+unit_floats = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(side=st.integers(3, 12),
+       prey_kinds=st.tuples(prey_kind_names, prey_kind_names),
+       prey_alive=st.tuples(st.booleans(), st.booleans()).filter(any),
+       reach_discount=st.floats(1.0, 1e3),
+       candidate_mode=st.sampled_from(CANDIDATE_MODES),
+       reward=st.floats(-1e6, 1e6),
+       alpha=unit_floats.filter(lambda value: value > 0.0),
+       gamma=unit_floats.filter(lambda value: value < 1.0),
+       near=st.integers(1, 12), spread=st.integers(1, 12),
+       decay=unit_floats.filter(lambda value: value > 0.0),
+       index=st.integers(0, N_HUNTERS - 1), seed=st.integers(0, 2**64 - 1))
+def test_agents_and_worlds_take_the_config_values(side, prey_kinds, prey_alive,
+                                                  reach_discount, candidate_mode, reward,
+                                                  alpha, gamma, near, spread, decay,
+                                                  index, seed):
+    config = ExperimentConfig(grid_side=side, prey_kinds=prey_kinds, prey_alive=prey_alive,
+                              reach_discount=reach_discount, candidate_mode=candidate_mode,
+                              reward=reward, alpha=alpha, gamma=gamma, atf_near=near,
+                              atf_far=near + spread, upper_decay=decay)
+    agent = HunterAgent(index, config)
+    assert agent.index == index
+    assert (agent.q.alpha, agent.q.gamma) == (alpha, gamma)
+    assert agent.atf_params == ATFieldParams(near, near + spread, decay)
+    assert (agent.reach_discount, agent.candidates, agent.goal_reward) == \
+        (reach_discount, candidate_mode, reward)
+
+    world = new_world(seed, config)
+    assert world.side == side
+    cells = [*world.hunters, *(prey.cell for prey in world.prey)]
+    assert len(set(cells)) == len(cells) == N_HUNTERS + N_PREY
+    assert all(0 <= cell < side * side for cell in cells)
+    assert tuple(prey.kind for prey in world.prey) == tuple(map(PreyKind, prey_kinds))
+    assert tuple(prey.alive for prey in world.prey) == prey_alive
+
+
 def test_parse_config_rejects_duplicate_key():
     with pytest.raises(ValueError, match=r"line 3: duplicate config key 'trials'.*line 1"):
         parse_config("trials = 7\natf_enabled = off\ntrials = 9\n")
@@ -288,7 +343,7 @@ def test_parse_config_ignores_comments_and_blanks():
 
 def test_export_report_round_trip(tmp_path):
     result = run_training(QUICK, seed=1)
-    metrics = compute_metrics(result.records, block_ends=QUICK.block_ends)
+    metrics = compute_metrics(result.records, QUICK)
     export_report(metrics, result.records, tmp_path, QUICK, seed=1)
 
     rows = read_blocks_csv(tmp_path / "blocks.csv")
@@ -368,7 +423,7 @@ def test_reports_diffable_across_atf_settings(tmp_path):
     for name, gated in (("on", True), ("off", False)):
         config = replace(QUICK, atf_enabled=gated)
         result = run_training(config, seed=7)
-        metrics = compute_metrics(result.records, block_ends=config.block_ends)
+        metrics = compute_metrics(result.records, config)
         export_report(metrics, result.records, tmp_path / name, config, seed=7)
     header = lambda p: p.read_text().splitlines()[0]
     assert header(tmp_path / "on" / "blocks.csv") == header(tmp_path / "off" / "blocks.csv")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import reference
 from pursuitrl.env import ACTIONS, Action, Position, PreyKind, grid_for, step
+from pursuitrl.experiment import ExperimentConfig
 from pursuitrl.hmrl import (
     CREDIT_FLOOR,
     ATFieldParams,
@@ -301,27 +302,13 @@ def test_reinforce_upper_closed_form(trace, gated, decay, reward):
     assert steps == []
 
 
+CONFIG = ExperimentConfig()
+
+
 def trained_agent_world():
     world = make_world([(2, 2), (6, 6), (6, 0), (0, 6)], [(3, 3), (6, 4)])
-    agent = HunterAgent(0)
+    agent = HunterAgent(0, CONFIG)
     return agent, world
-
-
-@pytest.mark.parametrize("reach_discount", [0.5, float("nan")])
-def test_agent_rejects_reach_discount_below_one(reach_discount):
-    with pytest.raises(ValueError, match="reach discount"):
-        HunterAgent(0, reach_discount=reach_discount)
-
-
-def test_agent_rejects_unknown_candidate_mode():
-    with pytest.raises(ValueError, match="ring3"):
-        HunterAgent(0, candidates="ring3")
-
-
-@pytest.mark.parametrize("goal_reward", [float("nan"), float("inf"), float("-inf")])
-def test_agent_rejects_non_finite_goal_reward(goal_reward):
-    with pytest.raises(ValueError, match="goal reward"):
-        HunterAgent(0, goal_reward=goal_reward)
 
 
 def test_agent_policy_step_records_and_acts():
@@ -355,7 +342,7 @@ def test_agent_greedy_walks_trained_corridor():
 
 def test_agent_zero_offset_prefers_stay_once_trained():
     world = make_world([(2, 3), (6, 6), (6, 0), (0, 6)], [(3, 3), (6, 4)])
-    agent = HunterAgent(0)
+    agent = HunterAgent(0, CONFIG)
     agent.q.set(lower_state((0, 0), 0, 7), Action.STAY.index, 10.0)
     goal = Position(3, 3)
     for peer in (Position(6, 6), Position(6, 0), Position(0, 6)):
@@ -375,7 +362,7 @@ def stay_put(agent):
 def test_deliver_rewards_terminal_reach_and_capture():
     world = make_world([(2, 3), (4, 3), (3, 2), (3, 4)], [(3, 3), (0, 0)],
                        alive=(True, True))
-    agents = [HunterAgent(i) for i in range(4)]
+    agents = [HunterAgent(i, CONFIG) for i in range(4)]
     rng = Random(0)
     actions = [a.policy_step(world, rng, 0.0) for a in agents]
     # Freeze everyone in place so the capture happens now.
@@ -384,7 +371,7 @@ def test_deliver_rewards_terminal_reach_and_capture():
     outcome = step(world, [Action.STAY] * 4, rng,
                    prey_policy=lambda s, j, legal, r: Action.STAY)
     assert (0, PreyKind.POSITIVE) in outcome.captures
-    deliver_rewards(agents, outcome)
+    deliver_rewards(agents, outcome, CONFIG)
     for agent in agents:
         assert len(agent.trace) == 0            # settled and cleared
         assert len(agent.upper) > 0             # positive capture reinforced
@@ -394,7 +381,7 @@ def test_deliver_rewards_terminal_reach_and_capture():
 def test_deliver_rewards_dangerous_capture_no_upper_change():
     world = make_world([(2, 3), (4, 3), (3, 2), (3, 4)], [(3, 3), (0, 0)],
                        kinds=(PreyKind.DANGEROUS, PreyKind.POSITIVE))
-    agents = [HunterAgent(i) for i in range(4)]
+    agents = [HunterAgent(i, CONFIG) for i in range(4)]
     rng = Random(0)
     for a in agents:
         a.policy_step(world, rng, 0.0)
@@ -402,7 +389,7 @@ def test_deliver_rewards_dangerous_capture_no_upper_change():
     outcome = step(world, [Action.STAY] * 4, rng,
                    prey_policy=lambda s, j, legal, r: Action.STAY)
     assert (0, PreyKind.DANGEROUS) in outcome.captures
-    deliver_rewards(agents, outcome)
+    deliver_rewards(agents, outcome, CONFIG)
     for agent in agents:
         assert len(agent.upper) == 0
         assert len(agent.trace) == 0

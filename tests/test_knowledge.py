@@ -164,6 +164,13 @@ def test_every_split_reduces_weighted_entropy():
     node_instances(tree, instances)
 
 
+@pytest.mark.parametrize("name, value, least", [("min_leaf", 0, 1), ("min_leaf", -5, 1),
+                                                ("max_depth", -1, 0)])
+def test_induce_tree_rejects_min_leaf_below_one_and_negative_depth(name, value, least):
+    with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {value}$"):
+        induce_tree(grid_instances(planted_label), **{name: value})
+
+
 def test_min_leaf_and_depth_stops():
     instances = grid_instances(planted_label)
     shallow = induce_tree(instances, max_depth=1)

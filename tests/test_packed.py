@@ -28,12 +28,13 @@ from pursuitrl.env import (
     grid_for,
     step,
 )
-from pursuitrl.experiment import ExperimentConfig, TrainingResult, build_agents, save_learned_tables
+from pursuitrl.experiment import ExperimentConfig, TrainingResult, save_learned_tables
 from pursuitrl.hmrl import (
+    HunterAgent,
     lower_state_ids,
-    lower_state_text,
+    lower_state_texts,
     module_key,
-    module_text,
+    module_speller,
     select_target,
 )
 from pursuitrl.profit_sharing import load_weights
@@ -228,7 +229,7 @@ def test_packed_tables_survive_save_load(side, data):
     keys = st.builds(ModuleKey, st.integers(0, 3), st.integers(0, 1), coords, coords, coords)
     rules = data.draw(st.dictionaries(st.tuples(keys, coords), weights, max_size=40))
     config = ExperimentConfig(grid_side=side)
-    agents = build_agents(config)
+    agents = [HunterAgent(index, config) for index in range(4)]
     for agent in agents:
         agent.upper = upper_table({(key, cell): w for (key, cell), w in rules.items()
                                    if key.hunter == agent.index}, side)
@@ -289,7 +290,7 @@ def test_learned_tables_match_reference_writer(tables):
           f"{len(rules) > len({key for key, _ in rules})}")
     event(f"a negative weight: {any(str(w).startswith('-') for w in rules.values())}")
     config = ExperimentConfig(grid_side=side)
-    agents = build_agents(config)
+    agents = [HunterAgent(index, config) for index in range(4)]
     for agent in agents:
         agent.upper = upper_table({(key, cell): w for (key, cell), w in rules.items()
                                    if key.hunter == agent.index}, side)
@@ -315,9 +316,9 @@ def test_module_key_reads_module_text(side, data):
                               coords, coords, coords))
     grid = grid_for(side)
     packed = pack(key, side)
-    assert module_text(grid, packed) == repr(tuple(tuple(part) if isinstance(part, tuple)
-                                                   else part for part in key))
-    assert module_key(grid, module_text(grid, packed)) == packed
+    text = module_speller(grid)(packed)
+    assert text == repr(tuple(tuple(part) if isinstance(part, tuple) else part for part in key))
+    assert module_key(grid, text) == packed
 
 
 @settings(max_examples=200, deadline=None)
@@ -328,8 +329,9 @@ def test_lower_state_text_spells_the_offset_and_prey(side, data):
     prey = data.draw(st.integers(0, 1))
     grid = grid_for(side)
     state = lower_state(offset, prey, side)
-    assert lower_state_text(grid, state) == repr((offset, prey))
-    assert lower_state_ids(grid)[lower_state_text(grid, state)] == state
+    text = lower_state_texts(grid)[state]
+    assert text == repr((offset, prey))
+    assert lower_state_ids(grid)[text] == state
 
 
 @pytest.mark.parametrize("text", ["(4, 0, (0, 0), (0, 0), (0, 0))",

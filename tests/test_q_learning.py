@@ -1,6 +1,5 @@
 import math
 from collections import Counter
-from functools import partial
 from random import Random
 
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 import reference
 from pursuitrl.env import ACTIONS, ALL_ACTIONS, Action, grid_for
-from pursuitrl.hmrl import lower_state_ids, lower_state_text
+from pursuitrl.hmrl import lower_state_ids, lower_state_texts
 from pursuitrl.q_learning import QTable, epsilon_greedy, load_q_table, q_update, save_q_table
 from reference import ExplicitMDP, greedy_action, lower_state, q_value, solve_value_iteration
 
@@ -280,7 +279,7 @@ def test_q_table_round_trip_bit_exact(tmp_path):
             table.set(lower_state((dx, -dx), rng.choice((0, 1)), 7), action.index,
                       rng.random() * 97)
     path = tmp_path / "q.tsv"
-    save_q_table(path, table, partial(lower_state_text, GRID), {"note": "test"})
+    save_q_table(path, table, lower_state_texts(GRID).__getitem__, {"note": "test"})
     loaded, meta = load_q_table(path, STATE_IDS.__getitem__)
     assert loaded.values == table.values
     assert loaded.alpha == table.alpha and loaded.gamma == table.gamma
@@ -309,7 +308,7 @@ def test_q_table_lists_written_entries_only(tmp_path):
     q_update(table, 5, Action.STAY.index, 100.0, 5, terminal=True)
     assert table.values == {(3, Action.EAST.index): 0.0, (5, Action.STAY.index): 10.0}
     path = tmp_path / "q.tsv"
-    save_q_table(path, table, partial(lower_state_text, GRID))
+    save_q_table(path, table, lower_state_texts(GRID).__getitem__)
     rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
     assert rows == ["((-6, -4), 1)\tstay\t10.0", "((-6, -5), 1)\tright\t0.0"]
 
