@@ -1,3 +1,4 @@
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -48,6 +49,12 @@ def test_new_world_prey_kinds_follow_config():
     world = new_world(3, config)
     assert world.prey[0].kind is PreyKind.DANGEROUS
     assert world.prey[1].kind is PreyKind.POSITIVE
+
+
+def test_new_world_grid_too_small():
+    # The world takes its side only from a config, which refuses a side below 3.
+    with pytest.raises(ValueError, match="grid_side"):
+        new_world(0, replace(CONFIG, grid_side=2))
 
 
 def legal_at(x, y, side=7):

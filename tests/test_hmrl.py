@@ -1,3 +1,4 @@
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -309,6 +310,25 @@ def trained_agent_world():
     world = make_world([(2, 2), (6, 6), (6, 0), (0, 6)], [(3, 3), (6, 4)])
     agent = HunterAgent(0, CONFIG)
     return agent, world
+
+
+# An agent takes its values only from a config, so a bad value is refused on
+# the way to the agent, before `HunterAgent` runs.
+@pytest.mark.parametrize("reach_discount", [0.5, float("nan")])
+def test_agent_rejects_reach_discount_below_one(reach_discount):
+    with pytest.raises(ValueError, match="reach_discount"):
+        HunterAgent(0, replace(CONFIG, reach_discount=reach_discount))
+
+
+def test_agent_rejects_unknown_candidate_mode():
+    with pytest.raises(ValueError, match="ring3"):
+        HunterAgent(0, replace(CONFIG, candidate_mode="ring3"))
+
+
+@pytest.mark.parametrize("goal_reward", [float("nan"), float("inf"), float("-inf")])
+def test_agent_rejects_non_finite_goal_reward(goal_reward):
+    with pytest.raises(ValueError, match="reward must be finite"):
+        HunterAgent(0, replace(CONFIG, reward=goal_reward))
 
 
 def test_agent_policy_step_records_and_acts():
