@@ -185,8 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; a bad input or an unreadable file prints
+    ``pursuitrl: <message>`` on stderr and returns 2, as argparse's own errors do."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"pursuitrl: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import Enum, IntEnum
 from functools import lru_cache
 from random import Random
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
@@ -28,39 +28,29 @@ class Position(NamedTuple):
     y: int
 
 
-class Action(Enum):
-    """One move per step. x grows east, y grows south.
+class Action(IntEnum):
+    """One move per step; a member is its own index in :data:`ACTIONS`, in
+    Q rows and in :attr:`Grid.moves`. Files spell it by :data:`ACTION_LABELS`,
+    never by ``str()``, which differs between Python versions."""
 
-    ``index`` is the action's place in :data:`ACTIONS`; learners key their
-    tables by it rather than by the member, whose hash is slow.
-    """
-
-    STAY = (0, 0)
-    NORTH = (0, -1)
-    SOUTH = (0, 1)
-    EAST = (1, 0)
-    WEST = (-1, 0)
-
-    def __init__(self, dx: int, dy: int) -> None:
-        self.dx = dx
-        self.dy = dy
-        self.index = len(type(self)._member_names_)
+    STAY = 0
+    NORTH = 1
+    SOUTH = 2
+    EAST = 3
+    WEST = 4
 
 
 ACTIONS: tuple[Action, ...] = tuple(Action)
-# Every action index, ascending; Grid.legal shares it where every move is legal.
+# Every action index as a plain int, ascending; Grid.legal shares it where
+# every move is legal.
 ALL_ACTIONS = tuple(range(len(ACTIONS)))
+# (dx, dy) by action: x grows east, y grows south.
+DELTAS = ((0, 0), (0, -1), (0, 1), (1, 0), (-1, 0))
 
-# Serialization vocabulary for CSV/rule files: screen directions, with
-# "down" meaning +y (south).
-ACTION_LABELS = {
-    Action.STAY: "stay",
-    Action.NORTH: "up",
-    Action.SOUTH: "down",
-    Action.EAST: "right",
-    Action.WEST: "left",
-}
-ACTION_BY_LABEL = {label: action for action, label in ACTION_LABELS.items()}
+# Serialization vocabulary for CSV/rule files by action: screen directions,
+# with "down" meaning +y (south).
+ACTION_LABELS = ("stay", "up", "down", "right", "left")
+ACTION_BY_LABEL = dict(zip(ACTION_LABELS, ACTIONS))
 
 
 class PreyKind(Enum):
@@ -91,7 +81,7 @@ class Grid:
 
     Cell ``x * side + y`` is ``Position(x, y)``, so ascending ids run
     x-outer, y-inner. Per cell it holds the move destination of every
-    action (-1 off the grid), the legal actions, the in-bounds
+    action (-1 off the grid), the legal action indices, the in-bounds
     4-neighbours, the Manhattan distance and the offset id to every cell,
     and per candidate mode the target cells a hunter may be sent to for a
     prey there. Offset ids run over ``(dx, dy)``, ``|dx|, |dy| < side``,
@@ -106,20 +96,18 @@ class Grid:
         self.cell_text = tuple(f"({x}, {y})" for x, y in self.cells)
         self.cell_ids = {text: cell for cell, text in enumerate(self.cell_text)}
         self.moves = tuple(
-            tuple((x + a.dx) * side + y + a.dy
-                  if 0 <= x + a.dx < side and 0 <= y + a.dy < side else -1
-                  for a in ACTIONS)
+            tuple((x + dx) * side + y + dy if 0 <= x + dx < side and 0 <= y + dy < side else -1
+                  for dx, dy in DELTAS)
             for x, y in self.cells
         )
         self.legal = tuple(ALL_ACTIONS if min(row) >= 0
                            else tuple(i for i, dest in enumerate(row) if dest >= 0)
                            for row in self.moves)
-        self.legal_actions = tuple(tuple(ACTIONS[i] for i in row) for row in self.legal)
         # what a uniform random move draws from: (destinations, count, bits)
         self.uniform_moves = tuple((tuple(row[i] for i in legal), len(legal),
                                     len(legal).bit_length())
                                    for row, legal in zip(self.moves, self.legal))
-        self.neighbors = tuple(tuple(row[i] for i in legal if i != Action.STAY.index)
+        self.neighbors = tuple(tuple(row[i] for i in legal if i != Action.STAY)
                                for row, legal in zip(self.moves, self.legal))
         self.distance = tuple(tuple(abs(x - u) + abs(y - v) for u, v in self.cells)
                               for x, y in self.cells)
@@ -217,17 +205,18 @@ def below(rng: Random, n: int) -> int:
 
 
 if TYPE_CHECKING:   # a runtime subscription would pin this module in typing's cache
-    PreyPolicy = Callable[[WorldState, int, Sequence[Action], Random], Action]
+    PreyPolicy = Callable[[WorldState, int, Sequence[int], Random], int]
 
 
 def random_prey_policy(state: WorldState, prey_index: int,
-                       legal: Sequence[Action], rng: Random) -> Action:
+                       legal: Sequence[int], rng: Random) -> int:
     return legal[below(rng, len(legal))]
 
 
-def step(state: WorldState, hunter_actions: Sequence[Action], rng: Random,
+def step(state: WorldState, hunter_actions: Sequence[int], rng: Random,
          prey_policy: PreyPolicy = random_prey_policy) -> StepOutcome:
-    """Advance the world one tick with simultaneous moves.
+    """Advance the world one tick with simultaneous moves, given as action
+    indices; a prey policy gets the legal ones of the prey's cell and returns one.
 
     Movement conflicts (two agents claiming one cell, or moving onto an
     agent that stays put) are settled by a random priority order drawn
@@ -244,10 +233,10 @@ def step(state: WorldState, hunter_actions: Sequence[Action], rng: Random,
     h0, h1, h2, h3 = state.hunters          # N_HUNTERS == 4
     a0, a1, a2, a3 = hunter_actions
     current = [h0, h1, h2, h3]
-    dest = [moves[h0][a0.index], moves[h1][a1.index], moves[h2][a2.index], moves[h3][a3.index]]
+    dest = [moves[h0][a0], moves[h1][a1], moves[h2][a2], moves[h3][a3]]
     if -1 in dest:
         i = dest.index(-1)
-        raise ValueError(f"illegal action {hunter_actions[i].name} for hunter {i} "
+        raise ValueError(f"illegal action {Action(hunter_actions[i]).name} for hunter {i} "
                          f"at {grid.cells[current[i]]}")
 
     # Prey draws happen before the priority draw, in prey order, so the
@@ -263,10 +252,10 @@ def step(state: WorldState, hunter_actions: Sequence[Action], rng: Random,
                     r = getrandbits(bits)
                 target = destinations[r]
             else:
-                action = prey_policy(state, j, grid.legal_actions[cell], rng)
-                target = moves[cell][action.index]
+                action = prey_policy(state, j, grid.legal[cell], rng)
+                target = moves[cell][action]
                 if target < 0:
-                    raise ValueError(f"illegal prey action {action.name} for prey {j}")
+                    raise ValueError(f"illegal prey action {Action(action).name} for prey {j}")
             current.append(cell)
             dest.append(target)
 
@@ -331,7 +320,7 @@ def step(state: WorldState, hunter_actions: Sequence[Action], rng: Random,
 
 def trajectory_rows(state: WorldState) -> list[tuple[int, str, int, int]]:
     """Positions of all live agents at one step, for trajectory dumps."""
-    cells = grid_for(state.side).cells
+    cells = state.grid.cells
     rows = [(state.step_count, HUNTER_IDS[i], *cells[cell])
             for i, cell in enumerate(state.hunters)]
     rows.extend((state.step_count, PREY_IDS[j], *cells[p.cell])

@@ -197,7 +197,7 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
     decide = [agent.policy_step for agent in agents]     # N_HUNTERS == 4
     moves = grid.moves
     # fallbacks[chosen]: the rule fallback for the learner's pick, per the fallback mode
-    fallbacks = ((_RETURN_ACTION[Action.STAY.index],) * len(ACTIONS)
+    fallbacks = ((_RETURN_ACTION[Action.STAY],) * len(ACTIONS)
                  if config.rule_fallback == "stay" else _RETURN_ACTION)
 
     for trial in range(1, config.trials + 1):
@@ -225,7 +225,7 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
                     # a rule action off the grid leaves the learner's pick
                     if commanded != chosen and moves[world.hunters[i]][commanded] >= 0:
                         agent.pending = (lower, commanded, target)
-                        actions[i] = ACTIONS[commanded]
+                        actions[i] = commanded
             if in_window:
                 for agent in agents:
                     lower, action, _ = agent.pending

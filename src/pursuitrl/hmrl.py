@@ -29,10 +29,9 @@ from random import Random
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .env import (
-    ACTIONS,
+    CANDIDATE_MODES,
     N_HUNTERS,
     N_PREY,
-    Action,
     Grid,
     PreyKind,
     StepOutcome,
@@ -165,7 +164,11 @@ def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
         raise ValueError("no alive prey to target")
 
     goal = prey[prey_index].cell
-    cells = grid.candidates[candidates][goal]
+    try:
+        cells = grid.candidates[candidates][goal]
+    except KeyError:
+        raise ValueError(f"candidates must be one of {CANDIDATE_MODES}, "
+                         f"got {candidates!r}") from None
     n = grid.size
     head = ((hunter_index * N_PREY + prey_index) * n + own) * n * n + goal
     p0, p1, p2 = _PEERS[hunter_index]       # N_HUNTERS == 4
@@ -257,8 +260,8 @@ class HunterAgent:
         self.trace.clear()
         self.pending = None
 
-    def policy_step(self, state: WorldState, rng: Random, exploration: float) -> Action:
-        """Select this step's target, then the move toward it."""
+    def policy_step(self, state: WorldState, rng: Random, exploration: float) -> int:
+        """Select this step's target, then the move toward it: an action index."""
         index = self.index
         prey, modules, target = select_target(self.upper, index, state, rng,
                                               self.reach_discount, exploration,
@@ -270,7 +273,7 @@ class HunterAgent:
         lower = grid.offset[own][target] * N_PREY + prey
         action = epsilon_greedy(self.q, lower, grid.legal[own], exploration, rng)
         self.pending = (lower, action, target)
-        return ACTIONS[action]
+        return action
 
     def observe(self, next_state: WorldState) -> bool:
         """Lower-layer update after the world moved; True if the target was reached."""

@@ -98,9 +98,9 @@ def gain_ratio(instances: Sequence[Instance], attribute: str, threshold: float) 
     counts = [0] * len(ACTIONS)
     left_counts = [0] * len(ACTIONS)
     for inst in instances:
-        counts[inst.label.index] += 1
+        counts[inst.label] += 1
         if inst[idx] <= threshold:
-            left_counts[inst.label.index] += 1
+            left_counts[inst.label] += 1
     total, left_total = len(instances), sum(left_counts)
     if left_total == 0 or left_total == total:
         raise ValueError(f"degenerate split at {attribute} <= {threshold}")
@@ -109,15 +109,14 @@ def gain_ratio(instances: Sequence[Instance], attribute: str, threshold: float) 
 
 def _grow(items: list[tuple[int, int, int, int]], min_leaf: int, max_depth: int,
           depth: int) -> TreeNode:
-    """items: (theta_x, theta_y, label index, weight), sorted, non-empty."""
+    """items: (theta_x, theta_y, label, weight), sorted, non-empty."""
     counts = [0] * len(ACTIONS)
     total = 0
-    for _, _, label_idx, weight in items:
-        counts[label_idx] += weight
+    for _, _, label, weight in items:
+        counts[label] += weight
         total += weight
-    majority_idx = max(range(len(ACTIONS)), key=lambda i: (counts[i], -i))
-    leaf = Leaf(label=ACTIONS[majority_idx], covered=total,
-                errors=total - counts[majority_idx])
+    majority = max(ACTIONS, key=lambda action: (counts[action], -action))
+    leaf = Leaf(label=majority, covered=total, errors=total - counts[majority])
 
     if leaf.errors == 0 or depth >= max_depth:
         return leaf
@@ -175,9 +174,7 @@ def induce_tree(instances: Sequence[Instance], min_leaf: int = 2,
             raise ValueError(f"{name} must be >= {least}, got {value}")
     if not instances:
         raise ValueError("cannot induce a tree from no instances")
-    grouped = Counter((inst.theta_x, inst.theta_y, inst.label.index) for inst in instances)
-    items = sorted((x, y, label_idx, weight)
-                   for (x, y, label_idx), weight in grouped.items())
+    items = sorted((x, y, label, weight) for (x, y, label), weight in Counter(instances).items())
     return _grow(items, min_leaf, max_depth, depth=0)
 
 
@@ -253,7 +250,8 @@ def compile_rules(rules: Sequence[IfThenRule], grid: Grid) -> tuple[int, ...]:
                 upper[idx] = min(upper[idx], threshold)
             else:
                 lower[idx] = max(lower[idx], threshold)
-        bounds.append((lower[0], upper[0], lower[1], upper[1], rule.action.index))
+        # a plain int: the trial loop subscripts its tables with it
+        bounds.append((lower[0], upper[0], lower[1], upper[1], int(rule.action)))
     return tuple(next((action for x_lower, x_upper, y_lower, y_upper, action in bounds
                        if x_lower < theta_x <= x_upper and y_lower < theta_y <= y_upper), -1)
                  for theta_x, theta_y in grid.offsets)
@@ -326,11 +324,10 @@ def load_rules(path) -> list[IfThenRule]:
 def save_instances(path, instances: Sequence[Instance]) -> int:
     """Write ``instances`` as ``csv.writer`` would, spelling each distinct
     object once: a run and :func:`load_instances` share one object per row."""
-    labels = tuple(ACTION_LABELS[action] for action in ACTIONS)    # by Action.index
     lines: dict[int, str] = {}
     for inst in instances:
         if id(inst) not in lines:
-            lines[id(inst)] = f"{inst.theta_x},{inst.theta_y},{labels[inst.label.index]}\r\n"
+            lines[id(inst)] = f"{inst.theta_x},{inst.theta_y},{ACTION_LABELS[inst.label]}\r\n"
     with open(path, "w", newline="") as handle:
         handle.write(",".join(INSTANCE_HEADER) + "\r\n")
         handle.writelines(map(lines.__getitem__, map(id, instances)))

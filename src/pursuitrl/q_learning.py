@@ -98,7 +98,7 @@ def save_q_table(path, table: QTable, encode_state: Encoder,
 def load_q_table(path, decode_state: Decoder) -> tuple[QTable, dict[str, object]]:
     """Read a :func:`save_q_table` table, states by ``decode_state`` of their text."""
     entries, meta = load_table(path, decode_state=decode_state,
-                               decode_action=lambda label: ACTION_BY_LABEL[label].index)
+                               decode_action=ACTION_BY_LABEL.__getitem__)
     table = QTable(alpha=float(meta.pop("alpha")), gamma=float(meta.pop("gamma")))
     for (state, action), value in entries.items():
         table.set(state, action, value)

@@ -19,11 +19,16 @@ from pathlib import Path
 from random import Random
 from typing import NamedTuple
 
-from pursuitrl.env import (ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, N_PREY, Position, PreyKind,
-                           PreyState, WorldState, below)
+from pursuitrl.env import (ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, N_PREY, Action, Position,
+                           PreyKind, PreyState, WorldState, below)
 from pursuitrl.experiment import run_meta
 from pursuitrl.knowledge import INSTANCE_HEADER, Instance, Split
 from pursuitrl.profit_sharing import WeightTable
+
+
+# (dx, dy) of each move, x east and y south, written out apart from env.DELTAS.
+DELTA = {Action.STAY: (0, 0), Action.NORTH: (0, -1), Action.SOUTH: (0, 1),
+         Action.EAST: (1, 0), Action.WEST: (-1, 0)}
 
 
 class ModuleKey(NamedTuple):
@@ -114,7 +119,7 @@ def save_learned_tables(out_dir, result) -> None:
         for (state, action), value in agent.q.values.items():
             offset, prey = divmod(state // N_PREY, span), state % N_PREY
             dx, dy = offset[0] - (side - 1), offset[1] - (side - 1)
-            rows.append(f"{((dx, dy), prey)!r}\t{ACTION_LABELS[ACTIONS[action]]}\t{value!r}\n")
+            rows.append(f"{((dx, dy), prey)!r}\t{ACTION_LABELS[action]}\t{value!r}\n")
         write(f"q_h{agent.index}.tsv",
               {"alpha": agent.q.alpha, "gamma": agent.q.gamma, **meta}, rows)
 
@@ -154,9 +159,14 @@ def rule_weights(table: WeightTable) -> dict:
     return {(state, action): weight for state, action, weight in table_rules(table)}
 
 
+def moved(pos, action) -> Position:
+    """Where ``action`` takes an agent at ``pos``, on or off the grid."""
+    dx, dy = DELTA[action]
+    return Position(pos[0] + dx, pos[1] + dy)
+
+
 def legal_actions(pos, side: int):
-    return tuple(a for a in ACTIONS
-                 if 0 <= pos[0] + a.value[0] < side and 0 <= pos[1] + a.value[1] < side)
+    return tuple(a for a in ACTIONS if all(0 <= v < side for v in moved(pos, a)))
 
 
 def neighbor_cells(pos, side: int) -> list[Position]:
@@ -312,14 +322,14 @@ def step(state: WorldState, hunter_actions, rng: Random, prey_actions=None):
     for i, action in enumerate(hunter_actions):
         pos = hunter_positions[i]
         current[f"h{i}"] = pos
-        dest[f"h{i}"] = Position(pos.x + action.value[0], pos.y + action.value[1])
+        dest[f"h{i}"] = moved(pos, action)
     for j, prey in enumerate(state.prey):
         if prey.alive:
             pos = prey_positions[j]
             action = (rng.choice(legal_actions(pos, side)) if prey_actions is None
                       else prey_actions[j])
             current[f"p{j}"] = pos
-            dest[f"p{j}"] = Position(pos.x + action.value[0], pos.y + action.value[1])
+            dest[f"p{j}"] = moved(pos, action)
     order = list(current)
     rng.shuffle(order)
     rank = {aid: k for k, aid in enumerate(order)}

@@ -24,8 +24,8 @@ from pursuitrl.hmrl import ATFieldParams, atf
 from pursuitrl.knowledge import Instance, Leaf, extract_rules, gain_ratio, induce_tree
 from pursuitrl.profit_sharing import PSParams, check_suppression
 from pursuitrl.q_learning import QTable, q_update
-from reference import (ExplicitMDP, brute_force_gain_ratio, classify, legal_actions, q_value,
-                       solve_value_iteration)
+from reference import (ExplicitMDP, brute_force_gain_ratio, classify, legal_actions, moved,
+                       q_value, solve_value_iteration)
 
 SEEDS = (1, 2, 3, 4, 5)
 SWEEP_CONFIG = ExperimentConfig(trials=2000)
@@ -123,7 +123,7 @@ def test_criterion_4_q_learning_matches_value_iteration():
         if state == target:
             continue
         for action in legal_actions(state, side):
-            nxt = Position(state.x + action.value[0], state.y + action.value[1])
+            nxt = moved(state, action)
             transitions[(state, action)] = (
                 (1.0, nxt, reward if nxt == target else 0.0),)
     mdp = ExplicitMDP(states=tuple(states), actions=ACTIONS,
@@ -141,16 +141,16 @@ def test_criterion_4_q_learning_matches_value_iteration():
         visits[(state, action)] += 1
         (_, nxt, r), = transitions[(state, action)]
         table.alpha = visits[(state, action)] ** -0.6     # decaying per-entry step size
-        q_update(table, state, action.index, r, nxt, terminal=nxt == target)
+        q_update(table, state, action, r, nxt, terminal=nxt == target)
 
     tolerance = 1e-3
     tie_eps = 1e-6
     for state in nonterminal:
         legal = legal_actions(state, side)
-        learned_best = max(q_value(table, state, a.index) for a in legal)
+        learned_best = max(q_value(table, state, a) for a in legal)
         assert learned_best == pytest.approx(oracle[state], abs=tolerance)
         learned_greedy = {a for a in legal
-                          if q_value(table, state, a.index) >= learned_best - tie_eps}
+                          if q_value(table, state, a) >= learned_best - tie_eps}
         exact_q = {
             a: transitions[(state, a)][0][2]
             + gamma * oracle[transitions[(state, a)][0][1]]

@@ -16,6 +16,13 @@ def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def error_line(printed):
+    """The one line a failed command printed on stderr, without its newline."""
+    err = printed.err
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    return err[:-1]
+
+
 def test_train_writes_run_directory(tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli("train", "--trials", 5, "--seed", 3, "--atf", "on",
@@ -41,40 +48,45 @@ def test_train_applies_config_file(tmp_path):
      "line 2: trials: invalid literal for int() with base 10: 'abc'"),
     ("trial = 4\n", "line 1: unknown config key 'trial'"),
 ])
-def test_train_config_errors_name_file_and_line(tmp_path, text, error):
+def test_train_config_errors_name_file_and_line(tmp_path, capsys, text, error):
     config = tmp_path / "run.cfg"
     config.write_text(text)
-    with pytest.raises(ValueError, match=f"^{re.escape(f'{config}: {error}')}$"):
-        run_cli("train", "--config", config, "--seed", 1, "--out", tmp_path / "run")
+    assert run_cli("train", "--config", config, "--seed", 1, "--out", tmp_path / "run") == 2
+    assert re.search(f"^pursuitrl: {re.escape(f'{config}: {error}')}$",
+                     error_line(capsys.readouterr()))
     assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("trial", [0, 99])
-def test_train_rejects_a_trajectory_trial_outside_the_run(tmp_path, trial):
-    with pytest.raises(ValueError, match=rf"^trajectory_trial must be in 1\.\.20, got {trial}$"):
-        run_cli("train", "--trials", 20, "--seed", 1, "--dump-trajectory", trial,
-                "--out", tmp_path / "run")
+def test_train_rejects_a_trajectory_trial_outside_the_run(tmp_path, capsys, trial):
+    assert run_cli("train", "--trials", 20, "--seed", 1, "--dump-trajectory", trial,
+                   "--out", tmp_path / "run") == 2
+    assert re.search(rf"^pursuitrl: trajectory_trial must be in 1\.\.20, got {trial}$",
+                     error_line(capsys.readouterr()))
     assert not (tmp_path / "run").exists()
 
 
-def test_extract_rules_names_an_empty_instance_file(tmp_path):
+def test_extract_rules_names_an_empty_instance_file(tmp_path, capsys):
     # An inverted instance window logs no instances on purpose.
     config = tmp_path / "window.cfg"
     config.write_text("instance_window = 4,2\nstep_cap = 40\n")
     run_cli("train", "--config", config, "--trials", 4, "--seed", 1, "--out", tmp_path / "run")
     instances = tmp_path / "run" / "instances.csv"
-    with pytest.raises(ValueError, match=f"^{re.escape(str(instances))}: no instances"):
-        run_cli("extract-rules", "--instances", instances, "--out", tmp_path / "rules.txt")
+    capsys.readouterr()
+    assert run_cli("extract-rules", "--instances", instances, "--out", tmp_path / "rules.txt") == 2
+    assert re.search(f"^pursuitrl: {re.escape(str(instances))}: no instances",
+                     error_line(capsys.readouterr()))
     assert not (tmp_path / "rules.txt").exists()
 
 
 @pytest.mark.parametrize("flag, value, error", [("--min-leaf", 0, "min_leaf must be >= 1"),
                                                 ("--max-depth", -1, "max_depth must be >= 0")])
-def test_extract_rules_rejects_a_tree_bound_out_of_range(tmp_path, flag, value, error):
+def test_extract_rules_rejects_a_tree_bound_out_of_range(tmp_path, capsys, flag, value, error):
     run_cli("train", "--trials", 4, "--seed", 1, "--out", tmp_path / "run")
-    with pytest.raises(ValueError, match=f"^{error}, got {value}$"):
-        run_cli("extract-rules", "--instances", tmp_path / "run" / "instances.csv",
-                "--out", tmp_path / "rules.txt", flag, value)
+    capsys.readouterr()
+    assert run_cli("extract-rules", "--instances", tmp_path / "run" / "instances.csv",
+                   "--out", tmp_path / "rules.txt", flag, value) == 2
+    assert re.search(f"^pursuitrl: {error}, got {value}$", error_line(capsys.readouterr()))
     assert not (tmp_path / "rules.txt").exists()
 
 
@@ -143,16 +155,25 @@ def test_replay_names_a_row_outside_the_side(tmp_path, capsys, cell):
     trajectory = tmp_path / "trajectory.csv"
     trajectory.write_text(f"step,agent,x,y,action\n0,h0,0,0,stay\n0,p1,{cell[0]},{cell[1]},\n")
     message = f"{trajectory}:3: p1 at {cell} is outside a grid of side 3"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        run_cli("replay", "--trajectory", trajectory, "--side", 3)
-    assert capsys.readouterr().out == ""
+    assert run_cli("replay", "--trajectory", trajectory, "--side", 3) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert re.search(f"^pursuitrl: {re.escape(message)}$", error_line(printed))
 
 
-def test_replay_names_an_empty_trajectory(tmp_path):
+def test_replay_names_an_empty_trajectory(tmp_path, capsys):
     empty = tmp_path / "trajectory.csv"
     empty.write_text("step,agent,x,y,action\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(empty))}: no trajectory rows$"):
-        run_cli("replay", "--trajectory", empty)
+    assert run_cli("replay", "--trajectory", empty) == 2
+    assert re.search(f"^pursuitrl: {re.escape(str(empty))}: no trajectory rows$",
+                     error_line(capsys.readouterr()))
+
+
+def test_a_missing_input_file_is_a_one_line_error(tmp_path, capsys):
+    missing = tmp_path / "nowhere.csv"
+    assert run_cli("extract-rules", "--instances", missing, "--out", tmp_path / "rules.txt") == 2
+    assert re.search(f"^pursuitrl: .*No such file.*{re.escape(repr(str(missing)))}$",
+                     error_line(capsys.readouterr()))
 
 
 def test_report_fails_on_a_run_without_blocks(tmp_path, capsys):

@@ -58,7 +58,7 @@ def test_new_world_grid_too_small():
 
 
 def legal_at(x, y, side=7):
-    return set(grid_for(side).legal_actions[x * side + y])
+    return set(grid_for(side).legal[x * side + y])
 
 
 def test_legal_moves_corner():
@@ -83,6 +83,10 @@ def test_step_illegal_action_rejected():
     world = make_world([(0, 0), (5, 5), (5, 6), (6, 5)], [(3, 3), (4, 4)])
     with pytest.raises(ValueError):
         step(world, [Action.WEST, Action.STAY, Action.STAY, Action.STAY], Random(0))
+    # A plain index is named by its member too.
+    with pytest.raises(ValueError,
+                       match=r"^illegal action WEST for hunter 0 at Position\(x=0, y=0\)$"):
+        step(world, [4, 0, 0, 0], Random(0))
 
 
 def test_step_same_destination_priority_draw():
@@ -132,7 +136,7 @@ def test_step_names_a_blocked_prey_by_its_prey_index():
     # the live prey.
     world = make_world([(1, 0), (3, 3), (5, 6), (6, 5)], [(4, 4), (0, 0)],
                        alive=(False, True))
-    assert Random(5).choice(grid_for(7).legal_actions[0]) is Action.EAST
+    assert Action(Random(5).choice(grid_for(7).legal[0])) is Action.EAST
     out = step(world, [Action.STAY] * 4, Random(5))
     assert out.blocked_moves == ["p1"]
     assert positions(out.next_state)[1][1] == (0, 0)
@@ -198,7 +202,7 @@ def test_manhattan_distance_symmetric():
 
 
 def random_hunter_actions(world, rng):
-    legal = grid_for(world.side).legal_actions
+    legal = grid_for(world.side).legal
     return [rng.choice(legal[cell]) for cell in world.hunters]
 
 
@@ -260,10 +264,10 @@ def test_load_trajectory_names_malformed_row(tmp_path):
 
 
 @st.composite
-def stepped_worlds(draw):
-    """A cell-id world on a side 3-9 grid (dead prey anywhere, even on an
-    occupied cell), legal hunter actions and an rng seed."""
-    side = draw(st.integers(3, 9))
+def stepped_worlds(draw, max_side=9):
+    """A cell-id world on a side 3-``max_side`` grid (dead prey anywhere,
+    even on an occupied cell), legal hunter action indices and an rng seed."""
+    side = draw(st.integers(3, max_side))
     grid = grid_for(side)
     cells = draw(st.lists(st.integers(0, grid.size - 1), min_size=6, max_size=6, unique=True))
     alive = draw(st.tuples(st.booleans(), st.booleans()))
@@ -271,7 +275,7 @@ def stepped_worlds(draw):
     prey = [PreyState(cells[4 + j] if alive[j] else draw(st.integers(0, grid.size - 1)),
                       alive[j], kinds[j]) for j in range(2)]
     world = WorldState(side, cells[:4], prey)
-    actions = [draw(st.sampled_from(grid.legal_actions[cell])) for cell in world.hunters]
+    actions = [draw(st.sampled_from(grid.legal[cell])) for cell in world.hunters]
     return world, actions, draw(st.integers(0, 2**32 - 1))
 
 
@@ -298,7 +302,7 @@ def test_step_invariants(case, dead_cells):
             assert now == before
     for i, (cell, action) in enumerate(zip(world.hunters, actions)):
         if HUNTER_IDS[i] not in out.blocked_moves:
-            assert after.hunters[i] == grid.moves[cell][action.index]
+            assert after.hunters[i] == grid.moves[cell][action]
     # A live prey is captured exactly when every in-bounds neighbour holds a hunter.
     hunters = {position(cell, world.side) for cell in after.hunters}
     for j in live:
@@ -424,6 +428,22 @@ def test_step_draws_one_prey_move_per_live_prey_then_one_shuffle(case):
     replay = copy_of(rng)
     step(world, actions, rng)
     for j in live:
-        replay.choice(grid.legal_actions[world.prey[j].cell])
+        replay.choice(grid.legal[world.prey[j].cell])
     replay.shuffle(list(range(len(world.hunters) + len(live))))
     assert rng.getstate() == replay.getstate()
+
+
+def member_prey_policy(state, prey_index, legal, rng):
+    """The random prey policy, answering with a member."""
+    return Action(random_prey_policy(state, prey_index, legal, rng))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=stepped_worlds(max_side=12))
+def test_step_takes_members_and_plain_indices_alike(case):
+    world, actions, seed = case
+    assert all(type(a) is int for a in actions)
+    by_index, by_member = Random(seed), Random(seed)
+    out = step(world, actions, by_index)
+    assert step(world, [Action(a) for a in actions], by_member, member_prey_policy) == out
+    assert by_member.getstate() == by_index.getstate()

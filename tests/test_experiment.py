@@ -485,7 +485,7 @@ def test_scenario_tables_instances_and_rules(name, tmp_path):
     # and drive a rule evaluation on the same scenario.
     rules = extract_rules(induce_tree(result.instances))
     assert compile_rules(rules, grid) == tuple(
-        next((rule.action.index for rule in rules if rule_matches(rule, x, y)), -1)
+        next((rule.action for rule in rules if rule_matches(rule, x, y)), -1)
         for x, y in grid.offsets)
     evaluation = run_training(config, seed=13, rules=rules)
     assert len(evaluation.records) == config.trials

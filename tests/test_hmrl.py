@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from pursuitrl.env import ACTIONS, Action, Position, PreyKind, grid_for, step
+from pursuitrl.env import Action, Position, PreyKind, grid_for, step
 from pursuitrl.experiment import ExperimentConfig
 from pursuitrl.hmrl import (
     CREDIT_FLOOR,
@@ -331,16 +331,24 @@ def test_agent_rejects_non_finite_goal_reward(goal_reward):
         HunterAgent(0, replace(CONFIG, reward=goal_reward))
 
 
+def test_select_target_rejects_unknown_candidate_mode():
+    world = make_world([(2, 3), (6, 6), (6, 0), (0, 6)], [(3, 3), (6, 4)])
+    with pytest.raises(ValueError, match=r"^candidates must be one of \('ring2', 'all'\), "
+                                         r"got 'ring3'$"):
+        select_target(WeightTable(), 0, world, Random(0), candidates="ring3")
+
+
 def test_agent_policy_step_records_and_acts():
     agent, world = trained_agent_world()
     action = agent.policy_step(world, Random(0), exploration=0.0)
-    assert action in Action
+    assert type(action) is int              # a plain index, never a member
+    assert action in world.grid.legal[world.hunters[0]]
     assert len(agent.trace) == 1
     modules, cell, prey_distance = agent.trace[0]
     assert len(modules) == 3                        # one rule per peer
     assert prey_distance == 4                       # prey at (3,3) and (6,4)
     lower, chosen, target = agent.pending
-    assert ACTIONS[chosen] is action
+    assert chosen == action
     target = position(target, 7)
     assert lower == lower_state((target.x - 2, target.y - 2), lower % 2, 7)
 
@@ -348,7 +356,7 @@ def test_agent_policy_step_records_and_acts():
 def test_agent_greedy_walks_trained_corridor():
     agent, world = trained_agent_world()
     # Teach the lower layer that one step east is best from offset (1, 0).
-    agent.q.set(lower_state((1, 0), 0, 7), Action.EAST.index, 10.0)
+    agent.q.set(lower_state((1, 0), 0, 7), Action.EAST, 10.0)
     # Pin the upper layer to command the cell one east of the hunter.
     goal = Position(3, 3)
     target = Position(3, 2)
@@ -357,26 +365,26 @@ def test_agent_greedy_walks_trained_corridor():
                         cell_id(target, 7), 50.0)
     action = agent.policy_step(world, Random(0), exploration=0.0)
     assert position(agent.pending[2], 7) == target
-    assert action is Action.EAST
+    assert type(action) is int and action == Action.EAST
 
 
 def test_agent_zero_offset_prefers_stay_once_trained():
     world = make_world([(2, 3), (6, 6), (6, 0), (0, 6)], [(3, 3), (6, 4)])
     agent = HunterAgent(0, CONFIG)
-    agent.q.set(lower_state((0, 0), 0, 7), Action.STAY.index, 10.0)
+    agent.q.set(lower_state((0, 0), 0, 7), Action.STAY, 10.0)
     goal = Position(3, 3)
     for peer in (Position(6, 6), Position(6, 0), Position(0, 6)):
         agent.upper.add(pack(ModuleKey(0, 0, Position(2, 3), peer, goal), 7),
                         cell_id(Position(2, 3), 7), 50.0)
     action = agent.policy_step(world, Random(0), exploration=0.0)
     assert agent.pending[0] == lower_state((0, 0), 0, 7)
-    assert action is Action.STAY
+    assert type(action) is int and action == Action.STAY
 
 
 def stay_put(agent):
     """Replace the agent's pending move by staying."""
     lower, _, target = agent.pending
-    agent.pending = (lower, Action.STAY.index, target)
+    agent.pending = (lower, Action.STAY, target)
 
 
 def test_deliver_rewards_terminal_reach_and_capture():

@@ -260,13 +260,13 @@ If theta_X <= -1 theta_Y <= 0 theta_Y > -1 Then left with CF=0.8476715392603243
 def act(rules, x, y, fallback, side=7):
     """The action the rules, compiled for a side-``side`` grid, command at (x, y)."""
     grid = grid_for(side)
-    return ACTIONS[rule_policy_act(compile_rules(rules, grid), grid.offsets.index((x, y)),
-                                   fallback=fallback)]
+    return Action(rule_policy_act(compile_rules(rules, grid), grid.offsets.index((x, y)),
+                                  fallback=fallback))
 
 
 def test_reference_rules_drive_expected_actions():
     rules = parse_rules(REFERENCE_RULES)
-    fallback = lambda offset: Action.SOUTH.index
+    fallback = lambda offset: Action.SOUTH
     assert act(rules, 0, 0, fallback) is Action.STAY
     assert act(rules, -3, 0, fallback) is Action.WEST
     assert act(rules, 0, -4, fallback) is Action.NORTH
@@ -279,7 +279,7 @@ def test_fallback_invoked_exactly_once_when_unmatched():
 
     def fallback(offset):
         calls.append(grid_for(7).offsets[offset])
-        return Action.STAY.index
+        return Action.STAY
 
     assert act(rules, 5, 5, fallback) is Action.STAY
     assert calls == [(5, 5)]
@@ -299,6 +299,7 @@ def assert_matches_condition_scan(rules, side):
     grid = grid_for(side)
     compiled = compile_rules(rules, grid)
     assert len(compiled) == (2 * side - 1) ** 2
+    assert all(type(action) is int for action in compiled)     # plain indices, no members
     for offset, (x, y) in enumerate(grid.offsets):
         calls = []
 
@@ -306,7 +307,7 @@ def assert_matches_condition_scan(rules, side):
             calls.append(offset)
             return -1
 
-        expected = next((rule.action.index for rule in rules
+        expected = next((rule.action for rule in rules
                          if reference.rule_matches(rule, x, y)), -1)
         assert compiled[offset] == expected
         assert rule_policy_act(compiled, offset, fallback=fallback) == expected

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 import reference
 from pursuitrl.env import (
+    ACTION_BY_LABEL,
+    ACTION_LABELS,
     ACTIONS,
     CANDIDATE_MODES,
     Action,
@@ -43,8 +45,10 @@ from reference import (ModuleKey, cell_id, lower_state, pack, positions, rule_we
 
 
 def test_action_index_is_position_in_actions():
-    assert [action.index for action in ACTIONS] == list(range(len(ACTIONS)))
-    assert all((action.dx, action.dy) == action.value for action in Action)
+    assert len(ACTIONS) == len(Action) == len(ACTION_LABELS)
+    for i in range(len(ACTIONS)):
+        assert ACTIONS[i] is Action(i)
+        assert ACTION_BY_LABEL[ACTION_LABELS[i]] is Action(i)
 
 
 @pytest.mark.parametrize("side", range(3, 10))
@@ -59,17 +63,16 @@ def test_grid_tables_match_geometry(side):
             assert grid.cells[cell] == pos
             assert grid.cell_text[cell] == repr((x, y))
             assert grid.cell_ids[repr((x, y))] == cell
-            assert grid.legal_actions[cell] == reference.legal_actions(pos, side)
-            assert tuple(ACTIONS[a] for a in grid.legal[cell]) == grid.legal_actions[cell]
             legal = reference.legal_actions(pos, side)
+            assert grid.legal[cell] == legal
+            assert all(type(a) is int for a in grid.legal[cell])
             assert grid.uniform_moves[cell] == (
-                tuple(cell_id((x + a.value[0], y + a.value[1]), side) for a in legal),
+                tuple(cell_id(reference.moved(pos, a), side) for a in legal),
                 len(legal), len(legal).bit_length())
             for action in ACTIONS:
-                dest = (x + action.value[0], y + action.value[1])
+                dest = reference.moved(pos, action)
                 on_grid = 0 <= dest[0] < side and 0 <= dest[1] < side
-                assert grid.moves[cell][action.index] == (cell_id(dest, side) if on_grid
-                                                          else -1)
+                assert grid.moves[cell][action] == (cell_id(dest, side) if on_grid else -1)
             assert ([grid.cells[n] for n in grid.neighbors[cell]]
                     == reference.neighbor_cells(pos, side))
             for mode in CANDIDATE_MODES:
@@ -201,7 +204,7 @@ def test_step_blocks_no_one_when_destinations_are_distinct(case, seed):
     world, actions, prey_actions = case
     grid = grid_for(world.side)
     cells = [*world.hunters, *(world.prey[j].cell for j in prey_actions)]
-    dest = [grid.moves[cell][action.index]
+    dest = [grid.moves[cell][action]
             for cell, action in zip(cells, [*actions, *prey_actions.values()])]
     rng, reference_rng = Random(seed), Random(seed)
     outcome = step(world, actions, rng,

@@ -18,20 +18,20 @@ STATE_IDS = lower_state_ids(GRID)
 
 def test_q_update_terminal_arithmetic():
     table = QTable(alpha=0.1, gamma=0.9)
-    q_update(table, "s", Action.STAY.index, 100.0, "t", terminal=True)
-    assert q_value(table, "s", Action.STAY.index) == 10.0
+    q_update(table, "s", Action.STAY, 100.0, "t", terminal=True)
+    assert q_value(table, "s", Action.STAY) == 10.0
 
 
 def test_q_update_decays_toward_bootstrap():
     table = QTable(alpha=0.1, gamma=0.9)
-    table.set("s", Action.STAY.index, 10.0)
-    q_update(table, "s", Action.STAY.index, 0.0, "t", terminal=False)
-    assert q_value(table, "s", Action.STAY.index) == pytest.approx(9.0)
+    table.set("s", Action.STAY, 10.0)
+    q_update(table, "s", Action.STAY, 0.0, "t", terminal=False)
+    assert q_value(table, "s", Action.STAY) == pytest.approx(9.0)
 
 
 def test_q_update_rejects_non_finite_reward():
     with pytest.raises(ValueError):
-        q_update(QTable(), "s", Action.STAY.index, float("nan"), "t", terminal=True)
+        q_update(QTable(), "s", Action.STAY, float("nan"), "t", terminal=True)
 
 
 def test_qtable_validates_parameters():
@@ -55,17 +55,17 @@ def test_two_state_chain_converges_to_closed_form():
 
 def test_epsilon_greedy_prefers_value():
     table = QTable()
-    table.set("s", Action.NORTH.index, 5.0)
-    table.set("s", Action.STAY.index, 1.0)
-    picked = epsilon_greedy(table, "s", (Action.NORTH.index, Action.STAY.index), 0.0,
+    table.set("s", Action.NORTH, 5.0)
+    table.set("s", Action.STAY, 1.0)
+    picked = epsilon_greedy(table, "s", (Action.NORTH, Action.STAY), 0.0,
                             Random(0))
-    assert picked == Action.NORTH.index
+    assert picked == Action.NORTH
 
 
 def test_epsilon_greedy_uniform_over_ties():
     table = QTable()
     rng = Random(5)
-    legal = (Action.STAY.index, Action.NORTH.index, Action.EAST.index)
+    legal = (Action.STAY, Action.NORTH, Action.EAST)
     counts = Counter(epsilon_greedy(table, "s", legal, 0.0, rng)
                      for _ in range(9000))
     for action in legal:
@@ -76,13 +76,13 @@ def test_epsilon_greedy_exploration_frequency():
     # With a unique argmax, a non-greedy outcome happens only via the
     # exploration branch picking one of the other k-1 actions.
     table = QTable()
-    table.set("s", Action.NORTH.index, 5.0)
-    legal = tuple(a.index for a in Action)
+    table.set("s", Action.NORTH, 5.0)
+    legal = tuple(Action)
     epsilon = 0.1
     rng = Random(13)
     draws = 100_000
     non_greedy = sum(
-        epsilon_greedy(table, "s", legal, epsilon, rng) != Action.NORTH.index
+        epsilon_greedy(table, "s", legal, epsilon, rng) != Action.NORTH
         for _ in range(draws)
     )
     expected = epsilon * (1 - 1 / len(legal))
@@ -248,7 +248,7 @@ def test_values_stay_bounded_by_reward_horizon():
     states = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
     for _ in range(20_000):
         s = rng.choice(states)
-        a = rng.choice(ACTIONS_ALL).index
+        a = rng.choice(ACTIONS_ALL)
         ns = rng.choice(states)
         q_update(table, s, a, rng.choice((0.0, 100.0)), ns,
                  terminal=rng.random() < 0.05)
@@ -276,7 +276,7 @@ def test_q_table_round_trip_bit_exact(tmp_path):
     rng = Random(8)
     for dx in range(-3, 4):
         for action in Action:
-            table.set(lower_state((dx, -dx), rng.choice((0, 1)), 7), action.index,
+            table.set(lower_state((dx, -dx), rng.choice((0, 1)), 7), action,
                       rng.random() * 97)
     path = tmp_path / "q.tsv"
     save_q_table(path, table, lower_state_texts(GRID).__getitem__, {"note": "test"})
@@ -304,9 +304,9 @@ def test_load_q_table_names_state_off_the_grid(tmp_path, state):
 def test_q_table_lists_written_entries_only(tmp_path):
     # A backup that writes 0.0 is an entry; the other slots of its row are not.
     table = QTable()
-    q_update(table, 3, Action.EAST.index, 0.0, 4, terminal=False)
-    q_update(table, 5, Action.STAY.index, 100.0, 5, terminal=True)
-    assert table.values == {(3, Action.EAST.index): 0.0, (5, Action.STAY.index): 10.0}
+    q_update(table, 3, Action.EAST, 0.0, 4, terminal=False)
+    q_update(table, 5, Action.STAY, 100.0, 5, terminal=True)
+    assert table.values == {(3, Action.EAST): 0.0, (5, Action.STAY): 10.0}
     path = tmp_path / "q.tsv"
     save_q_table(path, table, lower_state_texts(GRID).__getitem__)
     rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
