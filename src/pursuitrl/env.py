@@ -94,7 +94,6 @@ class Grid:
         self.cells = tuple(Position(x, y) for x in range(side) for y in range(side))
         # repr of the cell as a plain tuple, as persisted tables spell it
         self.cell_text = tuple(f"({x}, {y})" for x, y in self.cells)
-        self.cell_ids = {text: cell for cell, text in enumerate(self.cell_text)}
         self.moves = tuple(
             tuple((x + dx) * side + y + dy if 0 <= x + dx < side and 0 <= y + dy < side else -1
                   for dx, dy in DELTAS)
@@ -213,6 +212,14 @@ def random_prey_policy(state: WorldState, prey_index: int,
     return legal[below(rng, len(legal))]
 
 
+def _check_action(grid: Grid, cell: int, action: int, agent: str) -> None:
+    """Raise the ``ValueError`` for an action index out of range, or one off the grid."""
+    if not 0 <= action < len(ACTIONS):
+        raise ValueError(f"{agent}: action index {action!r} is out of range 0..{len(ACTIONS) - 1}")
+    if grid.moves[cell][action] < 0:
+        raise ValueError(f"illegal action {ACTIONS[action].name} for {agent} at {grid.cells[cell]}")
+
+
 def step(state: WorldState, hunter_actions: Sequence[int], rng: Random,
          prey_policy: PreyPolicy = random_prey_policy) -> StepOutcome:
     """Advance the world one tick with simultaneous moves, given as action
@@ -221,8 +228,8 @@ def step(state: WorldState, hunter_actions: Sequence[int], rng: Random,
     Movement conflicts (two agents claiming one cell, or moving onto an
     agent that stays put) are settled by a random priority order drawn
     from ``rng``; losers stay where they are. Captured prey are marked
-    dead and stop occupying their cell.
-    """
+    dead and stop occupying their cell. An index out of range, or a move
+    off the grid, raises ``ValueError`` naming the agent."""
     if len(hunter_actions) != N_HUNTERS:
         raise ValueError(f"expected {N_HUNTERS} hunter actions")
 
@@ -233,11 +240,13 @@ def step(state: WorldState, hunter_actions: Sequence[int], rng: Random,
     h0, h1, h2, h3 = state.hunters          # N_HUNTERS == 4
     a0, a1, a2, a3 = hunter_actions
     current = [h0, h1, h2, h3]
-    dest = [moves[h0][a0], moves[h1][a1], moves[h2][a2], moves[h3][a3]]
-    if -1 in dest:
-        i = dest.index(-1)
-        raise ValueError(f"illegal action {Action(hunter_actions[i]).name} for hunter {i} "
-                         f"at {grid.cells[current[i]]}")
+    try:                # an index past the row's end raises; a negative one would wrap
+        dest = [moves[h0][a0], moves[h1][a1], moves[h2][a2], moves[h3][a3]]
+    except IndexError:
+        dest = [-1]
+    if -1 in dest or a0 < 0 or a1 < 0 or a2 < 0 or a3 < 0:
+        for i, action in enumerate(hunter_actions):
+            _check_action(grid, current[i], action, f"hunter {i}")
 
     # Prey draws happen before the priority draw, in prey order, so the
     # rng stream for a step is well defined. Uniform picks are drawn as in below().
@@ -253,9 +262,8 @@ def step(state: WorldState, hunter_actions: Sequence[int], rng: Random,
                 target = destinations[r]
             else:
                 action = prey_policy(state, j, grid.legal[cell], rng)
+                _check_action(grid, cell, action, f"prey {j}")
                 target = moves[cell][action]
-                if target < 0:
-                    raise ValueError(f"illegal prey action {Action(action).name} for prey {j}")
             current.append(cell)
             dest.append(target)
 

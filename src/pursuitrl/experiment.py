@@ -17,7 +17,7 @@ from pathlib import Path
 from random import Random
 from typing import Sequence
 
-from . import env, hmrl, knowledge, profit_sharing, q_learning
+from . import env, hmrl, knowledge, profit_sharing, q_learning, tableio
 from .env import ACTION_LABELS, ACTIONS, CANDIDATE_MODES, N_PREY, Action, PreyKind
 from .hmrl import ATFieldParams, HunterAgent, deliver_rewards
 from .knowledge import IfThenRule, Instance, compile_rules, rule_policy_act
@@ -438,10 +438,7 @@ def export_report(metrics: Sequence[BlockMetrics], records: Sequence[TrialRecord
         writer = csv.writer(handle)
         writer.writerow(BLOCK_COLUMNS)
         for m in metrics:
-            writer.writerow([_csv_cell(v) for v in (
-                m.start, m.end, m.trials, m.safety_target, m.within_safety,
-                m.within_dangerous, m.positive_ratio, m.mean_distance,
-                m.steps_mean, m.steps_var, m.actions_mean, m.actions_var)])
+            writer.writerow([_csv_cell(getattr(m, f.name)) for f in fields(m)])
     with open(out / "trials.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(TRIAL_COLUMNS)
@@ -453,8 +450,14 @@ def export_report(metrics: Sequence[BlockMetrics], records: Sequence[TrialRecord
 
 
 def read_blocks_csv(path) -> list[dict[str, str]]:
-    with open(path, newline="") as handle:
-        return list(csv.DictReader(handle))
+    """The rows of a blocks.csv by column; a cell that does not parse as its
+    :class:`BlockMetrics` field (empty for ``None``) raises naming the line."""
+    def row(*cells: str) -> dict[str, str]:
+        for f, cell in zip(fields(BlockMetrics), cells):
+            if cell or f.type != "float | None":
+                (int if f.type == "int" else float)(cell)
+        return dict(zip(BLOCK_COLUMNS, cells))
+    return tableio.load_csv(path, BLOCK_COLUMNS, row)
 
 
 def run_meta(config: ExperimentConfig) -> dict[str, object]:

@@ -21,7 +21,6 @@ delivery take their values from the run's checked ``ExperimentConfig``.
 
 from __future__ import annotations
 
-import ast
 import logging
 from dataclasses import dataclass
 from math import isfinite
@@ -105,28 +104,12 @@ def module_speller(grid: Grid) -> Callable[[int], str]:
     return lambda key: heads[key // pair] + tails[key % pair]
 
 
-def module_key(grid: Grid, text: str) -> int:
-    """The packed module key that :func:`module_speller` spells as ``text``."""
-    hunter, prey, *cells = ast.literal_eval(text)
-    if hunter not in range(N_HUNTERS) or prey not in range(N_PREY) or len(cells) != 3:
-        raise ValueError(f"not a module of {N_HUNTERS} hunters and {N_PREY} prey: {text}")
-    key = hunter * N_PREY + prey
-    for x, y in cells:
-        key = key * grid.size + grid.cell_ids[f"({x}, {y})"]
-    return key
-
-
 def lower_state_texts(grid: Grid) -> tuple[str, ...]:
     """The persisted spelling ``((dx, dy), prey)`` of every lower-layer
     state id of ``grid``, by id. A state id packs the target's offset id
     from the hunter and the prey the target belongs to as
     ``offset * N_PREY + prey``."""
     return tuple(f"({offset}, {prey})" for offset in grid.offset_text for prey in range(N_PREY))
-
-
-def lower_state_ids(grid: Grid) -> dict[str, int]:
-    """Every lower-layer state id by its :func:`lower_state_texts` spelling."""
-    return {text: state for state, text in enumerate(lower_state_texts(grid))}
 
 
 def select_target(weights: WeightTable, hunter_index: int, state: WorldState,

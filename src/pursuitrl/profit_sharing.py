@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .tableio import Decoder, Encoder, load_table, save_table
+from .tableio import Encoder, save_table
 
 
 @dataclass(frozen=True)
@@ -126,17 +126,3 @@ def save_weights(path, table: WeightTable, meta: dict[str, object] | None = None
         for rule in rules:
             append(f"{text}\t{encode_action(cell[rule])}\t{spell(weight[rule])}\n")
     save_table(path, rows, header)
-
-
-def load_weights(path, decode_state: Decoder,
-                 decode_action: Decoder) -> tuple[WeightTable, dict[str, object]]:
-    """Read a :func:`save_weights` table, states and actions by the decoders
-    of their text; each row is one :meth:`WeightTable.add`, in file order."""
-    entries, meta = load_table(path, decode_state, decode_action)
-    default = meta.pop("default_weight", 0.0)
-    if default != 0.0:
-        raise ValueError(f"{path}: default_weight must be 0.0, got {default!r}")
-    table = WeightTable()
-    for (state, action), weight in entries.items():
-        table.add(state, action, weight)
-    return table, meta

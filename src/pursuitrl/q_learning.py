@@ -9,8 +9,8 @@ from math import isfinite
 from random import Random
 from typing import Hashable, Sequence
 
-from .env import ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, ALL_ACTIONS, below
-from .tableio import Decoder, Encoder, load_table, save_table
+from .env import ACTION_LABELS, ACTIONS, ALL_ACTIONS, below
+from .tableio import Encoder, save_table
 
 
 class QTable:
@@ -39,10 +39,6 @@ class QTable:
         rows = self.rows
         return {(state, action): rows[state][action] for state, mask in self.written.items()
                 for action in range(len(self.actions)) if mask >> action & 1}
-
-    def set(self, state: Hashable, action: int, value: float) -> None:
-        self.rows.setdefault(state, [0.0] * len(self.actions))[action] = value
-        self.written[state] = self.written.get(state, 0) | 1 << action
 
 
 def q_update(table: QTable, state: Hashable, action: int, reward: float,
@@ -93,13 +89,3 @@ def save_q_table(path, table: QTable, encode_state: Encoder,
         rows += [f"{text}\t{label}\t{values[action]!r}\n"
                  for action, label in enumerate(labels) if written >> action & 1]
     save_table(path, rows, header)
-
-
-def load_q_table(path, decode_state: Decoder) -> tuple[QTable, dict[str, object]]:
-    """Read a :func:`save_q_table` table, states by ``decode_state`` of their text."""
-    entries, meta = load_table(path, decode_state=decode_state,
-                               decode_action=ACTION_BY_LABEL.__getitem__)
-    table = QTable(alpha=float(meta.pop("alpha")), gamma=float(meta.pop("gamma")))
-    for (state, action), value in entries.items():
-        table.set(state, action, value)
-    return table, meta

@@ -7,23 +7,29 @@ tables; they convert the program's cell-id world states at their
 boundary. Plain Profit Sharing and value iteration are the textbook
 algorithms the two learning layers reduce to. The lower layer's action
 pick is kept in the form that copies the scored row for every call. The
-gain-ratio oracle works from probability lists over the instances.
+gain-ratio oracle works from probability lists over the instances. The
+learned-table readers invert the program's table writers; no command
+reads a table back.
 """
 
 from __future__ import annotations
 
+import ast
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from random import Random
 from typing import NamedTuple
 
-from pursuitrl.env import (ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, N_PREY, Action, Position,
-                           PreyKind, PreyState, WorldState, below)
+from pursuitrl.env import (ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, N_HUNTERS, N_PREY, Action,
+                           Grid, Position, PreyKind, PreyState, WorldState, below)
 from pursuitrl.experiment import run_meta
+from pursuitrl.hmrl import lower_state_texts
 from pursuitrl.knowledge import INSTANCE_HEADER, Instance, Split
 from pursuitrl.profit_sharing import WeightTable
+from pursuitrl.q_learning import QTable
 
 
 # (dx, dy) of each move, x east and y south, written out apart from env.DELTAS.
@@ -159,6 +165,92 @@ def rule_weights(table: WeightTable) -> dict:
     return {(state, action): weight for state, action, weight in table_rules(table)}
 
 
+def load_table(path, decode_state=ast.literal_eval, decode_action=ast.literal_eval):
+    """Read a table written by :func:`pursuitrl.tableio.save_table`.
+
+    Returns ``(entries, meta)`` with states and actions parsed back by the
+    decoders and meta values by ``ast.literal_eval``. A malformed line, or
+    a second row for the same (state, action), raises ``ValueError``
+    naming the file and the line(s).
+    """
+    entries: dict = {}
+    first_line: dict = {}
+    meta: dict[str, object] = {}
+    with open(path) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            try:
+                if line.startswith("#"):
+                    key, _, value = line[1:].partition("=")
+                    meta[key.strip()] = ast.literal_eval(value.strip())
+                    continue
+                state_s, action_s, weight_s = line.split("\t")
+                key = decode_state(state_s), decode_action(action_s)
+                entries[key] = float(weight_s)
+            except (ValueError, SyntaxError, KeyError) as exc:
+                raise ValueError(f"{path}:{lineno}: malformed table line {line!r}: "
+                                 f"{exc}") from None
+            if first_line.setdefault(key, lineno) != lineno:
+                raise ValueError(f"{path}:{lineno}: repeats the state and action of "
+                                 f"line {first_line[key]}: {line!r}")
+    return entries, meta
+
+
+def load_weights(path, decode_state, decode_action) -> tuple[WeightTable, dict[str, object]]:
+    """Read a :func:`pursuitrl.profit_sharing.save_weights` table, states and
+    actions by the decoders of their text; each row is one
+    :meth:`WeightTable.add`, in file order."""
+    entries, meta = load_table(path, decode_state, decode_action)
+    default = meta.pop("default_weight", 0.0)
+    if default != 0.0:
+        raise ValueError(f"{path}: default_weight must be 0.0, got {default!r}")
+    table = WeightTable()
+    for (state, action), weight in entries.items():
+        table.add(state, action, weight)
+    return table, meta
+
+
+def set_q_value(table: QTable, state, action: int, value: float) -> None:
+    """Write one Q entry, marking the slot written."""
+    table.rows.setdefault(state, [0.0] * len(table.actions))[action] = value
+    table.written[state] = table.written.get(state, 0) | 1 << action
+
+
+def load_q_table(path, decode_state) -> tuple[QTable, dict[str, object]]:
+    """Read a :func:`pursuitrl.q_learning.save_q_table` table, states by
+    ``decode_state`` of their text and actions by label."""
+    entries, meta = load_table(path, decode_state=decode_state,
+                               decode_action=ACTION_BY_LABEL.__getitem__)
+    table = QTable(alpha=float(meta.pop("alpha")), gamma=float(meta.pop("gamma")))
+    for (state, action), value in entries.items():
+        set_q_value(table, state, action, value)
+    return table, meta
+
+
+@lru_cache(maxsize=None)
+def cell_ids(grid: Grid) -> dict[str, int]:
+    """Every cell id of ``grid`` by its persisted spelling ``(x, y)``."""
+    return {text: cell for cell, text in enumerate(grid.cell_text)}
+
+
+def module_key(grid: Grid, text: str) -> int:
+    """The packed module key that :func:`pursuitrl.hmrl.module_speller` spells as ``text``."""
+    hunter, prey, *cells = ast.literal_eval(text)
+    if hunter not in range(N_HUNTERS) or prey not in range(N_PREY) or len(cells) != 3:
+        raise ValueError(f"not a module of {N_HUNTERS} hunters and {N_PREY} prey: {text}")
+    key = hunter * N_PREY + prey
+    for x, y in cells:
+        key = key * grid.size + cell_ids(grid)[f"({x}, {y})"]
+    return key
+
+
+def lower_state_ids(grid: Grid) -> dict[str, int]:
+    """Every lower-layer state id by its :func:`pursuitrl.hmrl.lower_state_texts` spelling."""
+    return {text: state for state, text in enumerate(lower_state_texts(grid))}
+
+
 def moved(pos, action) -> Position:
     """Where ``action`` takes an agent at ``pos``, on or off the grid."""
     dx, dy = DELTA[action]
@@ -244,7 +336,7 @@ def load_instances(path) -> list[Instance]:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != list(INSTANCE_HEADER):
-            raise ValueError(f"{path}: expected header {list(INSTANCE_HEADER)}, got {header}")
+            raise ValueError(f"{path}:1: expected header {list(INSTANCE_HEADER)}, got {header}")
         instances = []
         for row in reader:
             try:

@@ -8,7 +8,7 @@ import pytest
 
 import pursuitrl
 from pursuitrl import cli
-from pursuitrl.experiment import read_blocks_csv
+from pursuitrl.experiment import BLOCK_COLUMNS, read_blocks_csv
 from pursuitrl.knowledge import load_rules
 
 
@@ -185,6 +185,48 @@ def test_report_fails_on_a_run_without_blocks(tmp_path, capsys):
     assert any(line.startswith("run ") for line in printed.out.splitlines()[1:])
     assert "(no blocks.csv)" in printed.err
     assert run_cli("report", "--runs", tmp_path / "run") == 0
+
+
+# A blocks.csv as export_report writes it: two blocks, the first with no positive capture.
+BLOCKS = [list(BLOCK_COLUMNS), "1,5,5,0.0,,,0.0,,12.5,2.0,13.0,4.0".split(","),
+          "6,10,5,0.4,0.5,0.5,0.2,3.5,10.0,1.0,11.0,2.0".split(",")]
+
+
+def write_blocks(run, rows):
+    run.mkdir()
+    (run / "blocks.csv").write_text("".join(",".join(row) + "\r\n" for row in rows))
+    return run / "blocks.csv"
+
+
+@pytest.mark.parametrize("column, cell, line, error", [
+    ("trials", None, 1, r"expected header \[.*'trials'.*\], got \[.*\]"),
+    ("steps_mean", "abc", 3, r"malformed row '.*,abc,.*': ValueError\(\"could not convert "
+                             r"string to float: 'abc'\"\)"),
+    ("trials", "", 2, r"malformed row '.*': ValueError\(\"invalid literal for int\(\).*"),
+    ("steps_var", "", 2, r"malformed row '.*': ValueError\(\"could not convert string to "
+                         r"float: ''\"\)"),
+])
+def test_report_names_the_line_of_a_malformed_blocks_csv(tmp_path, capsys, column, cell, line,
+                                                         error):
+    rows = [list(row) for row in BLOCKS]
+    at = BLOCK_COLUMNS.index(column)
+    if cell is None:            # drop the column
+        rows = [row[:at] + row[at + 1:] for row in rows]
+    else:
+        rows[line - 1][at] = cell
+    blocks = write_blocks(tmp_path / "run", rows)
+    assert run_cli("report", "--runs", blocks.parent) == 2
+    assert re.search(f"^pursuitrl: {re.escape(str(blocks))}:{line}: {error}$",
+                     error_line(capsys.readouterr()))
+
+
+def test_report_reads_empty_optional_cells(tmp_path, capsys):
+    blocks = write_blocks(tmp_path / "run", BLOCKS)
+    assert [row["within_safety"] for row in read_blocks_csv(blocks)] == ["", "0.5"]
+    assert run_cli("report", "--runs", blocks.parent) == 0
+    assert [line.split() for line in capsys.readouterr().out.splitlines()[1:]] == [
+        ["run", "1-5", "5", "12.5", "0.0%", "-", "0.0%", "-"],
+        ["run", "6-10", "5", "10.0", "40.0%", "50.0%", "20.0%", "3.50"]]
 
 
 def test_reimporting_the_package_frees_the_old_copies():

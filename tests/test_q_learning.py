@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 import reference
 from pursuitrl.env import ACTIONS, ALL_ACTIONS, Action, grid_for
-from pursuitrl.hmrl import lower_state_ids, lower_state_texts
-from pursuitrl.q_learning import QTable, epsilon_greedy, load_q_table, q_update, save_q_table
-from reference import ExplicitMDP, greedy_action, lower_state, q_value, solve_value_iteration
+from pursuitrl.hmrl import lower_state_texts
+from pursuitrl.q_learning import QTable, epsilon_greedy, q_update, save_q_table
+from reference import (ExplicitMDP, greedy_action, load_q_table, lower_state, lower_state_ids,
+                       q_value, set_q_value, solve_value_iteration)
 
 GRID = grid_for(7)
 STATE_IDS = lower_state_ids(GRID)
@@ -24,7 +25,7 @@ def test_q_update_terminal_arithmetic():
 
 def test_q_update_decays_toward_bootstrap():
     table = QTable(alpha=0.1, gamma=0.9)
-    table.set("s", Action.STAY, 10.0)
+    set_q_value(table, "s", Action.STAY, 10.0)
     q_update(table, "s", Action.STAY, 0.0, "t", terminal=False)
     assert q_value(table, "s", Action.STAY) == pytest.approx(9.0)
 
@@ -55,8 +56,8 @@ def test_two_state_chain_converges_to_closed_form():
 
 def test_epsilon_greedy_prefers_value():
     table = QTable()
-    table.set("s", Action.NORTH, 5.0)
-    table.set("s", Action.STAY, 1.0)
+    set_q_value(table, "s", Action.NORTH, 5.0)
+    set_q_value(table, "s", Action.STAY, 1.0)
     picked = epsilon_greedy(table, "s", (Action.NORTH, Action.STAY), 0.0,
                             Random(0))
     assert picked == Action.NORTH
@@ -76,7 +77,7 @@ def test_epsilon_greedy_exploration_frequency():
     # With a unique argmax, a non-greedy outcome happens only via the
     # exploration branch picking one of the other k-1 actions.
     table = QTable()
-    table.set("s", Action.NORTH, 5.0)
+    set_q_value(table, "s", Action.NORTH, 5.0)
     legal = tuple(Action)
     epsilon = 0.1
     rng = Random(13)
@@ -263,7 +264,7 @@ def test_update_is_idempotent_at_fixed_point():
     oracle = solve_value_iteration(mdp, tolerance=1e-14)
     table = QTable(alpha=0.3, gamma=mdp.gamma, actions=mdp.actions)
     for (s, a), ((_, ns, r),) in mdp.transitions.items():
-        table.set(s, a, r + mdp.gamma * oracle[ns])
+        set_q_value(table, s, a, r + mdp.gamma * oracle[ns])
     before = dict(table.values)
     for (s, a), ((_, ns, r),) in mdp.transitions.items():
         q_update(table, s, a, r, ns, terminal=ns in mdp.terminal)
@@ -276,8 +277,8 @@ def test_q_table_round_trip_bit_exact(tmp_path):
     rng = Random(8)
     for dx in range(-3, 4):
         for action in Action:
-            table.set(lower_state((dx, -dx), rng.choice((0, 1)), 7), action,
-                      rng.random() * 97)
+            set_q_value(table, lower_state((dx, -dx), rng.choice((0, 1)), 7), action,
+                        rng.random() * 97)
     path = tmp_path / "q.tsv"
     save_q_table(path, table, lower_state_texts(GRID).__getitem__, {"note": "test"})
     loaded, meta = load_q_table(path, STATE_IDS.__getitem__)
