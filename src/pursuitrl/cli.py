@@ -61,7 +61,8 @@ def cmd_extract_rules(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     knowledge.save_rules(out, rules)
     if args.tree_out:
-        Path(args.tree_out).write_text(knowledge.format_tree(tree))
+        args.tree_out.parent.mkdir(parents=True, exist_ok=True)
+        args.tree_out.write_text(knowledge.format_tree(tree))
     print(f"{len(instances)} instances -> {len(rules)} rules -> {out}")
     return 0
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import env, hmrl, knowledge, profit_sharing, q_learning, tableio
 from .env import ACTION_LABELS, ACTIONS, CANDIDATE_MODES, N_PREY, Action, PreyKind
-from .hmrl import ATFieldParams, HunterAgent, deliver_rewards
+from .hmrl import HunterAgent, deliver_rewards
 from .knowledge import IfThenRule, Instance, compile_rules, rule_policy_act
 
 
@@ -111,14 +111,18 @@ class ExperimentConfig:
                              f"got {self.prey_alive}")
         if not self.reach_discount >= 1.0:
             raise ValueError(f"reach_discount must be >= 1, got {self.reach_discount}")
-        # Out of range, alpha and gamma fail once training starts and an
-        # upper_decay above 1 diverges: run the learners' own checks now.
+        if not 0 < self.atf_near < self.atf_far:
+            raise ValueError(f"atf_near and atf_far must be 0 < near < far, "
+                             f"got {self.atf_near} and {self.atf_far}")
+        if not 0.0 < self.upper_decay <= 1.0:       # above 1 the credit diverges
+            raise ValueError(f"upper_decay must be in (0, 1], got {self.upper_decay}")
+        window = self.instance_window
+        if window is not None and not (isinstance(window, tuple)
+                                       and tuple(map(type, window)) == (int, int)):
+            raise ValueError(f"instance_window must be two trial numbers or none, got {window}")
+        # Out of range, alpha and gamma fail once training starts: run the
+        # table's own checks now.
         q_learning.QTable(self.alpha, self.gamma)
-        self.atf_params()
-
-    def atf_params(self) -> ATFieldParams:
-        return ATFieldParams(near_distance=self.atf_near, far_distance=self.atf_far,
-                             decay=self.upper_decay)
 
     def epsilon_at(self, trial: int) -> float:
         anneal_trials = self.epsilon_anneal_fraction * self.trials
@@ -182,9 +186,7 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
     compiled = None if rules is None else compile_rules(rules, grid)
     agents = [HunterAgent(index, config) for index in range(env.N_HUNTERS)]
 
-    window = config.instance_window
-    if window is None:
-        window = (max(1, config.trials - 99), config.trials)
+    window = config.instance_window or (max(1, config.trials - 99), config.trials)
 
     records: list[TrialRecord] = []
     instances: list[Instance] = []
@@ -244,7 +246,7 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
                 break
         else:
             for agent in agents:
-                agent.finish_trial(0.0, config.atf_enabled)
+                agent.finish_trial(0.0)
 
         steps = world.step_count
         if captures:

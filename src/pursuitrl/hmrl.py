@@ -15,20 +15,19 @@ apart.
 Both layers run on the integer-coded grid of :func:`env.grid_for`. An
 upper rule is keyed by the packed module key (see :func:`module_speller`)
 and the target's cell id; a lower rule by the lower state id (see
-:func:`lower_state_texts`) and the action's index. Agents and reward
-delivery take their values from the run's checked ``ExperimentConfig``.
+:func:`lower_state_texts`) and the action's index. Every learning
+parameter is read from the run's ``ExperimentConfig``, which checked it
+when it was built.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from math import isfinite
 from random import Random
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .env import (
-    CANDIDATE_MODES,
     N_HUNTERS,
     N_PREY,
     Grid,
@@ -54,30 +53,17 @@ CREDIT_FLOOR = 1e-9
 _PEERS = tuple(tuple(k for k in range(N_HUNTERS) if k != i) for i in range(N_HUNTERS))
 
 
-@dataclass(frozen=True)
-class ATFieldParams:
-    near_distance: int = 2    # at or under this, prey are dangerously close
-    far_distance: int = 5     # beyond this, prey are comfortably apart
-    decay: float = 0.8        # per-step upper-layer credit decay
-
-    def __post_init__(self) -> None:
-        if not (0 < self.near_distance < self.far_distance and 0.0 < self.decay <= 1.0):
-            raise ValueError(f"need 0 < near < far and 0 < decay <= 1, got near "
-                             f"{self.near_distance}, far {self.far_distance}, "
-                             f"decay {self.decay}")
-
-
-def atf(prey_distance: int, params: ATFieldParams) -> float:
+def atf(prey_distance: int, config: ExperimentConfig) -> float:
     """Credit gate keyed on the distance between the two prey.
 
-    Zero within the close range, full strength in the middle band, and
-    0.9 once the prey are far apart.
+    Zero up to ``config.atf_near`` (prey dangerously close), full strength
+    up to ``config.atf_far``, and 0.9 once the prey are farther apart.
     """
     if prey_distance < 0:
         raise ValueError("distance must be >= 0")
-    if prey_distance <= params.near_distance:
+    if prey_distance <= config.atf_near:
         return 0.0
-    if prey_distance <= params.far_distance:
+    if prey_distance <= config.atf_far:
         return 1.0
     return 0.9
 
@@ -113,20 +99,17 @@ def lower_state_texts(grid: Grid) -> tuple[str, ...]:
 
 
 def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
-                  rng: Random, reach_discount: float = 2.0,
-                  exploration: float = 0.0,
-                  candidates: str = "ring2") -> tuple[int, tuple[int, ...], int]:
+                  rng: Random, exploration: float,
+                  config: ExperimentConfig) -> tuple[int, tuple[int, ...], int]:
     """Pick the commanded target cell for one hunter: ``(prey, modules,
     cell)``, the chased prey, the packed module key per peer (the rules
     fired with) and the target's cell id.
 
     With two live prey the nearer one (by Manhattan distance) is chased;
-    equidistant prey are chosen at random. The cell is the candidate
-    maximizing the peer-summed rule weight discounted by the hunter's
-    distance to it, ties uniform.
+    equidistant prey are chosen at random. The cell is the candidate (of
+    ``config.candidate_mode``) maximizing the peer-summed rule weight
+    discounted by the hunter's distance to it, ties uniform.
     """
-    if not reach_discount >= 1.0:
-        raise ValueError(f"reach discount must be >= 1, got {reach_discount}")
     first, second = prey = state.prey      # N_PREY == 2
     grid = state.grid
     hunters = state.hunters
@@ -147,11 +130,8 @@ def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
         raise ValueError("no alive prey to target")
 
     goal = prey[prey_index].cell
-    try:
-        cells = grid.candidates[candidates][goal]
-    except KeyError:
-        raise ValueError(f"candidates must be one of {CANDIDATE_MODES}, "
-                         f"got {candidates!r}") from None
+    mode = config.candidate_mode
+    cells = grid.candidates[mode][goal]
     n = grid.size
     head = ((hunter_index * N_PREY + prey_index) * n + own) * n * n + goal
     p0, p1, p2 = _PEERS[hunter_index]       # N_HUNTERS == 4
@@ -166,7 +146,7 @@ def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
         # order, from 0.0; a missing rule would add +0.0, which changes no
         # sum. A cell outside the candidates lands in the spare last slot.
         weight, cell_of = weights.weight, weights.cell
-        slot = grid.slots[candidates][goal]
+        slot = grid.slots[mode][goal]
         totals: dict[int, float] = {}       # slot -> sum, for the slots a rule reaches
         for module in modules:
             rules = states.get(module)
@@ -177,7 +157,7 @@ def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
                 totals[at] = totals.get(at, 0.0) + weight[rule]
         totals.pop(len(cells), None)        # the spare slot
         # Any other slot scores 0.0 / d, which is 0.0: only reached ones divide.
-        divisors = grid.reach_divisors(reach_discount)[own]
+        divisors = grid.reach_divisors(config.reach_discount)[own]
         scores = [0.0] * len(cells)
         for at, total in totals.items():
             scores[at] = score = total / divisors[cells[at]]
@@ -198,14 +178,14 @@ TraceStep = tuple[tuple[int, ...], int, int | None]
 
 
 def reinforce_upper(weights: WeightTable, trace: list[TraceStep], reward: float,
-                    params: ATFieldParams, gated: bool = True) -> WeightTable:
+                    config: ExperimentConfig) -> WeightTable:
     """Share ``reward`` backward over a trial's fired upper rules, then clear the trace.
 
     The newest step gets the whole reward. The share entering each
-    earlier step is the later step's share times the decay, times (when
-    ``gated``) the gate at the later step's prey distance; a ``None``
-    distance leaves the gate open. The walk stops once a share falls
-    below :data:`CREDIT_FLOOR`.
+    earlier step is the later step's share times ``config.upper_decay``,
+    times (when ``config.atf_enabled``) the gate at the later step's prey
+    distance; a ``None`` distance leaves the gate open. The walk stops
+    once a share falls below :data:`CREDIT_FLOOR`.
     """
     if not isfinite(reward):
         raise ValueError(f"non-finite reward: {reward}")
@@ -213,11 +193,12 @@ def reinforce_upper(weights: WeightTable, trace: list[TraceStep], reward: float,
         if not trace:
             raise ValueError("cannot reinforce an empty trace with a nonzero reward")
         credit = reward
+        decay, gated = config.upper_decay, config.atf_enabled
         for modules, cell, gap in reversed(trace):
             for module in modules:
                 weights.add(module, cell, credit)
-            gate = atf(gap, params) if (gated and gap is not None) else 1.0
-            credit *= params.decay * gate
+            gate = atf(gap, config) if (gated and gap is not None) else 1.0
+            credit *= decay * gate
             if abs(credit) < CREDIT_FLOOR:
                 break
     trace.clear()
@@ -230,11 +211,8 @@ class HunterAgent:
     def __init__(self, index: int, config: ExperimentConfig):
         self.index = index
         self.upper = WeightTable()
-        self.q = QTable(alpha=config.alpha, gamma=config.gamma)
-        self.atf_params = config.atf_params()
-        self.reach_discount = config.reach_discount
-        self.candidates = config.candidate_mode
-        self.goal_reward = config.reward
+        self.q = QTable(config.alpha, config.gamma)
+        self.config = config
         self.trace: list[TraceStep] = []
         # (lower state id, action index, target cell id) of the move in flight
         self.pending: tuple[int, int, int] | None = None
@@ -246,9 +224,8 @@ class HunterAgent:
     def policy_step(self, state: WorldState, rng: Random, exploration: float) -> int:
         """Select this step's target, then the move toward it: an action index."""
         index = self.index
-        prey, modules, target = select_target(self.upper, index, state, rng,
-                                              self.reach_discount, exploration,
-                                              self.candidates)
+        prey, modules, target = select_target(self.upper, index, state, rng, exploration,
+                                              self.config)
         self.trace.append((modules, target, state.gap))
 
         grid = state.grid
@@ -267,15 +244,15 @@ class HunterAgent:
         self.pending = None
         cell = next_state.hunters[self.index]
         if cell == target:      # terminal: the backup reads no next state
-            q_update(self.q, lower, action, self.goal_reward, None, terminal=True)
+            q_update(self.q, lower, action, self.config.reward, None, terminal=True)
             return True
         next_lower = next_state.grid.offset[cell][target] * N_PREY + lower % N_PREY
         q_update(self.q, lower, action, 0.0, next_lower, terminal=False)
         return False
 
-    def finish_trial(self, reward: float, gated: bool) -> None:
+    def finish_trial(self, reward: float) -> None:
         """Upper-layer reinforcement (or plain trace reset when reward is 0)."""
-        reinforce_upper(self.upper, self.trace, reward, self.atf_params, gated=gated)
+        reinforce_upper(self.upper, self.trace, reward, self.config)
 
 
 def deliver_rewards(agents: Sequence[HunterAgent], outcome: StepOutcome,
@@ -295,5 +272,5 @@ def deliver_rewards(agents: Sequence[HunterAgent], outcome: StepOutcome,
         positive = any(kind is PreyKind.POSITIVE for _, kind in outcome.captures)
         reward = config.reward if positive else config.dangerous_reward
         for agent in agents:
-            agent.finish_trial(reward, config.atf_enabled)
+            agent.finish_trial(reward)
     return reached

@@ -21,8 +21,7 @@ class QTable:
     ``action`` of ``written[state]``. An unwritten slot holds 0.0.
     """
 
-    def __init__(self, alpha: float = 0.1, gamma: float = 0.9,
-                 actions: Sequence = ACTIONS):
+    def __init__(self, alpha: float, gamma: float, actions: Sequence = ACTIONS):
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         if not 0.0 <= gamma < 1.0:

@@ -20,7 +20,7 @@ import pytest
 from pursuitrl import cli
 from pursuitrl.env import ACTIONS, Action, Position
 from pursuitrl.experiment import ExperimentConfig, compute_metrics, run_training
-from pursuitrl.hmrl import ATFieldParams, atf
+from pursuitrl.hmrl import atf
 from pursuitrl.knowledge import Instance, Leaf, extract_rules, gain_ratio, induce_tree
 from pursuitrl.profit_sharing import PSParams, check_suppression
 from pursuitrl.q_learning import QTable, q_update
@@ -83,11 +83,11 @@ def final_block(records, atf_enabled=True):
 
 
 def test_criterion_1_atf_field_exact():
-    params = ATFieldParams(near_distance=2, far_distance=5)
+    config = ExperimentConfig(atf_near=2, atf_far=5)
     expected = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0,
                 0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9]
     for distance in range(13):
-        assert atf(distance, params) == expected[distance]
+        assert atf(distance, config) == expected[distance]
     print("\n[criterion 1] PASS: credit gate exact on all distances 0..12")
 
 

@@ -57,6 +57,16 @@ def test_train_config_errors_name_file_and_line(tmp_path, capsys, text, error):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("window", ["", "5", "1,2,3"])
+def test_train_rejects_an_instance_window_that_is_not_two_trials(tmp_path, capsys, window):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"instance_window = {window}\n")
+    assert run_cli("train", "--config", config, "--seed", 1, "--out", tmp_path / "run") == 2
+    assert re.search(f"^pursuitrl: {re.escape(str(config))}: instance_window must be two "
+                     f"trial numbers or none, got ", error_line(capsys.readouterr()))
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("trial", [0, 99])
 def test_train_rejects_a_trajectory_trial_outside_the_run(tmp_path, capsys, trial):
     assert run_cli("train", "--trials", 20, "--seed", 1, "--dump-trajectory", trial,
@@ -88,6 +98,16 @@ def test_extract_rules_rejects_a_tree_bound_out_of_range(tmp_path, capsys, flag,
                    "--out", tmp_path / "rules.txt", flag, value) == 2
     assert re.search(f"^pursuitrl: {error}, got {value}$", error_line(capsys.readouterr()))
     assert not (tmp_path / "rules.txt").exists()
+
+
+def test_extract_rules_creates_the_parents_of_both_outputs(tmp_path, capsys):
+    run_cli("train", "--trials", 4, "--seed", 1, "--out", tmp_path / "run")
+    rules_path = tmp_path / "out" / "rules" / "rules.txt"
+    tree_path = tmp_path / "trees" / "t" / "tree.txt"
+    assert run_cli("extract-rules", "--instances", tmp_path / "run" / "instances.csv",
+                   "--out", rules_path, "--tree-out", tree_path) == 0
+    assert load_rules(rules_path)
+    assert tree_path.read_text().strip()
 
 
 def test_full_pipeline_extract_then_eval(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields, replace
 from functools import partial
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from pursuitrl.experiment import (
     BLOCK_COLUMNS,
+    RULE_FALLBACKS,
     BlockMetrics,
     ExperimentConfig,
     TrialOutcome,
@@ -23,7 +25,7 @@ from pursuitrl.experiment import (
 )
 from pursuitrl.env import (ACTIONS, CANDIDATE_MODES, N_HUNTERS, N_PREY, PreyKind, grid_for,
                            new_world)
-from pursuitrl.hmrl import ATFieldParams, HunterAgent
+from pursuitrl.hmrl import HunterAgent
 from pursuitrl.knowledge import compile_rules, extract_rules, induce_tree, parse_rules
 from reference import (cell_ids, load_q_table, load_weights, lower_state_ids, module_key,
                        rule_matches, rule_weights)
@@ -65,6 +67,21 @@ def test_instance_window_counts():
 
     empty = run_training(replace(config, instance_window=(2, 1)), seed=5)
     assert empty.instances == []
+
+
+@pytest.mark.parametrize("window, text", [((), ""), ((5,), "5"), ((1, 2, 3), "1,2,3")])
+def test_config_rejects_an_instance_window_that_is_not_two_trials(window, text):
+    message = r"^instance_window must be two trial numbers or none, got "
+    with pytest.raises(ValueError, match=message + re.escape(repr(window)) + "$"):
+        ExperimentConfig(instance_window=window)
+    with pytest.raises(ValueError, match=message):
+        parse_config(f"instance_window = {text}")
+    for bad in ([1, 2], (1.0, 2), (True, 2), 5):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(instance_window=bad)
+    # An inverted window stays legal: it logs nothing on purpose.
+    assert parse_config("instance_window = 4,2").instance_window == (4, 2)
+    assert parse_config("instance_window = none").instance_window is None
 
 
 def test_run_logs_one_object_per_offset_and_action():
@@ -271,7 +288,7 @@ def test_config_rejects_no_live_prey():
 @pytest.mark.parametrize("name, message, bad, good", [
     ("alpha", "alpha", (0.0, 1.5, float("nan")), 1.0),
     ("gamma", "gamma", (-0.1, 1.0), 0.0),
-    ("upper_decay", "decay", (0.0, -0.5, 1.5), 1.0),
+    ("upper_decay", "decay", (0.0, -0.5, 1.5, float("nan")), 1.0),
     ("reach_discount", "reach_discount", (0.5, float("nan")), 1.0),
 ])
 def test_config_rejects_learning_parameter_out_of_range(name, message, bad, good):
@@ -282,16 +299,56 @@ def test_config_rejects_learning_parameter_out_of_range(name, message, bad, good
 
 
 def test_config_rejects_atf_bands_out_of_order():
-    for near, far in ((5, 5), (6, 5), (0, 5)):
+    for near, far in ((5, 5), (6, 5), (0, 5), (float("nan"), 5), (2, float("nan"))):
         with pytest.raises(ValueError, match="near < far"):
             ExperimentConfig(atf_near=near, atf_far=far)
     with pytest.raises(ValueError, match="near < far"):
         parse_config("atf_near = 5\natf_far = 2")
-    assert ExperimentConfig(atf_near=1, atf_far=2).atf_params().far_distance == 2
+    assert ExperimentConfig(atf_near=1, atf_far=2).atf_far == 2
 
 
 prey_kind_names = st.sampled_from([kind.value for kind in PreyKind])
 unit_floats = st.floats(0.0, 1.0)
+
+
+@st.composite
+def valid_configs(draw):
+    """Any config that passes its checks, every field drawn."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    trials = draw(st.integers(1, 10**6))
+    near = draw(st.integers(1, 50))
+    values = dict(
+        trials=trials, step_cap=draw(st.integers(1, 10**6)),
+        seeds=tuple(draw(st.lists(st.integers(-2**63, 2**64), min_size=1, max_size=4))),
+        atf_enabled=draw(st.booleans()),
+        reward=draw(finite), dangerous_reward=draw(finite),
+        ps_discount=draw(finite), ps_rule_bound=draw(st.integers(-10, 10)),
+        alpha=draw(unit_floats.filter(lambda value: value > 0.0)),
+        gamma=draw(unit_floats.filter(lambda value: value < 1.0)),
+        epsilon_start=draw(unit_floats), epsilon_final=draw(unit_floats),
+        epsilon_anneal_fraction=draw(unit_floats),
+        atf_near=near, atf_far=near + draw(st.integers(1, 50)),
+        upper_decay=draw(unit_floats.filter(lambda value: value > 0.0)),
+        reach_discount=draw(st.floats(1.0, 1e6)),
+        candidate_mode=draw(st.sampled_from(CANDIDATE_MODES)),
+        block_ends=tuple(sorted(draw(st.sets(st.integers(1, 10**6), min_size=1, max_size=5)))),
+        instance_window=draw(st.none() | st.tuples(st.integers(-10**6, 10**6),
+                                                   st.integers(-10**6, 10**6))),
+        grid_side=draw(st.integers(3, 50)),
+        prey_kinds=draw(st.tuples(prey_kind_names, prey_kind_names)),
+        prey_alive=draw(st.tuples(st.booleans(), st.booleans()).filter(any)),
+        rule_fallback=draw(st.sampled_from(RULE_FALLBACKS)),
+        strict_reset=draw(st.booleans()),
+        trajectory_trial=draw(st.none() | st.integers(1, trials)),
+    )
+    assert set(values) == {f.name for f in fields(ExperimentConfig)}
+    return ExperimentConfig(**values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=valid_configs())
+def test_config_lines_parse_back_to_the_config(config):
+    assert parse_config("\n".join(config_to_lines(config))) == config
 
 
 @settings(max_examples=100, deadline=None)
@@ -316,9 +373,10 @@ def test_agents_and_worlds_take_the_config_values(side, prey_kinds, prey_alive,
                               atf_far=near + spread, upper_decay=decay)
     agent = HunterAgent(index, config)
     assert agent.index == index
+    assert agent.config is config
     assert (agent.q.alpha, agent.q.gamma) == (alpha, gamma)
-    assert agent.atf_params == ATFieldParams(near, near + spread, decay)
-    assert (agent.reach_discount, agent.candidates, agent.goal_reward) == \
+    assert (config.atf_near, config.atf_far, config.upper_decay) == (near, near + spread, decay)
+    assert (config.reach_discount, config.candidate_mode, config.reward) == \
         (reach_discount, candidate_mode, reward)
 
     world = new_world(seed, config)

@@ -10,7 +10,6 @@ from pursuitrl.env import Action, Position, PreyKind, grid_for, step
 from pursuitrl.experiment import ExperimentConfig
 from pursuitrl.hmrl import (
     CREDIT_FLOOR,
-    ATFieldParams,
     HunterAgent,
     atf,
     deliver_rewards,
@@ -31,32 +30,35 @@ from reference import (
 )
 
 
+CONFIG = ExperimentConfig()
+
+
 def grid_candidates(goal, side, mode):
     grid = grid_for(side)
     return tuple(grid.cells[c] for c in grid.candidates[mode][cell_id(goal, side)])
 
 
 def test_atf_bands():
-    params = ATFieldParams(near_distance=2, far_distance=5)
-    assert atf(1, params) == 0.0
-    assert atf(2, params) == 0.0            # close boundary inclusive
-    assert atf(3, params) == 1.0
-    assert atf(5, params) == 1.0
-    assert atf(7, params) == 0.9
+    config = ExperimentConfig(atf_near=2, atf_far=5)
+    assert atf(1, config) == 0.0
+    assert atf(2, config) == 0.0            # close boundary inclusive
+    assert atf(3, config) == 1.0
+    assert atf(5, config) == 1.0
+    assert atf(7, config) == 0.9
 
 
 def test_atf_validates():
     with pytest.raises(ValueError):
-        ATFieldParams(near_distance=5, far_distance=2)
+        ExperimentConfig(atf_near=5, atf_far=2)
     with pytest.raises(ValueError):
-        atf(-1, ATFieldParams())
+        atf(-1, CONFIG)
 
 
 @pytest.mark.parametrize("decay", [0.0, -0.5, 1.5, float("nan")])
 def test_atf_params_reject_decay_outside_unit_interval(decay):
     with pytest.raises(ValueError, match="decay"):
-        ATFieldParams(decay=decay)
-    assert ATFieldParams(decay=1.0).decay == 1.0
+        ExperimentConfig(upper_decay=decay)
+    assert ExperimentConfig(upper_decay=1.0).upper_decay == 1.0
 
 
 def test_candidate_cells_ring():
@@ -81,7 +83,8 @@ def test_select_target_equal_weights_prefers_nearest():
         for peer in (Position(6, 6), Position(6, 0), Position(0, 6)):
             weights.add(pack(ModuleKey(0, 0, Position(0, 0), peer, Position(3, 3)), 7),
                         cell_id(cell, 7), 1.0)
-    _, _, cell = select_target(weights, 0, world, Random(0), reach_discount=2.0)
+    _, _, cell = select_target(weights, 0, world, Random(0), 0.0,
+                               replace(CONFIG, reach_discount=2.0))
     # Nearest candidates to (0,0) around prey (3,3) sit at distance 4.
     target = position(cell, 7)
     assert abs(target.x) + abs(target.y) == 4
@@ -89,17 +92,17 @@ def test_select_target_equal_weights_prefers_nearest():
 
 def test_select_target_uses_nearer_prey_bank():
     world = make_world([(2, 3), (6, 6), (6, 0), (0, 6)], [(3, 3), (0, 6)])
-    prey, _, _ = select_target(WeightTable(), 0, world, Random(1))
+    prey, _, _ = select_target(WeightTable(), 0, world, Random(1), 0.0, CONFIG)
     assert prey == 0
 
     far_world = make_world([(1, 6), (6, 6), (6, 0), (3, 0)], [(3, 3), (0, 6)])
-    prey, _, _ = select_target(WeightTable(), 0, far_world, Random(1))
+    prey, _, _ = select_target(WeightTable(), 0, far_world, Random(1), 0.0, CONFIG)
     assert prey == 1
 
 
 def test_select_target_equidistant_prey_random():
     world = make_world([(3, 0), (6, 6), (6, 0), (0, 6)], [(1, 0), (5, 0)])
-    picks = {select_target(WeightTable(), 0, world, Random(seed))[0]
+    picks = {select_target(WeightTable(), 0, world, Random(seed), 0.0, CONFIG)[0]
              for seed in range(40)}
     assert picks == {0, 1}
 
@@ -129,8 +132,8 @@ def test_select_target_matches_exhaustive_argmax():
         top = max(scored.values())
         return {cell for cell, s in scored.items() if s == top}
 
-    _, _, cell = select_target(weights, 0, world, Random(0), reach_discount=1.0,
-                               candidates="all")
+    _, _, cell = select_target(weights, 0, world, Random(0), 0.0,
+                               replace(CONFIG, reach_discount=1.0, candidate_mode="all"))
     assert position(cell, 3) in brute_force_best()
 
 
@@ -159,7 +162,7 @@ def test_select_target_scale_invariant_argmax():
         return {cell for cell, s in scores.items() if s >= top * (1 - 1e-12)}
 
     assert argmax_set(weights) == argmax_set(scaled)
-    _, _, pick = select_target(weights, 0, world, Random(3))
+    _, _, pick = select_target(weights, 0, world, Random(3), 0.0, CONFIG)
     assert position(pick, 7) in argmax_set(weights)
 
 
@@ -167,7 +170,7 @@ def test_select_target_requires_alive_prey():
     world = make_world([(0, 0), (6, 6), (6, 0), (0, 6)], [(3, 3), (6, 3)],
                        alive=(False, False))
     with pytest.raises(ValueError):
-        select_target(WeightTable(), 0, world, Random(0))
+        select_target(WeightTable(), 0, world, Random(0), 0.0, CONFIG)
 
 
 def test_select_target_stays_in_candidate_set():
@@ -175,8 +178,7 @@ def test_select_target_stays_in_candidate_set():
     for seed in range(30):
         world = make_world([(rng.randrange(7), rng.randrange(7)),
                             (6, 6), (6, 0), (0, 6)], [(3, 4), (1, 1)])
-        prey, _, cell = select_target(WeightTable(), 0, world, Random(seed),
-                                      exploration=0.5)
+        prey, _, cell = select_target(WeightTable(), 0, world, Random(seed), 0.5, CONFIG)
         goal = position(world.prey[prey].cell, 7)
         assert position(cell, 7) in candidate_cells(goal, 7, "ring2")
 
@@ -198,7 +200,7 @@ def upper_trace(distances):
 def test_reinforce_upper_geometric_recursion():
     weights = WeightTable()
     trace = upper_trace([3, 3, 3])
-    reinforce_upper(weights, trace, 100.0, ATFieldParams(decay=0.8))
+    reinforce_upper(weights, trace, 100.0, replace(CONFIG, upper_decay=0.8))
     assert reference.rule_weight(weights, *fired_rule(2)) == 100.0
     assert reference.rule_weight(weights, *fired_rule(1)) == pytest.approx(80.0)
     assert reference.rule_weight(weights, *fired_rule(0)) == pytest.approx(64.0)
@@ -207,7 +209,7 @@ def test_reinforce_upper_geometric_recursion():
 
 def test_reinforce_upper_gate_zeroes_upstream():
     weights = WeightTable()
-    reinforce_upper(weights, upper_trace([3, 3, 1]), 100.0, ATFieldParams())
+    reinforce_upper(weights, upper_trace([3, 3, 1]), 100.0, CONFIG)
     assert reference.rule_weight(weights, *fired_rule(2)) == 100.0
     assert reference.rule_weight(weights, *fired_rule(1)) == 0.0
     assert reference.rule_weight(weights, *fired_rule(0)) == 0.0
@@ -215,7 +217,8 @@ def test_reinforce_upper_gate_zeroes_upstream():
 
 def test_reinforce_upper_identity_chain():
     weights = WeightTable()
-    reinforce_upper(weights, upper_trace([4, 4, 4, 4]), 100.0, ATFieldParams(decay=1.0))
+    reinforce_upper(weights, upper_trace([4, 4, 4, 4]), 100.0,
+                    replace(CONFIG, upper_decay=1.0))
     for tag in range(4):
         assert reference.rule_weight(weights, *fired_rule(tag)) == 100.0
 
@@ -223,7 +226,7 @@ def test_reinforce_upper_identity_chain():
 def test_reinforce_upper_zero_reward_only_clears():
     weights = WeightTable()
     trace = upper_trace([2])
-    reinforce_upper(weights, trace, 0.0, ATFieldParams())
+    reinforce_upper(weights, trace, 0.0, CONFIG)
     assert len(weights) == 0
     assert len(trace) == 0
 
@@ -233,7 +236,7 @@ def test_reinforce_upper_rejects_non_finite_reward(reward):
     weights = WeightTable()
     trace = upper_trace([3, 3])
     with pytest.raises(ValueError, match="non-finite reward"):
-        reinforce_upper(weights, trace, reward, ATFieldParams())
+        reinforce_upper(weights, trace, reward, CONFIG)
     assert len(weights) == 0
 
 
@@ -244,7 +247,7 @@ def test_single_prey_reduction_matches_plain_profit_sharing():
     depth = 6
     upper = WeightTable()
     reinforce_upper(upper, upper_trace([None] * depth), 100.0,
-                    ATFieldParams(decay=decay), gated=True)
+                    replace(CONFIG, upper_decay=decay, atf_enabled=True))
 
     plain = reference.profit_sharing([fired_rule(tag) for tag in range(depth)],
                                      100.0, 1 / decay)
@@ -281,13 +284,13 @@ trace_steps = st.tuples(
 def test_reinforce_upper_closed_form(trace, gated, decay, reward):
     # Step i is credited reward * prod_{j > i} (decay * gate_j), multiplied
     # newest first, until a share falls below the floor.
-    params = ATFieldParams(decay=decay)
+    config = replace(CONFIG, upper_decay=decay, atf_enabled=gated)
     expected_adds = []
     share = reward
     for i in range(len(trace) - 1, -1, -1):
         if i < len(trace) - 1:
             later = trace[i + 1][2]
-            share *= decay * (atf(later, params) if gated and later is not None else 1.0)
+            share *= decay * (atf(later, config) if gated and later is not None else 1.0)
             if abs(share) < CREDIT_FLOOR:
                 break
         modules, cell, _ = trace[i]
@@ -298,13 +301,10 @@ def test_reinforce_upper_closed_form(trace, gated, decay, reward):
 
     table = CountingTable()
     steps = list(trace)
-    reinforce_upper(table, steps, reward, params, gated=gated)
+    reinforce_upper(table, steps, reward, config)
     assert table.adds == expected_adds
     assert reference.rule_weights(table) == expected
     assert steps == []
-
-
-CONFIG = ExperimentConfig()
 
 
 def trained_agent_world():
@@ -334,9 +334,10 @@ def test_agent_rejects_non_finite_goal_reward(goal_reward):
 
 def test_select_target_rejects_unknown_candidate_mode():
     world = make_world([(2, 3), (6, 6), (6, 0), (0, 6)], [(3, 3), (6, 4)])
-    with pytest.raises(ValueError, match=r"^candidates must be one of \('ring2', 'all'\), "
+    with pytest.raises(ValueError, match=r"^candidate_mode must be one of \('ring2', 'all'\), "
                                          r"got 'ring3'$"):
-        select_target(WeightTable(), 0, world, Random(0), candidates="ring3")
+        select_target(WeightTable(), 0, world, Random(0), 0.0,
+                      replace(CONFIG, candidate_mode="ring3"))
 
 
 def test_agent_policy_step_records_and_acts():
@@ -428,6 +429,5 @@ def test_dead_prey_never_targeted():
     world = make_world([(5, 5), (6, 6), (6, 0), (0, 6)], [(3, 3), (6, 4)],
                        alive=(False, True))
     for seed in range(20):
-        prey, _, _ = select_target(WeightTable(), 0, world, Random(seed),
-                                   exploration=0.3)
+        prey, _, _ = select_target(WeightTable(), 0, world, Random(seed), 0.3, CONFIG)
         assert prey == 1

@@ -136,9 +136,9 @@ def test_select_target_matches_brute_force(world, hunter, mode, reach, explorati
                                            weight_seed, seed):
     rules = random_rules(world, hunter, mode, weight_seed)
     rng, reference_rng = Random(seed), Random(seed)
+    config = ExperimentConfig(reach_discount=reach, candidate_mode=mode)
     chosen_prey, modules, cell = select_target(upper_table(rules, world.side), hunter, world,
-                                               rng, reach_discount=reach,
-                                               exploration=exploration, candidates=mode)
+                                               rng, exploration, config)
     target, prey = reference.select_target(rules, hunter, world, reference_rng,
                                            reach, exploration, mode)
     assert (cell, chosen_prey) == (cell_id(target, world.side), prey)

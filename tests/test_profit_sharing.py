@@ -1,5 +1,6 @@
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from random import Random
 
@@ -8,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from pursuitrl.hmrl import ATFieldParams, reinforce_upper
+from pursuitrl.experiment import ExperimentConfig
+from pursuitrl.hmrl import reinforce_upper
 from pursuitrl.profit_sharing import (
     PSParams,
     WeightTable,
@@ -16,6 +18,9 @@ from pursuitrl.profit_sharing import (
     save_weights,
 )
 from pursuitrl.tableio import save_table
+
+
+CONFIG = ExperimentConfig()
 
 
 def test_params_require_wide_discount():
@@ -36,7 +41,7 @@ def rule_trace(*rules):
 def test_reinforce_single_rule():
     table = WeightTable()
     trace = rule_trace((S_A, A))
-    reinforce_upper(table, trace, 100.0, ATFieldParams(decay=0.2))
+    reinforce_upper(table, trace, 100.0, replace(CONFIG, upper_decay=0.2))
     assert reference.rule_weight(table, S_A, A) == 100.0
     assert len(trace) == 0
 
@@ -44,7 +49,7 @@ def test_reinforce_single_rule():
 def test_reinforce_two_rules():
     table = WeightTable()
     trace = rule_trace((S_A, A), (S_B, B))     # S_B fired last, credited first
-    reinforce_upper(table, trace, 100.0, ATFieldParams(decay=0.2))
+    reinforce_upper(table, trace, 100.0, replace(CONFIG, upper_decay=0.2))
     assert reference.rule_weight(table, S_B, B) == 100.0
     assert reference.rule_weight(table, S_A, A) == pytest.approx(20.0, rel=1e-15)
 
@@ -53,7 +58,7 @@ def test_repeated_rule_gets_both_shares():
     fired = [(S_A, A), (S_B, B), (S_A, A)]
     expected = reference.profit_sharing(fired, 100.0, 5.0)
     table = WeightTable()
-    reinforce_upper(table, rule_trace(*fired), 100.0, ATFieldParams(decay=0.2))
+    reinforce_upper(table, rule_trace(*fired), 100.0, replace(CONFIG, upper_decay=0.2))
     assert set(reference.rule_weights(table)) == set(expected)
     for rule, total in expected.items():
         assert reference.rule_weight(table, *rule) == pytest.approx(total, rel=1e-15)
@@ -61,14 +66,14 @@ def test_repeated_rule_gets_both_shares():
 
 def test_empty_trace_with_reward_is_protocol_misuse():
     with pytest.raises(ValueError):
-        reinforce_upper(WeightTable(), [], 100.0, ATFieldParams())
+        reinforce_upper(WeightTable(), [], 100.0, CONFIG)
 
 
 def test_zero_reward_leaves_table_unchanged():
     table = WeightTable()
     table.add(S_A, A, 3.0)
     trace = rule_trace((S_A, A), (S_B, B))
-    reinforce_upper(table, trace, 0.0, ATFieldParams())
+    reinforce_upper(table, trace, 0.0, CONFIG)
     assert reference.rule_weights(table) == {(S_A, A): 3.0}
     assert len(trace) == 0
 
@@ -78,8 +83,8 @@ def test_credit_conservation_matches_closed_form():
     for length in (1, 3, 10, 40):
         table = WeightTable()
         fired = [(i, A) for i in range(length)]
-        reinforce_upper(table, rule_trace(*fired), 100.0, ATFieldParams(decay=decay),
-                        gated=False)
+        reinforce_upper(table, rule_trace(*fired), 100.0,
+                        replace(CONFIG, upper_decay=decay, atf_enabled=False))
         total = sum(table.weight)
         closed_form = 100.0 * (1 - decay**length) / (1 - decay)
         plain = sum(reference.profit_sharing(fired, 100.0, 1 / decay).values())

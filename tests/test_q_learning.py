@@ -32,14 +32,14 @@ def test_q_update_decays_toward_bootstrap():
 
 def test_q_update_rejects_non_finite_reward():
     with pytest.raises(ValueError):
-        q_update(QTable(), "s", Action.STAY, float("nan"), "t", terminal=True)
+        q_update(QTable(alpha=0.1, gamma=0.9), "s", Action.STAY, float("nan"), "t", terminal=True)
 
 
 def test_qtable_validates_parameters():
     with pytest.raises(ValueError):
-        QTable(alpha=0.0)
+        QTable(alpha=0.0, gamma=0.9)
     with pytest.raises(ValueError):
-        QTable(gamma=1.0)
+        QTable(alpha=0.1, gamma=1.0)
 
 
 def test_two_state_chain_converges_to_closed_form():
@@ -55,7 +55,7 @@ def test_two_state_chain_converges_to_closed_form():
 
 
 def test_epsilon_greedy_prefers_value():
-    table = QTable()
+    table = QTable(alpha=0.1, gamma=0.9)
     set_q_value(table, "s", Action.NORTH, 5.0)
     set_q_value(table, "s", Action.STAY, 1.0)
     picked = epsilon_greedy(table, "s", (Action.NORTH, Action.STAY), 0.0,
@@ -64,7 +64,7 @@ def test_epsilon_greedy_prefers_value():
 
 
 def test_epsilon_greedy_uniform_over_ties():
-    table = QTable()
+    table = QTable(alpha=0.1, gamma=0.9)
     rng = Random(5)
     legal = (Action.STAY, Action.NORTH, Action.EAST)
     counts = Counter(epsilon_greedy(table, "s", legal, 0.0, rng)
@@ -76,7 +76,7 @@ def test_epsilon_greedy_uniform_over_ties():
 def test_epsilon_greedy_exploration_frequency():
     # With a unique argmax, a non-greedy outcome happens only via the
     # exploration branch picking one of the other k-1 actions.
-    table = QTable()
+    table = QTable(alpha=0.1, gamma=0.9)
     set_q_value(table, "s", Action.NORTH, 5.0)
     legal = tuple(Action)
     epsilon = 0.1
@@ -93,7 +93,7 @@ def test_epsilon_greedy_exploration_frequency():
 
 def test_epsilon_greedy_rejects_empty_legal_set():
     with pytest.raises(ValueError):
-        epsilon_greedy(QTable(), "s", (), 0.0, Random(0))
+        epsilon_greedy(QTable(alpha=0.1, gamma=0.9), "s", (), 0.0, Random(0))
 
 
 @st.composite
@@ -108,11 +108,11 @@ def greedy_cases(draw):
     source = draw(st.sampled_from(["grid", "permuted", "custom"]))
     if source == "grid":
         grid = grid_for(draw(st.integers(3, 9)))
-        table, legal = QTable(), grid.legal[draw(st.integers(0, grid.size - 1))]
+        table, legal = QTable(alpha=0.1, gamma=0.9), grid.legal[draw(st.integers(0, grid.size - 1))]
     elif source == "permuted":
-        table, legal = QTable(), tuple(draw(st.permutations(range(len(ACTIONS)))))
+        table, legal = QTable(alpha=0.1, gamma=0.9), tuple(draw(st.permutations(range(len(ACTIONS)))))
     else:
-        table = QTable(actions=range(draw(st.integers(1, 8))))
+        table = QTable(alpha=0.1, gamma=0.9, actions=range(draw(st.integers(1, 8))))
         n = len(table.actions)
         legal = draw(st.sampled_from([
             ALL_ACTIONS,
@@ -304,7 +304,7 @@ def test_load_q_table_names_state_off_the_grid(tmp_path, state):
 
 def test_q_table_lists_written_entries_only(tmp_path):
     # A backup that writes 0.0 is an entry; the other slots of its row are not.
-    table = QTable()
+    table = QTable(alpha=0.1, gamma=0.9)
     q_update(table, 3, Action.EAST, 0.0, 4, terminal=False)
     q_update(table, 5, Action.STAY, 100.0, 5, terminal=True)
     assert table.values == {(3, Action.EAST): 0.0, (5, Action.STAY): 10.0}
