@@ -43,8 +43,8 @@ class ExperimentConfig:
     # rewards
     reward: float = 100.0
     dangerous_reward: float = 0.0
-    # generic profit-sharing parameters, recorded with runs and used by
-    # the suppression tooling
+    # generic profit-sharing parameters, only recorded with runs: the
+    # suppression check takes its own PSParams (ROADMAP item 7)
     ps_discount: float = 5.0
     ps_rule_bound: int = 4
     # lower layer
@@ -123,6 +123,16 @@ class ExperimentConfig:
         # Out of range, alpha and gamma fail once training starts: run the
         # table's own checks now.
         q_learning.QTable(self.alpha, self.gamma)
+        # Every value must read back from the run's metadata.txt as itself.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                same = _FIELD_PARSERS[f.name](_format_value(value)) == value
+            except ValueError:
+                same = False
+            if not same:
+                raise ValueError(f"{f.name} must be {f.type} and read back as itself, "
+                                 f"got {value!r}")
 
     def epsilon_at(self, trial: int) -> float:
         anneal_trials = self.epsilon_anneal_fraction * self.trials
@@ -238,7 +248,7 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
                     trajectory.append((*row, label))
 
             outcome = step(world, actions, rng)
-            reached = deliver(agents, outcome, config)
+            reached = deliver(agents, outcome)
             resets += sum(reached)
             world = outcome.next_state
             if outcome.captures:

@@ -255,13 +255,12 @@ class HunterAgent:
         reinforce_upper(self.upper, self.trace, reward, self.config)
 
 
-def deliver_rewards(agents: Sequence[HunterAgent], outcome: StepOutcome,
-                    config: ExperimentConfig) -> list[bool]:
+def deliver_rewards(agents: Sequence[HunterAgent], outcome: StepOutcome) -> list[bool]:
     """Per-step reward plumbing for all hunters.
 
     Every hunter gets its lower-layer update; on a capture the upper
-    traces are settled with the config's positive or dangerous reward,
-    gated when the config enables the AT field.
+    traces are settled with each agent's configured positive or dangerous
+    reward, gated when its config enables the AT field.
     Returns the per-hunter target-reached flags.
     """
     next_state = outcome.next_state
@@ -270,7 +269,7 @@ def deliver_rewards(agents: Sequence[HunterAgent], outcome: StepOutcome,
                a3.observe(next_state)]
     if outcome.captures:
         positive = any(kind is PreyKind.POSITIVE for _, kind in outcome.captures)
-        reward = config.reward if positive else config.dangerous_reward
         for agent in agents:
-            agent.finish_trial(reward)
+            config = agent.config
+            agent.finish_trial(config.reward if positive else config.dangerous_reward)
     return reached

@@ -1,9 +1,10 @@
 """Decision-tree distillation of the learned walking policy.
 
 Logged (theta_x, theta_y) -> action instances are grown into a binary
-decision tree by gain ratio, the tree is flattened into If-Then rules
-with a confidence factor per rule, and the rules can be replayed as a
-policy with first-match-by-confidence semantics, compiled per grid.
+decision tree by gain ratio; each leaf becomes an If-Then rule over one
+box of the offset plane, with a confidence factor. The rules replay as a
+policy with first-match-by-confidence semantics, compiled per grid;
+:func:`parse_rules` folds a rule file's interval tests into boxes.
 """
 
 from __future__ import annotations
@@ -53,7 +54,9 @@ if TYPE_CHECKING:   # a runtime subscription would pin this module in typing's c
 
 @dataclass(frozen=True)
 class IfThenRule:
-    conditions: tuple[tuple[str, str, float], ...]   # (attribute, "<=" or ">", threshold)
+    # Matches when x_lower < theta_X <= x_upper and y_lower < theta_Y <= y_upper;
+    # an open side is -inf or inf.
+    box: tuple[float, float, float, float]   # (x_lower, x_upper, y_lower, y_upper)
     action: Action
     cf: float
 
@@ -206,32 +209,20 @@ def format_tree(tree: TreeNode) -> str:
 
 
 def extract_rules(tree: TreeNode) -> list[IfThenRule]:
-    """One rule per leaf; per-attribute bounds simplified, sorted by
+    """One rule per leaf, boxed by the splits above it, sorted by
     confidence factor descending."""
     rules: list[IfThenRule] = []
 
-    def walk(node: TreeNode, bounds: dict[str, list[float]]) -> None:
+    def walk(node: TreeNode, box: tuple[float, ...]) -> None:
         if isinstance(node, Leaf):
-            conditions: list[tuple[str, str, float]] = []
-            for attribute in ATTRIBUTES:
-                lower, upper = bounds[attribute]
-                if upper != math.inf:
-                    conditions.append((attribute, "<=", upper))
-                if lower != -math.inf:
-                    conditions.append((attribute, ">", lower))
-            cf = (node.covered - node.errors) / node.covered
-            rules.append(IfThenRule(tuple(conditions), node.label, cf))
+            rules.append(IfThenRule(box, node.label, (node.covered - node.errors) / node.covered))
             return
-        lower, upper = bounds[node.attribute]
-        le_bounds = {a: list(b) for a, b in bounds.items()}
-        le_bounds[node.attribute] = [lower, min(upper, node.threshold)]
-        gt_bounds = {a: list(b) for a, b in bounds.items()}
-        gt_bounds[node.attribute] = [max(lower, node.threshold), upper]
-        walk(node.le_child, le_bounds)
-        walk(node.gt_child, gt_bounds)
+        i = 2 * _attribute_index(node.attribute)     # box[i] < value <= box[i + 1]
+        walk(node.le_child, (*box[:i + 1], min(box[i + 1], node.threshold), *box[i + 2:]))
+        walk(node.gt_child, (*box[:i], max(box[i], node.threshold), *box[i + 1:]))
 
-    walk(tree, {attribute: [-math.inf, math.inf] for attribute in ATTRIBUTES})
-    rules.sort(key=lambda rule: (-rule.cf, _conditions_text(rule.conditions)))
+    walk(tree, (-math.inf, math.inf, -math.inf, math.inf))
+    rules.sort(key=lambda rule: (-rule.cf, _conditions_text(rule.box)))
     return rules
 
 
@@ -239,20 +230,9 @@ def compile_rules(rules: Sequence[IfThenRule], grid: Grid) -> tuple[int, ...]:
     """Per offset id of ``grid``: the action index of the first of
     ``rules`` (sorted by confidence factor descending, as
     :func:`extract_rules` returns them) matching the offset, else -1."""
-    # Per rule: (lower, upper) per attribute; it matches when lower < value <= upper.
-    bounds = []
-    for rule in rules:
-        lower = [-math.inf, -math.inf]
-        upper = [math.inf, math.inf]
-        for attribute, op, threshold in rule.conditions:
-            idx = _attribute_index(attribute)
-            if op == "<=":
-                upper[idx] = min(upper[idx], threshold)
-            else:
-                lower[idx] = max(lower[idx], threshold)
-        # a plain int: the trial loop subscripts its tables with it
-        bounds.append((lower[0], upper[0], lower[1], upper[1], int(rule.action)))
-    return tuple(next((action for x_lower, x_upper, y_lower, y_upper, action in bounds
+    # a plain int: the trial loop subscripts its tables with it
+    boxes = [(*rule.box, int(rule.action)) for rule in rules]
+    return tuple(next((action for x_lower, x_upper, y_lower, y_upper, action in boxes
                        if x_lower < theta_x <= x_upper and y_lower < theta_y <= y_upper), -1)
                  for theta_x, theta_y in grid.offsets)
 
@@ -264,16 +244,22 @@ def rule_policy_act(compiled: Sequence[int], offset: int,
     return fallback(offset) if action < 0 else action
 
 
-def _conditions_text(conditions: Sequence[tuple[str, str, float]]) -> str:
-    return " ".join(f"{attribute} {op} {threshold:g}"
-                    for attribute, op, threshold in conditions)
+def _conditions_text(box: Sequence[float]) -> str:
+    """Per attribute, its finite upper bound and then its finite lower bound."""
+    conditions = []
+    for attribute, lower, upper in zip(ATTRIBUTES, box[::2], box[1::2]):
+        if upper != math.inf:
+            conditions.append(f"{attribute} <= {upper:g}")
+        if lower != -math.inf:
+            conditions.append(f"{attribute} > {lower:g}")
+    return " ".join(conditions)
 
 
 def format_rules(rules: Sequence[IfThenRule]) -> str:
     lines = []
     for number, rule in enumerate(rules, start=1):
         lines.append(f"No.{number}")
-        lines.append(f"If {_conditions_text(rule.conditions)} "
+        lines.append(f"If {_conditions_text(rule.box)} "
                      f"Then {ACTION_LABELS[rule.action]} with CF={rule.cf!r}")
     return "\n".join(lines) + "\n"
 
@@ -283,8 +269,8 @@ _COND_RE = re.compile(r"(theta_[XY])\s*(<=|>)\s*(-?\d+(?:\.\d+)?)")
 
 
 def parse_rules(text: str) -> list[IfThenRule]:
-    """Rules in the :func:`format_rules` layout; a line that is not one
-    raises ``ValueError`` naming its line number."""
+    """Rules in the :func:`format_rules` layout, conditions folded into boxes;
+    a line that is not one raises ``ValueError`` naming its line number."""
     rules: list[IfThenRule] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -295,13 +281,13 @@ def parse_rules(text: str) -> list[IfThenRule]:
             if not match or _COND_RE.sub("", match[1]).strip():
                 raise ValueError("not an If-Then rule")
             conditions_text, label, cf_text = match.groups()
-            conditions = tuple(
-                (attribute, op, float(threshold))
-                for attribute, op, threshold in _COND_RE.findall(conditions_text)
-            )
+            box = [-math.inf, math.inf, -math.inf, math.inf]
+            for attribute, op, threshold in _COND_RE.findall(conditions_text):
+                i = 2 * _attribute_index(attribute) + (op == "<=")
+                box[i] = (min if op == "<=" else max)(box[i], float(threshold))
             if label not in ACTION_BY_LABEL:
                 raise ValueError(f"unknown action label {label!r}")
-            rules.append(IfThenRule(conditions, ACTION_BY_LABEL[label], float(cf_text)))
+            rules.append(IfThenRule(tuple(box), ACTION_BY_LABEL[label], float(cf_text)))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}: {line!r}") from None
     return rules

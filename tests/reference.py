@@ -17,6 +17,7 @@ from __future__ import annotations
 import ast
 import csv
 import math
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -27,7 +28,7 @@ from pursuitrl.env import (ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, N_HUNTERS, N
                            Grid, Position, PreyKind, PreyState, WorldState, below)
 from pursuitrl.experiment import run_meta
 from pursuitrl.hmrl import lower_state_texts
-from pursuitrl.knowledge import INSTANCE_HEADER, Instance, Split
+from pursuitrl.knowledge import INSTANCE_HEADER, Instance, Split, format_rules
 from pursuitrl.profit_sharing import WeightTable
 from pursuitrl.q_learning import QTable
 
@@ -388,10 +389,19 @@ def classify(tree, theta_x: int, theta_y: int):
     return node.label
 
 
-def rule_matches(rule, theta_x: int, theta_y: int) -> bool:
-    """Condition-by-condition match of an If-Then rule."""
+def rule_conditions(rule) -> tuple[tuple[str, str, float], ...]:
+    """The ``(attribute, op, threshold)`` conditions of a rule, read back from
+    the text :func:`format_rules` writes for it."""
+    line = format_rules([rule]).splitlines()[1]      # "No.1", then the rule
+    return tuple((attribute, op, float(threshold)) for attribute, op, threshold
+                 in re.findall(r"(theta_[XY]) (<=|>) (\S+)", line.split(" Then ")[0]))
+
+
+def rule_matches(conditions, theta_x: int, theta_y: int) -> bool:
+    """Condition-by-condition match of a rule's ``(attribute, op, threshold)``
+    conditions."""
     values = {"theta_X": theta_x, "theta_Y": theta_y}
-    for attribute, op, threshold in rule.conditions:
+    for attribute, op, threshold in conditions:
         value = values[attribute]
         if op == "<=":
             if not value <= threshold:

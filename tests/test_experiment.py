@@ -28,7 +28,7 @@ from pursuitrl.env import (ACTIONS, CANDIDATE_MODES, N_HUNTERS, N_PREY, PreyKind
 from pursuitrl.hmrl import HunterAgent
 from pursuitrl.knowledge import compile_rules, extract_rules, induce_tree, parse_rules
 from reference import (cell_ids, load_q_table, load_weights, lower_state_ids, module_key,
-                       rule_matches, rule_weights)
+                       rule_conditions, rule_matches, rule_weights)
 
 QUICK = ExperimentConfig(trials=5, step_cap=60, block_ends=(3, 5))
 
@@ -173,6 +173,18 @@ def test_config_round_trip_and_schema():
     assert parsed == config
     keys = {line.split(" = ")[0] for line in lines}
     assert keys == {f.name for f in fields(ExperimentConfig)} | {"run_seed"}
+    # A value of another type that reads back equal is kept.
+    lenient = ExperimentConfig(reward=100, prey_alive=(1, 0))
+    assert parse_config("\n".join(config_to_lines(lenient))) == lenient
+
+
+@pytest.mark.parametrize("name, value", [
+    ("grid_side", 7.0), ("trials", True), ("atf_near", 2.5), ("seeds", (1.5,)),
+    ("block_ends", [200, 2000]), ("ps_discount", float("nan")),
+])
+def test_config_rejects_a_value_its_metadata_cannot_read_back(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be .* read back as itself, got "):
+        ExperimentConfig(**{name: value})
 
 
 def test_parse_config_rejects_unknown_keys():
@@ -548,8 +560,10 @@ def test_scenario_tables_instances_and_rules(name, tmp_path):
     # The compiled rules are the first-match scan on every offset of the grid,
     # and drive a rule evaluation on the same scenario.
     rules = extract_rules(induce_tree(result.instances))
+    conditions = [rule_conditions(rule) for rule in rules]
     assert compile_rules(rules, grid) == tuple(
-        next((rule.action for rule in rules if rule_matches(rule, x, y)), -1)
+        next((rule.action for rule, conds in zip(rules, conditions)
+              if rule_matches(conds, x, y)), -1)
         for x, y in grid.offsets)
     evaluation = run_training(config, seed=13, rules=rules)
     assert len(evaluation.records) == config.trials

@@ -401,7 +401,7 @@ def test_deliver_rewards_terminal_reach_and_capture():
     outcome = step(world, [Action.STAY] * 4, rng,
                    prey_policy=lambda s, j, legal, r: Action.STAY)
     assert (0, PreyKind.POSITIVE) in outcome.captures
-    deliver_rewards(agents, outcome, CONFIG)
+    deliver_rewards(agents, outcome)
     for agent in agents:
         assert len(agent.trace) == 0            # settled and cleared
         assert len(agent.upper) > 0             # positive capture reinforced
@@ -419,10 +419,28 @@ def test_deliver_rewards_dangerous_capture_no_upper_change():
     outcome = step(world, [Action.STAY] * 4, rng,
                    prey_policy=lambda s, j, legal, r: Action.STAY)
     assert (0, PreyKind.DANGEROUS) in outcome.captures
-    deliver_rewards(agents, outcome, CONFIG)
+    deliver_rewards(agents, outcome)
     for agent in agents:
         assert len(agent.upper) == 0
         assert len(agent.trace) == 0
+
+
+@pytest.mark.parametrize("reward", [100.0, 5.0])
+def test_deliver_rewards_credits_the_agents_reward(reward):
+    world = make_world([(2, 3), (4, 3), (3, 2), (3, 4)], [(3, 3), (0, 0)])
+    agents = [HunterAgent(i, replace(CONFIG, reward=reward)) for i in range(4)]
+    rng = Random(0)
+    for agent in agents:
+        agent.policy_step(world, rng, 0.0)
+        stay_put(agent)
+    outcome = step(world, [Action.STAY] * 4, rng,
+                   prey_policy=lambda s, j, legal, r: Action.STAY)
+    assert (0, PreyKind.POSITIVE) in outcome.captures
+    deliver_rewards(agents, outcome)
+    for agent in agents:
+        # one traced step: the newest step takes the whole reward
+        weights = reference.rule_weights(agent.upper)
+        assert weights and set(weights.values()) == {reward}
 
 
 def test_dead_prey_never_targeted():

@@ -203,7 +203,7 @@ def test_leaf_confidence_factor_cross_check():
 def test_error_free_leaf_has_full_confidence():
     rules = extract_rules(Leaf(label=Action.STAY, covered=8056, errors=0))
     assert rules[0].cf == 1.0
-    assert rules[0].conditions == ()
+    assert rules[0].box == (-math.inf, math.inf, -math.inf, math.inf)
 
 
 def test_extract_rules_simplifies_interval_bounds():
@@ -216,10 +216,9 @@ def test_extract_rules_simplifies_interval_bounds():
     )
     rules = extract_rules(tree)
     by_action = {rule.action: rule for rule in rules}
-    assert by_action[Action.STAY].conditions == (
-        ("theta_X", "<=", 0), ("theta_X", ">", -2))
-    assert by_action[Action.WEST].conditions == (("theta_X", "<=", -2),)
-    assert by_action[Action.EAST].conditions == (("theta_X", ">", 0),)
+    assert by_action[Action.STAY].box == (-2, 0, -math.inf, math.inf)
+    assert by_action[Action.WEST].box == (-math.inf, -2, -math.inf, math.inf)
+    assert by_action[Action.EAST].box == (0, math.inf, -math.inf, math.inf)
     assert [r.cf for r in rules] == sorted((r.cf for r in rules), reverse=True)
 
 
@@ -289,13 +288,28 @@ conditions = st.lists(st.tuples(st.sampled_from(("theta_X", "theta_Y")),
                                  st.sampled_from(("<=", ">")),
                                  st.integers(-26, 26).map(lambda t: t / 2)),
                        max_size=4)
-rule_sets = st.lists(st.builds(IfThenRule, conditions.map(tuple), st.sampled_from(ACTIONS),
+
+
+def parsed_rule(conditions, action, cf):
+    """``(conditions, the rule parse_rules reads from their text)``."""
+    text = " ".join(f"{attribute} {op} {threshold:g}" for attribute, op, threshold in conditions)
+    (rule,) = parse_rules(f"If {text} Then {ACTION_LABELS[action]} with CF={cf!r}\n")
+    return conditions, rule
+
+
+rule_sets = st.lists(st.builds(parsed_rule, conditions.map(tuple), st.sampled_from(ACTIONS),
                                st.floats(0.0, 1.0)), max_size=12)
 
 
-def assert_matches_condition_scan(rules, side):
+def with_conditions(rules):
+    """``(conditions, rule)`` pairs, the conditions read back from the rules' text."""
+    return [(reference.rule_conditions(rule), rule) for rule in rules]
+
+
+def assert_matches_condition_scan(conditioned_rules, side):
     # Every offset a hunter can have to a target on a side-``side`` grid:
     # the compiled table against a first-match scan of the conditions.
+    rules = [rule for _, rule in conditioned_rules]
     grid = grid_for(side)
     compiled = compile_rules(rules, grid)
     assert len(compiled) == (2 * side - 1) ** 2
@@ -307,8 +321,8 @@ def assert_matches_condition_scan(rules, side):
             calls.append(offset)
             return -1
 
-        expected = next((rule.action for rule in rules
-                         if reference.rule_matches(rule, x, y)), -1)
+        expected = next((rule.action for conds, rule in conditioned_rules
+                         if reference.rule_matches(conds, x, y)), -1)
         assert compiled[offset] == expected
         assert rule_policy_act(compiled, offset, fallback=fallback) == expected
         assert calls == ([] if expected >= 0 else [offset])
@@ -324,7 +338,21 @@ def test_rule_lookup_matches_condition_scan(rules):
 @pytest.mark.parametrize("side", (5, 7, 9, 13, 17))
 def test_extracted_rule_lookup_matches_condition_scan(side):
     rules = extract_rules(induce_tree(grid_instances(planted_label)))
-    assert_matches_condition_scan(rules + parse_rules(REFERENCE_RULES), side)
+    assert_matches_condition_scan(with_conditions(rules + parse_rules(REFERENCE_RULES)), side)
+
+
+def test_parse_rules_folds_conditions_into_one_box():
+    (messy,) = parse_rules("If theta_Y > -3 theta_X > -1 theta_X <= 4 theta_Y > -5 "
+                           "theta_X <= 2 theta_X > -1 Then up with CF=0.5\n")
+    (canonical,) = parse_rules("If theta_X <= 2 theta_X > -1 theta_Y > -3 Then up with CF=0.5\n")
+    assert messy == canonical == IfThenRule((-1, 2, -3, math.inf), Action.NORTH, 0.5)
+    assert format_rules([messy]) == (
+        "No.1\nIf theta_X <= 2 theta_X > -1 theta_Y > -3 Then up with CF=0.5\n")
+    # Bounds that leave no offset between them match nowhere.
+    (contradictory,) = parse_rules("If theta_X <= -1 theta_Y <= 3 theta_X > 2 Then up with CF=1.0\n")
+    grid = grid_for(13)
+    assert contradictory.box == (2, -1, -math.inf, 3)
+    assert compile_rules([contradictory], grid) == (-1,) * len(grid.offsets)
 
 
 def test_rule_file_round_trip(tmp_path):
@@ -390,8 +418,8 @@ def test_format_tree_golden():
 
 def test_format_rules_golden():
     rules = [
-        IfThenRule((("theta_X", "<=", 0), ("theta_X", ">", -1)), Action.STAY, 1.0),
-        IfThenRule((("theta_X", "<=", -1),), Action.WEST, 10612 / 12519),
+        IfThenRule((-1, 0, -math.inf, math.inf), Action.STAY, 1.0),
+        IfThenRule((-math.inf, -1, -math.inf, math.inf), Action.WEST, 10612 / 12519),
     ]
     assert format_rules(rules) == (
         "No.1\n"
