@@ -186,6 +186,11 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
     the fallback; all learning updates still apply to the action
     actually taken. Runs ``seed``, else the one seed of ``config.seeds``;
     fully deterministic for a given seed.
+
+    The lower layer learns after every step (``deliver_rewards``). A
+    trial's end is decided once, after its step loop: its outcome and its
+    one upper reward (0.0 at the step cap), which every hunter's
+    ``finish_trial`` shares over its trace.
     """
     if seed is None:
         if len(config.seeds) != 1:
@@ -218,13 +223,10 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
                 blank = HunterAgent(agent.index, config)
                 agent.upper, agent.q = blank.upper, blank.q
         world = env.new_world(rng.getrandbits(64), config)
-        for agent in agents:
-            agent.begin_trial()
         epsilon = config.epsilon_at(trial)
         in_window = window[0] <= trial <= window[1]
         log_trajectory = trial == config.trajectory_trial
 
-        captures = None
         resets = 0
         for _ in range(config.step_cap):
             actions = [decide[0](world, rng, epsilon), decide[1](world, rng, epsilon),
@@ -248,26 +250,24 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
                     trajectory.append((*row, label))
 
             outcome = step(world, actions, rng)
-            reached = deliver(agents, outcome)
-            resets += sum(reached)
+            resets += sum(deliver(agents, outcome))
             world = outcome.next_state
             if outcome.captures:
-                captures = outcome.captures
                 break
-        else:
-            for agent in agents:
-                agent.finish_trial(0.0)
 
-        steps = world.step_count
-        if captures:
-            positive = any(kind is PreyKind.POSITIVE for _, kind in captures)
-            outcome_kind = (TrialOutcome.POSITIVE_CAPTURED if positive
-                            else TrialOutcome.DANGEROUS_CAPTURED)
-            gd = (grid.distance[world.prey[0].cell][world.prey[1].cell]
-                  if two_alive else None)
+        # The trial's end: step_cap >= 1, so outcome is the last step's.
+        captures = outcome.captures
+        if not captures:
+            outcome_kind, reward = TrialOutcome.STEP_CAPPED, 0.0
+        elif any(kind is PreyKind.POSITIVE for _, kind in captures):
+            outcome_kind, reward = TrialOutcome.POSITIVE_CAPTURED, config.reward
         else:
-            outcome_kind = TrialOutcome.STEP_CAPPED
-            gd = None
+            outcome_kind, reward = TrialOutcome.DANGEROUS_CAPTURED, config.dangerous_reward
+        gd = (grid.distance[world.prey[0].cell][world.prey[1].cell]
+              if captures and two_alive else None)
+        for agent in agents:
+            agent.finish_trial(reward)
+        steps = world.step_count
         records.append(TrialRecord(
             trial=trial, steps=steps, actions=steps * env.N_HUNTERS + resets,
             outcome=outcome_kind, gd_at_capture=gd,

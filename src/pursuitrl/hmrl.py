@@ -5,7 +5,10 @@ scores candidate target cells from rules keyed by (hunter, prey, own
 position, one peer's position, prey position), summing the score over
 the three peers and discounting by the distance the hunter would have
 to travel. The lower layer is plain Q-learning over the (dx, dy) offset
-to the commanded target.
+to the commanded target. The lower layer backs up after every move
+(:func:`deliver_rewards`); the upper layer learns once per trial, when
+the trial loop settles the trace with the trial's one reward
+(:meth:`HunterAgent.finish_trial`).
 
 In the two-prey setting the upper layer's backward credit is gated by
 the inter-prey distance: share nothing upstream of a step where the two
@@ -22,7 +25,6 @@ when it was built.
 
 from __future__ import annotations
 
-import logging
 from math import isfinite
 from random import Random
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -31,7 +33,6 @@ from .env import (
     N_HUNTERS,
     N_PREY,
     Grid,
-    PreyKind,
     StepOutcome,
     WorldState,
     below,
@@ -41,8 +42,6 @@ from .q_learning import QTable, epsilon_greedy, q_update
 
 if TYPE_CHECKING:
     from .experiment import ExperimentConfig
-
-logger = logging.getLogger(__name__)
 
 # Credit shares below this are dropped during backward reinforcement;
 # with decay <= 0.9 the cutoff is reached within ~200 steps and the
@@ -122,8 +121,6 @@ def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
             prey_index = 0 if d0 < d1 else 1
         else:
             prey_index = below(rng, 2)
-            logger.debug("hunter %d equidistant from both prey, chose %d",
-                         hunter_index, prey_index)
     elif first.alive or second.alive:
         prey_index = 0 if first.alive else 1
     else:
@@ -217,10 +214,6 @@ class HunterAgent:
         # (lower state id, action index, target cell id) of the move in flight
         self.pending: tuple[int, int, int] | None = None
 
-    def begin_trial(self) -> None:
-        self.trace.clear()
-        self.pending = None
-
     def policy_step(self, state: WorldState, rng: Random, exploration: float) -> int:
         """Select this step's target, then the move toward it: an action index."""
         index = self.index
@@ -251,25 +244,17 @@ class HunterAgent:
         return False
 
     def finish_trial(self, reward: float) -> None:
-        """Upper-layer reinforcement (or plain trace reset when reward is 0)."""
+        """Upper-layer reinforcement at the trial's end (a plain trace reset
+        when ``reward`` is 0)."""
         reinforce_upper(self.upper, self.trace, reward, self.config)
 
 
 def deliver_rewards(agents: Sequence[HunterAgent], outcome: StepOutcome) -> list[bool]:
-    """Per-step reward plumbing for all hunters.
-
-    Every hunter gets its lower-layer update; on a capture the upper
-    traces are settled with each agent's configured positive or dangerous
-    reward, gated when its config enables the AT field.
-    Returns the per-hunter target-reached flags.
+    """The lower layer's per-step update: every hunter observes the moved
+    world. Returns the per-hunter target-reached flags. The upper layer
+    learns only at the trial's end (:meth:`HunterAgent.finish_trial`).
     """
     next_state = outcome.next_state
     a0, a1, a2, a3 = agents     # N_HUNTERS == 4
-    reached = [a0.observe(next_state), a1.observe(next_state), a2.observe(next_state),
-               a3.observe(next_state)]
-    if outcome.captures:
-        positive = any(kind is PreyKind.POSITIVE for _, kind in outcome.captures)
-        for agent in agents:
-            config = agent.config
-            agent.finish_trial(config.reward if positive else config.dangerous_reward)
-    return reached
+    return [a0.observe(next_state), a1.observe(next_state), a2.observe(next_state),
+            a3.observe(next_state)]

@@ -245,13 +245,14 @@ def rule_policy_act(compiled: Sequence[int], offset: int,
 
 
 def _conditions_text(box: Sequence[float]) -> str:
-    """Per attribute, its finite upper bound and then its finite lower bound."""
+    """Per attribute, its finite upper bound and then its finite lower bound,
+    a whole number spelled as an int (as extracted rules hold), any other by ``repr``."""
     conditions = []
     for attribute, lower, upper in zip(ATTRIBUTES, box[::2], box[1::2]):
-        if upper != math.inf:
-            conditions.append(f"{attribute} <= {upper:g}")
-        if lower != -math.inf:
-            conditions.append(f"{attribute} > {lower:g}")
+        for op, bound, open_side in (("<=", upper, math.inf), (">", lower, -math.inf)):
+            if bound != open_side:
+                text = str(int(bound)) if bound == int(bound) else repr(bound)
+                conditions.append(f"{attribute} {op} {text}")
     return " ".join(conditions)
 
 
@@ -265,7 +266,7 @@ def format_rules(rules: Sequence[IfThenRule]) -> str:
 
 
 _RULE_RE = re.compile(r"^If\s*(.*?)\s*Then (\S+) with CF=(\S+)$")
-_COND_RE = re.compile(r"(theta_[XY])\s*(<=|>)\s*(-?\d+(?:\.\d+)?)")
+_COND_RE = re.compile(r"(theta_[XY])\s*(<=|>)\s*(-?\d+(?:\.\d+)?(?:e[-+]\d+)?)")
 
 
 def parse_rules(text: str) -> list[IfThenRule]:

@@ -102,6 +102,62 @@ def test_step_capped_outcome():
     assert all(r.steps <= 1 for r in result.records)
 
 
+@pytest.mark.parametrize("dangerous_reward", [0.0, -1.0])
+def test_a_dangerous_capture_settles_the_dangerous_reward(dangerous_reward):
+    config = replace(QUICK, trials=3, step_cap=3000, prey_alive=(False, True),
+                     dangerous_reward=dangerous_reward)
+    result = run_training(config, seed=1)
+    assert all(r.outcome is TrialOutcome.DANGEROUS_CAPTURED for r in result.records)
+    for agent in result.agents:
+        weights = rule_weights(agent.upper).values()
+        if dangerous_reward == 0.0:
+            assert not weights
+        else:
+            assert weights and all(weight < 0.0 for weight in weights)
+
+
+@pytest.mark.parametrize("reward", [5.0, 100.0])
+def test_a_positive_capture_settles_the_reward_once(reward):
+    config = replace(QUICK, trials=1, step_cap=3000, prey_alive=(True, False), reward=reward)
+    result = run_training(config, seed=1)
+    assert [r.outcome for r in result.records] == [TrialOutcome.POSITIVE_CAPTURED]
+    for agent in result.agents:
+        weights = rule_weights(agent.upper).values()
+        # The newest step's three modules take the whole reward each; with a
+        # lone prey the gate stays open, so the shares form a geometric series.
+        assert max(weights) >= reward
+        assert sum(weights) <= 3 * reward / (1 - config.upper_decay)
+
+
+def test_a_step_capped_trial_settles_no_reward():
+    config = replace(QUICK, step_cap=5, dangerous_reward=-1.0)
+    result = run_training(config, seed=1)
+    assert all(r.outcome is TrialOutcome.STEP_CAPPED for r in result.records)
+    assert all(len(agent.upper) == 0 for agent in result.agents)
+
+
+def test_every_decision_starts_from_the_trials_trace_and_no_pending_move(monkeypatch):
+    """A trial starts with empty traces and no move in flight, with no
+    per-trial reset: each trial end clears the trace, each step the move."""
+    calls = []
+    policy_step = HunterAgent.policy_step
+
+    def checked(self, state, rng, exploration):
+        assert len(self.trace) == state.step_count
+        assert self.pending is None
+        calls.append(state.step_count)
+        return policy_step(self, state, rng, exploration)
+
+    monkeypatch.setattr(HunterAgent, "policy_step", checked)
+    partial_rules = parse_rules("No.1\nIf theta_X <= 0 Then left with CF=1.0\n")
+    for config, rules in ((replace(QUICK, step_cap=5), None), (QUICK, None),
+                          (replace(QUICK, strict_reset=True), None),
+                          (replace(QUICK, rule_fallback="stay"), partial_rules)):
+        calls.clear()
+        result = run_training(config, seed=2, rules=rules)
+        assert len(calls) == N_HUNTERS * sum(r.steps for r in result.records)
+
+
 def test_tables_persist_across_trials():
     result = run_training(replace(QUICK, trials=4), seed=2)
     assert any(len(agent.q.values) > 0 for agent in result.agents)

@@ -389,58 +389,55 @@ def stay_put(agent):
     agent.pending = (lower, Action.STAY, target)
 
 
-def test_deliver_rewards_terminal_reach_and_capture():
-    world = make_world([(2, 3), (4, 3), (3, 2), (3, 4)], [(3, 3), (0, 0)],
-                       alive=(True, True))
-    agents = [HunterAgent(i, CONFIG) for i in range(4)]
-    rng = Random(0)
-    actions = [a.policy_step(world, rng, 0.0) for a in agents]
-    # Freeze everyone in place so the capture happens now.
-    for agent in agents:
-        stay_put(agent)
-    outcome = step(world, [Action.STAY] * 4, rng,
-                   prey_policy=lambda s, j, legal, r: Action.STAY)
-    assert (0, PreyKind.POSITIVE) in outcome.captures
-    deliver_rewards(agents, outcome)
-    for agent in agents:
-        assert len(agent.trace) == 0            # settled and cleared
-        assert len(agent.upper) > 0             # positive capture reinforced
-        assert len(agent.q.values) == 1         # one lower-layer backup
-
-
-def test_deliver_rewards_dangerous_capture_no_upper_change():
-    world = make_world([(2, 3), (4, 3), (3, 2), (3, 4)], [(3, 3), (0, 0)],
-                       kinds=(PreyKind.DANGEROUS, PreyKind.POSITIVE))
-    agents = [HunterAgent(i, CONFIG) for i in range(4)]
-    rng = Random(0)
-    for a in agents:
-        a.policy_step(world, rng, 0.0)
-        stay_put(a)
-    outcome = step(world, [Action.STAY] * 4, rng,
-                   prey_policy=lambda s, j, legal, r: Action.STAY)
-    assert (0, PreyKind.DANGEROUS) in outcome.captures
-    deliver_rewards(agents, outcome)
-    for agent in agents:
-        assert len(agent.upper) == 0
-        assert len(agent.trace) == 0
-
-
-@pytest.mark.parametrize("reward", [100.0, 5.0])
-def test_deliver_rewards_credits_the_agents_reward(reward):
-    world = make_world([(2, 3), (4, 3), (3, 2), (3, 4)], [(3, 3), (0, 0)])
-    agents = [HunterAgent(i, replace(CONFIG, reward=reward)) for i in range(4)]
+def captured_step(config, kinds=(PreyKind.POSITIVE, PreyKind.DANGEROUS)):
+    """Hunters around prey 0 decide a move, then stay put: prey 0 is
+    captured on this first step. Returns the agents, each one's trace
+    after deciding, and the step's outcome."""
+    world = make_world([(2, 3), (4, 3), (3, 2), (3, 4)], [(3, 3), (0, 0)], kinds=kinds)
+    agents = [HunterAgent(i, config) for i in range(4)]
     rng = Random(0)
     for agent in agents:
         agent.policy_step(world, rng, 0.0)
         stay_put(agent)
+    traces = [list(agent.trace) for agent in agents]
     outcome = step(world, [Action.STAY] * 4, rng,
                    prey_policy=lambda s, j, legal, r: Action.STAY)
-    assert (0, PreyKind.POSITIVE) in outcome.captures
+    assert (0, kinds[0]) in outcome.captures
+    return agents, traces, outcome
+
+
+def assert_lower_layer_only(agents, traces):
+    for agent, trace in zip(agents, traces):
+        assert len(agent.q.values) == 1         # one lower-layer backup
+        assert len(agent.upper) == 0            # the upper layer waits for the trial's end
+        assert len(trace) == 1 and agent.trace == trace
+        assert agent.pending is None
+
+
+def test_deliver_rewards_terminal_reach_and_capture():
+    agents, traces, outcome = captured_step(CONFIG)
+    assert len(deliver_rewards(agents, outcome)) == 4
+    assert_lower_layer_only(agents, traces)
+
+
+def test_deliver_rewards_dangerous_capture_no_upper_change():
+    agents, traces, outcome = captured_step(
+        replace(CONFIG, dangerous_reward=-1.0), kinds=(PreyKind.DANGEROUS, PreyKind.POSITIVE))
     deliver_rewards(agents, outcome)
+    assert_lower_layer_only(agents, traces)
+
+
+@pytest.mark.parametrize("reward", [100.0, 5.0])
+def test_deliver_rewards_leaves_the_agents_reward_to_the_trial_end(reward):
+    agents, traces, outcome = captured_step(replace(CONFIG, reward=reward))
+    deliver_rewards(agents, outcome)
+    assert_lower_layer_only(agents, traces)
     for agent in agents:
+        agent.finish_trial(agent.config.reward)
         # one traced step: the newest step takes the whole reward
         weights = reference.rule_weights(agent.upper)
         assert weights and set(weights.values()) == {reward}
+        assert agent.trace == []
 
 
 def test_dead_prey_never_targeted():

@@ -366,6 +366,30 @@ def test_rule_file_round_trip(tmp_path):
     assert parse_rules(text) == rules
 
 
+@pytest.mark.parametrize("conditions, spelled", [
+    ("theta_X <= 2.9999999", "theta_X <= 2.9999999"),   # not "<= 3": offset 3 stays out
+    ("theta_X <= 1234567", "theta_X <= 1234567"),
+    ("theta_Y > 0.00000015", "theta_Y > 1.5e-07"),
+    ("theta_X <= 2.5 theta_Y > -0.5", "theta_X <= 2.5 theta_Y > -0.5"),
+])
+def test_a_hand_edited_bound_survives_format_and_parse(conditions, spelled):
+    (rule,) = parse_rules(f"If {conditions} Then up with CF=1.0\n")
+    text = format_rules([rule])
+    assert text == f"No.1\nIf {spelled} Then up with CF=1.0\n"
+    assert parse_rules(text) == [rule]
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_boxes = st.tuples(st.one_of(st.just(-math.inf), _finite), st.one_of(st.just(math.inf), _finite),
+                   st.one_of(st.just(-math.inf), _finite), st.one_of(st.just(math.inf), _finite))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(IfThenRule, _boxes, st.sampled_from(ACTIONS), _finite), max_size=4))
+def test_formatted_rules_parse_back_equal(rules):
+    assert parse_rules(format_rules(rules)) == rules
+
+
 def test_parse_rules_rejects_garbage():
     with pytest.raises(ValueError):
         parse_rules("If theta_X <= 1 Do something\n")
