@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from enum import Enum, IntEnum
+from enum import IntEnum
 from functools import lru_cache
 from random import Random
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
@@ -53,20 +53,11 @@ ACTION_LABELS = ("stay", "up", "down", "right", "left")
 ACTION_BY_LABEL = dict(zip(ACTION_LABELS, ACTIONS))
 
 
-class PreyKind(Enum):
-    POSITIVE = "positive"
-    DANGEROUS = "dangerous"
-
-
 N_HUNTERS = 4
 N_PREY = 2
 
 HUNTER_IDS = tuple(f"h{i}" for i in range(N_HUNTERS))
 PREY_IDS = tuple(f"p{j}" for j in range(N_PREY))
-
-# Names of a step's agents (the hunters, then the live prey) by the prey's alive flags.
-_AGENT_NAMES = {(a, b): HUNTER_IDS + tuple(name for name, alive in zip(PREY_IDS, (a, b)) if alive)
-                for a in (False, True) for b in (False, True)}    # N_PREY == 2
 # By agent count: (m, bits) of each draw of the priority walk, m falling to 2.
 _PRIORITY_DRAWS = tuple(tuple((m, m.bit_length()) for m in range(n, 1, -1))
                         for n in range(N_HUNTERS + N_PREY + 1))
@@ -131,6 +122,9 @@ class Grid:
                       for mode, rows in self.candidates.items()}
         self._divisors: dict[float, tuple[tuple[float, ...], ...]] = {}
 
+    def __repr__(self) -> str:
+        return f"grid_for({self.side})"
+
     def reach_divisors(self, base: float) -> tuple[tuple[float, ...], ...]:
         """``base ** d`` for the distance ``d`` from every cell (outer) to
         every cell (inner)."""
@@ -155,42 +149,34 @@ def grid_for(side: int) -> Grid:
 
 
 @dataclass(slots=True)
-class PreyState:
-    cell: int               # cell id on the world's grid
-    alive: bool
-    kind: PreyKind
-
-
-@dataclass(slots=True)
 class WorldState:
-    side: int
-    hunters: list[int]      # cell ids on the world's grid
-    prey: list[PreyState]
+    grid: Grid
+    hunters: list[int]      # cell ids on the grid
+    prey: list[int]         # cell ids on the grid; a dead prey keeps its last cell
+    alive: list[bool]       # by prey
     step_count: int = 0
-    # derived once for every hunter: the side's grid, the prey distance or None
-    grid: Grid = field(init=False, repr=False, compare=False)
+    # derived once for every hunter: the prey distance with both prey alive, else None
     gap: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.grid = grid = grid_for(self.side)
-        first, second = self.prey      # N_PREY == 2
-        self.gap = grid.distance[first.cell][second.cell] if first.alive and second.alive else None
+        first, second = self.alive      # N_PREY == 2
+        self.gap = self.grid.distance[self.prey[0]][self.prey[1]] if first and second else None
 
 
 @dataclass(slots=True)
 class StepOutcome:
     next_state: WorldState
-    captures: list[tuple[int, PreyKind]] = field(default_factory=list)
-    blocked_moves: list[str] = field(default_factory=list)
+    captures: list[int] = field(default_factory=list)         # prey indices
+    # indices into the step's agents (the hunters, then the live prey in
+    # prey order), in priority order
+    blocked_moves: list[int] = field(default_factory=list)
 
 
 def new_world(seed: int, config: ExperimentConfig) -> WorldState:
     """Place 4 hunters and 2 prey on distinct random cells of the config's grid."""
-    side = config.grid_side
-    picks = Random(seed).sample(range(side * side), N_HUNTERS + N_PREY)
-    prey = [PreyState(picks[N_HUNTERS + j], config.prey_alive[j], PreyKind(config.prey_kinds[j]))
-            for j in range(N_PREY)]
-    return WorldState(side, picks[:N_HUNTERS], prey)
+    grid = grid_for(config.grid_side)
+    picks = Random(seed).sample(range(grid.size), N_HUNTERS + N_PREY)
+    return WorldState(grid, picks[:N_HUNTERS], picks[N_HUNTERS:], list(config.prey_alive))
 
 
 def below(rng: Random, n: int) -> int:
@@ -228,8 +214,10 @@ def step(state: WorldState, hunter_actions: Sequence[int], rng: Random,
     Movement conflicts (two agents claiming one cell, or moving onto an
     agent that stays put) are settled by a random priority order drawn
     from ``rng``; losers stay where they are. Captured prey are marked
-    dead and stop occupying their cell. An index out of range, or a move
-    off the grid, raises ``ValueError`` naming the agent."""
+    dead and stop occupying their cell. The outcome names captured prey by
+    index and blocked agents by their index among the step's agents. An
+    index out of range, or a move off the grid, raises ``ValueError``
+    naming the agent."""
     if len(hunter_actions) != N_HUNTERS:
         raise ValueError(f"expected {N_HUNTERS} hunter actions")
 
@@ -251,9 +239,9 @@ def step(state: WorldState, hunter_actions: Sequence[int], rng: Random,
     # Prey draws happen before the priority draw, in prey order, so the
     # rng stream for a step is well defined. Uniform picks are drawn as in below().
     getrandbits = rng.getrandbits
-    for j, prey in enumerate(state.prey):
-        if prey.alive:
-            cell = prey.cell
+    alive = state.alive
+    for j, cell in enumerate(state.prey):
+        if alive[j]:
             if prey_policy is random_prey_policy:
                 destinations, m, bits = grid.uniform_moves[cell]
                 r = getrandbits(bits)
@@ -303,26 +291,23 @@ def step(state: WorldState, hunter_actions: Sequence[int], rng: Random,
         final = current
         for target, k in heading.items():
             final[k] = target
-        names = _AGENT_NAMES[state.prey[0].alive, state.prey[1].alive]
-        blocked_moves = [names[k] for k in order if blocked[k]]
+        blocked_moves = [k for k in order if blocked[k]]
 
     hunters = final[:N_HUNTERS]
     hunter_cells = set(hunters)
     neighbors = grid.neighbors
-    captures: list[tuple[int, PreyKind]] = []
-    next_prey: list[PreyState] = []
+    prey = state.prey[:]
+    alive = state.alive[:]
+    captures = []
     k = N_HUNTERS
-    for j, p in enumerate(state.prey):
-        if p.alive:
-            cell = final[k]
+    for j in range(N_PREY):
+        if alive[j]:
+            prey[j] = cell = final[k]
             k += 1
-            alive = not hunter_cells.issuperset(neighbors[cell])
-            if not alive:
-                captures.append((j, p.kind))
-            next_prey.append(PreyState(cell, alive, p.kind))
-        else:
-            next_prey.append(PreyState(p.cell, False, p.kind))
-    return StepOutcome(WorldState(state.side, hunters, next_prey, state.step_count + 1),
+            if hunter_cells.issuperset(neighbors[cell]):
+                alive[j] = False
+                captures.append(j)
+    return StepOutcome(WorldState(grid, hunters, prey, alive, state.step_count + 1),
                        captures, blocked_moves)
 
 
@@ -331,8 +316,8 @@ def trajectory_rows(state: WorldState) -> list[tuple[int, str, int, int]]:
     cells = state.grid.cells
     rows = [(state.step_count, HUNTER_IDS[i], *cells[cell])
             for i, cell in enumerate(state.hunters)]
-    rows.extend((state.step_count, PREY_IDS[j], *cells[p.cell])
-                for j, p in enumerate(state.prey) if p.alive)
+    rows.extend((state.step_count, PREY_IDS[j], *cells[cell])
+                for j, cell in enumerate(state.prey) if state.alive[j])
     return rows
 
 

@@ -18,7 +18,7 @@ from random import Random
 from typing import Sequence
 
 from . import env, hmrl, knowledge, profit_sharing, q_learning, tableio
-from .env import ACTION_LABELS, ACTIONS, CANDIDATE_MODES, N_PREY, Action, PreyKind
+from .env import ACTION_LABELS, ACTIONS, CANDIDATE_MODES, N_PREY, Action
 from .hmrl import HunterAgent, deliver_rewards
 from .knowledge import IfThenRule, Instance, compile_rules, rule_policy_act
 
@@ -26,6 +26,13 @@ from .knowledge import IfThenRule, Instance, compile_rules, rule_policy_act
 RULE_FALLBACKS = ("learner", "stay")
 # _RETURN_ACTION[a]: the rule fallback that returns action index a
 _RETURN_ACTION = tuple((lambda _offset, action=action: action) for action in range(len(ACTIONS)))
+
+
+class PreyKind(Enum):
+    """What capturing a prey is worth: the run's ``reward`` or its ``dangerous_reward``."""
+
+    POSITIVE = "positive"
+    DANGEROUS = "dangerous"
 
 
 class TrialOutcome(Enum):
@@ -209,6 +216,7 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
     logged = [[Instance(dx, dy, action) for action in ACTIONS] for dx, dy in grid.offsets]
     trajectory: list[tuple[int, str, int, int, str]] = []
     two_alive = all(config.prey_alive)
+    kinds = [PreyKind(kind) for kind in config.prey_kinds]
     # bound per call, not at import: a wrapper installed after import is called
     step, deliver = env.step, deliver_rewards
     decide = [agent.policy_step for agent in agents]     # N_HUNTERS == 4
@@ -259,11 +267,11 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
         captures = outcome.captures
         if not captures:
             outcome_kind, reward = TrialOutcome.STEP_CAPPED, 0.0
-        elif any(kind is PreyKind.POSITIVE for _, kind in captures):
+        elif any(kinds[j] is PreyKind.POSITIVE for j in captures):
             outcome_kind, reward = TrialOutcome.POSITIVE_CAPTURED, config.reward
         else:
             outcome_kind, reward = TrialOutcome.DANGEROUS_CAPTURED, config.dangerous_reward
-        gd = (grid.distance[world.prey[0].cell][world.prey[1].cell]
+        gd = (grid.distance[world.prey[0]][world.prey[1]]
               if captures and two_alive else None)
         for agent in agents:
             agent.finish_trial(reward)

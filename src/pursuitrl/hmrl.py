@@ -115,18 +115,18 @@ def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
     own = hunters[hunter_index]
     if state.gap is not None:               # both prey alive
         distance = grid.distance[own]
-        d0 = distance[first.cell]
-        d1 = distance[second.cell]
+        d0 = distance[first]
+        d1 = distance[second]
         if d0 != d1:
             prey_index = 0 if d0 < d1 else 1
         else:
             prey_index = below(rng, 2)
-    elif first.alive or second.alive:
-        prey_index = 0 if first.alive else 1
+    elif True in state.alive:
+        prey_index = state.alive.index(True)
     else:
         raise ValueError("no alive prey to target")
 
-    goal = prey[prey_index].cell
+    goal = prey[prey_index]
     mode = config.candidate_mode
     cells = grid.candidates[mode][goal]
     n = grid.size

@@ -288,7 +288,10 @@ def parse_rules(text: str) -> list[IfThenRule]:
                 box[i] = (min if op == "<=" else max)(box[i], float(threshold))
             if label not in ACTION_BY_LABEL:
                 raise ValueError(f"unknown action label {label!r}")
-            rules.append(IfThenRule(tuple(box), ACTION_BY_LABEL[label], float(cf_text)))
+            cf = float(cf_text)
+            if not 0.0 <= cf <= 1.0:        # also false for nan
+                raise ValueError(f"confidence factor {cf_text} is not in [0, 1]")
+            rules.append(IfThenRule(tuple(box), ACTION_BY_LABEL[label], cf))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}: {line!r}") from None
     return rules

@@ -25,7 +25,7 @@ from random import Random
 from typing import NamedTuple
 
 from pursuitrl.env import (ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, N_HUNTERS, N_PREY, Action,
-                           Grid, Position, PreyKind, PreyState, WorldState, below)
+                           Grid, Position, WorldState, below, grid_for)
 from pursuitrl.experiment import run_meta
 from pursuitrl.hmrl import lower_state_texts
 from pursuitrl.knowledge import INSTANCE_HEADER, Instance, Split, format_rules
@@ -56,18 +56,17 @@ def position(cell: int, side: int) -> Position:
     return Position(*divmod(cell, side))
 
 
-def make_world(hunters, prey, alive=(True, True),
-               kinds=(PreyKind.POSITIVE, PreyKind.DANGEROUS), side=7) -> WorldState:
+def make_world(hunters, prey, alive=(True, True), side=7) -> WorldState:
     """A cell-id world state from hunter and prey ``(x, y)`` positions."""
-    return WorldState(side=side, hunters=[cell_id(h, side) for h in hunters],
-                      prey=[PreyState(cell_id(p, side), a, k)
-                            for p, a, k in zip(prey, alive, kinds)])
+    return WorldState(grid_for(side), [cell_id(h, side) for h in hunters],
+                      [cell_id(p, side) for p in prey], list(alive))
 
 
 def positions(state: WorldState) -> tuple[list[Position], list[Position]]:
     """The hunter and prey positions of a cell-id world state."""
-    return ([position(cell, state.side) for cell in state.hunters],
-            [position(p.cell, state.side) for p in state.prey])
+    side = state.grid.side
+    return ([position(cell, side) for cell in state.hunters],
+            [position(cell, side) for cell in state.prey])
 
 
 def lower_state(offset, prey: int, side: int) -> int:
@@ -304,7 +303,7 @@ def select_target(rules: dict, hunter: int, state: WorldState, rng: Random,
     ``(target, prey)``, drawing from ``rng`` as the program does."""
     hunters, prey_positions = positions(state)
     own = hunters[hunter]
-    alive = [j for j, prey in enumerate(state.prey) if prey.alive]
+    alive = [j for j in range(N_PREY) if state.alive[j]]
     if len(alive) == 1:
         prey = alive[0]
     else:
@@ -314,7 +313,7 @@ def select_target(rules: dict, hunter: int, state: WorldState, rng: Random,
     goal = prey_positions[prey]
     keys = [ModuleKey(hunter, prey, own, peer, goal)
             for k, peer in enumerate(hunters) if k != hunter]
-    cells = candidate_cells(goal, state.side, mode)
+    cells = candidate_cells(goal, state.grid.side, mode)
 
     def score(cell):
         total = 0.0
@@ -412,21 +411,23 @@ def rule_matches(conditions, theta_x: int, theta_y: int) -> bool:
 
 
 def step(state: WorldState, hunter_actions, rng: Random, prey_actions=None):
-    """One world tick with agent-id dicts: ``(next_state, captures, blocked)``.
+    """One world tick with agent-id dicts: ``(next_state, captures, blocked)``,
+    the captured prey's indices and the blocked agents' indices among the
+    step's agents (hunters, then live prey), in priority order.
 
     Same rules and rng draws as :func:`pursuitrl.env.step` with random prey,
     or with the prey policy that moves each live prey ``j`` by
     ``prey_actions[j]`` (drawing nothing for it).
     """
-    side = state.side
+    side = state.grid.side
     hunter_positions, prey_positions = positions(state)
     current, dest = {}, {}
     for i, action in enumerate(hunter_actions):
         pos = hunter_positions[i]
         current[f"h{i}"] = pos
         dest[f"h{i}"] = moved(pos, action)
-    for j, prey in enumerate(state.prey):
-        if prey.alive:
+    for j in range(N_PREY):
+        if state.alive[j]:
             pos = prey_positions[j]
             action = (rng.choice(legal_actions(pos, side)) if prey_actions is None
                       else prey_actions[j])
@@ -458,16 +459,17 @@ def step(state: WorldState, hunter_actions, rng: Random, prey_actions=None):
     final = {aid: (dest[aid] if aid in movers else current[aid]) for aid in current}
     hunters = [final[f"h{i}"] for i in range(len(state.hunters))]
     prey_final = [final.get(f"p{j}", pos) for j, pos in enumerate(prey_positions)]
-    prey = [PreyState(cell_id(pos, side), p.alive, p.kind)
-            for pos, p in zip(prey_final, state.prey)]
+    alive = list(state.alive)
     captures = []
-    for j, p in enumerate(prey):
+    for j in range(N_PREY):
         surrounded = all(cell in set(hunters) for cell in neighbor_cells(prey_final[j], side))
-        if p.alive and surrounded:
-            captures.append((j, p.kind))
-            p.alive = False
-    blocked.sort(key=rank.__getitem__)
-    next_state = WorldState(side, [cell_id(pos, side) for pos in hunters], prey,
+        if alive[j] and surrounded:
+            captures.append(j)
+            alive[j] = False
+    agent_index = {aid: k for k, aid in enumerate(current)}
+    blocked = [agent_index[aid] for aid in sorted(blocked, key=rank.__getitem__)]
+    next_state = WorldState(state.grid, [cell_id(pos, side) for pos in hunters],
+                            [cell_id(pos, side) for pos in prey_final], alive,
                             state.step_count + 1)
     return next_state, captures, blocked
 

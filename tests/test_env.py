@@ -6,11 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pursuitrl.env import (
-    HUNTER_IDS,
-    PREY_IDS,
+    N_HUNTERS,
     Action,
-    PreyKind,
-    PreyState,
     WorldState,
     below,
     grid_for,
@@ -39,16 +36,9 @@ def test_new_world_deterministic():
 def test_new_world_positions_distinct():
     for seed in range(50):
         world = new_world(seed, CONFIG)
-        cells = [*world.hunters, *(p.cell for p in world.prey)]
+        cells = [*world.hunters, *world.prey]
         assert len(set(cells)) == 6
         assert all(0 <= c < 49 for c in cells)
-
-
-def test_new_world_prey_kinds_follow_config():
-    config = ExperimentConfig(prey_kinds=("dangerous", "positive"))
-    world = new_world(3, config)
-    assert world.prey[0].kind is PreyKind.DANGEROUS
-    assert world.prey[1].kind is PreyKind.POSITIVE
 
 
 def test_new_world_grid_too_small():
@@ -120,14 +110,14 @@ def test_step_same_destination_priority_draw():
         h0, h1 = hunter_positions(out)[:2]
         assert {h0, h1} in ({(1, 0), (2, 0)}, {(0, 0), (1, 0)})
 
-        expected_order = ["h0", "h1", "h2", "h3"]
+        expected_order = [0, 1, 2, 3]
         Random(seed).shuffle(expected_order)
-        expected_winner = min(("h0", "h1"), key=expected_order.index)
-        winner = "h0" if h0 == (1, 0) else "h1"
+        expected_winner = min((0, 1), key=expected_order.index)
+        winner = 0 if h0 == (1, 0) else 1
         assert winner == expected_winner
-        assert out.blocked_moves == [("h1" if winner == "h0" else "h0")]
+        assert out.blocked_moves == [1 - winner]
         winners.add(winner)
-    assert winners == {"h0", "h1"}
+    assert winners == {0, 1}
 
 
 def test_step_move_onto_stayer_blocked():
@@ -135,7 +125,7 @@ def test_step_move_onto_stayer_blocked():
                        alive=(False, False))
     out = step(world, [Action.EAST, Action.STAY, Action.STAY, Action.STAY], Random(0))
     assert hunter_positions(out)[0] == (0, 0)
-    assert out.blocked_moves == ["h0"]
+    assert out.blocked_moves == [0]
 
 
 def test_step_chain_behind_stayer_blocked():
@@ -144,18 +134,18 @@ def test_step_chain_behind_stayer_blocked():
                        alive=(False, False))
     out = step(world, [Action.EAST, Action.EAST, Action.STAY, Action.STAY], Random(0))
     assert hunter_positions(out)[:3] == [(0, 0), (1, 0), (2, 0)]
-    assert set(out.blocked_moves) == {"h0", "h1"}
+    assert set(out.blocked_moves) == {0, 1}
 
 
-def test_step_names_a_blocked_prey_by_its_prey_index():
-    # Prey 0 is dead, so prey 1 is the only live prey; it draws EAST onto
-    # h0, who stays, and must be reported as "p1", not by its place among
-    # the live prey.
+def test_step_numbers_a_lone_live_prey_right_after_the_hunters():
+    # Prey 0 is dead, so prey 1 is the step's only live prey and its agent
+    # 4; it draws EAST onto h0, who stays, and must be reported as 4, its
+    # place among the step's agents, not 5.
     world = make_world([(1, 0), (3, 3), (5, 6), (6, 5)], [(4, 4), (0, 0)],
                        alive=(False, True))
     assert Action(Random(5).choice(grid_for(7).legal[0])) is Action.EAST
     out = step(world, [Action.STAY] * 4, Random(5))
-    assert out.blocked_moves == ["p1"]
+    assert out.blocked_moves == [N_HUNTERS]
     assert positions(out.next_state)[1][1] == (0, 0)
 
 
@@ -172,8 +162,9 @@ def test_step_capture_marks_prey_dead():
                        alive=(True, False))
     out = step(world, [Action.STAY] * 4, Random(2),
                prey_policy=lambda state, j, legal, rng: Action.STAY)
-    assert out.captures == [(0, PreyKind.POSITIVE)]
-    assert not out.next_state.prey[0].alive
+    assert out.captures == [0]
+    assert out.next_state.alive == [False, False]
+    assert out.next_state.prey == world.prey
 
 
 def test_captures_only_previously_alive_prey():
@@ -191,12 +182,12 @@ def still_step(world):
 
 def test_is_captured_interior():
     world = make_world([(2, 3), (4, 3), (3, 2), (3, 4)], [(3, 3), (6, 6)])
-    assert still_step(world) == [(0, PreyKind.POSITIVE)]
+    assert still_step(world) == [0]
 
 
 def test_is_captured_corner_walls_block():
     world = make_world([(1, 0), (0, 1), (5, 5), (6, 6)], [(0, 0), (3, 3)])
-    assert still_step(world) == [(0, PreyKind.POSITIVE)]
+    assert still_step(world) == [0]
 
 
 def test_is_captured_missing_hunter():
@@ -219,7 +210,7 @@ def test_manhattan_distance_symmetric():
 
 
 def random_hunter_actions(world, rng):
-    legal = grid_for(world.side).legal
+    legal = world.grid.legal
     return [rng.choice(legal[cell]) for cell in world.hunters]
 
 
@@ -227,12 +218,12 @@ def test_fuzz_occupancy_and_bounds():
     rng = Random(123)
     world = new_world(9, CONFIG)
     for _ in range(10_000):
-        if not any(prey.alive for prey in world.prey):
+        if not any(world.alive):
             world = new_world(rng.getrandbits(32), CONFIG)
         out = step(world, random_hunter_actions(world, rng), rng)
         world = out.next_state
         occupied = [*world.hunters,
-                    *(p.cell for p in world.prey if p.alive)]
+                    *(cell for cell, alive in zip(world.prey, world.alive) if alive)]
         assert len(set(occupied)) == len(occupied)
         assert all(0 <= c < 49 for c in occupied)
 
@@ -244,8 +235,7 @@ def test_trajectory_determinism():
         states = []
         for _ in range(200):
             world = step(world, random_hunter_actions(world, rng), rng).next_state
-            states.append((tuple(world.hunters),
-                           tuple((p.cell, p.alive) for p in world.prey)))
+            states.append((tuple(world.hunters), tuple(world.prey), tuple(world.alive)))
         return states
 
     assert run(5) == run(5)
@@ -258,11 +248,11 @@ def test_dead_prey_never_moves_or_returns():
                prey_policy=lambda state, j, legal, r: Action.STAY)
     assert out.captures
     world = out.next_state
-    resting = world.prey[0].cell
+    resting = world.prey[0]
     for _ in range(100):
         world = step(world, random_hunter_actions(world, rng), rng).next_state
-        assert not world.prey[0].alive
-        assert world.prey[0].cell == resting
+        assert not world.alive[0]
+        assert world.prey[0] == resting
 
 
 def test_trajectory_csv_round_trip(tmp_path):
@@ -287,11 +277,9 @@ def stepped_worlds(draw, max_side=9):
     side = draw(st.integers(3, max_side))
     grid = grid_for(side)
     cells = draw(st.lists(st.integers(0, grid.size - 1), min_size=6, max_size=6, unique=True))
-    alive = draw(st.tuples(st.booleans(), st.booleans()))
-    kinds = draw(st.permutations((PreyKind.POSITIVE, PreyKind.DANGEROUS)))
-    prey = [PreyState(cells[4 + j] if alive[j] else draw(st.integers(0, grid.size - 1)),
-                      alive[j], kinds[j]) for j in range(2)]
-    world = WorldState(side, cells[:4], prey)
+    alive = draw(st.lists(st.booleans(), min_size=2, max_size=2))
+    prey = [cells[4 + j] if alive[j] else draw(st.integers(0, grid.size - 1)) for j in range(2)]
+    world = WorldState(grid, cells[:4], prey, alive)
     actions = [draw(st.sampled_from(grid.legal[cell])) for cell in world.hunters]
     return world, actions, draw(st.integers(0, 2**32 - 1))
 
@@ -300,51 +288,50 @@ def stepped_worlds(draw, max_side=9):
 @given(case=stepped_worlds(), dead_cells=st.tuples(st.integers(0, 80), st.integers(0, 80)))
 def test_step_invariants(case, dead_cells):
     world, actions, seed = case
-    grid = grid_for(world.side)
+    grid = world.grid
+    side = grid.side
     rng = Random(seed)
     out = step(world, actions, rng)
     after = out.next_state
-    live = [j for j, p in enumerate(world.prey) if p.alive]
-    before_cells = world.hunters + [world.prey[j].cell for j in live]
-    after_cells = after.hunters + [after.prey[j].cell for j in live]
-    ids = [*HUNTER_IDS, *(PREY_IDS[j] for j in live)]
+    live = [j for j in range(2) if world.alive[j]]
+    before_cells = world.hunters + [world.prey[j] for j in live]
+    after_cells = after.hunters + [after.prey[j] for j in live]
 
     # Agents stay on distinct cells and move at most one cell.
     assert len(set(after_cells)) == len(after_cells)
     assert all(grid.distance[a][b] <= 1 for a, b in zip(before_cells, after_cells))
-    # A blocked agent stays put; an unblocked hunter reaches its destination.
+    # Blocked agents are indices into the step's agents (hunters, then the
+    # live prey). A blocked agent stays put; an unblocked hunter reaches
+    # its destination.
     assert len(set(out.blocked_moves)) == len(out.blocked_moves)
-    for agent, before, now in zip(ids, before_cells, after_cells):
-        if agent in out.blocked_moves:
+    assert all(0 <= k < len(before_cells) for k in out.blocked_moves)
+    for k, (before, now) in enumerate(zip(before_cells, after_cells)):
+        if k in out.blocked_moves:
             assert now == before
     for i, (cell, action) in enumerate(zip(world.hunters, actions)):
-        if HUNTER_IDS[i] not in out.blocked_moves:
+        if i not in out.blocked_moves:
             assert after.hunters[i] == grid.moves[cell][action]
     # A live prey is captured exactly when every in-bounds neighbour holds a hunter.
-    hunters = {position(cell, world.side) for cell in after.hunters}
+    hunters = {position(cell, side) for cell in after.hunters}
     for j in live:
         surrounded = all(n in hunters
-                         for n in neighbor_cells(position(after.prey[j].cell, world.side),
-                                                 world.side))
-        assert ((j, world.prey[j].kind) in out.captures) == surrounded
-        assert after.prey[j].alive is not surrounded
+                         for n in neighbor_cells(position(after.prey[j], side), side))
+        assert (j in out.captures) == surrounded
+        assert after.alive[j] is not surrounded
 
     # Dead prey never move, are never captured and block no one: the step
     # is the same wherever they lie.
     dead = [j for j in range(2) if j not in live]
     for j in dead:
-        assert after.prey[j] == world.prey[j]
-        assert PREY_IDS[j] not in out.blocked_moves
-        assert all(captured != j for captured, _ in out.captures)
-    moved = WorldState(world.side, list(world.hunters),
-                       [PreyState(dead_cells[j] % grid.size if j in dead else p.cell,
-                                  p.alive, p.kind)
-                        for j, p in enumerate(world.prey)])
+        assert (after.prey[j], after.alive[j]) == (world.prey[j], False)
+        assert j not in out.captures
+    moved = WorldState(grid, list(world.hunters),
+                       [dead_cells[j] % grid.size if j in dead else cell
+                        for j, cell in enumerate(world.prey)], list(world.alive))
     moved_rng = Random(seed)
     again = step(moved, actions, moved_rng)
     assert again.next_state.hunters == after.hunters
-    assert [p.cell for j, p in enumerate(again.next_state.prey) if j in live] == \
-        [after.prey[j].cell for j in live]
+    assert [again.next_state.prey[j] for j in live] == [after.prey[j] for j in live]
     assert again.blocked_moves == out.blocked_moves
     assert again.captures == out.captures
     assert moved_rng.getstate() == rng.getstate()
@@ -360,26 +347,26 @@ def manhattan(a: int, b: int, side: int) -> int:
 def test_world_state_carries_its_grid_and_prey_gap(case):
     world, actions, seed = case
     after = step(world, actions, Random(seed)).next_state
+    assert after.grid is world.grid
     for state in (world, after):
-        assert state.grid is grid_for(state.side)
         first, second = state.prey
-        assert state.gap == (manhattan(first.cell, second.cell, state.side)
-                             if first.alive and second.alive else None)
+        assert state.gap == (manhattan(first, second, state.grid.side)
+                             if all(state.alive) else None)
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=stepped_worlds())
 def test_derived_world_fields_take_no_part_in_eq_or_repr(case):
     world = case[0]
-    twin = WorldState(world.side, list(world.hunters),
-                      [PreyState(p.cell, p.alive, p.kind) for p in world.prey], world.step_count)
-    twin.grid, twin.gap = grid_for(3 if world.side != 3 else 4), -1
+    twin = WorldState(world.grid, list(world.hunters), list(world.prey), list(world.alive),
+                      world.step_count)
+    twin.gap = -1
     assert twin == world
     assert repr(twin) == repr(world) == (
-        f"WorldState(side={world.side!r}, hunters={world.hunters!r}, "
-        f"prey={world.prey!r}, step_count={world.step_count!r})")
+        f"WorldState(grid=grid_for({world.grid.side}), hunters={world.hunters!r}, "
+        f"prey={world.prey!r}, alive={world.alive!r}, step_count={world.step_count!r})")
     # Slotted: no state object carries a per-instance dict.
-    for state in (world, world.prey[0], step(world, case[1], Random(case[2]))):
+    for state in (world, step(world, case[1], Random(case[2]))):
         assert not hasattr(state, "__dict__")
 
 
@@ -439,13 +426,13 @@ def test_fisher_yates_over_below_matches_shuffle(rng, items):
 @given(case=stepped_worlds())
 def test_step_draws_one_prey_move_per_live_prey_then_one_shuffle(case):
     world, actions, seed = case
-    live = [j for j, p in enumerate(world.prey) if p.alive]
-    grid = grid_for(world.side)
+    live = [j for j in range(2) if world.alive[j]]
+    grid = world.grid
     rng = Random(seed)
     replay = copy_of(rng)
     step(world, actions, rng)
     for j in live:
-        replay.choice(grid.legal[world.prey[j].cell])
+        replay.choice(grid.legal[world.prey[j]])
     replay.shuffle(list(range(len(world.hunters) + len(live))))
     assert rng.getstate() == replay.getstate()
 

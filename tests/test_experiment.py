@@ -11,6 +11,7 @@ from pursuitrl.experiment import (
     RULE_FALLBACKS,
     BlockMetrics,
     ExperimentConfig,
+    PreyKind,
     TrialOutcome,
     TrialRecord,
     blocks_for,
@@ -23,8 +24,8 @@ from pursuitrl.experiment import (
     run_training,
     save_learned_tables,
 )
-from pursuitrl.env import (ACTIONS, CANDIDATE_MODES, N_HUNTERS, N_PREY, PreyKind, grid_for,
-                           new_world)
+from pursuitrl import env
+from pursuitrl.env import ACTIONS, CANDIDATE_MODES, N_HUNTERS, N_PREY, grid_for, new_world
 from pursuitrl.hmrl import HunterAgent
 from pursuitrl.knowledge import compile_rules, extract_rules, induce_tree, parse_rules
 from reference import (cell_ids, load_q_table, load_weights, lower_state_ids, module_key,
@@ -127,6 +128,34 @@ def test_a_positive_capture_settles_the_reward_once(reward):
         # lone prey the gate stays open, so the shares form a geometric series.
         assert max(weights) >= reward
         assert sum(weights) <= 3 * reward / (1 - config.upper_decay)
+
+
+@pytest.mark.parametrize("prey_kinds", [("positive", "dangerous"), ("dangerous", "positive"),
+                                        ("positive", "positive")], ids="-".join)
+def test_a_run_maps_captured_prey_to_outcomes_through_prey_kinds(monkeypatch, prey_kinds):
+    """The world reports captured prey by index; a trial's outcome is the
+    kind that ``prey_kinds`` gives them, positive if any is positive."""
+    last_captures = []
+    step = env.step
+
+    def recorded(*args, **kwargs):
+        outcome = step(*args, **kwargs)
+        last_captures.append(outcome.captures)
+        return outcome
+
+    monkeypatch.setattr(env, "step", recorded)
+    config = replace(QUICK, trials=12, step_cap=3000, prey_kinds=prey_kinds)
+    result = run_training(config, seed=3)
+    ends = [captures for captures in last_captures if captures]
+    assert len(ends) == len(result.records)
+    by_kind = {"positive": TrialOutcome.POSITIVE_CAPTURED,
+               "dangerous": TrialOutcome.DANGEROUS_CAPTURED}
+    for record, captures in zip(result.records, ends):
+        outcomes = {by_kind[prey_kinds[j]] for j in captures}
+        assert record.outcome is (TrialOutcome.POSITIVE_CAPTURED
+                                  if TrialOutcome.POSITIVE_CAPTURED in outcomes
+                                  else TrialOutcome.DANGEROUS_CAPTURED)
+    assert {j for captures in ends for j in captures} == {0, 1}
 
 
 def test_a_step_capped_trial_settles_no_reward():
@@ -448,12 +477,11 @@ def test_agents_and_worlds_take_the_config_values(side, prey_kinds, prey_alive,
         (reach_discount, candidate_mode, reward)
 
     world = new_world(seed, config)
-    assert world.side == side
-    cells = [*world.hunters, *(prey.cell for prey in world.prey)]
+    assert world.grid is grid_for(side)
+    cells = [*world.hunters, *world.prey]
     assert len(set(cells)) == len(cells) == N_HUNTERS + N_PREY
     assert all(0 <= cell < side * side for cell in cells)
-    assert tuple(prey.kind for prey in world.prey) == tuple(map(PreyKind, prey_kinds))
-    assert tuple(prey.alive for prey in world.prey) == prey_alive
+    assert tuple(world.alive) == prey_alive
 
 
 def test_parse_config_rejects_duplicate_key():

@@ -18,7 +18,12 @@ one scenario each, all with seed 17:
 - ``eval-rules-stay``: a rule-driven run with ``rule_fallback = stay``
   and rules that match only the offsets with ``theta_X != 0``, so the
   fallback decides every other move. Rules extracted from a tree match
-  every offset and never reach the fallback.
+  every offset and never reach the fallback;
+- ``swapped-kinds``: prey 0 is the dangerous one and its capture costs a
+  negative reward, so a capture's outcome and reward follow ``prey_kinds``
+  rather than the prey's index;
+- ``second-prey-only``: only prey 1 lives, so it is the step's agent 4
+  and ``p0`` never appears in the trajectory.
 
 A change that alters outputs on purpose re-records the pins and says so:
 
@@ -49,6 +54,9 @@ CONFIGS = {
     "candidates-all": "trials = 30\ncandidate_mode = all\nstep_cap = 200\n",
     "step-capped": "trials = 100\nstep_cap = 20\n",
     "eval-rules-stay": "trials = 30\ngrid_side = 5\nstep_cap = 100\nrule_fallback = stay\n",
+    "swapped-kinds": "trials = 60\nprey_kinds = dangerous,positive\ndangerous_reward = -1.0\n",
+    "second-prey-only": ("trials = 60\nprey_kinds = dangerous,positive\nprey_alive = false,true\n"
+                         "trajectory_trial = 30\n"),
 }
 # Ranked by CF first; an offset with theta_X == 0 matches neither rule.
 PARTIAL_RULES = ("No.1\nIf theta_X > 0 Then right with CF=1.0\n"

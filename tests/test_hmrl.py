@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from pursuitrl.env import Action, Position, PreyKind, grid_for, step
+from pursuitrl.env import Action, Position, grid_for, step
 from pursuitrl.experiment import ExperimentConfig
 from pursuitrl.hmrl import (
     CREDIT_FLOOR,
@@ -179,7 +179,7 @@ def test_select_target_stays_in_candidate_set():
         world = make_world([(rng.randrange(7), rng.randrange(7)),
                             (6, 6), (6, 0), (0, 6)], [(3, 4), (1, 1)])
         prey, _, cell = select_target(WeightTable(), 0, world, Random(seed), 0.5, CONFIG)
-        goal = position(world.prey[prey].cell, 7)
+        goal = position(world.prey[prey], 7)
         assert position(cell, 7) in candidate_cells(goal, 7, "ring2")
 
 
@@ -389,11 +389,11 @@ def stay_put(agent):
     agent.pending = (lower, Action.STAY, target)
 
 
-def captured_step(config, kinds=(PreyKind.POSITIVE, PreyKind.DANGEROUS)):
+def captured_step(config):
     """Hunters around prey 0 decide a move, then stay put: prey 0 is
     captured on this first step. Returns the agents, each one's trace
     after deciding, and the step's outcome."""
-    world = make_world([(2, 3), (4, 3), (3, 2), (3, 4)], [(3, 3), (0, 0)], kinds=kinds)
+    world = make_world([(2, 3), (4, 3), (3, 2), (3, 4)], [(3, 3), (0, 0)])
     agents = [HunterAgent(i, config) for i in range(4)]
     rng = Random(0)
     for agent in agents:
@@ -402,7 +402,7 @@ def captured_step(config, kinds=(PreyKind.POSITIVE, PreyKind.DANGEROUS)):
     traces = [list(agent.trace) for agent in agents]
     outcome = step(world, [Action.STAY] * 4, rng,
                    prey_policy=lambda s, j, legal, r: Action.STAY)
-    assert (0, kinds[0]) in outcome.captures
+    assert 0 in outcome.captures
     return agents, traces, outcome
 
 
@@ -422,7 +422,7 @@ def test_deliver_rewards_terminal_reach_and_capture():
 
 def test_deliver_rewards_dangerous_capture_no_upper_change():
     agents, traces, outcome = captured_step(
-        replace(CONFIG, dangerous_reward=-1.0), kinds=(PreyKind.DANGEROUS, PreyKind.POSITIVE))
+        replace(CONFIG, dangerous_reward=-1.0, prey_kinds=("dangerous", "positive")))
     deliver_rewards(agents, outcome)
     assert_lower_layer_only(agents, traces)
 

@@ -385,7 +385,8 @@ _boxes = st.tuples(st.one_of(st.just(-math.inf), _finite), st.one_of(st.just(mat
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.builds(IfThenRule, _boxes, st.sampled_from(ACTIONS), _finite), max_size=4))
+@given(st.lists(st.builds(IfThenRule, _boxes, st.sampled_from(ACTIONS), st.floats(0.0, 1.0)),
+                max_size=4))
 def test_formatted_rules_parse_back_equal(rules):
     assert parse_rules(format_rules(rules)) == rules
 
@@ -401,8 +402,9 @@ def test_parse_rules_names_line_of_bad_condition_or_cf():
     good = "No.1\nIf theta_X <= 1 Then up with CF=1.0\n"
     with pytest.raises(ValueError, match=r"line 4: .*theta_Z"):
         parse_rules(good + "No.2\nIf theta_Z <= 1 Then up with CF=1.0\n")
-    with pytest.raises(ValueError, match=r"line 4: .*CF=high"):
-        parse_rules(good + "No.2\nIf theta_X > 1 Then up with CF=high\n")
+    for cf in ("high", "nan", "inf", "-5", "1.5"):
+        with pytest.raises(ValueError, match=rf"line 4: .*CF={cf}"):
+            parse_rules(good + f"No.2\nIf theta_X > 1 Then up with CF={cf}\n")
 
 
 def test_load_rules_names_file_and_line(tmp_path):

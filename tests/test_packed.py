@@ -24,8 +24,6 @@ from pursuitrl.env import (
     CANDIDATE_MODES,
     Action,
     Position,
-    PreyKind,
-    PreyState,
     WorldState,
     grid_for,
     step,
@@ -92,12 +90,9 @@ def worlds(draw, sides=st.integers(3, 9)):
     side = draw(sides)
     coords = st.tuples(st.integers(0, side - 1), st.integers(0, side - 1))
     cells = draw(st.lists(coords, min_size=6, max_size=6, unique=True))
-    alive = draw(st.sampled_from([(True, True), (True, False), (False, True)]))
-    kinds = draw(st.sampled_from([(PreyKind.POSITIVE, PreyKind.DANGEROUS),
-                                  (PreyKind.DANGEROUS, PreyKind.POSITIVE)]))
-    return WorldState(side=side, hunters=[cell_id(c, side) for c in cells[:4]],
-                      prey=[PreyState(cell_id(cells[4 + j], side), alive[j], kinds[j])
-                            for j in range(2)])
+    alive = draw(st.sampled_from([[True, True], [True, False], [False, True]]))
+    return WorldState(grid_for(side), [cell_id(c, side) for c in cells[:4]],
+                      [cell_id(c, side) for c in cells[4:]], alive)
 
 
 def random_rules(world: WorldState, hunter: int, mode: str, seed: int) -> dict:
@@ -105,7 +100,7 @@ def random_rules(world: WorldState, hunter: int, mode: str, seed: int) -> dict:
     small value set so that ties occur, plus rules the choice must not
     read: on the prey's cell, and of other modules."""
     rng = Random(seed)
-    side = world.side
+    side = world.grid.side
     rules = {}
     hunters, prey_positions = positions(world)
     own = hunters[hunter]
@@ -137,22 +132,23 @@ def test_select_target_matches_brute_force(world, hunter, mode, reach, explorati
     rules = random_rules(world, hunter, mode, weight_seed)
     rng, reference_rng = Random(seed), Random(seed)
     config = ExperimentConfig(reach_discount=reach, candidate_mode=mode)
-    chosen_prey, modules, cell = select_target(upper_table(rules, world.side), hunter, world,
+    side = world.grid.side
+    chosen_prey, modules, cell = select_target(upper_table(rules, side), hunter, world,
                                                rng, exploration, config)
     target, prey = reference.select_target(rules, hunter, world, reference_rng,
                                            reach, exploration, mode)
-    assert (cell, chosen_prey) == (cell_id(target, world.side), prey)
+    assert (cell, chosen_prey) == (cell_id(target, side), prey)
     assert rng.getstate() == reference_rng.getstate()
     hunters, prey_positions = positions(world)
     own, goal = hunters[hunter], prey_positions[prey]
-    assert modules == tuple(pack(ModuleKey(hunter, prey, own, peer, goal), world.side)
+    assert modules == tuple(pack(ModuleKey(hunter, prey, own, peer, goal), side)
                             for k, peer in enumerate(hunters) if k != hunter)
 
 
 @settings(max_examples=300, deadline=None)
 @given(world=worlds(sides=st.integers(3, 6)), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_step_matches_agent_dict_reference(world, data, seed):
-    actions = [data.draw(st.sampled_from(reference.legal_actions(pos, world.side)))
+    actions = [data.draw(st.sampled_from(reference.legal_actions(pos, world.grid.side)))
                for pos in positions(world)[0]]
     rng, reference_rng = Random(seed), Random(seed)
     outcome = step(world, actions, rng)
@@ -168,19 +164,17 @@ def steps_with_known_prey_moves(draw):
     """A world, legal hunter actions, and a legal move for each live prey."""
     world = draw(worlds())
     hunters, prey_positions = positions(world)
-    actions = [draw(st.sampled_from(reference.legal_actions(pos, world.side)))
-               for pos in hunters]
-    prey_actions = {j: draw(st.sampled_from(reference.legal_actions(prey_positions[j],
-                                                                    world.side)))
-                    for j, prey in enumerate(world.prey) if prey.alive}
+    side = world.grid.side
+    actions = [draw(st.sampled_from(reference.legal_actions(pos, side))) for pos in hunters]
+    prey_actions = {j: draw(st.sampled_from(reference.legal_actions(prey_positions[j], side)))
+                    for j in range(2) if world.alive[j]}
     return world, actions, prey_actions
 
 
 def corner_world(hunters, prey):
     """Side-5 world with hunters and both prey alive at ``(x, y)`` cells."""
-    return WorldState(5, [cell_id(c, 5) for c in hunters],
-                      [PreyState(cell_id(c, 5), True, kind)
-                       for c, kind in zip(prey, (PreyKind.POSITIVE, PreyKind.DANGEROUS))])
+    return WorldState(grid_for(5), [cell_id(c, 5) for c in hunters],
+                      [cell_id(c, 5) for c in prey], [True, True])
 
 
 @settings(max_examples=300, deadline=None)
@@ -195,8 +189,8 @@ def corner_world(hunters, prey):
                {0: Action.STAY, 1: Action.WEST}), seed=1)
 def test_step_blocks_no_one_when_destinations_are_distinct(case, seed):
     world, actions, prey_actions = case
-    grid = grid_for(world.side)
-    cells = [*world.hunters, *(world.prey[j].cell for j in prey_actions)]
+    grid = world.grid
+    cells = [*world.hunters, *(world.prey[j] for j in prey_actions)]
     dest = [grid.moves[cell][action]
             for cell, action in zip(cells, [*actions, *prey_actions.values()])]
     rng, reference_rng = Random(seed), Random(seed)
@@ -206,7 +200,7 @@ def test_step_blocks_no_one_when_destinations_are_distinct(case, seed):
         event("distinct destinations")
         assert outcome.blocked_moves == []
         assert outcome.next_state.hunters == dest[:len(world.hunters)]
-        assert ([outcome.next_state.prey[j].cell for j in prey_actions]
+        assert ([outcome.next_state.prey[j] for j in prey_actions]
                 == dest[len(world.hunters):])
     else:
         event("a shared destination")
