@@ -329,5 +329,12 @@ def save_trajectory(path, rows: Iterable[tuple[int, str, int, int, str]]) -> Non
 
 
 def load_trajectory(path) -> list[tuple[int, str, int, int, str]]:
-    return load_csv(path, TRAJECTORY_HEADER,
-                    lambda s, agent, x, y, act: (int(s), agent, int(x), int(y), act))
+    """The rows of a trajectory file; an agent id not in :data:`HUNTER_IDS`
+    or :data:`PREY_IDS`, or an action neither empty nor a label, is malformed."""
+    def row(step: str, agent: str, x: str, y: str, action: str):
+        if agent not in HUNTER_IDS + PREY_IDS:
+            raise ValueError(f"unknown agent {agent!r}")
+        if action and action not in ACTION_LABELS:
+            raise ValueError(f"unknown action {action!r}")
+        return int(step), agent, int(x), int(y), action
+    return load_csv(path, TRAJECTORY_HEADER, row)

@@ -17,13 +17,14 @@ from pathlib import Path
 from random import Random
 from typing import Sequence
 
-from . import env, hmrl, knowledge, profit_sharing, q_learning, tableio
+from . import env, hmrl, knowledge, q_learning, tableio
 from .env import ACTION_LABELS, ACTIONS, CANDIDATE_MODES, N_PREY, Action
 from .hmrl import HunterAgent, deliver_rewards
 from .knowledge import IfThenRule, Instance, compile_rules, rule_policy_act
 
 
 RULE_FALLBACKS = ("learner", "stay")
+MAX_GRID_SIDE = 30
 # _RETURN_ACTION[a]: the rule fallback that returns action index a
 _RETURN_ACTION = tuple((lambda _offset, action=action: action) for action in range(len(ACTIONS)))
 
@@ -92,6 +93,9 @@ class ExperimentConfig:
                              f"got {self.trajectory_trial}")
         if self.grid_side < 3:
             raise ValueError(f"grid_side must be >= 3, got {self.grid_side}")
+        if self.grid_side > MAX_GRID_SIDE:
+            raise ValueError(f"grid_side must be <= {MAX_GRID_SIDE}, got {self.grid_side}: the "
+                             f"Grid tables grow as side**4 (44 MB at side 25, 0.7 GB at 50)")
         for name in ("reward", "dangerous_reward"):
             if not isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -196,8 +200,8 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
 
     The lower layer learns after every step (``deliver_rewards``). A
     trial's end is decided once, after its step loop: its outcome and its
-    one upper reward (0.0 at the step cap), which every hunter's
-    ``finish_trial`` shares over its trace.
+    one upper reward (0.0 at the step cap), which ``hmrl.reinforce_upper``
+    shares over every hunter's trace.
     """
     if seed is None:
         if len(config.seeds) != 1:
@@ -274,7 +278,7 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
         gd = (grid.distance[world.prey[0]][world.prey[1]]
               if captures and two_alive else None)
         for agent in agents:
-            agent.finish_trial(reward)
+            hmrl.reinforce_upper(agent.upper, agent.trace, reward, config)
         steps = world.step_count
         records.append(TrialRecord(
             trial=trial, steps=steps, actions=steps * env.N_HUNTERS + resets,
@@ -471,11 +475,14 @@ def export_report(metrics: Sequence[BlockMetrics], records: Sequence[TrialRecord
 
 def read_blocks_csv(path) -> list[dict[str, str]]:
     """The rows of a blocks.csv by column; a cell that does not parse as its
-    :class:`BlockMetrics` field (empty for ``None``) raises naming the line."""
+    :class:`BlockMetrics` field (empty for ``None``), or a float cell that
+    is not finite, raises naming the line."""
     def row(*cells: str) -> dict[str, str]:
         for f, cell in zip(fields(BlockMetrics), cells):
-            if cell or f.type != "float | None":
-                (int if f.type == "int" else float)(cell)
+            if f.type == "int":
+                int(cell)
+            elif (cell or f.type != "float | None") and not isfinite(float(cell)):
+                raise ValueError(f"{f.name} is not finite: {cell!r}")
         return dict(zip(BLOCK_COLUMNS, cells))
     return tableio.load_csv(path, BLOCK_COLUMNS, row)
 
@@ -499,21 +506,9 @@ def save_learned_tables(out_dir, result: TrainingResult) -> None:
     out.mkdir(parents=True, exist_ok=True)
     meta = run_meta(result.config)
     grid = env.grid_for(result.config.grid_side)
-    encode_module, encode_cell = hmrl.module_speller(grid), grid.cell_text.__getitem__
+    hmrl.save_upper_banks(out, [agent.upper for agent in result.agents], grid, meta)
     encode_lower = hmrl.lower_state_texts(grid).__getitem__
-    prey_place = grid.size ** 3         # place value of a module key's prey digit
     for agent in result.agents:
-        banks: list[list[int]] = [[] for _ in range(N_PREY)]    # modules by prey
-        for module in agent.upper.states:
-            banks[module // prey_place % N_PREY].append(module)
-        for prey_index, modules in enumerate(banks):
-            # Up to side 10 every coordinate is one digit, so ascending keys
-            # spell in ascending line order (a module's own rules aside),
-            # which leaves save_table's sort little to do.
-            modules.sort()
-            profit_sharing.save_weights(
-                out / f"upper_h{agent.index}_p{prey_index}.tsv", agent.upper, meta,
-                encode_state=encode_module, encode_action=encode_cell, states=modules)
         q_learning.save_q_table(out / f"q_h{agent.index}.tsv", agent.q, encode_lower, meta)
 
 

@@ -7,8 +7,8 @@ the three peers and discounting by the distance the hunter would have
 to travel. The lower layer is plain Q-learning over the (dx, dy) offset
 to the commanded target. The lower layer backs up after every move
 (:func:`deliver_rewards`); the upper layer learns once per trial, when
-the trial loop settles the trace with the trial's one reward
-(:meth:`HunterAgent.finish_trial`).
+the trial loop settles each hunter's trace with the trial's one reward
+(:func:`reinforce_upper`).
 
 In the two-prey setting the upper layer's backward credit is gated by
 the inter-prey distance: share nothing upstream of a step where the two
@@ -16,7 +16,7 @@ prey were within the close range, slightly dampen it when they were far
 apart.
 
 Both layers run on the integer-coded grid of :func:`env.grid_for`. An
-upper rule is keyed by the packed module key (see :func:`module_speller`)
+upper rule is keyed by the packed module key (see :func:`save_upper_banks`)
 and the target's cell id; a lower rule by the lower state id (see
 :func:`lower_state_texts`) and the action's index. Every learning
 parameter is read from the run's ``ExperimentConfig``, which checked it
@@ -25,9 +25,11 @@ when it was built.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import isfinite
+from pathlib import Path
 from random import Random
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .env import (
     N_HUNTERS,
@@ -37,6 +39,7 @@ from .env import (
     WorldState,
     below,
 )
+from . import profit_sharing
 from .profit_sharing import WeightTable
 from .q_learning import QTable, epsilon_greedy, q_update
 
@@ -47,6 +50,10 @@ if TYPE_CHECKING:
 # with decay <= 0.9 the cutoff is reached within ~200 steps and the
 # skipped weight increments are far below tie-breaking relevance.
 CREDIT_FLOOR = 1e-9
+
+# save_upper_banks spells a weight once per this many module keys: recurring
+# weights recur within them, and a dict for all of a bank's raised the peak memory.
+SPELLING_KEYS = 4096
 
 # The other hunters of each hunter, in hunter order.
 _PEERS = tuple(tuple(k for k in range(N_HUNTERS) if k != i) for i in range(N_HUNTERS))
@@ -67,26 +74,48 @@ def atf(prey_distance: int, config: ExperimentConfig) -> float:
     return 0.9
 
 
-def module_speller(grid: Grid) -> Callable[[int], str]:
-    """The persisted spelling of a packed module key on ``grid``.
+def save_upper_banks(out_dir: Path, uppers: Sequence[WeightTable], grid: Grid,
+                     meta: dict[str, object]) -> None:
+    """Write ``uppers[h]``, hunter ``h``'s upper rules on ``grid``, as one
+    ``upper_h{h}_p{prey}.tsv`` bank per prey, by :func:`profit_sharing.save_weights`.
 
-    A key packs (hunter, prey, own cell, peer cell, prey cell) as
+    A module key packs (hunter, prey, own cell, peer cell, prey cell) as
     ``(((hunter * N_PREY + prey) * n + own) * n + peer) * n + goal`` over
-    the grid's ``n`` cell ids; it is written as the plain tuple
-    ``(hunter, prey, (x, y), (x, y), (x, y))``, spelled from two tables:
-    the key's quotient by ``n * n`` indexes ``"(hunter, prey, (x, y), "``
-    and its remainder ``"(x, y), (x, y))"`` (peer, prey cell).
-
-    The tables are not cached: a process that imports the package afresh
-    for each command, as ``bench/run.py`` does, would keep one pair (about
-    0.2 MB on side 7) alive in every stale copy of the package.
+    the grid's ``n`` cell ids, so a hunter's sorted keys hold its banks in
+    prey order. A row spells the key as the plain tuple ``(hunter, prey,
+    (x, y), (x, y), (x, y))`` from two tables, by the key's quotient by
+    ``n * n`` and its remainder; then the target cell, and the weight by
+    ``repr``, once per :data:`SPELLING_KEYS` keys (of equal floats only 0.0
+    and -0.0 spell apart, and ``WeightTable.add`` never stores -0.0).
     """
     text = grid.cell_text
-    heads = tuple(f"({hunter}, {prey}, {own}, " for hunter in range(N_HUNTERS)
-                  for prey in range(N_PREY) for own in text)
-    tails = tuple(f"{peer}, {goal})" for peer in text for goal in text)
+    heads = [f"({hunter}, {prey}, {own}, " for hunter in range(N_HUNTERS)
+             for prey in range(N_PREY) for own in text]
+    tails = [f"{peer}, {goal})" for peer in text for goal in text]
     pair = grid.size * grid.size
-    return lambda key: heads[key // pair] + tails[key % pair]
+    for hunter, table in enumerate(uppers):
+        index, weight, cell = table.states, table.weight, table.cell
+        keys = sorted(index)
+        for prey in range(N_PREY):
+            start = bisect_left(keys, (hunter * N_PREY + prey) * grid.size ** 3)
+            stop = bisect_left(keys, (hunter * N_PREY + prey + 1) * grid.size ** 3, start)
+            rows: list[str] = []
+            append = rows.append
+            for chunk in range(start, stop, SPELLING_KEYS):
+                spelled: dict[float, str] = {}
+                for key in keys[chunk:min(chunk + SPELLING_KEYS, stop)]:
+                    rules = index[key]
+                    if rules.__class__ is int:      # most modules hold one rule
+                        value = weight[rules]
+                        append(f"{heads[key // pair]}{tails[key % pair]}\t{text[cell[rules]]}\t"
+                               f"{spelled.get(value) or spelled.setdefault(value, repr(value))}\n")
+                        continue
+                    for rule in rules:
+                        value = weight[rule]
+                        append(f"{heads[key // pair]}{tails[key % pair]}\t{text[cell[rule]]}\t"
+                               f"{spelled.get(value) or spelled.setdefault(value, repr(value))}\n")
+            profit_sharing.save_weights(out_dir / f"upper_h{hunter}_p{prey}.tsv", rows, meta)
+            del rows, append    # one bank's rows are alive at a time, also across hunters
 
 
 def lower_state_texts(grid: Grid) -> tuple[str, ...]:
@@ -243,16 +272,11 @@ class HunterAgent:
         q_update(self.q, lower, action, 0.0, next_lower, terminal=False)
         return False
 
-    def finish_trial(self, reward: float) -> None:
-        """Upper-layer reinforcement at the trial's end (a plain trace reset
-        when ``reward`` is 0)."""
-        reinforce_upper(self.upper, self.trace, reward, self.config)
-
 
 def deliver_rewards(agents: Sequence[HunterAgent], outcome: StepOutcome) -> list[bool]:
     """The lower layer's per-step update: every hunter observes the moved
     world. Returns the per-hunter target-reached flags. The upper layer
-    learns only at the trial's end (:meth:`HunterAgent.finish_trial`).
+    learns only at the trial's end (:func:`reinforce_upper`).
     """
     next_state = outcome.next_state
     a0, a1, a2, a3 = agents     # N_HUNTERS == 4

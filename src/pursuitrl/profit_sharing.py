@@ -14,10 +14,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable
 
-from .tableio import Encoder, save_table
+from .tableio import save_table
 
 
 @dataclass(frozen=True)
@@ -96,33 +94,9 @@ def check_suppression(params: PSParams, episode_length: int) -> bool:
     return True
 
 
-def save_weights(path, table: WeightTable, meta: dict[str, object] | None = None,
-                 encode_state: Encoder = repr, encode_action: Encoder = repr,
-                 states: Iterable[int] | None = None) -> None:
-    """Write the rules of ``states`` (default: every state) of ``table``.
-
-    Every row is spelled here: its state once per state by
-    ``encode_state``, its action by ``encode_action`` and its weight by
-    ``repr``; :func:`save_table` only sorts and writes the rows. Rows come
-    in the order of ``states``, so states given in the order their texts
-    sort in leave that sort little to do.
-    """
-    header = {"default_weight": 0.0}        # what unseen rules read as
+def save_weights(path, rows: list[str], meta: dict[str, object] | None = None) -> None:
+    """Write a weight table's spelled rows (see :func:`hmrl.save_upper_banks`)
+    under a header saying what unseen rules read as."""
+    header = {"default_weight": 0.0}
     header.update(meta or {})
-    index, weight, cell = table.states, table.weight, table.cell
-    # A recurring weight is spelled once (most distinct ones occur once, so the
-    # cache is bounded). Of equal floats only 0.0 and -0.0 spell apart, and add
-    # never stores -0.0: a rule starts at 0.0 + amount; x + y is -0.0 only if both are.
-    spell = lru_cache(maxsize=256)(repr)
-    rows: list[str] = []
-    append = rows.append
-    for state in index if states is None else states:
-        rules = index[state]
-        if rules.__class__ is int:      # most states hold one rule
-            append(f"{encode_state(state)}\t{encode_action(cell[rules])}\t"
-                   f"{spell(weight[rules])}\n")
-            continue
-        text = encode_state(state)
-        for rule in rules:
-            append(f"{text}\t{encode_action(cell[rule])}\t{spell(weight[rule])}\n")
     save_table(path, rows, header)

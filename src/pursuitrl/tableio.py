@@ -3,7 +3,7 @@ checked reader of the CSV logs.
 
 A table file holds ``# key = repr(value)`` header lines with the run
 parameters, then one ``state<TAB>action<TAB>weight`` row per entry, sorted
-as whole lines. :func:`profit_sharing.save_weights` and
+as whole lines. :func:`hmrl.save_upper_banks` and
 :func:`q_learning.save_q_table` spell the rows (the hunters' states by the
 per-grid string tables of :mod:`hmrl`), and :func:`save_table` orders and
 writes them. Values are spelled by ``repr``, which is exact for floats.

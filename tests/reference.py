@@ -236,7 +236,7 @@ def cell_ids(grid: Grid) -> dict[str, int]:
 
 
 def module_key(grid: Grid, text: str) -> int:
-    """The packed module key that :func:`pursuitrl.hmrl.module_speller` spells as ``text``."""
+    """The packed module key that :func:`pursuitrl.hmrl.save_upper_banks` spells as ``text``."""
     hunter, prey, *cells = ast.literal_eval(text)
     if hunter not in range(N_HUNTERS) or prey not in range(N_PREY) or len(cells) != 3:
         raise ValueError(f"not a module of {N_HUNTERS} hunters and {N_PREY} prey: {text}")

@@ -189,6 +189,21 @@ def test_replay_names_an_empty_trajectory(tmp_path, capsys):
                      error_line(capsys.readouterr()))
 
 
+@pytest.mark.parametrize("row, error", [("0,,2,3,up", "unknown agent ''"),
+                                        ("0,q1,2,3,", "unknown agent 'q1'"),
+                                        ("0,h1,2,3,north", "unknown action 'north'")],
+                         ids=["no-agent", "unknown-agent", "unknown-action"])
+def test_replay_names_a_row_of_no_agent_or_action(tmp_path, capsys, row, error):
+    trajectory = tmp_path / "trajectory.csv"
+    trajectory.write_text(f"step,agent,x,y,action\n0,h0,0,0,stay\n{row}\n")
+    assert run_cli("replay", "--trajectory", trajectory, "--side", 7) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert re.search(f"^pursuitrl: {re.escape(str(trajectory))}:3: malformed row "
+                     f"{re.escape(repr(row))}: ValueError\\({re.escape(repr(error))}\\)$",
+                     error_line(printed))
+
+
 def test_a_missing_input_file_is_a_one_line_error(tmp_path, capsys):
     missing = tmp_path / "nowhere.csv"
     assert run_cli("extract-rules", "--instances", missing, "--out", tmp_path / "rules.txt") == 2
@@ -238,6 +253,20 @@ def test_report_names_the_line_of_a_malformed_blocks_csv(tmp_path, capsys, colum
     assert run_cli("report", "--runs", blocks.parent) == 2
     assert re.search(f"^pursuitrl: {re.escape(str(blocks))}:{line}: {error}$",
                      error_line(capsys.readouterr()))
+
+
+@pytest.mark.parametrize("column, cell", [("steps_mean", "nan"), ("positive_ratio", "inf"),
+                                          ("mean_distance", "-inf"), ("within_safety", "NaN")])
+def test_report_rejects_a_non_finite_cell(tmp_path, capsys, column, cell):
+    rows = [list(row) for row in BLOCKS]
+    rows[2][BLOCK_COLUMNS.index(column)] = cell
+    blocks = write_blocks(tmp_path / "run", rows)
+    assert run_cli("report", "--runs", blocks.parent) == 2
+    printed = capsys.readouterr()
+    assert "%" not in printed.out
+    message = f"{blocks}:3: malformed row '{','.join(rows[2])}': ValueError"
+    assert re.search(f"^pursuitrl: {re.escape(message)}.*{column} is not finite: '{cell}'",
+                     error_line(printed))
 
 
 def test_report_reads_empty_optional_cells(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pursuitrl.experiment import (
     BLOCK_COLUMNS,
+    MAX_GRID_SIDE,
     RULE_FALLBACKS,
     BlockMetrics,
     ExperimentConfig,
@@ -324,6 +325,17 @@ def test_config_rejects_grid_side_below_three():
     assert ExperimentConfig(grid_side=3).grid_side == 3
 
 
+def test_config_rejects_grid_side_above_thirty_without_building_a_grid():
+    built = grid_for.cache_info()
+    assert MAX_GRID_SIDE == 30
+    with pytest.raises(ValueError, match=r"grid_side must be <= 30, got 31: .*side\*\*4"):
+        ExperimentConfig(grid_side=31)
+    with pytest.raises(ValueError, match="grid_side"):
+        parse_config("grid_side = 31")
+    assert ExperimentConfig(grid_side=30).grid_side == 30
+    assert grid_for.cache_info() == built
+
+
 def test_config_rejects_empty_runs():
     with pytest.raises(ValueError, match="trials"):
         ExperimentConfig(trials=0)
@@ -431,7 +443,7 @@ def valid_configs(draw):
         block_ends=tuple(sorted(draw(st.sets(st.integers(1, 10**6), min_size=1, max_size=5)))),
         instance_window=draw(st.none() | st.tuples(st.integers(-10**6, 10**6),
                                                    st.integers(-10**6, 10**6))),
-        grid_side=draw(st.integers(3, 50)),
+        grid_side=draw(st.integers(3, MAX_GRID_SIDE)),
         prey_kinds=draw(st.tuples(prey_kind_names, prey_kind_names)),
         prey_alive=draw(st.tuples(st.booleans(), st.booleans()).filter(any)),
         rule_fallback=draw(st.sampled_from(RULE_FALLBACKS)),

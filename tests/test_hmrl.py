@@ -433,7 +433,7 @@ def test_deliver_rewards_leaves_the_agents_reward_to_the_trial_end(reward):
     deliver_rewards(agents, outcome)
     assert_lower_layer_only(agents, traces)
     for agent in agents:
-        agent.finish_trial(agent.config.reward)
+        reinforce_upper(agent.upper, agent.trace, agent.config.reward, agent.config)
         # one traced step: the newest step takes the whole reward
         weights = reference.rule_weights(agent.upper)
         assert weights and set(weights.values()) == {reward}

@@ -29,7 +29,8 @@ from pursuitrl.env import (
     step,
 )
 from pursuitrl.experiment import ExperimentConfig, TrainingResult, save_learned_tables
-from pursuitrl.hmrl import HunterAgent, lower_state_texts, module_speller, select_target
+from pursuitrl.hmrl import HunterAgent, lower_state_texts, save_upper_banks, select_target
+from pursuitrl.profit_sharing import WeightTable
 from reference import (ModuleKey, cell_id, cell_ids, load_weights, lower_state, lower_state_ids,
                        module_key, pack, positions, rule_weights, set_q_value, table_rules,
                        upper_table)
@@ -273,6 +274,38 @@ def learned_tables(draw):
                       (ModuleKey(0, 1, Position(2, 3), Position(2, 0), Position(0, 9)),
                        Position(3, 9)): 0.25},
                  {((-10, 2), 0, 1): -0.0, ((-2, 2), 0, 1): 3.0}))
+# Side 11, hunters 0 and 1 in both prey banks, their later bank's rules added
+# first: own cell (10, 0) is id 110 and (2, 3) is 25, so hunter 0's first bank
+# sorts by text against key order; one module holds two rules, of equal weight.
+@example(tables=(11, {(ModuleKey(0, 1, Position(0, 0), Position(10, 0), Position(0, 10)),
+                       Position(0, 9)): 2.0,
+                      (ModuleKey(0, 1, Position(0, 0), Position(10, 0), Position(0, 10)),
+                       Position(1, 10)): 2.0,
+                      (ModuleKey(0, 0, Position(10, 0), Position(1, 1), Position(2, 2)),
+                       Position(10, 10)): 1.5,
+                      (ModuleKey(0, 0, Position(2, 3), Position(1, 1), Position(2, 2)),
+                       Position(3, 3)): -0.5,
+                      (ModuleKey(1, 1, Position(9, 10), Position(10, 9), Position(5, 5)),
+                       Position(5, 4)): -0.0,
+                      (ModuleKey(1, 0, Position(9, 10), Position(10, 9), Position(5, 5)),
+                       Position(4, 5)): 0.25,
+                      (ModuleKey(2, 1, Position(10, 10), Position(0, 0), Position(3, 10)),
+                       Position(2, 10)): 1e-300,
+                      (ModuleKey(3, 0, Position(1, 0), Position(0, 1), Position(10, 1)),
+                       Position(10, 2)): 7.0},
+                 {((-10, 2), 1, 4): 1.0}))
+# Side 7, the default grid: hunters 1 and 3 in both prey banks.
+@example(tables=(7, {(ModuleKey(1, 0, Position(6, 6), Position(0, 0), Position(3, 3)),
+                      Position(3, 2)): 0.1,
+                     (ModuleKey(1, 1, Position(0, 1), Position(6, 6), Position(3, 3)),
+                      Position(2, 3)): 0.1,
+                     (ModuleKey(1, 1, Position(0, 0), Position(6, 6), Position(3, 3)),
+                      Position(4, 3)): -3.0,
+                     (ModuleKey(3, 0, Position(5, 5), Position(1, 2), Position(0, 0)),
+                      Position(1, 0)): 100.0,
+                     (ModuleKey(3, 1, Position(5, 5), Position(1, 2), Position(0, 6)),
+                      Position(0, 5)): 12.5},
+                 {((0, 1), 0, 2): 0.5}))
 def test_learned_tables_match_reference_writer(tables):
     side, rules, q_entries = tables
     event(f"side {'11-12' if side > 10 else '3-10'}")
@@ -306,7 +339,13 @@ def test_module_key_reads_module_text(side, data):
                               coords, coords, coords))
     grid = grid_for(side)
     packed = pack(key, side)
-    text = module_speller(grid)(packed)
+    uppers = [WeightTable() for _ in range(4)]
+    uppers[key.hunter].add(packed, 0, 1.0)
+    with tempfile.TemporaryDirectory() as out:
+        save_upper_banks(Path(out), uppers, grid, {})
+        header, row = (Path(out) / f"upper_h{key.hunter}_p{key.prey}.tsv").read_text().splitlines()
+    assert header == "# default_weight = 0.0"
+    text, _, _ = row.split("\t")
     assert text == repr(tuple(tuple(part) if isinstance(part, tuple) else part for part in key))
     assert module_key(grid, text) == packed
 

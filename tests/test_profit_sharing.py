@@ -9,14 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
+from pursuitrl.env import grid_for
 from pursuitrl.experiment import ExperimentConfig
-from pursuitrl.hmrl import reinforce_upper
-from pursuitrl.profit_sharing import (
-    PSParams,
-    WeightTable,
-    check_suppression,
-    save_weights,
-)
+from pursuitrl.hmrl import SPELLING_KEYS, reinforce_upper, save_upper_banks
+from pursuitrl.profit_sharing import PSParams, WeightTable, check_suppression
 from pursuitrl.tableio import save_table
 
 
@@ -135,23 +131,47 @@ def test_suppression_rejects_bad_length():
         check_suppression(PSParams(), 0)
 
 
+# A side-7 module of hunter 0: goal cell ``state`` in prey bank ``state % 2``.
+GRID = grid_for(7)
+
+
+def module(state: int) -> int:
+    return state % 2 * GRID.size ** 3 + state
+
+
 def test_weight_table_round_trip_is_bit_exact(tmp_path):
     table = WeightTable()
     rng = Random(9)
     for i in range(200):
-        state = (i % 7) * 5 + (i * 3) % 5
-        table.add(state, i % 4, rng.uniform(-1e3, 1e3) / 3.0)
-    path = tmp_path / "weights.tsv"
-    save_weights(path, table, {"upper_decay": 0.8})
-    loaded, meta = reference.load_weights(path, int, int)
-    assert ({rule: weight.hex() for rule, weight in reference.rule_weights(loaded).items()}
+        table.add(module((i % 7) * 5 + (i * 3) % 5), i % 4, rng.uniform(-1e3, 1e3) / 3.0)
+    save_upper_banks(tmp_path, [table], GRID, {"upper_decay": 0.8})
+    loaded = {}
+    for prey in (0, 1):
+        bank, meta = reference.load_weights(tmp_path / f"upper_h0_p{prey}.tsv",
+                                            lambda text: reference.module_key(GRID, text),
+                                            reference.cell_ids(GRID).__getitem__)
+        assert {reference.unpack(state, 7).prey for state in bank.states} <= {prey}
+        assert meta == {"upper_decay": 0.8}
+        loaded.update(reference.rule_weights(bank))
+    assert ({rule: weight.hex() for rule, weight in loaded.items()}
             == {rule: weight.hex() for rule, weight in reference.rule_weights(table).items()})
-    # A loaded table adds its rules in the file's sorted text order.
-    assert ({state: {loaded.cell[rule] for rule in reference.rule_ids(loaded, state)}
-             for state in loaded.states}
-            == {state: {table.cell[rule] for rule in reference.rule_ids(table, state)}
-                for state in table.states})
-    assert meta == {"upper_decay": 0.8}
+
+
+def assert_banks_spelled_as_repr(table: WeightTable) -> None:
+    """Hunter 0's bank files of ``table`` hold the ``repr`` of every rule's
+    plain key, target and weight, sorted under the header."""
+    banks: dict[int, list[str]] = {0: [], 1: []}
+    for state, cell, weight in reference.table_rules(table):
+        key = reference.unpack(state, 7)
+        banks[key.prey].append(f"{reference.plain(key)!r}\t"
+                               f"{reference.plain(reference.position(cell, 7))!r}\t{weight!r}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        save_upper_banks(Path(tmp), [table], GRID, {"upper_decay": 0.8})
+        for prey, rows in banks.items():
+            expected = Path(tmp) / "expected.tsv"
+            save_table(expected, rows, {"default_weight": 0.0, "upper_decay": 0.8})
+            saved = Path(tmp) / f"upper_h0_p{prey}.tsv"
+            assert saved.read_bytes() == expected.read_bytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -163,14 +183,20 @@ def test_weight_table_round_trip_is_bit_exact(tmp_path):
 def test_save_weights_spells_repeated_weights_as_repr(adds):
     table = WeightTable()
     for state, action, amount in adds:
-        table.add(state, action, amount)
-    with tempfile.TemporaryDirectory() as tmp:
-        saved, expected = Path(tmp) / "saved.tsv", Path(tmp) / "expected.tsv"
-        save_weights(saved, table, {"upper_decay": 0.8})
-        save_table(expected, [f"{state!r}\t{cell!r}\t{weight!r}\n"
-                              for state, cell, weight in reference.table_rules(table)],
-                   {"default_weight": 0.0, "upper_decay": 0.8})
-        assert saved.read_bytes() == expected.read_bytes()
+        table.add(module(state), action, amount)
+    assert_banks_spelled_as_repr(table)
+
+
+def test_a_bank_spells_its_weights_across_spelling_spans():
+    # Prey 0's bank holds two spelling spans of modules, with one and two
+    # rules by turns, and distinct weights between recurring ones.
+    table = WeightTable()
+    rng = Random(5)
+    for i in range(3 * SPELLING_KEYS):
+        amount = float(i % 5 - 2) if i % 4 == 0 else rng.uniform(-1e3, 1e3)
+        table.add(i * 2 // 3, i % 3, amount)
+    assert len(table.states) == 2 * SPELLING_KEYS
+    assert_banks_spelled_as_repr(table)
 
 
 @settings(max_examples=200, deadline=None)
