@@ -11,31 +11,23 @@ from . import env, experiment, knowledge
 
 
 def _load_base_config(args) -> experiment.ExperimentConfig:
-    config = experiment.ExperimentConfig()
-    if getattr(args, "config", None):
-        config = experiment.load_config(args.config, config)
-    overrides = {}
-    if getattr(args, "trials", None) is not None:
-        overrides["trials"] = args.trials
-    if getattr(args, "seed", None) is not None:
-        overrides["seeds"] = (args.seed,)
-    if getattr(args, "atf", None) is not None:
-        overrides["atf_enabled"] = args.atf == "on"
-    if getattr(args, "dump_trajectory", None) is not None:
-        overrides["trajectory_trial"] = args.dump_trajectory
-    return replace(config, **overrides) if overrides else config
+    config = (experiment.load_config(args.config) if args.config
+              else experiment.ExperimentConfig())
+    overrides = {"trials": args.trials, "seeds": args.seed,
+                 "atf_enabled": None if args.atf is None else args.atf == "on",
+                 "trajectory_trial": getattr(args, "dump_trajectory", None)}   # train only
+    return replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _export_run(result: experiment.TrainingResult, out_dir: Path) -> None:
     metrics = experiment.compute_metrics(result.records, result.config)
-    experiment.export_report(metrics, result.records, out_dir, result.config,
-                             result.seed)
+    experiment.export_report(metrics, result.records, out_dir, result.config)
     experiment.save_learned_tables(out_dir, result)
     count = experiment.log_instances(result, out_dir / "instances.csv")
     if result.trajectory:
         env.save_trajectory(out_dir / "trajectory.csv", result.trajectory)
     final = metrics[-1]
-    print(f"run complete: {result.config.trials} trials, seed {result.seed}")
+    print(f"run complete: {result.config.trials} trials, seed {result.config.seeds}")
     print(f"instances logged: {count}")
     print(f"final block {final.start}-{final.end}: "
           f"steps {final.steps_mean:.1f}, "
@@ -89,16 +81,19 @@ def cmd_replay(args) -> int:
     if not rows:
         raise ValueError(f"{args.trajectory}: no trajectory rows")
     side = args.side if args.side is not None else _trajectory_side(args.trajectory, rows)
-    by_step: dict[int, list] = {}
+    by_step: dict[int, dict] = {}
     for lineno, (step_index, agent, x, y, action) in enumerate(rows, start=2):
         if not (0 <= x < side and 0 <= y < side):
             raise ValueError(f"{args.trajectory}:{lineno}: {agent} at ({x}, {y}) "
                              f"is outside a grid of side {side}")
-        by_step.setdefault(step_index, []).append((agent, x, y, action))
+        drawn = by_step.setdefault(step_index, {})
+        if agent in drawn:
+            raise ValueError(f"{args.trajectory}:{lineno}: {agent} twice at step {step_index}")
+        drawn[agent] = x, y, action
     for step_index in sorted(by_step):
         grid = [["." for _ in range(side)] for _ in range(side)]
         notes = []
-        for agent, x, y, action in by_step[step_index]:
+        for agent, (x, y, action) in by_step[step_index].items():
             glyph = agent[0].upper() + agent[1:]
             grid[y][x] = glyph[:2]
             if action:

@@ -329,9 +329,12 @@ def save_trajectory(path, rows: Iterable[tuple[int, str, int, int, str]]) -> Non
 
 
 def load_trajectory(path) -> list[tuple[int, str, int, int, str]]:
-    """The rows of a trajectory file; an agent id not in :data:`HUNTER_IDS`
-    or :data:`PREY_IDS`, or an action neither empty nor a label, is malformed."""
+    """The rows of a trajectory file; a negative step, an agent id not in
+    :data:`HUNTER_IDS` or :data:`PREY_IDS`, or an action neither empty nor a
+    label, is malformed."""
     def row(step: str, agent: str, x: str, y: str, action: str):
+        if int(step) < 0:
+            raise ValueError(f"negative step {step}")
         if agent not in HUNTER_IDS + PREY_IDS:
             raise ValueError(f"unknown agent {agent!r}")
         if action and action not in ACTION_LABELS:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 import statistics
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
-from math import isfinite
+from math import inf, isfinite
 from pathlib import Path
 from random import Random
 from typing import Sequence
@@ -46,13 +46,13 @@ class TrialOutcome(Enum):
 class ExperimentConfig:
     trials: int = 2000
     step_cap: int = 3000
-    seeds: tuple[int, ...] = (0,)
+    seeds: int = 0                   # the run's one seed, named as metadata.txt spells it
     atf_enabled: bool = True
     # rewards
     reward: float = 100.0
     dangerous_reward: float = 0.0
-    # generic profit-sharing parameters, only recorded with runs: the
-    # suppression check takes its own PSParams (ROADMAP item 7)
+    # generic profit-sharing parameters, only recorded with runs: the test
+    # oracle's suppression check takes its own PSParams (ROADMAP item 7)
     ps_discount: float = 5.0
     ps_rule_bound: int = 4
     # lower layer
@@ -83,8 +83,6 @@ class ExperimentConfig:
     trajectory_trial: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.seeds:
-            raise ValueError("seeds must hold at least one seed")
         if self.trials < 1 or self.step_cap < 1:
             raise ValueError(f"trials and step_cap must be >= 1, "
                              f"got {self.trials} and {self.step_cap}")
@@ -181,33 +179,27 @@ class BlockMetrics:
 @dataclass
 class TrainingResult:
     config: ExperimentConfig
-    seed: int
     records: list[TrialRecord]
     agents: list[HunterAgent]
     instances: list[Instance]
     trajectory: list[tuple[int, str, int, int, str]]
 
 
-def run_training(config: ExperimentConfig, seed: int | None = None,
+def run_training(config: ExperimentConfig,
                  rules: Sequence[IfThenRule] | None = None) -> TrainingResult:
     """Run one full training (or rule-driven) session.
 
     With ``rules`` given, each hunter's move is taken from the first
     matching rule and the learner's own epsilon-greedy pick serves as
     the fallback; all learning updates still apply to the action
-    actually taken. Runs ``seed``, else the one seed of ``config.seeds``;
-    fully deterministic for a given seed.
+    actually taken. Fully deterministic for a given ``config.seeds``.
 
     The lower layer learns after every step (``deliver_rewards``). A
     trial's end is decided once, after its step loop: its outcome and its
     one upper reward (0.0 at the step cap), which ``hmrl.reinforce_upper``
     shares over every hunter's trace.
     """
-    if seed is None:
-        if len(config.seeds) != 1:
-            raise ValueError(f"run_training runs one seed: pick one of {config.seeds}")
-        seed = config.seeds[0]
-    rng = Random(seed)
+    rng = Random(config.seeds)
     grid = env.grid_for(config.grid_side)
     compiled = None if rules is None else compile_rules(rules, grid)
     agents = [HunterAgent(index, config) for index in range(env.N_HUNTERS)]
@@ -285,7 +277,7 @@ def run_training(config: ExperimentConfig, seed: int | None = None,
             outcome=outcome_kind, gd_at_capture=gd,
         ))
 
-    return TrainingResult(config=config, seed=seed, records=records, agents=agents,
+    return TrainingResult(config=config, records=records, agents=agents,
                           instances=instances, trajectory=trajectory)
 
 
@@ -394,15 +386,12 @@ _TYPE_PARSERS = {
 _FIELD_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
-def config_to_lines(config: ExperimentConfig, seed: int | None = None) -> list[str]:
-    lines = [f"{f.name} = {_format_value(getattr(config, f.name))}"
-             for f in fields(config)]
-    if seed is not None:
-        lines.append(f"run_seed = {seed}")
-    return lines
+def config_to_lines(config: ExperimentConfig) -> list[str]:
+    return [f"{f.name} = {_format_value(getattr(config, f.name))}"
+            for f in fields(config)] + [f"run_seed = {config.seeds}"]
 
 
-def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
+def parse_config(text: str) -> ExperimentConfig:
     """Parse ``key = value`` lines; unknown or repeated keys are errors."""
     overrides = {}
     first_line: dict[str, int] = {}
@@ -426,13 +415,13 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
             overrides[key] = _FIELD_PARSERS[key](value.strip())
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {key}: {exc}") from None
-    return replace(base or ExperimentConfig(), **overrides)
+    return ExperimentConfig(**overrides)
 
 
-def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     """:func:`parse_config` of a file; its errors start with the path."""
     try:
-        return parse_config(Path(path).read_text(), base)
+        return parse_config(Path(path).read_text())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -450,11 +439,13 @@ BLOCK_COLUMNS = ("block_start", "block_end", "trials", "safety_target",
                  "mean_distance", "steps_mean", "steps_var",
                  "actions_mean", "actions_var")
 
+_RATIO_FIELDS = ("safety_target", "within_safety", "within_dangerous", "positive_ratio")
+
 TRIAL_COLUMNS = ("trial", "steps", "actions", "outcome", "gd_at_capture")
 
 
 def export_report(metrics: Sequence[BlockMetrics], records: Sequence[TrialRecord],
-                  out_dir, config: ExperimentConfig, seed: int) -> None:
+                  out_dir, config: ExperimentConfig) -> None:
     """Write blocks.csv, trials.csv and a metadata file for one run."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -470,19 +461,26 @@ def export_report(metrics: Sequence[BlockMetrics], records: Sequence[TrialRecord
             writer.writerow([_csv_cell(v) for v in (
                 r.trial, r.steps, r.actions, r.outcome.value, r.gd_at_capture)])
     (out / "metadata.txt").write_text(
-        "\n".join(config_to_lines(config, seed)) + "\n")
+        "\n".join(config_to_lines(config)) + "\n")
 
 
 def read_blocks_csv(path) -> list[dict[str, str]]:
     """The rows of a blocks.csv by column; a cell that does not parse as its
-    :class:`BlockMetrics` field (empty for ``None``), or a float cell that
-    is not finite, raises naming the line."""
+    :class:`BlockMetrics` field (empty for ``None``), or holds a figure no
+    run writes, raises naming the line: a block must hold 1 to all of its
+    trials, a ratio lie in [0, 1], and a mean, variance or distance be
+    finite and >= 0."""
     def row(*cells: str) -> dict[str, str]:
-        for f, cell in zip(fields(BlockMetrics), cells):
-            if f.type == "int":
-                int(cell)
-            elif (cell or f.type != "float | None") and not isfinite(float(cell)):
-                raise ValueError(f"{f.name} is not finite: {cell!r}")
+        start, end, trials = map(int, cells[:3])        # the int fields come first
+        if not (1 <= start <= end and 1 <= trials <= end - start + 1):
+            raise ValueError(f"block {start}-{end} cannot hold {trials} trials")
+        for f, cell in zip(fields(BlockMetrics)[3:], cells[3:]):
+            if cell or f.type != "float | None":
+                value, top = float(cell), 1.0 if f.name in _RATIO_FIELDS else inf
+                if not isfinite(value):
+                    raise ValueError(f"{f.name} is not finite: {cell!r}")
+                if not 0.0 <= value <= top:
+                    raise ValueError(f"{f.name} must be in [0, {top:g}], got {cell!r}")
         return dict(zip(BLOCK_COLUMNS, cells))
     return tableio.load_csv(path, BLOCK_COLUMNS, row)
 

@@ -92,24 +92,6 @@ def _split_score(node_entropy: float, counts: Sequence[int], left_counts: Sequen
     return gain, gain / _entropy((left_total, right_total), total)
 
 
-def gain_ratio(instances: Sequence[Instance], attribute: str, threshold: float) -> float:
-    """Information gain of the binary split over its split entropy (base 2),
-    scored as :func:`induce_tree` scores its candidate splits."""
-    if len(instances) < 2:
-        raise ValueError("need at least 2 instances to split")
-    idx = _attribute_index(attribute)
-    counts = [0] * len(ACTIONS)
-    left_counts = [0] * len(ACTIONS)
-    for inst in instances:
-        counts[inst.label] += 1
-        if inst[idx] <= threshold:
-            left_counts[inst.label] += 1
-    total, left_total = len(instances), sum(left_counts)
-    if left_total == 0 or left_total == total:
-        raise ValueError(f"degenerate split at {attribute} <= {threshold}")
-    return _split_score(_entropy(counts, total), counts, left_counts, total, left_total)[1]
-
-
 def _grow(items: list[tuple[int, int, int, int]], min_leaf: int, max_depth: int,
           depth: int) -> TreeNode:
     """items: (theta_x, theta_y, label, weight), sorted, non-empty."""

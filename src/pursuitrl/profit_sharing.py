@@ -2,33 +2,17 @@
 
 A learner keeps a weight per rule. When a reward arrives, every rule in
 the episode trace is reinforced with a geometrically shrinking share of
-it, newest rule first; no value function is estimated. The share ratio
-must be steep enough to keep rules that only ever fire on detours from
-out-earning the rules that actually lead to reward (the suppression
-condition checked by :func:`check_suppression`). The backward credit
-walk over a trial's trace is :func:`hmrl.reinforce_upper`.
+it, newest rule first; no value function is estimated. A steep enough
+share ratio keeps rules that only fire on detours from out-earning the
+rules that lead to reward (``check_suppression`` in ``tests/reference.py``).
+The backward credit walk over a trial's trace is :func:`hmrl.reinforce_upper`.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .tableio import save_table
-
-
-@dataclass(frozen=True)
-class PSParams:
-    discount: float = 5.0     # divisor between consecutive credit shares
-    rule_bound: int = 4       # most effective rules competing for one input
-
-    def __post_init__(self) -> None:
-        if self.discount < self.rule_bound + 1:
-            raise ValueError(
-                f"discount {self.discount} must be >= rule bound + 1 "
-                f"({self.rule_bound + 1})"
-            )
 
 
 class WeightTable:
@@ -64,34 +48,6 @@ class WeightTable:
 
     def __len__(self) -> int:
         return len(self.weight)
-
-
-def check_suppression(params: PSParams, episode_length: int) -> bool:
-    """Whether detour-only rules can never out-earn the regular ones.
-
-    For every step i of an episode, the bound-many shares from step i to
-    the end together must stay below the single share at step i-1.
-
-    At the tightest admissible discount the margin shrinks below float
-    resolution within a few dozen steps, so the inequality is evaluated
-    in exact integer arithmetic: with the discount as p/q, both sides
-    are scaled by p**length.
-    """
-    if episode_length < 1:
-        raise ValueError("episode length must be >= 1")
-    p, q = Fraction(params.discount).as_integer_ratio()
-    # share at offset j, scaled by p**length: q**j * p**(length - j)
-    p_pow = [1]
-    q_pow = [1]
-    for _ in range(episode_length + 1):
-        p_pow.append(p_pow[-1] * p)
-        q_pow.append(q_pow[-1] * q)
-    tail = 0
-    for i in range(episode_length, 0, -1):
-        tail += q_pow[i] * p_pow[episode_length - i]
-        if params.rule_bound * tail >= q_pow[i - 1] * p_pow[episode_length - i + 1]:
-            return False
-    return True
 
 
 def save_weights(path, rows: list[str], meta: dict[str, object] | None = None) -> None:

@@ -5,9 +5,12 @@ named keys by direct geometry, the way the program did before its tables
 were integer-coded, and share no code with the :class:`pursuitrl.env.Grid`
 tables; they convert the program's cell-id world states at their
 boundary. Plain Profit Sharing and value iteration are the textbook
-algorithms the two learning layers reduce to. The lower layer's action
-pick is kept in the form that copies the scored row for every call. The
-gain-ratio oracle works from probability lists over the instances. The
+algorithms the two learning layers reduce to; the Profit Sharing
+suppression check (``PSParams``, ``check_suppression``) states the
+condition on the generic algorithm's share ratio. The lower layer's action
+pick is kept in the form that copies the scored row for every call.
+``gain_ratio`` scores one split with the tree's own scorer;
+the gain-ratio oracle works from probability lists over the instances. The
 learned-table readers invert the program's table writers; no command
 reads a table back.
 """
@@ -19,6 +22,7 @@ import csv
 import math
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from random import Random
@@ -28,7 +32,8 @@ from pursuitrl.env import (ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, N_HUNTERS, N
                            Grid, Position, WorldState, below, grid_for)
 from pursuitrl.experiment import run_meta
 from pursuitrl.hmrl import lower_state_texts
-from pursuitrl.knowledge import INSTANCE_HEADER, Instance, Split, format_rules
+from pursuitrl.knowledge import (INSTANCE_HEADER, Instance, Split, _attribute_index, _entropy,
+                                 _split_score, format_rules)
 from pursuitrl.profit_sharing import WeightTable
 from pursuitrl.q_learning import QTable
 
@@ -350,6 +355,25 @@ def load_instances(path) -> list[Instance]:
     return instances
 
 
+def gain_ratio(instances, attribute: str, threshold: float) -> float:
+    """Information gain of the binary split over its split entropy (base 2),
+    scored by the program's own split scorer as :func:`induce_tree` scores
+    its candidate splits."""
+    if len(instances) < 2:
+        raise ValueError("need at least 2 instances to split")
+    idx = _attribute_index(attribute)
+    counts = [0] * len(ACTIONS)
+    left_counts = [0] * len(ACTIONS)
+    for inst in instances:
+        counts[inst.label] += 1
+        if inst[idx] <= threshold:
+            left_counts[inst.label] += 1
+    total, left_total = len(instances), sum(left_counts)
+    if left_total == 0 or left_total == total:
+        raise ValueError(f"degenerate split at {attribute} <= {threshold}")
+    return _split_score(_entropy(counts, total), counts, left_counts, total, left_total)[1]
+
+
 def brute_force_gain_ratio(instances, attribute: str, threshold) -> float:
     """Gain ratio of the split ``attribute <= threshold``, straight from
     probability lists over the instances of each side."""
@@ -484,6 +508,50 @@ def profit_sharing(rules: list, reward: float, discount: float) -> dict:
         credit[rule] = credit.get(rule, 0.0) + share
         share /= discount
     return credit
+
+
+@dataclass(frozen=True)
+class PSParams:
+    """Generic Profit Sharing parameters: the share ratio between consecutive
+    credit shares and the most effective rules competing for one input."""
+
+    discount: float = 5.0     # divisor between consecutive credit shares
+    rule_bound: int = 4       # most effective rules competing for one input
+
+    def __post_init__(self) -> None:
+        if self.discount < self.rule_bound + 1:
+            raise ValueError(
+                f"discount {self.discount} must be >= rule bound + 1 "
+                f"({self.rule_bound + 1})"
+            )
+
+
+def check_suppression(params: PSParams, episode_length: int) -> bool:
+    """Whether detour-only rules can never out-earn the regular ones.
+
+    For every step i of an episode, the bound-many shares from step i to
+    the end together must stay below the single share at step i-1.
+
+    At the tightest admissible discount the margin shrinks below float
+    resolution within a few dozen steps, so the inequality is evaluated
+    in exact integer arithmetic: with the discount as p/q, both sides
+    are scaled by p**length.
+    """
+    if episode_length < 1:
+        raise ValueError("episode length must be >= 1")
+    p, q = Fraction(params.discount).as_integer_ratio()
+    # share at offset j, scaled by p**length: q**j * p**(length - j)
+    p_pow = [1]
+    q_pow = [1]
+    for _ in range(episode_length + 1):
+        p_pow.append(p_pow[-1] * p)
+        q_pow.append(q_pow[-1] * q)
+    tail = 0
+    for i in range(episode_length, 0, -1):
+        tail += q_pow[i] * p_pow[episode_length - i]
+        if params.rule_bound * tail >= q_pow[i - 1] * p_pow[episode_length - i + 1]:
+            return False
+    return True
 
 
 @dataclass

@@ -13,6 +13,7 @@ import statistics
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -21,11 +22,11 @@ from pursuitrl import cli
 from pursuitrl.env import ACTIONS, Action, Position
 from pursuitrl.experiment import ExperimentConfig, compute_metrics, run_training
 from pursuitrl.hmrl import atf
-from pursuitrl.knowledge import Instance, Leaf, extract_rules, gain_ratio, induce_tree
-from pursuitrl.profit_sharing import PSParams, check_suppression
+from pursuitrl.knowledge import Instance, Leaf, extract_rules, induce_tree
 from pursuitrl.q_learning import QTable, q_update
-from reference import (ExplicitMDP, brute_force_gain_ratio, classify, legal_actions, moved,
-                       q_value, solve_value_iteration)
+from reference import (ExplicitMDP, PSParams, brute_force_gain_ratio, check_suppression,
+                       classify, gain_ratio, legal_actions, moved, q_value,
+                       solve_value_iteration)
 
 SEEDS = (1, 2, 3, 4, 5)
 SWEEP_CONFIG = ExperimentConfig(trials=2000)
@@ -34,14 +35,14 @@ DISTILL_SEEDS = SEEDS[:3]
 
 def _train_task(args):
     seed, atf_enabled = args
-    config = ExperimentConfig(trials=SWEEP_CONFIG.trials, atf_enabled=atf_enabled)
-    result = run_training(config, seed=seed)
+    config = ExperimentConfig(trials=SWEEP_CONFIG.trials, seeds=seed, atf_enabled=atf_enabled)
+    result = run_training(config)
     return seed, result.records, result.instances
 
 
 def _rule_eval_task(args):
     seed, rules = args
-    result = run_training(SWEEP_CONFIG, seed=seed, rules=rules)
+    result = run_training(replace(SWEEP_CONFIG, seeds=seed), rules=rules)
     return seed, result.records
 
 

@@ -47,6 +47,7 @@ def test_train_applies_config_file(tmp_path):
     ("step_cap = 40\ntrials = abc\n",
      "line 2: trials: invalid literal for int() with base 10: 'abc'"),
     ("trial = 4\n", "line 1: unknown config key 'trial'"),
+    ("seeds = 1,2\n", "line 1: seeds: invalid literal for int() with base 10: '1,2'"),
 ])
 def test_train_config_errors_name_file_and_line(tmp_path, capsys, text, error):
     config = tmp_path / "run.cfg"
@@ -204,6 +205,27 @@ def test_replay_names_a_row_of_no_agent_or_action(tmp_path, capsys, row, error):
                      error_line(printed))
 
 
+def test_replay_rejects_a_negative_step(tmp_path, capsys):
+    trajectory = tmp_path / "trajectory.csv"
+    trajectory.write_text("step,agent,x,y,action\n0,h0,0,0,stay\n-4,h0,1,0,up\n")
+    assert run_cli("replay", "--trajectory", trajectory, "--side", 7) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert re.search(f"^pursuitrl: {re.escape(str(trajectory))}:3: malformed row "
+                     f"'-4,h0,1,0,up': ValueError\\('negative step -4'\\)$",
+                     error_line(printed))
+
+
+def test_replay_rejects_a_second_row_for_one_agent_at_one_step(tmp_path, capsys):
+    trajectory = tmp_path / "trajectory.csv"
+    trajectory.write_text("step,agent,x,y,action\n0,h0,0,0,stay\n0,p0,3,3,\n"
+                          "0,h0,1,0,up\n1,h0,0,0,stay\n")
+    assert run_cli("replay", "--trajectory", trajectory, "--side", 7) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert error_line(printed) == f"pursuitrl: {trajectory}:4: h0 twice at step 0"
+
+
 def test_a_missing_input_file_is_a_one_line_error(tmp_path, capsys):
     missing = tmp_path / "nowhere.csv"
     assert run_cli("extract-rules", "--instances", missing, "--out", tmp_path / "rules.txt") == 2
@@ -266,6 +288,45 @@ def test_report_rejects_a_non_finite_cell(tmp_path, capsys, column, cell):
     assert "%" not in printed.out
     message = f"{blocks}:3: malformed row '{','.join(rows[2])}': ValueError"
     assert re.search(f"^pursuitrl: {re.escape(message)}.*{column} is not finite: '{cell}'",
+                     error_line(printed))
+
+
+def test_report_rejects_a_row_of_figures_no_run_writes(tmp_path, capsys):
+    # trials=-5, safety_target=2.5, positive_ratio=1.25, steps_mean=-10.0
+    row = "6,10,-5,2.5,0.5,0.5,1.25,3.5,-10.0,1.0,11.0,2.0".split(",")
+    blocks = write_blocks(tmp_path / "run", [BLOCKS[0], BLOCKS[1], row])
+    assert run_cli("report", "--runs", blocks.parent) == 2
+    printed = capsys.readouterr()
+    assert "%" not in printed.out and "-5" not in printed.out
+    message = f"{blocks}:3: malformed row '{','.join(row)}': ValueError"
+    assert re.search(f"^pursuitrl: {re.escape(message)}.*block 6-10 cannot hold -5 trials",
+                     error_line(printed))
+
+
+@pytest.mark.parametrize("column, cell, error", [
+    ("block_start", "0", "block 0-10 cannot hold 5 trials"),
+    ("block_end", "5", "block 6-5 cannot hold 5 trials"),
+    ("trials", "0", "block 6-10 cannot hold 0 trials"),
+    ("trials", "6", "block 6-10 cannot hold 6 trials"),
+    ("safety_target", "1.5", "safety_target must be in [0, 1], got '1.5'"),
+    ("within_safety", "-0.5", "within_safety must be in [0, 1], got '-0.5'"),
+    ("within_dangerous", "2", "within_dangerous must be in [0, 1], got '2'"),
+    ("positive_ratio", "1.25", "positive_ratio must be in [0, 1], got '1.25'"),
+    ("mean_distance", "-1", "mean_distance must be in [0, inf], got '-1'"),
+    ("steps_mean", "-10.0", "steps_mean must be in [0, inf], got '-10.0'"),
+    ("steps_var", "-0.1", "steps_var must be in [0, inf], got '-0.1'"),
+    ("actions_mean", "-1e-9", "actions_mean must be in [0, inf], got '-1e-9'"),
+    ("actions_var", "-3", "actions_var must be in [0, inf], got '-3'"),
+])
+def test_report_rejects_a_cell_out_of_range(tmp_path, capsys, column, cell, error):
+    rows = [list(row) for row in BLOCKS]
+    rows[2][BLOCK_COLUMNS.index(column)] = cell
+    blocks = write_blocks(tmp_path / "run", rows)
+    assert run_cli("report", "--runs", blocks.parent) == 2
+    printed = capsys.readouterr()
+    assert "%" not in printed.out
+    message = f"{blocks}:3: malformed row '{','.join(rows[2])}': ValueError"
+    assert re.search(f"^pursuitrl: {re.escape(message)}.*{re.escape(error)}",
                      error_line(printed))
 
 

@@ -50,24 +50,24 @@ def test_epsilon_schedule_endpoints():
 
 
 def test_run_training_respects_step_cap():
-    result = run_training(replace(QUICK, trials=1, step_cap=10), seed=5)
+    result = run_training(replace(QUICK, trials=1, step_cap=10, seeds=5))
     assert len(result.records) == 1
     assert result.records[0].steps <= 10
 
 
 def test_run_training_deterministic():
-    a = run_training(QUICK, seed=3)
-    b = run_training(QUICK, seed=3)
+    a = run_training(replace(QUICK, seeds=3))
+    b = run_training(replace(QUICK, seeds=3))
     assert a.records == b.records
     assert a.instances == b.instances
 
 
 def test_instance_window_counts():
     config = replace(QUICK, trials=1, step_cap=10, instance_window=(1, 1))
-    result = run_training(config, seed=5)
+    result = run_training(replace(config, seeds=5))
     assert len(result.instances) == result.records[0].steps * 4
 
-    empty = run_training(replace(config, instance_window=(2, 1)), seed=5)
+    empty = run_training(replace(config, instance_window=(2, 1), seeds=5))
     assert empty.instances == []
 
 
@@ -90,7 +90,7 @@ def test_run_logs_one_object_per_offset_and_action():
     config = replace(QUICK, trials=20, instance_window=(1, 20))
     n_offsets = len(grid_for(config.grid_side).offsets)
     for rules in (None, parse_rules("No.1\nIf theta_X <= 0 Then left with CF=1.0\n")):
-        result = run_training(config, seed=7, rules=rules)
+        result = run_training(replace(config, seeds=7), rules=rules)
         distinct = {id(item) for item in result.instances}
         assert len(distinct) <= n_offsets * len(ACTIONS)
         assert len(distinct) < len(result.instances)
@@ -98,7 +98,7 @@ def test_run_logs_one_object_per_offset_and_action():
 
 def test_step_capped_outcome():
     config = replace(QUICK, trials=3, step_cap=1)
-    result = run_training(config, seed=0)
+    result = run_training(replace(config, seeds=0))
     assert all(r.outcome is TrialOutcome.STEP_CAPPED or r.steps <= 1
                for r in result.records)
     assert all(r.steps <= 1 for r in result.records)
@@ -108,7 +108,7 @@ def test_step_capped_outcome():
 def test_a_dangerous_capture_settles_the_dangerous_reward(dangerous_reward):
     config = replace(QUICK, trials=3, step_cap=3000, prey_alive=(False, True),
                      dangerous_reward=dangerous_reward)
-    result = run_training(config, seed=1)
+    result = run_training(replace(config, seeds=1))
     assert all(r.outcome is TrialOutcome.DANGEROUS_CAPTURED for r in result.records)
     for agent in result.agents:
         weights = rule_weights(agent.upper).values()
@@ -121,7 +121,7 @@ def test_a_dangerous_capture_settles_the_dangerous_reward(dangerous_reward):
 @pytest.mark.parametrize("reward", [5.0, 100.0])
 def test_a_positive_capture_settles_the_reward_once(reward):
     config = replace(QUICK, trials=1, step_cap=3000, prey_alive=(True, False), reward=reward)
-    result = run_training(config, seed=1)
+    result = run_training(replace(config, seeds=1))
     assert [r.outcome for r in result.records] == [TrialOutcome.POSITIVE_CAPTURED]
     for agent in result.agents:
         weights = rule_weights(agent.upper).values()
@@ -146,7 +146,7 @@ def test_a_run_maps_captured_prey_to_outcomes_through_prey_kinds(monkeypatch, pr
 
     monkeypatch.setattr(env, "step", recorded)
     config = replace(QUICK, trials=12, step_cap=3000, prey_kinds=prey_kinds)
-    result = run_training(config, seed=3)
+    result = run_training(replace(config, seeds=3))
     ends = [captures for captures in last_captures if captures]
     assert len(ends) == len(result.records)
     by_kind = {"positive": TrialOutcome.POSITIVE_CAPTURED,
@@ -161,7 +161,7 @@ def test_a_run_maps_captured_prey_to_outcomes_through_prey_kinds(monkeypatch, pr
 
 def test_a_step_capped_trial_settles_no_reward():
     config = replace(QUICK, step_cap=5, dangerous_reward=-1.0)
-    result = run_training(config, seed=1)
+    result = run_training(replace(config, seeds=1))
     assert all(r.outcome is TrialOutcome.STEP_CAPPED for r in result.records)
     assert all(len(agent.upper) == 0 for agent in result.agents)
 
@@ -184,14 +184,14 @@ def test_every_decision_starts_from_the_trials_trace_and_no_pending_move(monkeyp
                           (replace(QUICK, strict_reset=True), None),
                           (replace(QUICK, rule_fallback="stay"), partial_rules)):
         calls.clear()
-        result = run_training(config, seed=2, rules=rules)
+        result = run_training(replace(config, seeds=2), rules=rules)
         assert len(calls) == N_HUNTERS * sum(r.steps for r in result.records)
 
 
 def test_tables_persist_across_trials():
-    result = run_training(replace(QUICK, trials=4), seed=2)
+    result = run_training(replace(QUICK, trials=4, seeds=2))
     assert any(len(agent.q.values) > 0 for agent in result.agents)
-    strict = run_training(replace(QUICK, trials=4, strict_reset=True), seed=2)
+    strict = run_training(replace(QUICK, trials=4, strict_reset=True, seeds=2))
     # With per-trial resets, only the last trial's lower-layer updates
     # survive, so the tables stay comparatively tiny.
     assert (sum(len(a.q.values) for a in strict.agents)
@@ -252,9 +252,9 @@ def test_blocks_clip_to_trial_count():
 
 
 def test_config_round_trip_and_schema():
-    config = ExperimentConfig(trials=123, seeds=(4, 5), atf_enabled=False,
+    config = ExperimentConfig(trials=123, seeds=4, atf_enabled=False,
                               instance_window=(100, 123), prey_alive=(True, False))
-    lines = config_to_lines(config, seed=4)
+    lines = config_to_lines(config)
     parsed = parse_config("\n".join(lines))
     assert parsed == config
     keys = {line.split(" = ")[0] for line in lines}
@@ -370,12 +370,13 @@ def test_config_rejects_empty_seeds():
         parse_config("seeds = ")
 
 
-def test_run_training_rejects_several_seeds_without_an_explicit_one():
-    config = replace(QUICK, trials=1, step_cap=5, block_ends=(1,), seeds=(1, 2))
-    with pytest.raises(ValueError, match=r"\(1, 2\)"):
-        run_training(config)
-    assert run_training(config, seed=2).seed == 2
-    assert run_training(replace(config, seeds=(2,))).seed == 2
+def test_config_rejects_several_seeds_at_build():
+    # A run has one seed: a tuple of seeds fails when the config is built,
+    # not when the run starts.
+    with pytest.raises(ValueError, match=r"^seeds must be .* got \(1, 2\)$"):
+        ExperimentConfig(seeds=(1, 2))
+    with pytest.raises(ValueError, match="^line 1: seeds: "):
+        parse_config("seeds = 1,2")
 
 
 def test_config_rejects_unknown_prey_kind():
@@ -428,7 +429,7 @@ def valid_configs(draw):
     near = draw(st.integers(1, 50))
     values = dict(
         trials=trials, step_cap=draw(st.integers(1, 10**6)),
-        seeds=tuple(draw(st.lists(st.integers(-2**63, 2**64), min_size=1, max_size=4))),
+        seeds=draw(st.integers(-2**63, 2**64)),
         atf_enabled=draw(st.booleans()),
         reward=draw(finite), dangerous_reward=draw(finite),
         ps_discount=draw(finite), ps_rule_bound=draw(st.integers(-10, 10)),
@@ -514,9 +515,10 @@ def test_block_columns_name_the_block_metrics_fields_in_order():
 
 
 def test_export_report_round_trip(tmp_path):
-    result = run_training(QUICK, seed=1)
-    metrics = compute_metrics(result.records, QUICK)
-    export_report(metrics, result.records, tmp_path, QUICK, seed=1)
+    config = replace(QUICK, seeds=1)
+    result = run_training(config)
+    metrics = compute_metrics(result.records, config)
+    export_report(metrics, result.records, tmp_path, config)
 
     rows = read_blocks_csv(tmp_path / "blocks.csv")
     assert [tuple(r) for r in map(dict.keys, rows)][0] == BLOCK_COLUMNS
@@ -530,7 +532,7 @@ def test_export_report_round_trip(tmp_path):
             assert float(row["within_safety"]) == m.within_safety
 
     meta_text = (tmp_path / "metadata.txt").read_text()
-    assert parse_config(meta_text) == QUICK
+    assert parse_config(meta_text) == config
     assert "run_seed = 1" in meta_text
 
     trial_lines = (tmp_path / "trials.csv").read_text().splitlines()
@@ -539,7 +541,7 @@ def test_export_report_round_trip(tmp_path):
 
 
 def test_saved_tables_reload(tmp_path):
-    result = run_training(replace(QUICK, trials=6), seed=9)
+    result = run_training(replace(QUICK, trials=6, seeds=9))
     save_learned_tables(tmp_path, result)
     agent = result.agents[0]
     q_loaded, meta = load_q_table(tmp_path / "q_h0.tsv",
@@ -558,18 +560,17 @@ def test_saved_tables_reload(tmp_path):
 
 def test_rule_eval_stay_fallback_times_out():
     config = replace(QUICK, trials=3, step_cap=30, rule_fallback="stay")
-    result = run_training(config, seed=4, rules=[])
+    result = run_training(replace(config, seeds=4), rules=[])
     assert all(r.outcome is TrialOutcome.STEP_CAPPED for r in result.records)
     assert all(r.steps == 30 for r in result.records)
 
 
 def test_rule_eval_with_distilled_rules_runs():
-    training = run_training(replace(QUICK, trials=10, instance_window=(1, 10)),
-                            seed=11)
+    training = run_training(replace(QUICK, trials=10, instance_window=(1, 10), seeds=11))
     tree = induce_tree(training.instances)
     rules = extract_rules(tree)
     assert rules
-    evaluation = run_training(replace(QUICK, trials=5), seed=11, rules=rules)
+    evaluation = run_training(replace(QUICK, trials=5, seeds=11), rules=rules)
     assert len(evaluation.records) == 5
 
 
@@ -584,7 +585,7 @@ def test_rule_eval_single_prey_world_captures():
     )
     config = ExperimentConfig(trials=8, step_cap=400, block_ends=(8,),
                               prey_alive=(True, False))
-    result = run_training(config, seed=2, rules=rules)
+    result = run_training(replace(config, seeds=2), rules=rules)
     captured = [r for r in result.records
                 if r.outcome is TrialOutcome.POSITIVE_CAPTURED]
     assert captured
@@ -593,17 +594,17 @@ def test_rule_eval_single_prey_world_captures():
 
 def test_reports_diffable_across_atf_settings(tmp_path):
     for name, gated in (("on", True), ("off", False)):
-        config = replace(QUICK, atf_enabled=gated)
-        result = run_training(config, seed=7)
+        config = replace(QUICK, atf_enabled=gated, seeds=7)
+        result = run_training(config)
         metrics = compute_metrics(result.records, config)
-        export_report(metrics, result.records, tmp_path / name, config, seed=7)
+        export_report(metrics, result.records, tmp_path / name, config)
     header = lambda p: p.read_text().splitlines()[0]
     assert header(tmp_path / "on" / "blocks.csv") == header(tmp_path / "off" / "blocks.csv")
     assert header(tmp_path / "on" / "trials.csv") == header(tmp_path / "off" / "trials.csv")
 
 
 def test_trial_records_never_exceed_cap():
-    result = run_training(replace(QUICK, trials=8, step_cap=25), seed=6)
+    result = run_training(replace(QUICK, trials=8, step_cap=25, seeds=6))
     assert all(r.steps <= 25 for r in result.records)
     assert all(r.actions >= r.steps * 4 for r in result.records)
 
@@ -623,7 +624,7 @@ def test_scenario_tables_instances_and_rules(name, tmp_path):
     config = SCENARIOS[name]
     side = config.grid_side
     grid = grid_for(side)
-    result = run_training(config, seed=13)
+    result = run_training(replace(config, seeds=13))
     if name == "step_capped":
         assert any(r.outcome is TrialOutcome.STEP_CAPPED for r in result.records)
     if name == "one_live_prey":
@@ -661,12 +662,12 @@ def test_scenario_tables_instances_and_rules(name, tmp_path):
         next((rule.action for rule, conds in zip(rules, conditions)
               if rule_matches(conds, x, y)), -1)
         for x, y in grid.offsets)
-    evaluation = run_training(config, seed=13, rules=rules)
+    evaluation = run_training(replace(config, seeds=13), rules=rules)
     assert len(evaluation.records) == config.trials
 
 
 def test_inverted_instance_window_logs_nothing(tmp_path):
-    result = run_training(replace(QUICK, instance_window=(4, 2)), seed=3)
+    result = run_training(replace(QUICK, instance_window=(4, 2), seeds=3))
     assert result.instances == []
     assert log_instances(result, tmp_path / "instances.csv") == 0
     assert (tmp_path / "instances.csv").read_text() == "theta_x,theta_y,action\n"

@@ -20,7 +20,6 @@ from pursuitrl.knowledge import (
     extract_rules,
     format_rules,
     format_tree,
-    gain_ratio,
     induce_tree,
     load_instances,
     load_rules,
@@ -29,7 +28,7 @@ from pursuitrl.knowledge import (
     save_instances,
     save_rules,
 )
-from reference import brute_force_gain_ratio, classify
+from reference import brute_force_gain_ratio, classify, gain_ratio
 
 
 def inst(x, y, label):

@@ -224,7 +224,7 @@ def test_packed_tables_survive_save_load(side, data):
     for agent in agents:
         agent.upper = upper_table({(key, cell): w for (key, cell), w in rules.items()
                                    if key.hunter == agent.index}, side)
-    result = TrainingResult(config=config, seed=0, records=[], agents=agents,
+    result = TrainingResult(config=config, records=[], agents=agents,
                             instances=[], trajectory=[])
     with tempfile.TemporaryDirectory() as out:
         save_learned_tables(out, result)
@@ -319,7 +319,7 @@ def test_learned_tables_match_reference_writer(tables):
                                    if key.hunter == agent.index}, side)
         for (offset, prey, action), value in q_entries.items():
             set_q_value(agent.q, lower_state(offset, prey, side), action, value)
-    result = TrainingResult(config=config, seed=0, records=[], agents=agents,
+    result = TrainingResult(config=config, records=[], agents=agents,
                             instances=[], trajectory=[])
     with tempfile.TemporaryDirectory() as out, tempfile.TemporaryDirectory() as expected:
         save_learned_tables(out, result)

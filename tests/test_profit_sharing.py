@@ -9,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
+from reference import PSParams, check_suppression
 from pursuitrl.env import grid_for
 from pursuitrl.experiment import ExperimentConfig
 from pursuitrl.hmrl import SPELLING_KEYS, reinforce_upper, save_upper_banks
-from pursuitrl.profit_sharing import PSParams, WeightTable, check_suppression
+from pursuitrl.profit_sharing import WeightTable
 from pursuitrl.tableio import save_table
 
 
