@@ -10,35 +10,34 @@ from pathlib import Path
 from . import env, experiment, knowledge
 
 
-def _load_base_config(args) -> experiment.ExperimentConfig:
+def cmd_run(args) -> int:
+    """``train``, or ``eval-rules`` when ``args.rules`` names a rule file (read first)."""
+    rules = None if args.rules is None else knowledge.load_rules(args.rules)
+    if rules == []:
+        raise ValueError(f"{args.rules}: no rules")
     config = (experiment.load_config(args.config) if args.config
               else experiment.ExperimentConfig())
     overrides = {"trials": args.trials, "seeds": args.seed,
                  "atf_enabled": None if args.atf is None else args.atf == "on",
-                 "trajectory_trial": getattr(args, "dump_trajectory", None)}   # train only
-    return replace(config, **{k: v for k, v in overrides.items() if v is not None})
-
-
-def _export_run(result: experiment.TrainingResult, out_dir: Path) -> None:
-    metrics = experiment.compute_metrics(result.records, result.config)
-    experiment.export_report(metrics, result.records, out_dir, result.config)
-    experiment.save_learned_tables(out_dir, result)
-    count = experiment.log_instances(result, out_dir / "instances.csv")
+                 "trajectory_trial": args.dump_trajectory}
+    try:
+        config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
+    except ValueError as exc:       # an option that a value of the file rules out
+        raise (ValueError(f"{args.config}: {exc}") if args.config else exc) from None
+    result = experiment.run_training(config, rules=rules)
+    metrics = experiment.compute_metrics(result.records, config)
+    experiment.export_report(metrics, result.records, args.out, config)
+    experiment.save_learned_tables(args.out, result)
+    count = experiment.log_instances(result, args.out / "instances.csv")
     if result.trajectory:
-        env.save_trajectory(out_dir / "trajectory.csv", result.trajectory)
+        env.save_trajectory(args.out / "trajectory.csv", result.trajectory)
     final = metrics[-1]
-    print(f"run complete: {result.config.trials} trials, seed {result.config.seeds}")
+    print(f"run complete: {config.trials} trials, seed {config.seeds}")
     print(f"instances logged: {count}")
     print(f"final block {final.start}-{final.end}: "
           f"steps {final.steps_mean:.1f}, "
           f"safety target {final.safety_target:.1%}, "
           f"positive ratio {final.positive_ratio:.1%}")
-
-
-def cmd_train(args) -> int:
-    config = _load_base_config(args)
-    result = experiment.run_training(config)
-    _export_run(result, Path(args.out))
     return 0
 
 
@@ -49,21 +48,12 @@ def cmd_extract_rules(args) -> int:
     tree = knowledge.induce_tree(instances, min_leaf=args.min_leaf,
                                  max_depth=args.max_depth)
     rules = knowledge.extract_rules(tree)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    knowledge.save_rules(out, rules)
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    args.out.write_text(knowledge.format_rules(rules))
     if args.tree_out:
         args.tree_out.parent.mkdir(parents=True, exist_ok=True)
         args.tree_out.write_text(knowledge.format_tree(tree))
-    print(f"{len(instances)} instances -> {len(rules)} rules -> {out}")
-    return 0
-
-
-def cmd_eval_rules(args) -> int:
-    rules = knowledge.load_rules(args.rules)
-    config = _load_base_config(args)
-    result = experiment.run_training(config, rules=rules)
-    _export_run(result, Path(args.out))
+    print(f"{len(instances)} instances -> {len(rules)} rules -> {args.out}")
     return 0
 
 
@@ -116,7 +106,10 @@ def cmd_report(args) -> int:
             print(f"{run_dir:<24}  (no blocks.csv)", file=sys.stderr)
             status = 1
             continue
-        for row in experiment.read_blocks_csv(path):
+        rows = experiment.read_blocks_csv(path)
+        if not rows:
+            raise ValueError(f"{path}: no blocks")
+        for row in rows:
             cells = [
                 f"{row['block_start']}-{row['block_end']}",
                 row["trials"],
@@ -141,15 +134,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    train = sub.add_parser("train", help="run a training session")
-    train.add_argument("--trials", type=int)
-    train.add_argument("--seed", type=int)
-    train.add_argument("--atf", choices=("on", "off"))
-    train.add_argument("--config", type=Path)
-    train.add_argument("--out", type=Path, required=True)
+    run_options = argparse.ArgumentParser(add_help=False)
+    run_options.add_argument("--trials", type=int)
+    run_options.add_argument("--seed", type=int)
+    run_options.add_argument("--atf", choices=("on", "off"))
+    run_options.add_argument("--config", type=Path)
+    run_options.add_argument("--out", type=Path, required=True)
+
+    train = sub.add_parser("train", parents=[run_options], help="run a training session")
     train.add_argument("--dump-trajectory", type=int, metavar="TRIAL",
                        help="record the trajectory of one trial")
-    train.set_defaults(func=cmd_train)
+    train.set_defaults(func=cmd_run, rules=None)
 
     extract = sub.add_parser("extract-rules", help="induce If-Then rules from instances")
     extract.add_argument("--instances", type=Path, required=True)
@@ -159,14 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument("--tree-out", type=Path)
     extract.set_defaults(func=cmd_extract_rules)
 
-    evaluate = sub.add_parser("eval-rules", help="run trials with a rule policy")
+    evaluate = sub.add_parser("eval-rules", parents=[run_options],
+                              help="run trials with a rule policy")
     evaluate.add_argument("--rules", type=Path, required=True)
-    evaluate.add_argument("--trials", type=int)
-    evaluate.add_argument("--seed", type=int)
-    evaluate.add_argument("--atf", choices=("on", "off"))
-    evaluate.add_argument("--config", type=Path)
-    evaluate.add_argument("--out", type=Path, required=True)
-    evaluate.set_defaults(func=cmd_eval_rules)
+    evaluate.set_defaults(func=cmd_run, dump_trajectory=None)
 
     replay = sub.add_parser("replay", help="print a recorded trajectory")
     replay.add_argument("--trajectory", type=Path, required=True)

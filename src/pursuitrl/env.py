@@ -166,10 +166,10 @@ class WorldState:
 @dataclass(slots=True)
 class StepOutcome:
     next_state: WorldState
-    captures: list[int] = field(default_factory=list)         # prey indices
+    captures: list[int]          # prey indices
     # indices into the step's agents (the hunters, then the live prey in
     # prey order), in priority order
-    blocked_moves: list[int] = field(default_factory=list)
+    blocked_moves: list[int]
 
 
 def new_world(seed: int, config: ExperimentConfig) -> WorldState:

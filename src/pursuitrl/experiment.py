@@ -298,19 +298,17 @@ def blocks_for(trials: int, block_ends: Sequence[int]) -> list[tuple[int, int]]:
 
 def compute_metrics(records: Sequence[TrialRecord],
                     config: ExperimentConfig) -> list[BlockMetrics]:
-    """Per-block capture and step statistics over the config's blocks.
+    """Per-block capture and step statistics over the config's blocks of
+    ``records``, trials 1..n in order as :func:`run_training` returns them.
 
     positive_ratio is defined as the product safety_target *
     within_safety so the identity between the three ratios is exact.
     """
     if not records:
         raise ValueError("no trial records")
-    by_trial = {record.trial: record for record in records}
     metrics: list[BlockMetrics] = []
-    for start, end in blocks_for(max(by_trial), config.block_ends):
-        block = [by_trial[t] for t in range(start, end + 1) if t in by_trial]
-        if not block:
-            continue
+    for start, end in blocks_for(len(records), config.block_ends):
+        block = records[start - 1:end]
         n = len(block)
         positives = [r for r in block if r.outcome is TrialOutcome.POSITIVE_CAPTURED]
         far = [r for r in positives

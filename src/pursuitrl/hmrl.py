@@ -204,7 +204,7 @@ TraceStep = tuple[tuple[int, ...], int, int | None]
 
 
 def reinforce_upper(weights: WeightTable, trace: list[TraceStep], reward: float,
-                    config: ExperimentConfig) -> WeightTable:
+                    config: ExperimentConfig) -> None:
     """Share ``reward`` backward over a trial's fired upper rules, then clear the trace.
 
     The newest step gets the whole reward. The share entering each
@@ -228,7 +228,6 @@ def reinforce_upper(weights: WeightTable, trace: list[TraceStep], reward: float,
             if abs(credit) < CREDIT_FLOOR:
                 break
     trace.clear()
-    return weights
 
 
 class HunterAgent:
@@ -266,10 +265,10 @@ class HunterAgent:
         self.pending = None
         cell = next_state.hunters[self.index]
         if cell == target:      # terminal: the backup reads no next state
-            q_update(self.q, lower, action, self.config.reward, None, terminal=True)
+            q_update(self.q, lower, action, self.config.reward, None)
             return True
         next_lower = next_state.grid.offset[cell][target] * N_PREY + lower % N_PREY
-        q_update(self.q, lower, action, 0.0, next_lower, terminal=False)
+        q_update(self.q, lower, action, 0.0, next_lower)
         return False
 
 

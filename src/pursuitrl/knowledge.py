@@ -42,7 +42,7 @@ class Leaf:
 
 @dataclass
 class Split:
-    attribute: str            # one of ATTRIBUTES
+    attribute: int            # index into ATTRIBUTES
     threshold: float
     le_child: "TreeNode"
     gt_child: "TreeNode"
@@ -70,13 +70,6 @@ def _entropy(counts: Iterable[int], total: float) -> float:
             p = count / total
             result -= p * math.log2(p)
     return result
-
-
-def _attribute_index(attribute: str) -> int:
-    try:
-        return ATTRIBUTES.index(attribute)
-    except ValueError:
-        raise ValueError(f"unknown attribute: {attribute!r}") from None
 
 
 def _split_score(node_entropy: float, counts: Sequence[int], left_counts: Sequence[int],
@@ -139,7 +132,7 @@ def _grow(items: list[tuple[int, int, int, int]], min_leaf: int, max_depth: int,
     left_items = [item for item in items if item[attr_idx] <= threshold]
     right_items = [item for item in items if item[attr_idx] > threshold]
     return Split(
-        attribute=ATTRIBUTES[attr_idx],
+        attribute=attr_idx,
         threshold=threshold,
         le_child=_grow(left_items, min_leaf, max_depth, depth + 1),
         gt_child=_grow(right_items, min_leaf, max_depth, depth + 1),
@@ -179,7 +172,7 @@ def format_tree(tree: TreeNode) -> str:
     def walk(node: Split, depth: int) -> None:
         prefix = "|   " * depth
         for op, child in (("<=", node.le_child), (">", node.gt_child)):
-            head = f"{prefix}{node.attribute} {op} {node.threshold:g}"
+            head = f"{prefix}{ATTRIBUTES[node.attribute]} {op} {node.threshold:g}"
             if isinstance(child, Leaf):
                 lines.append(f"{head}: {_leaf_text(child)}")
             else:
@@ -199,7 +192,7 @@ def extract_rules(tree: TreeNode) -> list[IfThenRule]:
         if isinstance(node, Leaf):
             rules.append(IfThenRule(box, node.label, (node.covered - node.errors) / node.covered))
             return
-        i = 2 * _attribute_index(node.attribute)     # box[i] < value <= box[i + 1]
+        i = 2 * node.attribute      # box[i] < value <= box[i + 1]
         walk(node.le_child, (*box[:i + 1], min(box[i + 1], node.threshold), *box[i + 2:]))
         walk(node.gt_child, (*box[:i], max(box[i], node.threshold), *box[i + 1:]))
 
@@ -266,7 +259,7 @@ def parse_rules(text: str) -> list[IfThenRule]:
             conditions_text, label, cf_text = match.groups()
             box = [-math.inf, math.inf, -math.inf, math.inf]
             for attribute, op, threshold in _COND_RE.findall(conditions_text):
-                i = 2 * _attribute_index(attribute) + (op == "<=")
+                i = 2 * ATTRIBUTES.index(attribute) + (op == "<=")
                 box[i] = (min if op == "<=" else max)(box[i], float(threshold))
             if label not in ACTION_BY_LABEL:
                 raise ValueError(f"unknown action label {label!r}")
@@ -277,11 +270,6 @@ def parse_rules(text: str) -> list[IfThenRule]:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}: {line!r}") from None
     return rules
-
-
-def save_rules(path, rules: Sequence[IfThenRule]) -> None:
-    with open(path, "w") as handle:
-        handle.write(format_rules(rules))
 
 
 def load_rules(path) -> list[IfThenRule]:

@@ -50,9 +50,9 @@ class WeightTable:
         return len(self.weight)
 
 
-def save_weights(path, rows: list[str], meta: dict[str, object] | None = None) -> None:
+def save_weights(path, rows: list[str], meta: dict[str, object]) -> None:
     """Write a weight table's spelled rows (see :func:`hmrl.save_upper_banks`)
     under a header saying what unseen rules read as."""
     header = {"default_weight": 0.0}
-    header.update(meta or {})
+    header.update(meta)
     save_table(path, rows, header)

@@ -41,19 +41,19 @@ class QTable:
 
 
 def q_update(table: QTable, state: Hashable, action: int, reward: float,
-             next_state: Hashable, terminal: bool) -> QTable:
-    """One temporal-difference backup toward reward + discounted best next value."""
+             next_state: Hashable | None) -> None:
+    """One temporal-difference backup toward reward + discounted best next
+    value; a ``None`` next state is terminal and bootstraps nothing."""
     if not isfinite(reward):
         raise ValueError(f"non-finite reward: {reward}")
     rows = table.rows
-    next_row = None if terminal else rows.get(next_state)
+    next_row = None if next_state is None else rows.get(next_state)
     bootstrap = 0.0 if next_row is None else table.gamma * max(next_row)
     row = rows.get(state) or rows.setdefault(state, [0.0] * len(table.actions))
     old = row[action]
     row[action] = old + table.alpha * (reward + bootstrap - old)
     if old == 0.0:      # maybe the slot's first write: a nonzero slot is marked already
         table.written[state] = table.written.get(state, 0) | 1 << action
-    return table
 
 
 def epsilon_greedy(table: QTable, state: Hashable, legal: Sequence[int],
@@ -77,10 +77,10 @@ def epsilon_greedy(table: QTable, state: Hashable, legal: Sequence[int],
 
 
 def save_q_table(path, table: QTable, encode_state: Encoder,
-                 meta: dict[str, object] | None = None) -> None:
+                 meta: dict[str, object]) -> None:
     """Write a table over the grid actions: states by ``encode_state``, actions by label."""
     header = {"alpha": table.alpha, "gamma": table.gamma}
-    header.update(meta or {})
+    header.update(meta)
     labels = [ACTION_LABELS[action] for action in table.actions]
     rows: list[str] = []
     for state, written in table.written.items():    # spell each state once

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 Encoder = Callable[[object], str]
 
 
-def save_table(path, rows: list[str], meta: Mapping[str, object] | None = None) -> None:
+def save_table(path, rows: list[str], meta: Mapping[str, object]) -> None:
     """Write encoded ``state<TAB>action<TAB>weight`` lines under a metadata header.
 
     ``rows`` is sorted in place as whole lines; a tab sorts below every
@@ -26,7 +26,7 @@ def save_table(path, rows: list[str], meta: Mapping[str, object] | None = None) 
     """
     rows.sort()
     with open(path, "w") as handle:
-        for key, value in (meta or {}).items():
+        for key, value in meta.items():
             handle.write(f"# {key} = {value!r}\n")
         handle.writelines(rows)
 

@@ -32,7 +32,7 @@ from pursuitrl.env import (ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, N_HUNTERS, N
                            Grid, Position, WorldState, below, grid_for)
 from pursuitrl.experiment import run_meta
 from pursuitrl.hmrl import lower_state_texts
-from pursuitrl.knowledge import (INSTANCE_HEADER, Instance, Split, _attribute_index, _entropy,
+from pursuitrl.knowledge import (ATTRIBUTES, INSTANCE_HEADER, Instance, Split, _entropy,
                                  _split_score, format_rules)
 from pursuitrl.profit_sharing import WeightTable
 from pursuitrl.q_learning import QTable
@@ -361,7 +361,7 @@ def gain_ratio(instances, attribute: str, threshold: float) -> float:
     its candidate splits."""
     if len(instances) < 2:
         raise ValueError("need at least 2 instances to split")
-    idx = _attribute_index(attribute)
+    idx = ATTRIBUTES.index(attribute)
     counts = [0] * len(ACTIONS)
     left_counts = [0] * len(ACTIONS)
     for inst in instances:
@@ -407,7 +407,7 @@ def classify(tree, theta_x: int, theta_y: int):
     distilled from it must reproduce this."""
     node = tree
     while isinstance(node, Split):
-        value = theta_x if node.attribute == "theta_X" else theta_y
+        value = (theta_x, theta_y)[node.attribute]
         node = node.le_child if value <= node.threshold else node.gt_child
     return node.label
 

@@ -142,7 +142,7 @@ def test_criterion_4_q_learning_matches_value_iteration():
         visits[(state, action)] += 1
         (_, nxt, r), = transitions[(state, action)]
         table.alpha = visits[(state, action)] ** -0.6     # decaying per-entry step size
-        q_update(table, state, action, r, nxt, terminal=nxt == target)
+        q_update(table, state, action, r, None if nxt == target else nxt)
 
     tolerance = 1e-3
     tie_eps = 1e-6

@@ -1,3 +1,4 @@
+import argparse
 import re
 import subprocess
 import sys
@@ -75,6 +76,73 @@ def test_train_rejects_a_trajectory_trial_outside_the_run(tmp_path, capsys, tria
     assert re.search(rf"^pursuitrl: trajectory_trial must be in 1\.\.20, got {trial}$",
                      error_line(capsys.readouterr()))
     assert not (tmp_path / "run").exists()
+
+
+def test_train_names_the_config_whose_value_a_run_option_rules_out(tmp_path, capsys):
+    # A run's metadata.txt as the config of a shorter run: its trajectory
+    # trial lies past the trials the option asks for.
+    run_cli("train", "--trials", 3, "--seed", 1, "--dump-trajectory", 2, "--out", tmp_path / "run")
+    metadata = tmp_path / "run" / "metadata.txt"
+    capsys.readouterr()
+    assert run_cli("train", "--config", metadata, "--trials", 1, "--out", tmp_path / "short") == 2
+    assert error_line(capsys.readouterr()) == (f"pursuitrl: {metadata}: trajectory_trial must be "
+                                               f"in 1..1, got 2")
+    assert not (tmp_path / "short").exists()
+
+
+RUN_OPTIONS = {"--trials", "--seed", "--atf", "--config", "--out"}
+
+
+def test_each_command_keeps_its_option_set():
+    (commands,) = [action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert {name: {option for action in parser._actions for option in action.option_strings}
+            - {"-h", "--help"} for name, parser in commands.items()} == {
+        "train": RUN_OPTIONS | {"--dump-trajectory"},
+        "extract-rules": {"--instances", "--out", "--min-leaf", "--max-depth", "--tree-out"},
+        "eval-rules": RUN_OPTIONS | {"--rules"},
+        "replay": {"--trajectory", "--side"},
+        "report": {"--runs"},
+    }
+
+
+def test_train_and_eval_rules_read_the_run_options_alike():
+    parser = cli.build_parser()
+    shared = ["--trials", "4", "--seed", "9", "--atf", "off", "--config", "c.cfg", "--out", "o"]
+    train = parser.parse_args(["train", *shared, "--dump-trajectory", "3"])
+    evaluate = parser.parse_args(["eval-rules", "--rules", "r.txt", *shared])
+    for args in (train, evaluate):
+        assert (args.trials, args.seed, args.atf, args.config, args.out) == (
+            4, 9, "off", Path("c.cfg"), Path("o"))
+        assert args.func is cli.cmd_run
+    assert vars(train).keys() == vars(evaluate).keys()
+    assert (train.rules, train.dump_trajectory) == (None, 3)
+    assert (evaluate.rules, evaluate.dump_trajectory) == (Path("r.txt"), None)
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--trials", "4"],                                            # no --out
+    ["eval-rules", "--out", "o"],                                          # no --rules
+    ["eval-rules", "--rules", "r.txt", "--out", "o", "--dump-trajectory", "3"],
+    ["eval-rules", "--rules", "r.txt", "--out", "o", "--atf", "maybe"],
+])
+def test_a_run_command_rejects_an_option_it_does_not_take(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        cli.build_parser().parse_args(argv)
+    assert exited.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "No.1\n\n"], ids=["empty", "numbers-only"])
+def test_eval_rules_names_a_rule_file_of_no_rules(tmp_path, capsys, text):
+    rules = tmp_path / "rules.txt"
+    rules.write_text(text)
+    assert run_cli("eval-rules", "--rules", rules, "--trials", 3, "--seed", 1,
+                   "--out", tmp_path / "eval") == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert error_line(printed) == f"pursuitrl: {rules}: no rules"
+    assert not (tmp_path / "eval").exists()
 
 
 def test_extract_rules_names_an_empty_instance_file(tmp_path, capsys):
@@ -328,6 +396,15 @@ def test_report_rejects_a_cell_out_of_range(tmp_path, capsys, column, cell, erro
     message = f"{blocks}:3: malformed row '{','.join(rows[2])}': ValueError"
     assert re.search(f"^pursuitrl: {re.escape(message)}.*{re.escape(error)}",
                      error_line(printed))
+
+
+def test_report_names_a_blocks_csv_of_no_blocks(tmp_path, capsys):
+    write_blocks(tmp_path / "run", BLOCKS)
+    empty = write_blocks(tmp_path / "empty", BLOCKS[:1])
+    assert run_cli("report", "--runs", tmp_path / "run", empty.parent) == 2
+    printed = capsys.readouterr()
+    assert [line.split()[0] for line in printed.out.splitlines()[1:]] == ["run", "run"]
+    assert error_line(printed) == f"pursuitrl: {empty}: no blocks"
 
 
 def test_report_reads_empty_optional_cells(tmp_path, capsys):

@@ -26,7 +26,6 @@ from pursuitrl.knowledge import (
     parse_rules,
     rule_policy_act,
     save_instances,
-    save_rules,
 )
 from reference import brute_force_gain_ratio, classify, gain_ratio
 
@@ -142,7 +141,7 @@ def test_every_split_reduces_weighted_entropy():
     def node_instances(node, subset):
         if isinstance(node, Leaf):
             return
-        idx = 0 if node.attribute == "theta_X" else 1
+        idx = node.attribute
         left = [i for i in subset if i[idx] <= node.threshold]
         right = [i for i in subset if i[idx] > node.threshold]
 
@@ -207,8 +206,8 @@ def test_error_free_leaf_has_full_confidence():
 
 def test_extract_rules_simplifies_interval_bounds():
     tree = Split(
-        "theta_X", 0,
-        le_child=Split("theta_X", -2,
+        0, 0,
+        le_child=Split(0, -2,
                        le_child=Leaf(Action.WEST, 10, 0),
                        gt_child=Leaf(Action.STAY, 6, 1)),
         gt_child=Leaf(Action.EAST, 8, 2),
@@ -358,7 +357,7 @@ def test_rule_file_round_trip(tmp_path):
     tree = induce_tree(grid_instances(planted_label))
     rules = extract_rules(tree)
     path = tmp_path / "rules.txt"
-    save_rules(path, rules)
+    path.write_text(format_rules(rules))     # as extract-rules writes it
     assert load_rules(path) == rules
     # Confidence factors survive with full precision.
     text = path.read_text()
@@ -425,10 +424,10 @@ def test_load_instances_names_malformed_row(tmp_path, row):
 
 def test_format_tree_golden():
     tree = Split(
-        "theta_Y", -1,
+        1, -1,
         le_child=Leaf(Action.NORTH, 120, 0),
         gt_child=Split(
-            "theta_X", -1,
+            0, -1,
             le_child=Leaf(Action.WEST, 12519, 1907),
             gt_child=Leaf(Action.STAY, 8056, 0),
         ),
@@ -581,7 +580,7 @@ def test_root_split_has_the_largest_gain_ratio(instances, min_leaf):
         assert isinstance(tree, Leaf)
         return
     assert isinstance(tree, Split)
-    root = (tree.threshold, ATTRIBUTES.index(tree.attribute))
+    root = (tree.threshold, tree.attribute)
     assert root in admissible
     assert admissible[root] == max(admissible.values())
     assert root == min(split for split, ratio in admissible.items() if ratio == admissible[root])
@@ -591,13 +590,13 @@ def test_tied_splits_go_to_the_smallest_threshold_then_attribute():
     # theta_X <= 0 and theta_X <= 1 score the same, in the same arithmetic.
     tree = induce_tree([inst(0, 0, Action.STAY), inst(1, 0, Action.NORTH),
                         inst(2, 0, Action.STAY)], min_leaf=1)
-    assert (tree.attribute, tree.threshold) == ("theta_X", 0)
+    assert (ATTRIBUTES[tree.attribute], tree.threshold) == ("theta_X", 0)
     # Mirror-symmetric in x and y: each threshold ties across the attributes.
     tree = induce_tree([inst(0, 0, Action.STAY), inst(1, 1, Action.NORTH)] * 2, min_leaf=1)
-    assert (tree.attribute, tree.threshold) == ("theta_X", 0)
+    assert (ATTRIBUTES[tree.attribute], tree.threshold) == ("theta_X", 0)
     # theta_Y <= -1 and theta_Y <= 0 split 1 vs 6 with the same label counts
     # in another order; their scores must not differ in the last bit.
     tree = induce_tree([inst(0, 0, Action.STAY)] * 2 + [inst(0, 0, Action.NORTH)]
                        + [inst(0, 0, Action.SOUTH)] * 2
                        + [inst(0, 1, Action.SOUTH), inst(0, -1, Action.STAY)], min_leaf=1)
-    assert (tree.attribute, tree.threshold) == ("theta_Y", -1)
+    assert (ATTRIBUTES[tree.attribute], tree.threshold) == ("theta_Y", -1)

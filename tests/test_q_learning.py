@@ -19,20 +19,20 @@ STATE_IDS = lower_state_ids(GRID)
 
 def test_q_update_terminal_arithmetic():
     table = QTable(alpha=0.1, gamma=0.9)
-    q_update(table, "s", Action.STAY, 100.0, "t", terminal=True)
+    q_update(table, "s", Action.STAY, 100.0, None)
     assert q_value(table, "s", Action.STAY) == 10.0
 
 
 def test_q_update_decays_toward_bootstrap():
     table = QTable(alpha=0.1, gamma=0.9)
     set_q_value(table, "s", Action.STAY, 10.0)
-    q_update(table, "s", Action.STAY, 0.0, "t", terminal=False)
+    q_update(table, "s", Action.STAY, 0.0, "t")
     assert q_value(table, "s", Action.STAY) == pytest.approx(9.0)
 
 
 def test_q_update_rejects_non_finite_reward():
     with pytest.raises(ValueError):
-        q_update(QTable(alpha=0.1, gamma=0.9), "s", Action.STAY, float("nan"), "t", terminal=True)
+        q_update(QTable(alpha=0.1, gamma=0.9), "s", Action.STAY, float("nan"), None)
 
 
 def test_qtable_validates_parameters():
@@ -48,8 +48,8 @@ def test_two_state_chain_converges_to_closed_form():
     table = QTable(alpha=0.2, gamma=gamma, actions=("go",))
     go = table.actions.index("go")
     for _ in range(2000):
-        q_update(table, "A", go, 0.0, "B", terminal=False)
-        q_update(table, "B", go, r, "B", terminal=False)
+        q_update(table, "A", go, 0.0, "B")
+        q_update(table, "B", go, r, "B")
     assert q_value(table, "B", go) == pytest.approx(r / (1 - gamma), abs=1e-6)
     assert q_value(table, "A", go) == pytest.approx(gamma * r / (1 - gamma), abs=1e-6)
 
@@ -224,7 +224,7 @@ def test_q_learning_matches_value_iteration_on_random_mdp():
         s = rng.choice(mdp.states)
         a = rng.choice(mdp.actions)
         _, ns, r = mdp.transitions[(s, a)][0]
-        q_update(table, s, a, r, ns, terminal=ns in mdp.terminal)
+        q_update(table, s, a, r, None if ns in mdp.terminal else ns)
 
     greedy = {}
     for s in mdp.states:
@@ -251,8 +251,7 @@ def test_values_stay_bounded_by_reward_horizon():
         s = rng.choice(states)
         a = rng.choice(ACTIONS_ALL)
         ns = rng.choice(states)
-        q_update(table, s, a, rng.choice((0.0, 100.0)), ns,
-                 terminal=rng.random() < 0.05)
+        q_update(table, s, a, rng.choice((0.0, 100.0)), None if rng.random() < 0.05 else ns)
     assert all(0.0 <= v <= 1000.0 for v in table.values.values())
 
 
@@ -267,7 +266,7 @@ def test_update_is_idempotent_at_fixed_point():
         set_q_value(table, s, a, r + mdp.gamma * oracle[ns])
     before = dict(table.values)
     for (s, a), ((_, ns, r),) in mdp.transitions.items():
-        q_update(table, s, a, r, ns, terminal=ns in mdp.terminal)
+        q_update(table, s, a, r, None if ns in mdp.terminal else ns)
     for key in before:
         assert table.values[key] == pytest.approx(before[key], rel=1e-9)
 
@@ -305,11 +304,11 @@ def test_load_q_table_names_state_off_the_grid(tmp_path, state):
 def test_q_table_lists_written_entries_only(tmp_path):
     # A backup that writes 0.0 is an entry; the other slots of its row are not.
     table = QTable(alpha=0.1, gamma=0.9)
-    q_update(table, 3, Action.EAST, 0.0, 4, terminal=False)
-    q_update(table, 5, Action.STAY, 100.0, 5, terminal=True)
+    q_update(table, 3, Action.EAST, 0.0, 4)
+    q_update(table, 5, Action.STAY, 100.0, None)
     assert table.values == {(3, Action.EAST): 0.0, (5, Action.STAY): 10.0}
     path = tmp_path / "q.tsv"
-    save_q_table(path, table, lower_state_texts(GRID).__getitem__)
+    save_q_table(path, table, lower_state_texts(GRID).__getitem__, {})
     rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
     assert rows == ["((-6, -4), 1)\tstay\t10.0", "((-6, -5), 1)\tright\t0.0"]
 
