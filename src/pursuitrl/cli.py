@@ -31,10 +31,12 @@ def cmd_run(args) -> int:
     count = experiment.log_instances(result, args.out / "instances.csv")
     if result.trajectory:
         env.save_trajectory(args.out / "trajectory.csv", result.trajectory)
+    else:               # an earlier run's trajectory in --out is not this run's
+        (args.out / "trajectory.csv").unlink(missing_ok=True)
     final = metrics[-1]
     print(f"run complete: {config.trials} trials, seed {config.seeds}")
     print(f"instances logged: {count}")
-    print(f"final block {final.start}-{final.end}: "
+    print(f"final block {final.block_start}-{final.block_end}: "
           f"steps {final.steps_mean:.1f}, "
           f"safety target {final.safety_target:.1%}, "
           f"positive ratio {final.positive_ratio:.1%}")

@@ -162,8 +162,8 @@ class TrialRecord:
 
 @dataclass
 class BlockMetrics:
-    start: int
-    end: int
+    block_start: int
+    block_end: int
     trials: int
     safety_target: float
     within_safety: float | None
@@ -326,7 +326,7 @@ def compute_metrics(records: Sequence[TrialRecord],
         steps = [r.steps for r in block]
         actions = [r.actions / env.N_HUNTERS for r in block]
         metrics.append(BlockMetrics(
-            start=start, end=end, trials=n,
+            block_start=start, block_end=end, trials=n,
             safety_target=safety_target,
             within_safety=within_safety,
             within_dangerous=within_dangerous,
@@ -429,17 +429,16 @@ def _csv_cell(value) -> str:
         return ""
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, Enum):
+        return value.value
     return str(value)
 
 
-BLOCK_COLUMNS = ("block_start", "block_end", "trials", "safety_target",
-                 "within_safety", "within_dangerous", "positive_ratio",
-                 "mean_distance", "steps_mean", "steps_var",
-                 "actions_mean", "actions_var")
+BLOCK_COLUMNS = tuple(f.name for f in fields(BlockMetrics))
 
 _RATIO_FIELDS = ("safety_target", "within_safety", "within_dangerous", "positive_ratio")
 
-TRIAL_COLUMNS = ("trial", "steps", "actions", "outcome", "gd_at_capture")
+TRIAL_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 
 def export_report(metrics: Sequence[BlockMetrics], records: Sequence[TrialRecord],
@@ -447,17 +446,13 @@ def export_report(metrics: Sequence[BlockMetrics], records: Sequence[TrialRecord
     """Write blocks.csv, trials.csv and a metadata file for one run."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "blocks.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(BLOCK_COLUMNS)
-        for m in metrics:
-            writer.writerow([_csv_cell(getattr(m, f.name)) for f in fields(m)])
-    with open(out / "trials.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TRIAL_COLUMNS)
-        for r in records:
-            writer.writerow([_csv_cell(v) for v in (
-                r.trial, r.steps, r.actions, r.outcome.value, r.gd_at_capture)])
+    for name, columns, rows in (("blocks.csv", BLOCK_COLUMNS, metrics),
+                                ("trials.csv", TRIAL_COLUMNS, records)):
+        with open(out / name, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow([_csv_cell(getattr(row, column)) for column in columns])
     (out / "metadata.txt").write_text(
         "\n".join(config_to_lines(config)) + "\n")
 

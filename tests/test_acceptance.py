@@ -205,8 +205,8 @@ def test_criterion_6_learning_curve_direction(sweep):
     for seed in SEEDS:
         records, _ = sweep["on"][seed]
         early, late = compute_metrics(records, SWEEP_CONFIG)
-        assert (early.start, early.end) == (1, 200)
-        assert (late.start, late.end) == (201, 2000)
+        assert (early.block_start, early.block_end) == (1, 200)
+        assert (late.block_start, late.block_end) == (201, 2000)
         assert late.steps_mean < early.steps_mean, (
             f"seed {seed}: {late.steps_mean:.1f} !< {early.steps_mean:.1f}")
     assert sweep["on_elapsed"] < 300.0

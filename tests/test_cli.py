@@ -214,6 +214,21 @@ def test_replay_prints_grid(tmp_path, capsys):
     assert "H0" in printed
 
 
+@pytest.mark.parametrize("command", ["train", "eval-rules"])
+def test_a_rerun_that_records_no_trajectory_leaves_none_behind(tmp_path, command):
+    # replay would draw the first run's trajectory beside the second run's metadata.
+    out = tmp_path / "run"
+    rules = tmp_path / "rules.txt"
+    rules.write_text("No.1\nIf theta_X > 0 Then right with CF=1.0\n")
+    assert run_cli("train", "--trials", 20, "--seed", 1, "--dump-trajectory", 3,
+                   "--out", out) == 0
+    assert (out / "trajectory.csv").exists()
+    rule_options = ["--rules", rules] if command == "eval-rules" else []
+    assert run_cli(command, *rule_options, "--trials", 10, "--seed", 2, "--out", out) == 0
+    assert "trajectory_trial = none" in (out / "metadata.txt").read_text()
+    assert not (out / "trajectory.csv").exists()
+
+
 def printed_grid_widths(printed):
     return {len(line.split()) for line in printed.splitlines()
             if line and not line.startswith("step")}

@@ -10,7 +10,6 @@ from pursuitrl.experiment import (
     BLOCK_COLUMNS,
     MAX_GRID_SIDE,
     RULE_FALLBACKS,
-    BlockMetrics,
     ExperimentConfig,
     PreyKind,
     TrialOutcome,
@@ -508,12 +507,6 @@ def test_parse_config_ignores_comments_and_blanks():
     assert parsed.atf_enabled is False
 
 
-def test_block_columns_name_the_block_metrics_fields_in_order():
-    # export_report writes, and read_blocks_csv checks, one cell per field.
-    names = [f.name for f in fields(BlockMetrics)]
-    assert BLOCK_COLUMNS == ("block_start", "block_end", *names[2:])
-
-
 def test_export_report_round_trip(tmp_path):
     config = replace(QUICK, seeds=1)
     result = run_training(config)
@@ -524,7 +517,7 @@ def test_export_report_round_trip(tmp_path):
     assert [tuple(r) for r in map(dict.keys, rows)][0] == BLOCK_COLUMNS
     assert len(rows) == len(metrics)
     for row, m in zip(rows, metrics):
-        assert int(row["block_start"]) == m.start
+        assert int(row["block_start"]) == m.block_start
         assert float(row["steps_mean"]) == m.steps_mean
         if m.within_safety is None:
             assert row["within_safety"] == ""
