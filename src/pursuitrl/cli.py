@@ -13,8 +13,6 @@ from . import env, experiment, knowledge
 def cmd_run(args) -> int:
     """``train``, or ``eval-rules`` when ``args.rules`` names a rule file (read first)."""
     rules = None if args.rules is None else knowledge.load_rules(args.rules)
-    if rules == []:
-        raise ValueError(f"{args.rules}: no rules")
     config = (experiment.load_config(args.config) if args.config
               else experiment.ExperimentConfig())
     overrides = {"trials": args.trials, "seeds": args.seed,
@@ -45,8 +43,6 @@ def cmd_run(args) -> int:
 
 def cmd_extract_rules(args) -> int:
     instances = knowledge.load_instances(args.instances)
-    if not instances:
-        raise ValueError(f"{args.instances}: no instances to induce rules from")
     tree = knowledge.induce_tree(instances, min_leaf=args.min_leaf,
                                  max_depth=args.max_depth)
     rules = knowledge.extract_rules(tree)
@@ -70,8 +66,6 @@ def _trajectory_side(path: Path, rows) -> int:
 
 def cmd_replay(args) -> int:
     rows = env.load_trajectory(args.trajectory)
-    if not rows:
-        raise ValueError(f"{args.trajectory}: no trajectory rows")
     side = args.side if args.side is not None else _trajectory_side(args.trajectory, rows)
     by_step: dict[int, dict] = {}
     for lineno, (step_index, agent, x, y, action) in enumerate(rows, start=2):
@@ -108,10 +102,7 @@ def cmd_report(args) -> int:
             print(f"{run_dir:<24}  (no blocks.csv)", file=sys.stderr)
             status = 1
             continue
-        rows = experiment.read_blocks_csv(path)
-        if not rows:
-            raise ValueError(f"{path}: no blocks")
-        for row in rows:
+        for row in experiment.read_blocks_csv(path):
             cells = [
                 f"{row['block_start']}-{row['block_end']}",
                 row["trials"],

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
 from random import Random
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .tableio import load_csv
 
@@ -189,15 +189,6 @@ def below(rng: Random, n: int) -> int:
     return r
 
 
-if TYPE_CHECKING:   # a runtime subscription would pin this module in typing's cache
-    PreyPolicy = Callable[[WorldState, int, Sequence[int], Random], int]
-
-
-def random_prey_policy(state: WorldState, prey_index: int,
-                       legal: Sequence[int], rng: Random) -> int:
-    return legal[below(rng, len(legal))]
-
-
 def _check_action(grid: Grid, cell: int, action: int, agent: str) -> None:
     """Raise the ``ValueError`` for an action index out of range, or one off the grid."""
     if not 0 <= action < len(ACTIONS):
@@ -207,9 +198,10 @@ def _check_action(grid: Grid, cell: int, action: int, agent: str) -> None:
 
 
 def step(state: WorldState, hunter_actions: Sequence[int], rng: Random,
-         prey_policy: PreyPolicy = random_prey_policy) -> StepOutcome:
+         prey_actions: Sequence[int] | None = None) -> StepOutcome:
     """Advance the world one tick with simultaneous moves, given as action
-    indices; a prey policy gets the legal ones of the prey's cell and returns one.
+    indices; live prey ``j`` moves by ``prey_actions[j]`` when given, else
+    uniformly over the legal moves of its cell.
 
     Movement conflicts (two agents claiming one cell, or moving onto an
     agent that stays put) are settled by a random priority order drawn
@@ -218,9 +210,6 @@ def step(state: WorldState, hunter_actions: Sequence[int], rng: Random,
     index and blocked agents by their index among the step's agents. An
     index out of range, or a move off the grid, raises ``ValueError``
     naming the agent."""
-    if len(hunter_actions) != N_HUNTERS:
-        raise ValueError(f"expected {N_HUNTERS} hunter actions")
-
     grid = state.grid
     moves = grid.moves
     # Agent-index arrays over the agents taking part: the hunters, then
@@ -242,14 +231,14 @@ def step(state: WorldState, hunter_actions: Sequence[int], rng: Random,
     alive = state.alive
     for j, cell in enumerate(state.prey):
         if alive[j]:
-            if prey_policy is random_prey_policy:
+            if prey_actions is None:
                 destinations, m, bits = grid.uniform_moves[cell]
                 r = getrandbits(bits)
                 while r >= m:
                     r = getrandbits(bits)
                 target = destinations[r]
             else:
-                action = prey_policy(state, j, grid.legal[cell], rng)
+                action = prey_actions[j]
                 _check_action(grid, cell, action, f"prey {j}")
                 target = moves[cell][action]
             current.append(cell)
@@ -311,12 +300,14 @@ def step(state: WorldState, hunter_actions: Sequence[int], rng: Random,
                        captures, blocked_moves)
 
 
-def trajectory_rows(state: WorldState) -> list[tuple[int, str, int, int]]:
-    """Positions of all live agents at one step, for trajectory dumps."""
+def trajectory_rows(state: WorldState,
+                    hunter_actions: Sequence[int]) -> list[tuple[int, str, int, int, str]]:
+    """The trajectory rows of all live agents at one step: a hunter's with
+    the label of its action, a prey's with an empty action."""
     cells = state.grid.cells
-    rows = [(state.step_count, HUNTER_IDS[i], *cells[cell])
-            for i, cell in enumerate(state.hunters)]
-    rows.extend((state.step_count, PREY_IDS[j], *cells[cell])
+    rows = [(state.step_count, HUNTER_IDS[i], *cells[cell], ACTION_LABELS[action])
+            for i, (cell, action) in enumerate(zip(state.hunters, hunter_actions))]
+    rows.extend((state.step_count, PREY_IDS[j], *cells[cell], "")
                 for j, cell in enumerate(state.prey) if state.alive[j])
     return rows
 

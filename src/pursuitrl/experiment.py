@@ -18,7 +18,7 @@ from random import Random
 from typing import Sequence
 
 from . import env, hmrl, knowledge, q_learning, tableio
-from .env import ACTION_LABELS, ACTIONS, CANDIDATE_MODES, N_PREY, Action
+from .env import ACTIONS, CANDIDATE_MODES, N_PREY, Action
 from .hmrl import HunterAgent, deliver_rewards
 from .knowledge import IfThenRule, Instance, compile_rules, rule_policy_act
 
@@ -129,9 +129,10 @@ class ExperimentConfig:
         if window is not None and not (isinstance(window, tuple)
                                        and tuple(map(type, window)) == (int, int)):
             raise ValueError(f"instance_window must be two trial numbers or none, got {window}")
-        # Out of range, alpha and gamma fail once training starts: run the
-        # table's own checks now.
-        q_learning.QTable(self.alpha, self.gamma)
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+        if not 0.0 <= self.gamma < 1.0:
+            raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
         # Every value must read back from the run's metadata.txt as itself.
         for f in fields(self):
             value = getattr(self, f.name)
@@ -249,9 +250,7 @@ def run_training(config: ExperimentConfig,
                     lower, action, _ = agent.pending
                     instances.append(logged[lower // N_PREY][action])
             if log_trajectory:
-                labels = [ACTION_LABELS[action] for action in actions]
-                for row, label in zip(env.trajectory_rows(world), labels + ["", ""]):
-                    trajectory.append((*row, label))
+                trajectory.extend(env.trajectory_rows(world, actions))
 
             outcome = step(world, actions, rng)
             resets += sum(deliver(agents, outcome))

@@ -26,7 +26,6 @@ when it was built.
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import isfinite
 from pathlib import Path
 from random import Random
 from typing import TYPE_CHECKING, Sequence
@@ -150,10 +149,8 @@ def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
             prey_index = 0 if d0 < d1 else 1
         else:
             prey_index = below(rng, 2)
-    elif True in state.alive:
-        prey_index = state.alive.index(True)
     else:
-        raise ValueError("no alive prey to target")
+        prey_index = state.alive.index(True)
 
     goal = prey[prey_index]
     mode = config.candidate_mode
@@ -213,8 +210,6 @@ def reinforce_upper(weights: WeightTable, trace: list[TraceStep], reward: float,
     distance; a ``None`` distance leaves the gate open. The walk stops
     once a share falls below :data:`CREDIT_FLOOR`.
     """
-    if not isfinite(reward):
-        raise ValueError(f"non-finite reward: {reward}")
     if reward != 0.0:
         if not trace:
             raise ValueError("cannot reinforce an empty trace with a nonzero reward")

@@ -3,8 +3,10 @@
 Logged (theta_x, theta_y) -> action instances are grown into a binary
 decision tree by gain ratio; each leaf becomes an If-Then rule over one
 box of the offset plane, with a confidence factor. The rules replay as a
-policy with first-match-by-confidence semantics, compiled per grid;
-:func:`parse_rules` folds a rule file's interval tests into boxes.
+policy, compiled per grid: the first rule that matches, in the order the
+file lists them, wins (:func:`extract_rules` lists them by confidence
+factor, highest first). :func:`parse_rules` folds a rule file's interval
+tests into boxes.
 """
 
 from __future__ import annotations
@@ -203,8 +205,8 @@ def extract_rules(tree: TreeNode) -> list[IfThenRule]:
 
 def compile_rules(rules: Sequence[IfThenRule], grid: Grid) -> tuple[int, ...]:
     """Per offset id of ``grid``: the action index of the first of
-    ``rules`` (sorted by confidence factor descending, as
-    :func:`extract_rules` returns them) matching the offset, else -1."""
+    ``rules``, in their given order (a rule file's, as :func:`parse_rules`
+    keeps it), matching the offset, else -1."""
     # a plain int: the trial loop subscripts its tables with it
     boxes = [(*rule.box, int(rule.action)) for rule in rules]
     return tuple(next((action for x_lower, x_upper, y_lower, y_upper, action in boxes
@@ -273,12 +275,16 @@ def parse_rules(text: str) -> list[IfThenRule]:
 
 
 def load_rules(path) -> list[IfThenRule]:
+    """The rules of a :func:`format_rules` file; a file that holds none is an error."""
     with open(path) as handle:
         text = handle.read()
     try:
-        return parse_rules(text)
+        rules = parse_rules(text)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if not rules:
+        raise ValueError(f"{path}: no rules")
+    return rules
 
 
 def save_instances(path, instances: Sequence[Instance]) -> int:

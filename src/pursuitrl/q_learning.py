@@ -5,7 +5,6 @@ The hunters' states are lower-layer state ids (:func:`hmrl.lower_state_texts`).
 
 from __future__ import annotations
 
-from math import isfinite
 from random import Random
 from typing import Hashable, Sequence
 
@@ -22,10 +21,6 @@ class QTable:
     """
 
     def __init__(self, alpha: float, gamma: float, actions: Sequence = ACTIONS):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if not 0.0 <= gamma < 1.0:
-            raise ValueError(f"gamma must be in [0, 1), got {gamma}")
         self.alpha = alpha
         self.gamma = gamma
         self.actions = tuple(actions)
@@ -44,8 +39,6 @@ def q_update(table: QTable, state: Hashable, action: int, reward: float,
              next_state: Hashable | None) -> None:
     """One temporal-difference backup toward reward + discounted best next
     value; a ``None`` next state is terminal and bootstraps nothing."""
-    if not isfinite(reward):
-        raise ValueError(f"non-finite reward: {reward}")
     rows = table.rows
     next_row = None if next_state is None else rows.get(next_state)
     bootstrap = 0.0 if next_row is None else table.gamma * max(next_row)

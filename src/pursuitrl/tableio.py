@@ -36,7 +36,8 @@ def load_csv(path, header: Sequence[str], parse_row: Callable[..., object]) -> l
 
     Each distinct line is parsed once: a repeated line yields the same
     object. A row that does not parse, or has not one field per header
-    column, raises ``ValueError`` naming the file, the line and the row.
+    column, raises ``ValueError`` naming the file, the line and the row;
+    a file with no row below its header raises ``<path>: no rows``.
     """
     with open(path, newline="") as handle:
         found = next(csv.reader(handle), None)
@@ -56,4 +57,6 @@ def load_csv(path, header: Sequence[str], parse_row: Callable[..., object]) -> l
                     raise ValueError(f"{path}:{lineno}: malformed row "
                                      f"{','.join(row)!r}: {exc!r}") from None
             rows.append(item)
-        return rows
+    if not rows:
+        raise ValueError(f"{path}: no rows")
+    return rows

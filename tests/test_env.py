@@ -13,7 +13,6 @@ from pursuitrl.env import (
     grid_for,
     load_trajectory,
     new_world,
-    random_prey_policy,
     save_trajectory,
     step,
     trajectory_rows,
@@ -93,7 +92,7 @@ def test_step_rejects_a_prey_action_index_out_of_range():
     world = make_world([(5, 5), (5, 6), (6, 5), (6, 6)], [(3, 3), (1, 1)],
                        alive=(False, True))
     with pytest.raises(ValueError, match=r"^prey 1: action index -2 is out of range 0\.\.4$"):
-        step(world, [0, 0, 0, 0], Random(0), prey_policy=lambda state, j, legal, rng: -2)
+        step(world, [0, 0, 0, 0], Random(0), prey_actions=[0, -2])
 
 
 def test_step_same_destination_priority_draw():
@@ -160,8 +159,7 @@ def test_step_train_of_movers_advances():
 def test_step_capture_marks_prey_dead():
     world = make_world([(2, 3), (4, 3), (3, 2), (3, 4)], [(3, 3), (6, 6)],
                        alive=(True, False))
-    out = step(world, [Action.STAY] * 4, Random(2),
-               prey_policy=lambda state, j, legal, rng: Action.STAY)
+    out = step(world, [Action.STAY] * 4, Random(2), prey_actions=[Action.STAY] * 2)
     assert out.captures == [0]
     assert out.next_state.alive == [False, False]
     assert out.next_state.prey == world.prey
@@ -176,8 +174,7 @@ def test_captures_only_previously_alive_prey():
 
 def still_step(world):
     """Captures of a step in which every hunter and prey stays put."""
-    return step(world, [Action.STAY] * 4, Random(0),
-                prey_policy=lambda state, j, legal, rng: Action.STAY).captures
+    return step(world, [Action.STAY] * 4, Random(0), prey_actions=[Action.STAY] * 2).captures
 
 
 def test_is_captured_interior():
@@ -244,8 +241,7 @@ def test_trajectory_determinism():
 def test_dead_prey_never_moves_or_returns():
     rng = Random(31)
     world = make_world([(2, 3), (4, 3), (3, 2), (3, 4)], [(3, 3), (6, 6)])
-    out = step(world, [Action.STAY] * 4, rng,
-               prey_policy=lambda state, j, legal, r: Action.STAY)
+    out = step(world, [Action.STAY] * 4, rng, prey_actions=[Action.STAY] * 2)
     assert out.captures
     world = out.next_state
     resting = world.prey[0]
@@ -257,7 +253,7 @@ def test_dead_prey_never_moves_or_returns():
 
 def test_trajectory_csv_round_trip(tmp_path):
     world = new_world(4, CONFIG)
-    rows = [(*row, "stay") for row in trajectory_rows(world)]
+    rows = trajectory_rows(world, [Action.STAY] * 4)
     path = tmp_path / "trajectory.csv"
     save_trajectory(path, rows)
     assert load_trajectory(path) == rows
@@ -373,16 +369,24 @@ def test_derived_world_fields_take_no_part_in_eq_or_repr(case):
 @settings(max_examples=300, deadline=None)
 @given(case=stepped_worlds())
 def test_default_prey_draws_as_random_prey_policy(case):
-    # step() draws the default policy's moves inline; any other policy
-    # object goes through the call.
+    # step() draws each live prey's move inline; the same moves drawn
+    # beforehand and given as prey_actions step the world alike.
     world, actions, seed = case
-    rng, called_rng = Random(seed), Random(seed)
+    rng, passed_rng = Random(seed), Random(seed)
     inline = step(world, actions, rng)
-    called = step(world, actions, called_rng,
-                  prey_policy=lambda *args: random_prey_policy(*args))
+    prey_actions = drawn_prey_actions(world, passed_rng)
+    passed = step(world, actions, passed_rng, prey_actions=prey_actions)
     assert (inline.next_state, inline.captures, inline.blocked_moves) == \
-        (called.next_state, called.captures, called.blocked_moves)
-    assert rng.getstate() == called_rng.getstate()
+        (passed.next_state, passed.captures, passed.blocked_moves)
+    assert rng.getstate() == passed_rng.getstate()
+
+
+def drawn_prey_actions(world, rng):
+    """Each live prey's uniform move, drawn by below() over the legal moves of
+    its cell, in prey order; a dead prey's entry is never read."""
+    legal = world.grid.legal
+    return [legal[cell][below(rng, len(legal[cell]))] if alive else Action.STAY
+            for cell, alive in zip(world.prey, world.alive)]
 
 
 def rng_states():
@@ -437,11 +441,6 @@ def test_step_draws_one_prey_move_per_live_prey_then_one_shuffle(case):
     assert rng.getstate() == replay.getstate()
 
 
-def member_prey_policy(state, prey_index, legal, rng):
-    """The random prey policy, answering with a member."""
-    return Action(random_prey_policy(state, prey_index, legal, rng))
-
-
 @settings(max_examples=200, deadline=None)
 @given(case=stepped_worlds(max_side=12))
 def test_step_takes_members_and_plain_indices_alike(case):
@@ -449,5 +448,6 @@ def test_step_takes_members_and_plain_indices_alike(case):
     assert all(type(a) is int for a in actions)
     by_index, by_member = Random(seed), Random(seed)
     out = step(world, actions, by_index)
-    assert step(world, [Action(a) for a in actions], by_member, member_prey_policy) == out
+    prey_actions = [Action(a) for a in drawn_prey_actions(world, by_member)]
+    assert step(world, [Action(a) for a in actions], by_member, prey_actions) == out
     assert by_member.getstate() == by_index.getstate()

@@ -521,11 +521,16 @@ def test_load_instances_matches_a_plain_csv_reader(tmp_path_factory, log):
             load_instances(path)
         assert str(got.value) == str(expected.value)
         return
+    if not rows:
+        assert reference.load_instances(path) == []
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no rows$"):
+            load_instances(path)
+        return
     loaded = load_instances(path)
     assert loaded == reference.load_instances(path)
     # One object per distinct line; a last line without its newline is another.
     lines = [row + ending for row in rows]
-    if rows and not final_newline:
+    if not final_newline:
         lines[-1] = rows[-1]
     assert len({id(item) for item in loaded}) == len(set(lines))
     if ending == "\r\n" and final_newline:     # as save_instances writes a log

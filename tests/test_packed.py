@@ -196,7 +196,7 @@ def test_step_blocks_no_one_when_destinations_are_distinct(case, seed):
             for cell, action in zip(cells, [*actions, *prey_actions.values()])]
     rng, reference_rng = Random(seed), Random(seed)
     outcome = step(world, actions, rng,
-                   prey_policy=lambda state, j, legal, rng: prey_actions[j])
+                   prey_actions=[prey_actions.get(j, Action.STAY) for j in range(2)])
     if len(set(dest)) == len(dest):
         event("distinct destinations")
         assert outcome.blocked_moves == []

@@ -30,18 +30,6 @@ def test_q_update_decays_toward_bootstrap():
     assert q_value(table, "s", Action.STAY) == pytest.approx(9.0)
 
 
-def test_q_update_rejects_non_finite_reward():
-    with pytest.raises(ValueError):
-        q_update(QTable(alpha=0.1, gamma=0.9), "s", Action.STAY, float("nan"), None)
-
-
-def test_qtable_validates_parameters():
-    with pytest.raises(ValueError):
-        QTable(alpha=0.0, gamma=0.9)
-    with pytest.raises(ValueError):
-        QTable(alpha=0.1, gamma=1.0)
-
-
 def test_two_state_chain_converges_to_closed_form():
     # A -go-> B (no reward), B -go-> B with reward r each arrival.
     gamma, r = 0.9, 10.0
