@@ -67,6 +67,8 @@ def _trajectory_side(path: Path, rows) -> int:
 def cmd_replay(args) -> int:
     rows = env.load_trajectory(args.trajectory)
     side = args.side if args.side is not None else _trajectory_side(args.trajectory, rows)
+    if side > experiment.MAX_GRID_SIDE:     # no run writes a larger grid
+        raise ValueError(f"{args.trajectory}: grid side {side} is above {experiment.MAX_GRID_SIDE}")
     by_step: dict[int, dict] = {}
     for lineno, (step_index, agent, x, y, action) in enumerate(rows, start=2):
         if not (0 <= x < side and 0 <= y < side):

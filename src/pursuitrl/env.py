@@ -83,8 +83,6 @@ class Grid:
         self.side = side
         self.size = side * side
         self.cells = tuple(Position(x, y) for x in range(side) for y in range(side))
-        # repr of the cell as a plain tuple, as persisted tables spell it
-        self.cell_text = tuple(f"({x}, {y})" for x, y in self.cells)
         self.moves = tuple(
             tuple((x + dx) * side + y + dy if 0 <= x + dx < side and 0 <= y + dy < side else -1
                   for dx, dy in DELTAS)
@@ -103,8 +101,6 @@ class Grid:
                               for x, y in self.cells)
         reach = range(1 - side, side)
         self.offsets = tuple((dx, dy) for dx in reach for dy in reach)
-        # repr of the offset as a plain tuple, as persisted tables spell it
-        self.offset_text = tuple(f"({dx}, {dy})" for dx, dy in self.offsets)
         # offset[own][target]: id of the target's offset from the own cell
         self.offset = tuple(tuple((u - x + side - 1) * len(reach) + v - y + side - 1
                                   for u, v in self.cells) for x, y in self.cells)

@@ -24,16 +24,11 @@ from .knowledge import IfThenRule, Instance, compile_rules, rule_policy_act
 
 
 RULE_FALLBACKS = ("learner", "stay")
+# What capturing a prey is worth: the run's ``reward`` or its ``dangerous_reward``.
+PREY_KINDS = ("positive", "dangerous")
 MAX_GRID_SIDE = 30
 # _RETURN_ACTION[a]: the rule fallback that returns action index a
 _RETURN_ACTION = tuple((lambda _offset, action=action: action) for action in range(len(ACTIONS)))
-
-
-class PreyKind(Enum):
-    """What capturing a prey is worth: the run's ``reward`` or its ``dangerous_reward``."""
-
-    POSITIVE = "positive"
-    DANGEROUS = "dangerous"
 
 
 class TrialOutcome(Enum):
@@ -112,9 +107,8 @@ class ExperimentConfig:
         if self.rule_fallback not in RULE_FALLBACKS:
             raise ValueError(f"rule_fallback must be one of {RULE_FALLBACKS}, "
                              f"got {self.rule_fallback!r}")
-        kinds = tuple(kind.value for kind in PreyKind)
-        if len(self.prey_kinds) != N_PREY or not set(self.prey_kinds) <= set(kinds):
-            raise ValueError(f"prey_kinds must be {N_PREY} of {kinds}, got {self.prey_kinds}")
+        if len(self.prey_kinds) != N_PREY or not set(self.prey_kinds) <= set(PREY_KINDS):
+            raise ValueError(f"prey_kinds must be {N_PREY} of {PREY_KINDS}, got {self.prey_kinds}")
         if len(self.prey_alive) != N_PREY or not any(self.prey_alive):
             raise ValueError(f"prey_alive must be {N_PREY} flags with at least one on, "
                              f"got {self.prey_alive}")
@@ -213,7 +207,6 @@ def run_training(config: ExperimentConfig,
     logged = [[Instance(dx, dy, action) for action in ACTIONS] for dx, dy in grid.offsets]
     trajectory: list[tuple[int, str, int, int, str]] = []
     two_alive = all(config.prey_alive)
-    kinds = [PreyKind(kind) for kind in config.prey_kinds]
     # bound per call, not at import: a wrapper installed after import is called
     step, deliver = env.step, deliver_rewards
     decide = [agent.policy_step for agent in agents]     # N_HUNTERS == 4
@@ -262,7 +255,7 @@ def run_training(config: ExperimentConfig,
         captures = outcome.captures
         if not captures:
             outcome_kind, reward = TrialOutcome.STEP_CAPPED, 0.0
-        elif any(kinds[j] is PreyKind.POSITIVE for j in captures):
+        elif any(config.prey_kinds[j] == "positive" for j in captures):
             outcome_kind, reward = TrialOutcome.POSITIVE_CAPTURED, config.reward
         else:
             outcome_kind, reward = TrialOutcome.DANGEROUS_CAPTURED, config.dangerous_reward
@@ -426,8 +419,6 @@ def load_config(path) -> ExperimentConfig:
 def _csv_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, Enum):
         return value.value
     return str(value)
@@ -497,9 +488,9 @@ def save_learned_tables(out_dir, result: TrainingResult) -> None:
     meta = run_meta(result.config)
     grid = env.grid_for(result.config.grid_side)
     hmrl.save_upper_banks(out, [agent.upper for agent in result.agents], grid, meta)
-    encode_lower = hmrl.lower_state_texts(grid).__getitem__
+    lower_texts = hmrl.lower_state_texts(grid)
     for agent in result.agents:
-        q_learning.save_q_table(out / f"q_h{agent.index}.tsv", agent.q, encode_lower, meta)
+        q_learning.save_q_table(out / f"q_h{agent.index}.tsv", agent.q, lower_texts, meta)
 
 
 def log_instances(result: TrainingResult, path) -> int:

@@ -87,7 +87,7 @@ def save_upper_banks(out_dir: Path, uppers: Sequence[WeightTable], grid: Grid,
     ``repr``, once per :data:`SPELLING_KEYS` keys (of equal floats only 0.0
     and -0.0 spell apart, and ``WeightTable.add`` never stores -0.0).
     """
-    text = grid.cell_text
+    text = [f"({x}, {y})" for x, y in grid.cells]
     heads = [f"({hunter}, {prey}, {own}, " for hunter in range(N_HUNTERS)
              for prey in range(N_PREY) for own in text]
     tails = [f"{peer}, {goal})" for peer in text for goal in text]
@@ -122,7 +122,7 @@ def lower_state_texts(grid: Grid) -> tuple[str, ...]:
     state id of ``grid``, by id. A state id packs the target's offset id
     from the hunter and the prey the target belongs to as
     ``offset * N_PREY + prey``."""
-    return tuple(f"({offset}, {prey})" for offset in grid.offset_text for prey in range(N_PREY))
+    return tuple(f"(({dx}, {dy}), {prey})" for dx, dy in grid.offsets for prey in range(N_PREY))
 
 
 def select_target(weights: WeightTable, hunter_index: int, state: WorldState,

@@ -276,10 +276,9 @@ def parse_rules(text: str) -> list[IfThenRule]:
 
 def load_rules(path) -> list[IfThenRule]:
     """The rules of a :func:`format_rules` file; a file that holds none is an error."""
-    with open(path) as handle:
-        text = handle.read()
-    try:
-        rules = parse_rules(text)
+    try:        # a file that is not UTF-8 raises UnicodeDecodeError, a ValueError
+        with open(path) as handle:
+            rules = parse_rules(handle.read())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if not rules:

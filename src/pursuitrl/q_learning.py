@@ -6,50 +6,49 @@ The hunters' states are lower-layer state ids (:func:`hmrl.lower_state_texts`).
 from __future__ import annotations
 
 from random import Random
-from typing import Hashable, Sequence
+from typing import Sequence
 
 from .env import ACTION_LABELS, ACTIONS, ALL_ACTIONS, below
-from .tableio import Encoder, save_table
+from .tableio import save_table
 
 
 class QTable:
     """Action values with step size ``alpha`` and discount ``gamma``.
 
-    A row has a slot per index of ``actions`` (default: the grid moves);
-    a state with no row reads 0. Only written slots are entries: bit
-    ``action`` of ``written[state]``. An unwritten slot holds 0.0.
+    A row has a slot per grid action (:data:`env.ACTIONS`); a state with
+    no row reads 0. Only written slots are entries: bit ``action`` of
+    ``written[state]``. An unwritten slot holds 0.0.
     """
 
-    def __init__(self, alpha: float, gamma: float, actions: Sequence = ACTIONS):
+    def __init__(self, alpha: float, gamma: float):
         self.alpha = alpha
         self.gamma = gamma
-        self.actions = tuple(actions)
-        self.rows: dict[Hashable, list[float]] = {}
-        self.written: dict[Hashable, int] = {}
+        self.rows: dict[int, list[float]] = {}
+        self.written: dict[int, int] = {}
 
     @property
-    def values(self) -> dict[tuple[Hashable, int], float]:
+    def values(self) -> dict[tuple[int, int], float]:
         """The written entries by ``(state, action index)``."""
         rows = self.rows
         return {(state, action): rows[state][action] for state, mask in self.written.items()
-                for action in range(len(self.actions)) if mask >> action & 1}
+                for action in ALL_ACTIONS if mask >> action & 1}
 
 
-def q_update(table: QTable, state: Hashable, action: int, reward: float,
-             next_state: Hashable | None) -> None:
+def q_update(table: QTable, state: int, action: int, reward: float,
+             next_state: int | None) -> None:
     """One temporal-difference backup toward reward + discounted best next
     value; a ``None`` next state is terminal and bootstraps nothing."""
     rows = table.rows
     next_row = None if next_state is None else rows.get(next_state)
     bootstrap = 0.0 if next_row is None else table.gamma * max(next_row)
-    row = rows.get(state) or rows.setdefault(state, [0.0] * len(table.actions))
+    row = rows.get(state) or rows.setdefault(state, [0.0] * len(ACTIONS))
     old = row[action]
     row[action] = old + table.alpha * (reward + bootstrap - old)
     if old == 0.0:      # maybe the slot's first write: a nonzero slot is marked already
         table.written[state] = table.written.get(state, 0) | 1 << action
 
 
-def epsilon_greedy(table: QTable, state: Hashable, legal: Sequence[int],
+def epsilon_greedy(table: QTable, state: int, legal: Sequence[int],
                    epsilon: float, rng: Random) -> int:
     """Greedy action index over ``legal`` with uniform tie-break, exploring
     with probability ``epsilon``."""
@@ -58,10 +57,10 @@ def epsilon_greedy(table: QTable, state: Hashable, legal: Sequence[int],
     if epsilon > 0.0 and rng.random() < epsilon:
         return legal[below(rng, len(legal))]
     row = table.rows.get(state)
-    if not row:             # every action scores 0.0: a tie unless only one is legal
+    if row is None:         # every action scores 0.0: a tie unless only one is legal
         return legal[below(rng, len(legal))] if len(legal) > 1 else legal[0]
     # Over every action in index order the row is the score list itself.
-    scores = row if legal is ALL_ACTIONS and len(row) == len(legal) else [row[a] for a in legal]
+    scores = row if legal is ALL_ACTIONS else [row[a] for a in legal]
     best_value = max(scores)
     if scores.count(best_value) == 1:
         return legal[scores.index(best_value)]
@@ -69,15 +68,14 @@ def epsilon_greedy(table: QTable, state: Hashable, legal: Sequence[int],
     return ties[below(rng, len(ties))]
 
 
-def save_q_table(path, table: QTable, encode_state: Encoder,
+def save_q_table(path, table: QTable, state_texts: Sequence[str],
                  meta: dict[str, object]) -> None:
-    """Write a table over the grid actions: states by ``encode_state``, actions by label."""
+    """Write a table over the grid actions: states by ``state_texts[state]``, actions by label."""
     header = {"alpha": table.alpha, "gamma": table.gamma}
     header.update(meta)
-    labels = [ACTION_LABELS[action] for action in table.actions]
     rows: list[str] = []
     for state, written in table.written.items():    # spell each state once
-        text, values = encode_state(state), table.rows[state]
+        text, values = state_texts[state], table.rows[state]
         rows += [f"{text}\t{label}\t{values[action]!r}\n"
-                 for action, label in enumerate(labels) if written >> action & 1]
+                 for action, label in enumerate(ACTION_LABELS) if written >> action & 1]
     save_table(path, rows, header)

@@ -14,8 +14,6 @@ from __future__ import annotations
 import csv
 from typing import Callable, Mapping, Sequence
 
-Encoder = Callable[[object], str]
-
 
 def save_table(path, rows: list[str], meta: Mapping[str, object]) -> None:
     """Write encoded ``state<TAB>action<TAB>weight`` lines under a metadata header.
@@ -37,26 +35,30 @@ def load_csv(path, header: Sequence[str], parse_row: Callable[..., object]) -> l
     Each distinct line is parsed once: a repeated line yields the same
     object. A row that does not parse, or has not one field per header
     column, raises ``ValueError`` naming the file, the line and the row;
-    a file with no row below its header raises ``<path>: no rows``.
+    a file with no row below its header raises ``<path>: no rows``, and
+    one that is not UTF-8 ``<path>: <the decoder's message>``.
     """
-    with open(path, newline="") as handle:
-        found = next(csv.reader(handle), None)
-        if found != list(header):
-            raise ValueError(f"{path}:1: expected header {list(header)}, got {found}")
-        parsed: dict[str, object] = {}
-        rows = []
-        for lineno, line in enumerate(handle, start=2):
-            item = parsed.get(line)
-            if item is None:
-                row = next(csv.reader((line,)))
-                try:
-                    if len(row) != len(header):
-                        raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                    item = parsed[line] = parse_row(*row)
-                except (ValueError, KeyError) as exc:
-                    raise ValueError(f"{path}:{lineno}: malformed row "
-                                     f"{','.join(row)!r}: {exc!r}") from None
-            rows.append(item)
+    try:
+        with open(path, newline="") as handle:
+            found = next(csv.reader(handle), None)
+            if found != list(header):
+                raise ValueError(f"{path}:1: expected header {list(header)}, got {found}")
+            parsed: dict[str, object] = {}
+            rows = []
+            for lineno, line in enumerate(handle, start=2):
+                item = parsed.get(line)
+                if item is None:
+                    row = next(csv.reader((line,)))
+                    try:
+                        if len(row) != len(header):
+                            raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                        item = parsed[line] = parse_row(*row)
+                    except (ValueError, KeyError) as exc:
+                        raise ValueError(f"{path}:{lineno}: malformed row "
+                                         f"{','.join(row)!r}: {exc!r}") from None
+                rows.append(item)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no rows")
     return rows

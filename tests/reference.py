@@ -219,7 +219,7 @@ def load_weights(path, decode_state, decode_action) -> tuple[WeightTable, dict[s
 
 def set_q_value(table: QTable, state, action: int, value: float) -> None:
     """Write one Q entry, marking the slot written."""
-    table.rows.setdefault(state, [0.0] * len(table.actions))[action] = value
+    table.rows.setdefault(state, [0.0] * len(ACTIONS))[action] = value
     table.written[state] = table.written.get(state, 0) | 1 << action
 
 
@@ -237,7 +237,7 @@ def load_q_table(path, decode_state) -> tuple[QTable, dict[str, object]]:
 @lru_cache(maxsize=None)
 def cell_ids(grid: Grid) -> dict[str, int]:
     """Every cell id of ``grid`` by its persisted spelling ``(x, y)``."""
-    return {text: cell for cell, text in enumerate(grid.cell_text)}
+    return {repr(tuple(position)): cell for cell, position in enumerate(grid.cells)}
 
 
 def module_key(grid: Grid, text: str) -> int:

@@ -307,6 +307,48 @@ def test_replay_rejects_a_second_row_for_one_agent_at_one_step(tmp_path, capsys)
     assert error_line(printed) == f"pursuitrl: {trajectory}:4: h0 twice at step 0"
 
 
+@pytest.mark.parametrize("row, side", [("0,h0,1,2,stay", ["--side", 31]), ("0,h0,30,2,stay", [])],
+                         ids=["side-option", "bare-trajectory"])
+def test_replay_refuses_a_grid_side_above_the_config_bound(tmp_path, capsys, row, side):
+    # A drawn step is side * side cells: an unbounded side could ask for gigabytes.
+    trajectory = tmp_path / "trajectory.csv"
+    trajectory.write_text(f"step,agent,x,y,action\n{row}\n")
+    assert run_cli("replay", "--trajectory", trajectory, *side) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert error_line(printed) == f"pursuitrl: {trajectory}: grid side 31 is above 30"
+
+
+def test_replay_draws_a_grid_of_the_largest_side(tmp_path, capsys):
+    trajectory = tmp_path / "trajectory.csv"
+    trajectory.write_text("step,agent,x,y,action\n0,h0,29,29,stay\n")
+    assert run_cli("replay", "--trajectory", trajectory, "--side", 30) == 0
+    assert printed_grid_widths(capsys.readouterr().out) == {30}
+    assert run_cli("replay", "--trajectory", trajectory) == 0
+    assert printed_grid_widths(capsys.readouterr().out) == {30}
+
+
+@pytest.mark.parametrize("name, text, command", [
+    ("instances.csv", "theta_x,theta_y,action\n1,0,\xff\n",
+     lambda path, out: ["extract-rules", "--instances", path, "--out", out / "rules.txt"]),
+    ("trajectory.csv", "step,agent,x,y,action\n0,h0,1,\xff,stay\n",
+     lambda path, out: ["replay", "--trajectory", path, "--side", 7]),
+    ("blocks.csv", f"{','.join(BLOCK_COLUMNS)}\n1,5,5,0.0,,,0.0,,12.5,2.0,13.0,\xff\n",
+     lambda path, out: ["report", "--runs", path.parent]),
+    ("rules.txt", "No.1\nIf theta_X > 0 Then \xff with CF=1.0\n",
+     lambda path, out: ["eval-rules", "--rules", path, "--trials", 2, "--out", out / "run"]),
+], ids=["instances", "trajectory", "blocks", "rules"])
+def test_an_input_that_is_not_utf8_is_named(tmp_path, capsys, name, text, command):
+    path = tmp_path / "in" / name
+    path.parent.mkdir()
+    path.write_bytes(text.encode("latin-1"))      # "\xff" is the byte 0xff
+    assert run_cli(*command(path, tmp_path)) == 2
+    assert re.search(f"^pursuitrl: {re.escape(str(path))}: 'utf-8' codec can't decode "
+                     r"byte 0xff in position \d+: invalid start byte$",
+                     error_line(capsys.readouterr()))
+    assert not (tmp_path / "run").exists()
+
+
 def test_a_missing_input_file_is_a_one_line_error(tmp_path, capsys):
     missing = tmp_path / "nowhere.csv"
     assert run_cli("extract-rules", "--instances", missing, "--out", tmp_path / "rules.txt") == 2

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from pursuitrl.experiment import (
     BLOCK_COLUMNS,
     MAX_GRID_SIDE,
+    PREY_KINDS,
     RULE_FALLBACKS,
     ExperimentConfig,
-    PreyKind,
     TrialOutcome,
     TrialRecord,
     blocks_for,
@@ -416,7 +416,7 @@ def test_config_rejects_atf_bands_out_of_order():
     assert ExperimentConfig(atf_near=1, atf_far=2).atf_far == 2
 
 
-prey_kind_names = st.sampled_from([kind.value for kind in PreyKind])
+prey_kind_names = st.sampled_from(PREY_KINDS)
 unit_floats = st.floats(0.0, 1.0)
 
 

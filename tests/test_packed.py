@@ -46,6 +46,7 @@ def test_action_index_is_position_in_actions():
 @pytest.mark.parametrize("side", range(3, 10))
 def test_grid_tables_match_geometry(side):
     grid = grid_for(side)
+    state_texts = lower_state_texts(grid)
     assert grid_for(side) is grid
     assert grid.size == side * side
     for x in range(side):
@@ -53,7 +54,6 @@ def test_grid_tables_match_geometry(side):
             pos = Position(x, y)
             cell = cell_id(pos, side)
             assert grid.cells[cell] == pos
-            assert grid.cell_text[cell] == repr((x, y))
             assert cell_ids(grid)[repr((x, y))] == cell
             legal = reference.legal_actions(pos, side)
             assert grid.legal[cell] == legal
@@ -79,7 +79,9 @@ def test_grid_tables_match_geometry(side):
                 assert grid.distance[cell][other_cell] == abs(x - other.x) + abs(y - other.y)
                 offset = grid.offset[cell][other_cell]
                 assert grid.offsets[offset] == (other.x - x, other.y - y)
-                assert grid.offset_text[offset] == repr((other.x - x, other.y - y))
+                for prey in (0, 1):
+                    assert state_texts[offset * 2 + prey] == repr(((other.x - x, other.y - y),
+                                                                   prey))
                 assert lower_state(grid.offsets[offset], 1, side) == offset * 2 + 1
     assert len(grid.offsets) == (2 * side - 1) ** 2
     assert grid.offsets == tuple((dx, dy) for dx in range(1 - side, side)
