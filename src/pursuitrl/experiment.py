@@ -137,6 +137,8 @@ class ExperimentConfig:
             if not same:
                 raise ValueError(f"{f.name} must be {f.type} and read back as itself, "
                                  f"got {value!r}")
+        if self.seeds < 0:      # an int by now; Random(-5) would rerun seed 5
+            raise ValueError(f"seeds must be >= 0, got {self.seeds}")
 
     def epsilon_at(self, trial: int) -> float:
         anneal_trials = self.epsilon_anneal_fraction * self.trials

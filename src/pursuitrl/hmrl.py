@@ -81,9 +81,10 @@ def save_upper_banks(out_dir: Path, uppers: Sequence[WeightTable], grid: Grid,
     A module key packs (hunter, prey, own cell, peer cell, prey cell) as
     ``(((hunter * N_PREY + prey) * n + own) * n + peer) * n + goal`` over
     the grid's ``n`` cell ids, so a hunter's sorted keys hold its banks in
-    prey order. A row spells the key as the plain tuple ``(hunter, prey,
-    (x, y), (x, y), (x, y))`` from two tables, by the key's quotient by
-    ``n * n`` and its remainder; then the target cell, and the weight by
+    prey order. Each rule along a module's ``WeightTable.next_rule`` chain
+    is one row: the key spelled as the plain tuple ``(hunter, prey, (x, y),
+    (x, y), (x, y))`` from two tables, by the key's quotient by ``n * n``
+    and its remainder; then the target cell, and the weight by
     ``repr``, once per :data:`SPELLING_KEYS` keys (of equal floats only 0.0
     and -0.0 spell apart, and ``WeightTable.add`` never stores -0.0).
     """
@@ -93,7 +94,7 @@ def save_upper_banks(out_dir: Path, uppers: Sequence[WeightTable], grid: Grid,
     tails = [f"{peer}, {goal})" for peer in text for goal in text]
     pair = grid.size * grid.size
     for hunter, table in enumerate(uppers):
-        index, weight, cell = table.states, table.weight, table.cell
+        index, weight, cell, next_rule = table.states, table.weight, table.cell, table.next_rule
         keys = sorted(index)
         for prey in range(N_PREY):
             start = bisect_left(keys, (hunter * N_PREY + prey) * grid.size ** 3)
@@ -103,16 +104,12 @@ def save_upper_banks(out_dir: Path, uppers: Sequence[WeightTable], grid: Grid,
             for chunk in range(start, stop, SPELLING_KEYS):
                 spelled: dict[float, str] = {}
                 for key in keys[chunk:min(chunk + SPELLING_KEYS, stop)]:
-                    rules = index[key]
-                    if rules.__class__ is int:      # most modules hold one rule
-                        value = weight[rules]
-                        append(f"{heads[key // pair]}{tails[key % pair]}\t{text[cell[rules]]}\t"
-                               f"{spelled.get(value) or spelled.setdefault(value, repr(value))}\n")
-                        continue
-                    for rule in rules:
+                    rule = index[key]
+                    while rule >= 0:
                         value = weight[rule]
                         append(f"{heads[key // pair]}{tails[key % pair]}\t{text[cell[rule]]}\t"
                                f"{spelled.get(value) or spelled.setdefault(value, repr(value))}\n")
+                        rule = next_rule[rule]
             profit_sharing.save_weights(out_dir / f"upper_h{hunter}_p{prey}.tsv", rows, meta)
             del rows, append    # one bank's rows are alive at a time, also across hunters
 
@@ -134,8 +131,8 @@ def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
 
     With two live prey the nearer one (by Manhattan distance) is chased;
     equidistant prey are chosen at random. The cell is the candidate (of
-    ``config.candidate_mode``) maximizing the peer-summed rule weight
-    discounted by the hunter's distance to it, ties uniform.
+    ``config.candidate_mode``) maximizing the rule weight summed over the
+    peers' rule chains, discounted by the hunter's distance to it, ties uniform.
     """
     first, second = prey = state.prey      # N_PREY == 2
     grid = state.grid
@@ -165,19 +162,18 @@ def select_target(weights: WeightTable, hunter_index: int, state: WorldState,
 
     states = weights.states
     if m0 in states or m1 in states or m2 in states:
-        # Each module's rules are added into their cells' slots, in peer
-        # order, from 0.0; a missing rule would add +0.0, which changes no
+        # Each module's chain of rules is added into their cells' slots, in
+        # peer order, from 0.0; a missing rule would add +0.0, which changes no
         # sum. A cell outside the candidates lands in the spare last slot.
-        weight, cell_of = weights.weight, weights.cell
+        weight, cell_of, next_rule = weights.weight, weights.cell, weights.next_rule
         slot = grid.slots[mode][goal]
         totals: dict[int, float] = {}       # slot -> sum, for the slots a rule reaches
         for module in modules:
-            rules = states.get(module)
-            if rules is None:
-                continue
-            for rule in (rules,) if rules.__class__ is int else rules:
+            rule = states.get(module, -1)
+            while rule >= 0:
                 at = slot[cell_of[rule]]
                 totals[at] = totals.get(at, 0.0) + weight[rule]
+                rule = next_rule[rule]
         totals.pop(len(cells), None)        # the spare slot
         # Any other slot scores 0.0 / d, which is 0.0: only reached ones divide.
         divisors = grid.reach_divisors(config.reach_discount)[own]

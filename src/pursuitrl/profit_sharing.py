@@ -20,31 +20,31 @@ class WeightTable:
 
     Rules are numbered in first-add order: ``weight[rule]`` is a rule's
     weight and ``cell[rule]`` its action id (a target cell id). ``states``
-    indexes them: every state with at least one rule maps to its rule id,
-    or to the tuple of its rule ids in first-add order once it has a
-    second rule, so a reader visits only rules that exist.
+    maps every state with a rule to its first rule id, and ``next_rule``
+    chains each rule to its state's next one in first-add order (-1 after
+    the last), so a reader walks only rules that exist: ``while rule >= 0``.
     """
 
     def __init__(self):
         self.weight = array("d")
         self.cell = array("i")
-        self.states: dict[int, int | tuple[int, ...]] = {}
+        self.next_rule = array("i")
+        self.states: dict[int, int] = {}
 
     def add(self, state: int, action: int, amount: float) -> None:
-        states, weight, cell = self.states, self.weight, self.cell
-        rules = states.get(state)
-        if rules is None:
-            states[state] = len(weight)
-        else:
-            if rules.__class__ is int:
-                rules = (rules,)
-            for rule in rules:
-                if cell[rule] == action:
-                    weight[rule] += amount
-                    return
-            states[state] = rules + (len(weight),)
+        weight, cell, next_rule = self.weight, self.cell, self.next_rule
+        new = len(weight)                   # the id a new rule gets
+        rule = self.states.setdefault(state, new)
+        while rule != new:
+            if cell[rule] == action:
+                weight[rule] += amount
+                return
+            if next_rule[rule] < 0:         # the state's last rule: the new one follows it
+                next_rule[rule] = new
+            rule = next_rule[rule]
         weight.append(0.0 + amount)     # a new rule, after its state's others
         cell.append(action)
+        next_rule.append(-1)
 
     def __len__(self) -> int:
         return len(self.weight)

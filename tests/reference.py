@@ -145,8 +145,12 @@ def upper_table(rules: dict, side: int) -> WeightTable:
 
 def rule_ids(table: WeightTable, state: int) -> tuple[int, ...]:
     """The rule ids of ``state`` in first-add order."""
-    rules = table.states.get(state, ())
-    return (rules,) if rules.__class__ is int else rules
+    rules = []
+    rule = table.states.get(state, -1)
+    while rule >= 0:
+        rules.append(rule)
+        rule = table.next_rule[rule]
+    return tuple(rules)
 
 
 def rule_weight(table: WeightTable, state: int, action: int) -> float:

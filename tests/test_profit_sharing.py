@@ -214,13 +214,23 @@ def test_rule_index_lists_each_rule_of_a_state_once(adds):
         if action not in actions:
             actions[action] = len(expected)
         expected[state, action] = expected.get((state, action), 0.0) + amount
-    # A state's index is its one rule id, or the tuple of its ids in first-add order.
-    assert table.states == {state: ids[0] if len(ids) == 1 else tuple(ids)
-                            for state, ids in ((state, list(actions.values()))
-                                               for state, actions in first_added.items())}
+    # A state's index is its first rule id, and its chain walks its ids in first-add order.
+    assert table.states == {state: next(iter(actions.values()))
+                            for state, actions in first_added.items()}
+    reached: list = []
+    for state, actions in first_added.items():
+        chain = [table.states[state]]
+        while chain[-1] >= 0 and len(chain) <= len(table):
+            chain.append(table.next_rule[chain[-1]])
+        assert chain[-1] == -1              # every chain ends, at -1
+        assert chain[:-1] == list(actions.values())
+        reached += chain[:-1]
+    # Each rule id is reached from exactly one state.
+    assert sorted(reached) == list(range(len(table)))
     for state, actions in first_added.items():
         assert [table.cell[rule] for rule in reference.rule_ids(table, state)] == list(actions)
-    assert len(table) == len(expected) == len(table.weight) == len(table.cell)
+    assert (len(table) == len(expected) == len(table.weight) == len(table.cell)
+            == len(table.next_rule))
     assert ({rule: weight.hex() for rule, weight in reference.rule_weights(table).items()}
             == {rule: weight.hex() for rule, weight in expected.items()})
 
