@@ -11,8 +11,8 @@ from __future__ import annotations
 import csv
 import statistics
 from dataclasses import dataclass, fields
-from enum import Enum
 from math import inf, isfinite
+from operator import attrgetter
 from pathlib import Path
 from random import Random
 from typing import Sequence
@@ -29,12 +29,6 @@ PREY_KINDS = ("positive", "dangerous")
 MAX_GRID_SIDE = 30
 # _RETURN_ACTION[a]: the rule fallback that returns action index a
 _RETURN_ACTION = tuple((lambda _offset, action=action: action) for action in range(len(ACTIONS)))
-
-
-class TrialOutcome(Enum):
-    POSITIVE_CAPTURED = "positive_captured"
-    DANGEROUS_CAPTURED = "dangerous_captured"
-    STEP_CAPPED = "step_capped"
 
 
 @dataclass(frozen=True)
@@ -153,7 +147,7 @@ class TrialRecord:
     trial: int
     steps: int
     actions: int                 # raw hunter action count incl. target resets
-    outcome: TrialOutcome
+    outcome: str                 # "positive_captured", "dangerous_captured" or "step_capped"
     gd_at_capture: int | None    # inter-prey distance when captured
 
 
@@ -256,11 +250,11 @@ def run_training(config: ExperimentConfig,
         # The trial's end: step_cap >= 1, so outcome is the last step's.
         captures = outcome.captures
         if not captures:
-            outcome_kind, reward = TrialOutcome.STEP_CAPPED, 0.0
+            outcome_kind, reward = "step_capped", 0.0
         elif any(config.prey_kinds[j] == "positive" for j in captures):
-            outcome_kind, reward = TrialOutcome.POSITIVE_CAPTURED, config.reward
+            outcome_kind, reward = "positive_captured", config.reward
         else:
-            outcome_kind, reward = TrialOutcome.DANGEROUS_CAPTURED, config.dangerous_reward
+            outcome_kind, reward = "dangerous_captured", config.dangerous_reward
         gd = (grid.distance[world.prey[0]][world.prey[1]]
               if captures and two_alive else None)
         for agent in agents:
@@ -304,7 +298,7 @@ def compute_metrics(records: Sequence[TrialRecord],
     for start, end in blocks_for(len(records), config.block_ends):
         block = records[start - 1:end]
         n = len(block)
-        positives = [r for r in block if r.outcome is TrialOutcome.POSITIVE_CAPTURED]
+        positives = [r for r in block if r.outcome == "positive_captured"]
         far = [r for r in positives
                if r.gd_at_capture is not None and r.gd_at_capture > config.atf_near]
         safety_target = len(positives) / n
@@ -418,14 +412,6 @@ def load_config(path) -> ExperimentConfig:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, Enum):
-        return value.value
-    return str(value)
-
-
 BLOCK_COLUMNS = tuple(f.name for f in fields(BlockMetrics))
 
 _RATIO_FIELDS = ("safety_target", "within_safety", "within_dangerous", "positive_ratio")
@@ -435,7 +421,8 @@ TRIAL_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 def export_report(metrics: Sequence[BlockMetrics], records: Sequence[TrialRecord],
                   out_dir, config: ExperimentConfig) -> None:
-    """Write blocks.csv, trials.csv and a metadata file for one run."""
+    """Write blocks.csv, trials.csv and a metadata file for one run; ``csv.writer``
+    spells a field ``None`` as an empty cell and a float by ``repr``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, columns, rows in (("blocks.csv", BLOCK_COLUMNS, metrics),
@@ -443,8 +430,7 @@ def export_report(metrics: Sequence[BlockMetrics], records: Sequence[TrialRecord
         with open(out / name, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_csv_cell(getattr(row, column)) for column in columns])
+            writer.writerows(map(attrgetter(*columns), rows))
     (out / "metadata.txt").write_text(
         "\n".join(config_to_lines(config)) + "\n")
 

@@ -12,7 +12,6 @@ from pursuitrl.experiment import (
     PREY_KINDS,
     RULE_FALLBACKS,
     ExperimentConfig,
-    TrialOutcome,
     TrialRecord,
     blocks_for,
     compute_metrics,
@@ -98,7 +97,7 @@ def test_run_logs_one_object_per_offset_and_action():
 def test_step_capped_outcome():
     config = replace(QUICK, trials=3, step_cap=1)
     result = run_training(replace(config, seeds=0))
-    assert all(r.outcome is TrialOutcome.STEP_CAPPED or r.steps <= 1
+    assert all(r.outcome == "step_capped" or r.steps <= 1
                for r in result.records)
     assert all(r.steps <= 1 for r in result.records)
 
@@ -108,7 +107,7 @@ def test_a_dangerous_capture_settles_the_dangerous_reward(dangerous_reward):
     config = replace(QUICK, trials=3, step_cap=3000, prey_alive=(False, True),
                      dangerous_reward=dangerous_reward)
     result = run_training(replace(config, seeds=1))
-    assert all(r.outcome is TrialOutcome.DANGEROUS_CAPTURED for r in result.records)
+    assert all(r.outcome == "dangerous_captured" for r in result.records)
     for agent in result.agents:
         weights = rule_weights(agent.upper).values()
         if dangerous_reward == 0.0:
@@ -121,7 +120,7 @@ def test_a_dangerous_capture_settles_the_dangerous_reward(dangerous_reward):
 def test_a_positive_capture_settles_the_reward_once(reward):
     config = replace(QUICK, trials=1, step_cap=3000, prey_alive=(True, False), reward=reward)
     result = run_training(replace(config, seeds=1))
-    assert [r.outcome for r in result.records] == [TrialOutcome.POSITIVE_CAPTURED]
+    assert [r.outcome for r in result.records] == ["positive_captured"]
     for agent in result.agents:
         weights = rule_weights(agent.upper).values()
         # The newest step's three modules take the whole reward each; with a
@@ -148,20 +147,17 @@ def test_a_run_maps_captured_prey_to_outcomes_through_prey_kinds(monkeypatch, pr
     result = run_training(replace(config, seeds=3))
     ends = [captures for captures in last_captures if captures]
     assert len(ends) == len(result.records)
-    by_kind = {"positive": TrialOutcome.POSITIVE_CAPTURED,
-               "dangerous": TrialOutcome.DANGEROUS_CAPTURED}
     for record, captures in zip(result.records, ends):
-        outcomes = {by_kind[prey_kinds[j]] for j in captures}
-        assert record.outcome is (TrialOutcome.POSITIVE_CAPTURED
-                                  if TrialOutcome.POSITIVE_CAPTURED in outcomes
-                                  else TrialOutcome.DANGEROUS_CAPTURED)
+        kinds = {prey_kinds[j] for j in captures}
+        assert record.outcome == ("positive_captured" if "positive" in kinds
+                                  else "dangerous_captured")
     assert {j for captures in ends for j in captures} == {0, 1}
 
 
 def test_a_step_capped_trial_settles_no_reward():
     config = replace(QUICK, step_cap=5, dangerous_reward=-1.0)
     result = run_training(replace(config, seeds=1))
-    assert all(r.outcome is TrialOutcome.STEP_CAPPED for r in result.records)
+    assert all(r.outcome == "step_capped" for r in result.records)
     assert all(len(agent.upper) == 0 for agent in result.agents)
 
 
@@ -199,9 +195,9 @@ def test_tables_persist_across_trials():
 
 def test_compute_metrics_arithmetic():
     records = (
-        [record(t, TrialOutcome.POSITIVE_CAPTURED, gd=5) for t in range(1, 7)]
-        + [record(t, TrialOutcome.POSITIVE_CAPTURED, gd=1) for t in range(7, 9)]
-        + [record(t, TrialOutcome.DANGEROUS_CAPTURED, gd=2) for t in range(9, 11)]
+        [record(t, "positive_captured", gd=5) for t in range(1, 7)]
+        + [record(t, "positive_captured", gd=1) for t in range(7, 9)]
+        + [record(t, "dangerous_captured", gd=2) for t in range(9, 11)]
     )
     (metrics,) = compute_metrics(records, ExperimentConfig(atf_near=2, block_ends=(10,)))
     assert metrics.safety_target == 0.8
@@ -215,7 +211,7 @@ def test_compute_metrics_arithmetic():
 
 
 def test_compute_metrics_no_positive_captures():
-    records = [record(t, TrialOutcome.DANGEROUS_CAPTURED, gd=3) for t in range(1, 5)]
+    records = [record(t, "dangerous_captured", gd=3) for t in range(1, 5)]
     (metrics,) = compute_metrics(records, ExperimentConfig(block_ends=(4,)))
     assert metrics.safety_target == 0.0
     assert metrics.within_safety is None
@@ -225,8 +221,8 @@ def test_compute_metrics_no_positive_captures():
 
 def test_compute_metrics_complement_identity():
     records = (
-        [record(t, TrialOutcome.POSITIVE_CAPTURED, gd=7) for t in range(1, 4)]
-        + [record(t, TrialOutcome.POSITIVE_CAPTURED, gd=0) for t in range(4, 8)]
+        [record(t, "positive_captured", gd=7) for t in range(1, 4)]
+        + [record(t, "positive_captured", gd=0) for t in range(4, 8)]
     )
     (metrics,) = compute_metrics(records, ExperimentConfig(block_ends=(7,)))
     assert metrics.within_safety + metrics.within_dangerous == 1.0
@@ -235,8 +231,8 @@ def test_compute_metrics_complement_identity():
 def test_compute_metrics_reads_the_near_band_from_the_config():
     # A positive capture at gap 3 is within safety under the default band
     # (atf_near 2) and within dangerous once atf_near is 3.
-    records = [record(1, TrialOutcome.POSITIVE_CAPTURED, gd=3),
-               record(2, TrialOutcome.POSITIVE_CAPTURED, gd=4)]
+    records = [record(1, "positive_captured", gd=3),
+               record(2, "positive_captured", gd=4)]
     (default,) = compute_metrics(records, ExperimentConfig(block_ends=(2,)))
     assert (default.within_safety, default.within_dangerous) == (1.0, 0.0)
     (wider,) = compute_metrics(records, ExperimentConfig(atf_near=3, block_ends=(2,)))
@@ -539,7 +535,10 @@ def test_export_report_round_trip(tmp_path):
 
     trial_lines = (tmp_path / "trials.csv").read_text().splitlines()
     assert trial_lines[0] == "trial,steps,actions,outcome,gd_at_capture"
-    assert len(trial_lines) == 1 + len(result.records)
+    # each row is its record's fields as they are, None as an empty cell
+    assert trial_lines[1:] == [
+        f"{r.trial},{r.steps},{r.actions},{r.outcome},"
+        f"{'' if r.gd_at_capture is None else r.gd_at_capture}" for r in result.records]
 
 
 def test_saved_tables_reload(tmp_path):
@@ -563,7 +562,7 @@ def test_saved_tables_reload(tmp_path):
 def test_rule_eval_stay_fallback_times_out():
     config = replace(QUICK, trials=3, step_cap=30, rule_fallback="stay")
     result = run_training(replace(config, seeds=4), rules=[])
-    assert all(r.outcome is TrialOutcome.STEP_CAPPED for r in result.records)
+    assert all(r.outcome == "step_capped" for r in result.records)
     assert all(r.steps == 30 for r in result.records)
 
 
@@ -589,7 +588,7 @@ def test_rule_eval_single_prey_world_captures():
                               prey_alive=(True, False))
     result = run_training(replace(config, seeds=2), rules=rules)
     captured = [r for r in result.records
-                if r.outcome is TrialOutcome.POSITIVE_CAPTURED]
+                if r.outcome == "positive_captured"]
     assert captured
     assert all(r.gd_at_capture is None for r in result.records)
 
@@ -628,13 +627,13 @@ def test_scenario_tables_instances_and_rules(name, tmp_path):
     grid = grid_for(side)
     result = run_training(replace(config, seeds=13))
     if name == "step_capped":
-        assert any(r.outcome is TrialOutcome.STEP_CAPPED for r in result.records)
+        assert any(r.outcome == "step_capped" for r in result.records)
     if name == "one_live_prey":
         assert all(r.gd_at_capture is None for r in result.records)
     if name == "two_positive":
         outcomes = {r.outcome for r in result.records}
-        assert TrialOutcome.POSITIVE_CAPTURED in outcomes
-        assert TrialOutcome.DANGEROUS_CAPTURED not in outcomes
+        assert "positive_captured" in outcomes
+        assert "dangerous_captured" not in outcomes
 
     # Q and upper tables survive save/load bit-exactly.
     save_learned_tables(tmp_path, result)

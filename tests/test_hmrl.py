@@ -166,6 +166,25 @@ def test_select_target_scale_invariant_argmax():
     assert position(pick, 7) in argmax_set(weights)
 
 
+def test_select_target_sums_a_cells_peer_weights_in_peer_order():
+    # Hunter 0 at (0,3) chases prey (3,3) with no draw. Ring2 cells A and B
+    # both lie 3 steps away, so their sums decide: in peer order A sums
+    # (0.1 + 0.2) + 0.3 == 0.6000000000000001 > 0.6, B's one weight; summed
+    # in any other peer order A would tie B at 0.6 and draw.
+    world = make_world([(0, 3), (6, 0), (6, 1), (5, 0)], [(3, 3), (6, 6)])
+    a, b = cell_id(Position(2, 2), 7), cell_id(Position(2, 4), 7)
+    assert {a, b} <= set(world.grid.candidates["ring2"][cell_id(Position(3, 3), 7)])
+    _, modules, _ = select_target(WeightTable(), 0, world, Random(0), 0.0, CONFIG)
+    weights = WeightTable()
+    for module, weight in zip(modules, (0.1, 0.2, 0.3)):
+        weights.add(module, a, weight)
+    weights.add(modules[0], b, 0.6)
+    rng = Random(0)
+    state = rng.getstate()
+    assert select_target(weights, 0, world, rng, 0.0, CONFIG) == (0, modules, a)
+    assert rng.getstate() == state
+
+
 def test_select_target_requires_alive_prey():
     world = make_world([(0, 0), (6, 6), (6, 0), (0, 6)], [(3, 3), (6, 3)],
                        alive=(False, False))
