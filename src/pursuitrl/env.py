@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from enum import IntEnum
 from functools import lru_cache
 from random import Random
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .tableio import load_csv
 
@@ -23,34 +22,15 @@ if TYPE_CHECKING:
     from .experiment import ExperimentConfig
 
 
-class Position(NamedTuple):
-    x: int
-    y: int
-
-
-class Action(IntEnum):
-    """One move per step; a member is its own index in :data:`ACTIONS`, in
-    Q rows and in :attr:`Grid.moves`. Files spell it by :data:`ACTION_LABELS`,
-    never by ``str()``, which differs between Python versions."""
-
-    STAY = 0
-    NORTH = 1
-    SOUTH = 2
-    EAST = 3
-    WEST = 4
-
-
-ACTIONS: tuple[Action, ...] = tuple(Action)
-# Every action index as a plain int, ascending; Grid.legal shares it where
-# every move is legal.
-ALL_ACTIONS = tuple(range(len(ACTIONS)))
+# An action is its index, in Q rows and in Grid.moves. Files spell it by
+# its label: screen directions, with "down" meaning +y (south).
+ACTION_LABELS = ("stay", "up", "down", "right", "left")
+# Every action index, ascending; Grid.legal shares it where every move is legal.
+ACTIONS = tuple(range(len(ACTION_LABELS)))
+STAY = 0
+ACTION_BY_LABEL = dict(zip(ACTION_LABELS, ACTIONS))
 # (dx, dy) by action: x grows east, y grows south.
 DELTAS = ((0, 0), (0, -1), (0, 1), (1, 0), (-1, 0))
-
-# Serialization vocabulary for CSV/rule files by action: screen directions,
-# with "down" meaning +y (south).
-ACTION_LABELS = ("stay", "up", "down", "right", "left")
-ACTION_BY_LABEL = dict(zip(ACTION_LABELS, ACTIONS))
 
 
 N_HUNTERS = 4
@@ -70,7 +50,7 @@ TRAJECTORY_HEADER = ("step", "agent", "x", "y", "action")
 class Grid:
     """Integer-coded topology of one square grid side.
 
-    Cell ``x * side + y`` is ``Position(x, y)``, so ascending ids run
+    Cell ``x * side + y`` is ``(x, y)``, so ascending ids run
     x-outer, y-inner. Per cell it holds the move destination of every
     action (-1 off the grid), the legal action indices, the in-bounds
     4-neighbours, the Manhattan distance and the offset id to every cell,
@@ -82,20 +62,20 @@ class Grid:
     def __init__(self, side: int):
         self.side = side
         self.size = side * side
-        self.cells = tuple(Position(x, y) for x in range(side) for y in range(side))
+        self.cells = tuple((x, y) for x in range(side) for y in range(side))
         self.moves = tuple(
             tuple((x + dx) * side + y + dy if 0 <= x + dx < side and 0 <= y + dy < side else -1
                   for dx, dy in DELTAS)
             for x, y in self.cells
         )
-        self.legal = tuple(ALL_ACTIONS if min(row) >= 0
+        self.legal = tuple(ACTIONS if min(row) >= 0
                            else tuple(i for i, dest in enumerate(row) if dest >= 0)
                            for row in self.moves)
         # what a uniform random move draws from: (destinations, count, bits)
         self.uniform_moves = tuple((tuple(row[i] for i in legal), len(legal),
                                     len(legal).bit_length())
                                    for row, legal in zip(self.moves, self.legal))
-        self.neighbors = tuple(tuple(row[i] for i in legal if i != Action.STAY)
+        self.neighbors = tuple(tuple(row[i] for i in legal if i != STAY)
                                for row, legal in zip(self.moves, self.legal))
         self.distance = tuple(tuple(abs(x - u) + abs(y - v) for u, v in self.cells)
                               for x, y in self.cells)
@@ -190,7 +170,8 @@ def _check_action(grid: Grid, cell: int, action: int, agent: str) -> None:
     if not 0 <= action < len(ACTIONS):
         raise ValueError(f"{agent}: action index {action!r} is out of range 0..{len(ACTIONS) - 1}")
     if grid.moves[cell][action] < 0:
-        raise ValueError(f"illegal action {ACTIONS[action].name} for {agent} at {grid.cells[cell]}")
+        raise ValueError(f"illegal action {ACTION_LABELS[action]} for {agent} "
+                         f"at {grid.cells[cell]}")
 
 
 def step(state: WorldState, hunter_actions: Sequence[int], rng: Random,

@@ -18,7 +18,7 @@ from random import Random
 from typing import Sequence
 
 from . import env, hmrl, knowledge, q_learning, tableio
-from .env import ACTIONS, CANDIDATE_MODES, N_PREY, Action
+from .env import ACTIONS, CANDIDATE_MODES, N_PREY, STAY
 from .hmrl import HunterAgent, deliver_rewards
 from .knowledge import IfThenRule, Instance, compile_rules, rule_policy_act
 
@@ -28,7 +28,7 @@ RULE_FALLBACKS = ("learner", "stay")
 PREY_KINDS = ("positive", "dangerous")
 MAX_GRID_SIDE = 30
 # _RETURN_ACTION[a]: the rule fallback that returns action index a
-_RETURN_ACTION = tuple((lambda _offset, action=action: action) for action in range(len(ACTIONS)))
+_RETURN_ACTION = tuple((lambda _offset, action=action: action) for action in ACTIONS)
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,11 @@ class ExperimentConfig:
                              f"got {self.prey_alive}")
         if not self.reach_discount >= 1.0:
             raise ValueError(f"reach_discount must be >= 1, got {self.reach_discount}")
+        try:        # Grid.reach_divisors raises it to every distance on the grid
+            float(self.reach_discount) ** (2 * self.grid_side - 2)
+        except OverflowError:
+            raise ValueError(f"reach_discount ** {2 * self.grid_side - 2} must fit a float "
+                             f"on grid_side {self.grid_side}, got {self.reach_discount}") from None
         if not 0 < self.atf_near < self.atf_far:
             raise ValueError(f"atf_near and atf_far must be 0 < near < far, "
                              f"got {self.atf_near} and {self.atf_far}")
@@ -208,7 +213,7 @@ def run_training(config: ExperimentConfig,
     decide = [agent.policy_step for agent in agents]     # N_HUNTERS == 4
     moves = grid.moves
     # fallbacks[chosen]: the rule fallback for the learner's pick, per the fallback mode
-    fallbacks = ((_RETURN_ACTION[Action.STAY],) * len(ACTIONS)
+    fallbacks = ((_RETURN_ACTION[STAY],) * len(ACTIONS)
                  if config.rule_fallback == "stay" else _RETURN_ACTION)
 
     for trial in range(1, config.trials + 1):

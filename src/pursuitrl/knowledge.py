@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, Union
 
-from .env import ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, Action, Grid
+from .env import ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, Grid
 from .tableio import load_csv
 
 ATTRIBUTES = ("theta_X", "theta_Y")
@@ -32,12 +32,12 @@ GAIN_EPS = 1e-12
 class Instance(NamedTuple):
     theta_x: int
     theta_y: int
-    label: Action
+    label: int
 
 
 @dataclass
 class Leaf:
-    label: Action
+    label: int
     covered: int
     errors: int
 
@@ -59,7 +59,7 @@ class IfThenRule:
     # Matches when x_lower < theta_X <= x_upper and y_lower < theta_Y <= y_upper;
     # an open side is -inf or inf.
     box: tuple[float, float, float, float]   # (x_lower, x_upper, y_lower, y_upper)
-    action: Action
+    action: int
     cf: float
 
 
@@ -207,8 +207,7 @@ def compile_rules(rules: Sequence[IfThenRule], grid: Grid) -> tuple[int, ...]:
     """Per offset id of ``grid``: the action index of the first of
     ``rules``, in their given order (a rule file's, as :func:`parse_rules`
     keeps it), matching the offset, else -1."""
-    # a plain int: the trial loop subscripts its tables with it
-    boxes = [(*rule.box, int(rule.action)) for rule in rules]
+    boxes = [(*rule.box, rule.action) for rule in rules]
     return tuple(next((action for x_lower, x_upper, y_lower, y_upper, action in boxes
                        if x_lower < theta_x <= x_upper and y_lower < theta_y <= y_upper), -1)
                  for theta_x, theta_y in grid.offsets)

@@ -8,7 +8,7 @@ from __future__ import annotations
 from random import Random
 from typing import Sequence
 
-from .env import ACTION_LABELS, ACTIONS, ALL_ACTIONS, below
+from .env import ACTION_LABELS, ACTIONS, below
 from .tableio import save_table
 
 
@@ -31,7 +31,7 @@ class QTable:
         """The written entries by ``(state, action index)``."""
         rows = self.rows
         return {(state, action): rows[state][action] for state, mask in self.written.items()
-                for action in ALL_ACTIONS if mask >> action & 1}
+                for action in ACTIONS if mask >> action & 1}
 
 
 def q_update(table: QTable, state: int, action: int, reward: float,
@@ -60,7 +60,7 @@ def epsilon_greedy(table: QTable, state: int, legal: Sequence[int],
     if row is None:         # every action scores 0.0: a tie unless only one is legal
         return legal[below(rng, len(legal))] if len(legal) > 1 else legal[0]
     # Over every action in index order the row is the score list itself.
-    scores = row if legal is ALL_ACTIONS else [row[a] for a in legal]
+    scores = row if legal is ACTIONS else [row[a] for a in legal]
     best_value = max(scores)
     if scores.count(best_value) == 1:
         return legal[scores.index(best_value)]

@@ -28,8 +28,8 @@ from pathlib import Path
 from random import Random
 from typing import NamedTuple
 
-from pursuitrl.env import (ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, N_HUNTERS, N_PREY, Action,
-                           Grid, Position, WorldState, below, grid_for)
+from pursuitrl.env import (ACTION_BY_LABEL, ACTION_LABELS, ACTIONS, N_HUNTERS, N_PREY, Grid,
+                           WorldState, below, grid_for)
 from pursuitrl.experiment import run_meta
 from pursuitrl.hmrl import lower_state_texts
 from pursuitrl.knowledge import (ATTRIBUTES, INSTANCE_HEADER, Instance, Split, _entropy,
@@ -38,9 +38,10 @@ from pursuitrl.profit_sharing import WeightTable
 from pursuitrl.q_learning import QTable
 
 
+# The action indices, named by their file labels.
+STAY, UP, DOWN, RIGHT, LEFT = ACTIONS
 # (dx, dy) of each move, x east and y south, written out apart from env.DELTAS.
-DELTA = {Action.STAY: (0, 0), Action.NORTH: (0, -1), Action.SOUTH: (0, 1),
-         Action.EAST: (1, 0), Action.WEST: (-1, 0)}
+DELTA = {STAY: (0, 0), UP: (0, -1), DOWN: (0, 1), RIGHT: (1, 0), LEFT: (-1, 0)}
 
 
 class ModuleKey(NamedTuple):
@@ -48,17 +49,17 @@ class ModuleKey(NamedTuple):
 
     hunter: int
     prey: int
-    own: Position
-    peer: Position
-    goal: Position
+    own: tuple[int, int]
+    peer: tuple[int, int]
+    goal: tuple[int, int]
 
 
 def cell_id(pos, side: int) -> int:
     return pos[0] * side + pos[1]
 
 
-def position(cell: int, side: int) -> Position:
-    return Position(*divmod(cell, side))
+def position(cell: int, side: int) -> tuple[int, int]:
+    return divmod(cell, side)
 
 
 def make_world(hunters, prey, alive=(True, True), side=7) -> WorldState:
@@ -67,7 +68,7 @@ def make_world(hunters, prey, alive=(True, True), side=7) -> WorldState:
                       [cell_id(p, side) for p in prey], list(alive))
 
 
-def positions(state: WorldState) -> tuple[list[Position], list[Position]]:
+def positions(state: WorldState) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """The hunter and prey positions of a cell-id world state."""
     side = state.grid.side
     return ([position(cell, side) for cell in state.hunters],
@@ -123,7 +124,7 @@ def save_learned_tables(out_dir, result) -> None:
         for state, cell, weight in table_rules(agent.upper):
             key = unpack(state, side)
             banks[key.prey].append(
-                f"{plain(key)!r}\t{plain(position(cell, side))!r}\t{weight!r}\n")
+                f"{plain(key)!r}\t{position(cell, side)!r}\t{weight!r}\n")
         for prey, rows in banks.items():
             write(f"upper_h{agent.index}_p{prey}.tsv", {"default_weight": 0.0, **meta}, rows)
         rows = []
@@ -136,7 +137,7 @@ def save_learned_tables(out_dir, result) -> None:
 
 
 def upper_table(rules: dict, side: int) -> WeightTable:
-    """A packed weight table from ``{(ModuleKey, target Position): weight}``."""
+    """A packed weight table from ``{(ModuleKey, target (x, y)): weight}``."""
     table = WeightTable()
     for (key, target), weight in rules.items():
         table.add(pack(key, side), cell_id(target, side), weight)
@@ -241,7 +242,7 @@ def load_q_table(path, decode_state) -> tuple[QTable, dict[str, object]]:
 @lru_cache(maxsize=None)
 def cell_ids(grid: Grid) -> dict[str, int]:
     """Every cell id of ``grid`` by its persisted spelling ``(x, y)``."""
-    return {repr(tuple(position)): cell for cell, position in enumerate(grid.cells)}
+    return {repr(position): cell for cell, position in enumerate(grid.cells)}
 
 
 def module_key(grid: Grid, text: str) -> int:
@@ -260,31 +261,31 @@ def lower_state_ids(grid: Grid) -> dict[str, int]:
     return {text: state for state, text in enumerate(lower_state_texts(grid))}
 
 
-def moved(pos, action) -> Position:
+def moved(pos, action) -> tuple[int, int]:
     """Where ``action`` takes an agent at ``pos``, on or off the grid."""
     dx, dy = DELTA[action]
-    return Position(pos[0] + dx, pos[1] + dy)
+    return (pos[0] + dx, pos[1] + dy)
 
 
 def legal_actions(pos, side: int):
     return tuple(a for a in ACTIONS if all(0 <= v < side for v in moved(pos, a)))
 
 
-def neighbor_cells(pos, side: int) -> list[Position]:
+def neighbor_cells(pos, side: int) -> list[tuple[int, int]]:
     x, y = pos
-    return [Position(x + dx, y + dy) for dx, dy in ((0, -1), (0, 1), (1, 0), (-1, 0))
+    return [(x + dx, y + dy) for dx, dy in ((0, -1), (0, 1), (1, 0), (-1, 0))
             if 0 <= x + dx < side and 0 <= y + dy < side]
 
 
-def candidate_cells(goal, side: int, mode: str = "ring2") -> tuple[Position, ...]:
+def candidate_cells(goal, side: int, mode: str = "ring2") -> tuple[tuple[int, int], ...]:
     gx, gy = goal
     if mode == "ring2":
-        return tuple(Position(x, y)
+        return tuple((x, y)
                      for x in range(max(0, gx - 2), min(side, gx + 3))
                      for y in range(max(0, gy - 2), min(side, gy + 3))
                      if 0 < abs(x - gx) + abs(y - gy) <= 2)
     if mode == "all":
-        return tuple(Position(x, y) for x in range(side) for y in range(side)
+        return tuple((x, y) for x in range(side) for y in range(side)
                      if (x, y) != (gx, gy))
     raise ValueError(mode)
 
@@ -307,8 +308,8 @@ def epsilon_greedy(table, state, legal, epsilon: float, rng: Random) -> int:
 
 def select_target(rules: dict, hunter: int, state: WorldState, rng: Random,
                   reach_discount: float = 2.0, exploration: float = 0.0,
-                  mode: str = "ring2") -> tuple[Position, int]:
-    """Brute-force target choice over ``{(ModuleKey, Position): weight}``:
+                  mode: str = "ring2") -> tuple[tuple[int, int], int]:
+    """Brute-force target choice over ``{(ModuleKey, (x, y)): weight}``:
     ``(target, prey)``, drawing from ``rng`` as the program does."""
     hunters, prey_positions = positions(state)
     own = hunters[hunter]
@@ -386,7 +387,7 @@ def brute_force_gain_ratio(instances, attribute: str, threshold) -> float:
     def entropy(group):
         total = 0.0
         for label in set(item.label for item in group):
-            p = sum(1 for item in group if item.label is label) / len(group)
+            p = sum(1 for item in group if item.label == label) / len(group)
             total -= p * math.log2(p)
         return total
 

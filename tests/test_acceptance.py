@@ -19,13 +19,13 @@ from random import Random
 import pytest
 
 from pursuitrl import cli
-from pursuitrl.env import ACTIONS, Action, Position
+from pursuitrl.env import ACTIONS
 from pursuitrl.experiment import ExperimentConfig, compute_metrics, run_training
 from pursuitrl.hmrl import atf
 from pursuitrl.knowledge import Instance, Leaf, extract_rules, induce_tree
 from pursuitrl.q_learning import QTable, q_update
-from reference import (ExplicitMDP, PSParams, brute_force_gain_ratio, check_suppression,
-                       classify, gain_ratio, legal_actions, moved, q_value,
+from reference import (LEFT, RIGHT, STAY, UP, ExplicitMDP, PSParams, brute_force_gain_ratio,
+                       check_suppression, classify, gain_ratio, legal_actions, moved, q_value,
                        solve_value_iteration)
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -93,7 +93,7 @@ def test_criterion_1_atf_field_exact():
 
 
 def test_criterion_2_confidence_factor_cross_check():
-    (rule,) = extract_rules(Leaf(label=Action.WEST, covered=12519, errors=1907))
+    (rule,) = extract_rules(Leaf(label=LEFT, covered=12519, errors=1907))
     assert rule.cf == 0.8476715392603243
     assert repr(rule.cf) == "0.8476715392603243"
     print("\n[criterion 2] PASS: leaf (12519/1907) -> CF=0.8476715392603243")
@@ -117,8 +117,8 @@ def test_criterion_3_suppression_sweep():
 
 
 def test_criterion_4_q_learning_matches_value_iteration():
-    side, target, gamma, reward = 5, Position(4, 4), 0.9, 100.0
-    states = [Position(x, y) for x in range(side) for y in range(side)]
+    side, target, gamma, reward = 5, (4, 4), 0.9, 100.0
+    states = [(x, y) for x in range(side) for y in range(side)]
     transitions = {}
     for state in states:
         if state == target:
@@ -165,10 +165,10 @@ def test_criterion_4_q_learning_matches_value_iteration():
 
 def planted_label(x, y):
     if y == 0 and x > 0:
-        return Action.EAST
+        return RIGHT
     if y < 0:
-        return Action.NORTH
-    return Action.STAY
+        return UP
+    return STAY
 
 
 def test_criterion_5_tree_induction_oracles():
@@ -194,7 +194,7 @@ def test_criterion_5_tree_induction_oracles():
     tree = induce_tree(grid, min_leaf=2, max_depth=12)
 
     mismatches = [(x, y) for x in range(-6, 7) for y in range(-6, 7)
-                  if classify(tree, x, y) is not planted_label(x, y)]
+                  if classify(tree, x, y) != planted_label(x, y)]
     assert mismatches == []
     print(f"\n[criterion 5] PASS: {checked} gain-ratio checks vs brute force; "
           "planted rule recovered on all 169 offsets")

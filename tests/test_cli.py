@@ -49,6 +49,9 @@ def test_train_applies_config_file(tmp_path):
      "line 2: trials: invalid literal for int() with base 10: 'abc'"),
     ("trial = 4\n", "line 1: unknown config key 'trial'"),
     ("seeds = 1,2\n", "line 1: seeds: invalid literal for int() with base 10: '1,2'"),
+    # 1e200 ** 12 overflows: the run would crash once the first upper rule exists
+    ("reach_discount = 1e200\n", "reach_discount ** 12 must fit a float on grid_side 7, "
+                                 "got 1e+200"),
 ])
 def test_train_config_errors_name_file_and_line(tmp_path, capsys, text, error):
     config = tmp_path / "run.cfg"
@@ -483,7 +486,7 @@ def test_reimporting_the_package_frees_the_old_copies():
             for name in [n for n in sys.modules if n.split(".")[0] == "pursuitrl"]:
                 del sys.modules[name]
             importlib.import_module("pursuitrl.cli")
-            copies.append(weakref.ref(sys.modules["pursuitrl.env"].Action))
+            copies.append(weakref.ref(sys.modules["pursuitrl.env"].Grid))
         gc.collect()
         print(sum(copy() is not None for copy in copies))
     """)

@@ -412,6 +412,18 @@ def test_config_rejects_atf_bands_out_of_order():
     assert ExperimentConfig(atf_near=1, atf_far=2).atf_far == 2
 
 
+def test_config_rejects_a_reach_discount_whose_powers_overflow():
+    # Grid.reach_divisors raises reach_discount to every grid distance, up
+    # to 2 * grid_side - 2; past a float, training would crash mid-run.
+    for side, good, bad in ((7, 1e25, 1e26), (30, 2e5, 1e6)):
+        assert ExperimentConfig(grid_side=side, reach_discount=good).reach_discount == good
+        with pytest.raises(ValueError, match=rf"^reach_discount \*\* {2 * side - 2} must fit "):
+            ExperimentConfig(grid_side=side, reach_discount=bad)
+    with pytest.raises(ValueError, match="reach_discount"):
+        parse_config("reach_discount = 1e200")
+    assert max(map(max, grid_for(7).reach_divisors(1e25))) == 1e25 ** 12
+
+
 def test_config_rejects_a_negative_seed():
     # Random seeds from the seed's absolute value: -5 would rerun seed 5.
     with pytest.raises(ValueError, match=r"^seeds must be >= 0, got -5$"):
@@ -431,6 +443,7 @@ def valid_configs(draw):
     finite = st.floats(allow_nan=False, allow_infinity=False)
     trials = draw(st.integers(1, 10**6))
     near = draw(st.integers(1, 50))
+    side = draw(st.integers(3, MAX_GRID_SIDE))
     values = dict(
         trials=trials, step_cap=draw(st.integers(1, 10**6)),
         seeds=draw(st.integers(0, 2**64)),
@@ -443,12 +456,13 @@ def valid_configs(draw):
         epsilon_anneal_fraction=draw(unit_floats),
         atf_near=near, atf_far=near + draw(st.integers(1, 50)),
         upper_decay=draw(unit_floats.filter(lambda value: value > 0.0)),
-        reach_discount=draw(st.floats(1.0, 1e6)),
+        # up to 1e6, held where reach_discount ** (2 * side - 2) stays below 1e300
+        reach_discount=draw(st.floats(1.0, min(1e6, 10 ** (300 / (2 * side - 2))))),
         candidate_mode=draw(st.sampled_from(CANDIDATE_MODES)),
         block_ends=tuple(sorted(draw(st.sets(st.integers(1, 10**6), min_size=1, max_size=5)))),
         instance_window=draw(st.none() | st.tuples(st.integers(-10**6, 10**6),
                                                    st.integers(-10**6, 10**6))),
-        grid_side=draw(st.integers(3, MAX_GRID_SIDE)),
+        grid_side=side,
         prey_kinds=draw(st.tuples(prey_kind_names, prey_kind_names)),
         prey_alive=draw(st.tuples(st.booleans(), st.booleans()).filter(any)),
         rule_fallback=draw(st.sampled_from(RULE_FALLBACKS)),

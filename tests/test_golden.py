@@ -50,8 +50,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import pytest
-
 from pursuitrl import cli
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
@@ -108,6 +106,17 @@ def run_all(work: Path) -> dict[str, dict[str, str]]:
     return {name: digests(work / name) for name in RUNS}
 
 
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as work:
+        json.dump(run_all(Path(work)), sys.stdout, indent=1, sort_keys=True)
+        print()
+    sys.exit()
+
+# Only the tests need pytest: the re-record command above runs on the
+# standard library alone.
+import pytest
+
+
 @pytest.fixture(scope="module")
 def recorded(tmp_path_factory):
     return run_all(tmp_path_factory.mktemp("golden"))
@@ -116,9 +125,3 @@ def recorded(tmp_path_factory):
 @pytest.mark.parametrize("run", list(RUNS))
 def test_outputs_match_pinned_digests(recorded, run):
     assert recorded[run] == json.loads(GOLDEN.read_text())[run]
-
-
-if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as work:
-        json.dump(run_all(Path(work)), sys.stdout, indent=1, sort_keys=True)
-        print()

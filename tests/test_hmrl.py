@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from pursuitrl.env import Action, Position, grid_for, step
+from pursuitrl.env import grid_for, step
 from pursuitrl.experiment import ExperimentConfig
 from pursuitrl.hmrl import (
     CREDIT_FLOOR,
@@ -18,6 +18,8 @@ from pursuitrl.hmrl import (
 )
 from pursuitrl.profit_sharing import WeightTable
 from reference import (
+    RIGHT,
+    STAY,
     ModuleKey,
     candidate_cells,
     cell_id,
@@ -62,15 +64,15 @@ def test_atf_params_reject_decay_outside_unit_interval(decay):
 
 
 def test_candidate_cells_ring():
-    cells = grid_candidates(Position(3, 3), 7, "ring2")
+    cells = grid_candidates((3, 3), 7, "ring2")
     assert len(cells) == 12
-    assert all(1 <= abs(c.x - 3) + abs(c.y - 3) <= 2 for c in cells)
-    corner = grid_candidates(Position(0, 0), 7, "ring2")
+    assert all(1 <= abs(x - 3) + abs(y - 3) <= 2 for x, y in cells)
+    corner = grid_candidates((0, 0), 7, "ring2")
     assert set(corner) == {(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)}
 
 
 def test_candidate_cells_all_excludes_goal():
-    cells = grid_candidates(Position(2, 2), 3, "all")
+    cells = grid_candidates((2, 2), 3, "all")
     assert len(cells) == 8
     assert (2, 2) not in cells
 
@@ -79,15 +81,15 @@ def test_select_target_equal_weights_prefers_nearest():
     world = make_world([(0, 0), (6, 6), (6, 0), (0, 6)], [(3, 3), (6, 3)],
                        alive=(True, False))
     weights = WeightTable()
-    for cell in candidate_cells(Position(3, 3), 7, "ring2"):
-        for peer in (Position(6, 6), Position(6, 0), Position(0, 6)):
-            weights.add(pack(ModuleKey(0, 0, Position(0, 0), peer, Position(3, 3)), 7),
+    for cell in candidate_cells((3, 3), 7, "ring2"):
+        for peer in ((6, 6), (6, 0), (0, 6)):
+            weights.add(pack(ModuleKey(0, 0, (0, 0), peer, (3, 3)), 7),
                         cell_id(cell, 7), 1.0)
     _, _, cell = select_target(weights, 0, world, Random(0), 0.0,
                                replace(CONFIG, reach_discount=2.0))
     # Nearest candidates to (0,0) around prey (3,3) sit at distance 4.
-    target = position(cell, 7)
-    assert abs(target.x) + abs(target.y) == 4
+    x, y = position(cell, 7)
+    assert abs(x) + abs(y) == 4
 
 
 def test_select_target_uses_nearer_prey_bank():
@@ -114,18 +116,18 @@ def test_select_target_matches_exhaustive_argmax():
                        alive=(True, False), side=3)
     rng = Random(7)
     rules = {}
-    goal = Position(1, 1)
-    peers = [Position(2, 2), Position(2, 0), Position(0, 2)]
+    goal = (1, 1)
+    peers = [(2, 2), (2, 0), (0, 2)]
     cells = candidate_cells(goal, 3, "all")
     for cell in cells:
         for peer in peers:
-            rules[ModuleKey(0, 0, Position(0, 0), peer, goal), cell] = rng.uniform(0, 5)
+            rules[ModuleKey(0, 0, (0, 0), peer, goal), cell] = rng.uniform(0, 5)
     weights = upper_table(rules, 3)
 
     def brute_force_best():
         scored = {
             cell: sum(
-                rules[ModuleKey(0, 0, Position(0, 0), peer, goal), cell]
+                rules[ModuleKey(0, 0, (0, 0), peer, goal), cell]
                 for peer in peers)
             for cell in cells
         }
@@ -142,21 +144,22 @@ def test_select_target_scale_invariant_argmax():
                        alive=(True, False))
     rng = Random(21)
     rules = {}
-    goal = Position(3, 3)
-    peers = [Position(6, 6), Position(6, 0), Position(0, 6)]
+    goal = (3, 3)
+    peers = [(6, 6), (6, 0), (0, 6)]
     cells = candidate_cells(goal, 7, "ring2")
     for cell in cells:
         for peer in peers:
-            rules[ModuleKey(0, 0, Position(2, 2), peer, goal), cell] = rng.uniform(0, 3)
+            rules[ModuleKey(0, 0, (2, 2), peer, goal), cell] = rng.uniform(0, 3)
     weights = upper_table(rules, 7)
     scaled = upper_table({key: 4.0 * w for key, w in rules.items()}, 7)
 
     def argmax_set(table):
         def score(cell):
             total = sum(reference.rule_weight(
-                table, pack(ModuleKey(0, 0, Position(2, 2), peer, goal), 7), cell_id(cell, 7))
+                table, pack(ModuleKey(0, 0, (2, 2), peer, goal), 7), cell_id(cell, 7))
                         for peer in peers)
-            return total / 2.0 ** (abs(2 - cell.x) + abs(2 - cell.y))
+            x, y = cell
+            return total / 2.0 ** (abs(2 - x) + abs(2 - y))
         scores = {cell: score(cell) for cell in cells}
         top = max(scores.values())
         return {cell for cell, s in scores.items() if s >= top * (1 - 1e-12)}
@@ -172,8 +175,8 @@ def test_select_target_sums_a_cells_peer_weights_in_peer_order():
     # (0.1 + 0.2) + 0.3 == 0.6000000000000001 > 0.6, B's one weight; summed
     # in any other peer order A would tie B at 0.6 and draw.
     world = make_world([(0, 3), (6, 0), (6, 1), (5, 0)], [(3, 3), (6, 6)])
-    a, b = cell_id(Position(2, 2), 7), cell_id(Position(2, 4), 7)
-    assert {a, b} <= set(world.grid.candidates["ring2"][cell_id(Position(3, 3), 7)])
+    a, b = cell_id((2, 2), 7), cell_id((2, 4), 7)
+    assert {a, b} <= set(world.grid.candidates["ring2"][cell_id((3, 3), 7)])
     _, modules, _ = select_target(WeightTable(), 0, world, Random(0), 0.0, CONFIG)
     weights = WeightTable()
     for module, weight in zip(modules, (0.1, 0.2, 0.3)):
@@ -203,8 +206,8 @@ def test_select_target_stays_in_candidate_set():
 
 
 def fired_rule(tag):
-    key = ModuleKey(0, 0, Position(tag, 0), Position(6, 6), Position(3, 3))
-    return pack(key, 7), cell_id(Position(2, 3), 7)
+    key = ModuleKey(0, 0, (tag, 0), (6, 6), (3, 3))
+    return pack(key, 7), cell_id((2, 3), 7)
 
 
 def upper_trace(distances):
@@ -353,7 +356,7 @@ def test_select_target_rejects_unknown_candidate_mode():
 def test_agent_policy_step_records_and_acts():
     agent, world = trained_agent_world()
     action = agent.policy_step(world, Random(0), exploration=0.0)
-    assert type(action) is int              # a plain index, never a member
+    assert type(action) is int
     assert action in world.grid.legal[world.hunters[0]]
     assert len(agent.trace) == 1
     modules, cell, prey_distance = agent.trace[0]
@@ -361,42 +364,42 @@ def test_agent_policy_step_records_and_acts():
     assert prey_distance == 4                       # prey at (3,3) and (6,4)
     lower, chosen, target = agent.pending
     assert chosen == action
-    target = position(target, 7)
-    assert lower == lower_state((target.x - 2, target.y - 2), lower % 2, 7)
+    x, y = position(target, 7)
+    assert lower == lower_state((x - 2, y - 2), lower % 2, 7)
 
 
 def test_agent_greedy_walks_trained_corridor():
     agent, world = trained_agent_world()
     # Teach the lower layer that one step east is best from offset (1, 0).
-    set_q_value(agent.q, lower_state((1, 0), 0, 7), Action.EAST, 10.0)
+    set_q_value(agent.q, lower_state((1, 0), 0, 7), RIGHT, 10.0)
     # Pin the upper layer to command the cell one east of the hunter.
-    goal = Position(3, 3)
-    target = Position(3, 2)
-    for peer in (Position(6, 6), Position(6, 0), Position(0, 6)):
-        agent.upper.add(pack(ModuleKey(0, 0, Position(2, 2), peer, goal), 7),
+    goal = (3, 3)
+    target = (3, 2)
+    for peer in ((6, 6), (6, 0), (0, 6)):
+        agent.upper.add(pack(ModuleKey(0, 0, (2, 2), peer, goal), 7),
                         cell_id(target, 7), 50.0)
     action = agent.policy_step(world, Random(0), exploration=0.0)
     assert position(agent.pending[2], 7) == target
-    assert type(action) is int and action == Action.EAST
+    assert type(action) is int and action == RIGHT
 
 
 def test_agent_zero_offset_prefers_stay_once_trained():
     world = make_world([(2, 3), (6, 6), (6, 0), (0, 6)], [(3, 3), (6, 4)])
     agent = HunterAgent(0, CONFIG)
-    set_q_value(agent.q, lower_state((0, 0), 0, 7), Action.STAY, 10.0)
-    goal = Position(3, 3)
-    for peer in (Position(6, 6), Position(6, 0), Position(0, 6)):
-        agent.upper.add(pack(ModuleKey(0, 0, Position(2, 3), peer, goal), 7),
-                        cell_id(Position(2, 3), 7), 50.0)
+    set_q_value(agent.q, lower_state((0, 0), 0, 7), STAY, 10.0)
+    goal = (3, 3)
+    for peer in ((6, 6), (6, 0), (0, 6)):
+        agent.upper.add(pack(ModuleKey(0, 0, (2, 3), peer, goal), 7),
+                        cell_id((2, 3), 7), 50.0)
     action = agent.policy_step(world, Random(0), exploration=0.0)
     assert agent.pending[0] == lower_state((0, 0), 0, 7)
-    assert type(action) is int and action == Action.STAY
+    assert type(action) is int and action == STAY
 
 
 def stay_put(agent):
     """Replace the agent's pending move by staying."""
     lower, _, target = agent.pending
-    agent.pending = (lower, Action.STAY, target)
+    agent.pending = (lower, STAY, target)
 
 
 def captured_step(config):
@@ -410,7 +413,7 @@ def captured_step(config):
         agent.policy_step(world, rng, 0.0)
         stay_put(agent)
     traces = [list(agent.trace) for agent in agents]
-    outcome = step(world, [Action.STAY] * 4, rng, prey_actions=[Action.STAY] * 2)
+    outcome = step(world, [STAY] * 4, rng, prey_actions=[STAY] * 2)
     assert 0 in outcome.captures
     return agents, traces, outcome
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from pursuitrl.env import ACTION_LABELS, ACTIONS, Action, grid_for
+from pursuitrl.env import ACTION_LABELS, ACTIONS, grid_for
 from pursuitrl.knowledge import (
     ATTRIBUTES,
     GAIN_EPS,
@@ -27,7 +27,8 @@ from pursuitrl.knowledge import (
     rule_policy_act,
     save_instances,
 )
-from reference import brute_force_gain_ratio, classify, gain_ratio
+from reference import (DOWN, LEFT, RIGHT, STAY, UP, brute_force_gain_ratio, classify,
+                       gain_ratio)
 
 
 def inst(x, y, label):
@@ -37,13 +38,13 @@ def inst(x, y, label):
 # --- gain ratio ---------------------------------------------------------
 
 def test_gain_ratio_zero_for_pure_labels():
-    instances = [inst(x, 0, Action.STAY) for x in range(-3, 4)]
+    instances = [inst(x, 0, STAY) for x in range(-3, 4)]
     for threshold in range(-3, 3):
         assert gain_ratio(instances, "theta_X", threshold) == 0.0
 
 
 def test_gain_ratio_perfect_split_is_one():
-    instances = [inst(-1, 0, Action.WEST)] * 5 + [inst(2, 0, Action.EAST)] * 5
+    instances = [inst(-1, 0, LEFT)] * 5 + [inst(2, 0, RIGHT)] * 5
     assert gain_ratio(instances, "theta_X", 0) == pytest.approx(1.0)
 
 
@@ -51,7 +52,7 @@ def test_gain_ratio_hand_dataset_matches_oracle():
     rng = Random(12)
     instances = [
         inst(rng.randrange(-3, 4), rng.randrange(-3, 4),
-             rng.choice((Action.STAY, Action.EAST, Action.WEST)))
+             rng.choice((STAY, RIGHT, LEFT)))
         for _ in range(12)
     ]
     for attribute in ("theta_X", "theta_Y"):
@@ -65,7 +66,7 @@ def test_gain_ratio_hand_dataset_matches_oracle():
 
 
 def test_gain_ratio_degenerate_split_rejected():
-    instances = [inst(1, 0, Action.STAY), inst(2, 0, Action.EAST)]
+    instances = [inst(1, 0, STAY), inst(2, 0, RIGHT)]
     with pytest.raises(ValueError):
         gain_ratio(instances, "theta_X", 5)
     with pytest.raises(ValueError):
@@ -77,18 +78,18 @@ def test_gain_ratio_degenerate_split_rejected():
 # --- tree induction -----------------------------------------------------
 
 def test_pure_input_gives_single_leaf():
-    tree = induce_tree([inst(1, 2, Action.SOUTH)] * 9)
+    tree = induce_tree([inst(1, 2, DOWN)] * 9)
     assert isinstance(tree, Leaf)
-    assert tree.label is Action.SOUTH
+    assert tree.label == DOWN
     assert tree.covered == 9 and tree.errors == 0
 
 
 def planted_label(x, y):
     if y == 0 and x > 0:
-        return Action.EAST
+        return RIGHT
     if y < 0:
-        return Action.NORTH
-    return Action.STAY
+        return UP
+    return STAY
 
 
 def grid_instances(label_fn, copies=1):
@@ -101,7 +102,7 @@ def test_planted_rule_recovered_exactly():
     tree = induce_tree(grid_instances(planted_label))
     for x in range(-6, 7):
         for y in range(-6, 7):
-            assert classify(tree, x, y) is planted_label(x, y)
+            assert classify(tree, x, y) == planted_label(x, y)
 
 
 def test_thresholds_are_observed_integer_values():
@@ -133,7 +134,7 @@ def test_every_split_reduces_weighted_entropy():
     rng = Random(8)
     instances = [
         inst(rng.randrange(-6, 7), rng.randrange(-6, 7),
-             rng.choice(tuple(Action)))
+             rng.choice(ACTIONS))
         for _ in range(400)
     ]
     tree = induce_tree(instances)
@@ -148,7 +149,7 @@ def test_every_split_reduces_weighted_entropy():
         def entropy(group):
             total = 0.0
             for label in set(i.label for i in group):
-                p = sum(1 for i in group if i.label is label) / len(group)
+                p = sum(1 for i in group if i.label == label) / len(group)
                 total -= p * math.log2(p)
             return total
 
@@ -192,14 +193,14 @@ def test_min_leaf_and_depth_stops():
 # --- rule extraction ----------------------------------------------------
 
 def test_leaf_confidence_factor_cross_check():
-    rules = extract_rules(Leaf(label=Action.WEST, covered=12519, errors=1907))
+    rules = extract_rules(Leaf(label=LEFT, covered=12519, errors=1907))
     assert len(rules) == 1
     assert rules[0].cf == (12519 - 1907) / 12519
     assert repr(rules[0].cf) == "0.8476715392603243"
 
 
 def test_error_free_leaf_has_full_confidence():
-    rules = extract_rules(Leaf(label=Action.STAY, covered=8056, errors=0))
+    rules = extract_rules(Leaf(label=STAY, covered=8056, errors=0))
     assert rules[0].cf == 1.0
     assert rules[0].box == (-math.inf, math.inf, -math.inf, math.inf)
 
@@ -208,15 +209,15 @@ def test_extract_rules_simplifies_interval_bounds():
     tree = Split(
         0, 0,
         le_child=Split(0, -2,
-                       le_child=Leaf(Action.WEST, 10, 0),
-                       gt_child=Leaf(Action.STAY, 6, 1)),
-        gt_child=Leaf(Action.EAST, 8, 2),
+                       le_child=Leaf(LEFT, 10, 0),
+                       gt_child=Leaf(STAY, 6, 1)),
+        gt_child=Leaf(RIGHT, 8, 2),
     )
     rules = extract_rules(tree)
     by_action = {rule.action: rule for rule in rules}
-    assert by_action[Action.STAY].box == (-2, 0, -math.inf, math.inf)
-    assert by_action[Action.WEST].box == (-math.inf, -2, -math.inf, math.inf)
-    assert by_action[Action.EAST].box == (0, math.inf, -math.inf, math.inf)
+    assert by_action[STAY].box == (-2, 0, -math.inf, math.inf)
+    assert by_action[LEFT].box == (-math.inf, -2, -math.inf, math.inf)
+    assert by_action[RIGHT].box == (0, math.inf, -math.inf, math.inf)
     assert [r.cf for r in rules] == sorted((r.cf for r in rules), reverse=True)
 
 
@@ -224,7 +225,7 @@ def test_rules_match_tree_on_every_offset():
     rng = Random(5)
     instances = [
         inst(rng.randrange(-6, 7), rng.randrange(-6, 7),
-             rng.choice(tuple(Action)))
+             rng.choice(ACTIONS))
         for _ in range(600)
     ]
     tree = induce_tree(instances)
@@ -236,7 +237,7 @@ def test_rules_match_tree_on_every_offset():
     for offset, (x, y) in enumerate(grid.offsets):
         ruled = rule_policy_act(compiled, offset,
                                 fallback=lambda *_: fallback_hits.append(1))
-        assert ACTIONS[ruled] is classify(tree, x, y)
+        assert ruled == classify(tree, x, y)
     assert not fallback_hits        # leaf rules partition the whole plane
 
 
@@ -257,17 +258,17 @@ If theta_X <= -1 theta_Y <= 0 theta_Y > -1 Then left with CF=0.8476715392603243
 def act(rules, x, y, fallback, side=7):
     """The action the rules, compiled for a side-``side`` grid, command at (x, y)."""
     grid = grid_for(side)
-    return Action(rule_policy_act(compile_rules(rules, grid), grid.offsets.index((x, y)),
-                                  fallback=fallback))
+    return rule_policy_act(compile_rules(rules, grid), grid.offsets.index((x, y)),
+                           fallback=fallback)
 
 
 def test_reference_rules_drive_expected_actions():
     rules = parse_rules(REFERENCE_RULES)
-    fallback = lambda offset: Action.SOUTH
-    assert act(rules, 0, 0, fallback) is Action.STAY
-    assert act(rules, -3, 0, fallback) is Action.WEST
-    assert act(rules, 0, -4, fallback) is Action.NORTH
-    assert act(rules, 1, 0, fallback) is Action.EAST
+    fallback = lambda offset: DOWN
+    assert act(rules, 0, 0, fallback) == STAY
+    assert act(rules, -3, 0, fallback) == LEFT
+    assert act(rules, 0, -4, fallback) == UP
+    assert act(rules, 1, 0, fallback) == RIGHT
 
 
 def test_fallback_invoked_exactly_once_when_unmatched():
@@ -276,9 +277,9 @@ def test_fallback_invoked_exactly_once_when_unmatched():
 
     def fallback(offset):
         calls.append(grid_for(7).offsets[offset])
-        return Action.STAY
+        return STAY
 
-    assert act(rules, 5, 5, fallback) is Action.STAY
+    assert act(rules, 5, 5, fallback) == STAY
     assert calls == [(5, 5)]
 
 
@@ -311,7 +312,7 @@ def assert_matches_condition_scan(conditioned_rules, side):
     grid = grid_for(side)
     compiled = compile_rules(rules, grid)
     assert len(compiled) == (2 * side - 1) ** 2
-    assert all(type(action) is int for action in compiled)     # plain indices, no members
+    assert all(type(action) is int for action in compiled)
     for offset, (x, y) in enumerate(grid.offsets):
         calls = []
 
@@ -343,7 +344,7 @@ def test_parse_rules_folds_conditions_into_one_box():
     (messy,) = parse_rules("If theta_Y > -3 theta_X > -1 theta_X <= 4 theta_Y > -5 "
                            "theta_X <= 2 theta_X > -1 Then up with CF=0.5\n")
     (canonical,) = parse_rules("If theta_X <= 2 theta_X > -1 theta_Y > -3 Then up with CF=0.5\n")
-    assert messy == canonical == IfThenRule((-1, 2, -3, math.inf), Action.NORTH, 0.5)
+    assert messy == canonical == IfThenRule((-1, 2, -3, math.inf), UP, 0.5)
     assert format_rules([messy]) == (
         "No.1\nIf theta_X <= 2 theta_X > -1 theta_Y > -3 Then up with CF=0.5\n")
     # Bounds that leave no offset between them match nowhere.
@@ -425,11 +426,11 @@ def test_load_instances_names_malformed_row(tmp_path, row):
 def test_format_tree_golden():
     tree = Split(
         1, -1,
-        le_child=Leaf(Action.NORTH, 120, 0),
+        le_child=Leaf(UP, 120, 0),
         gt_child=Split(
             0, -1,
-            le_child=Leaf(Action.WEST, 12519, 1907),
-            gt_child=Leaf(Action.STAY, 8056, 0),
+            le_child=Leaf(LEFT, 12519, 1907),
+            gt_child=Leaf(STAY, 8056, 0),
         ),
     )
     assert format_tree(tree) == (
@@ -442,8 +443,8 @@ def test_format_tree_golden():
 
 def test_format_rules_golden():
     rules = [
-        IfThenRule((-1, 0, -math.inf, math.inf), Action.STAY, 1.0),
-        IfThenRule((-math.inf, -1, -math.inf, math.inf), Action.WEST, 10612 / 12519),
+        IfThenRule((-1, 0, -math.inf, math.inf), STAY, 1.0),
+        IfThenRule((-math.inf, -1, -math.inf, math.inf), LEFT, 10612 / 12519),
     ]
     assert format_rules(rules) == (
         "No.1\n"
@@ -481,8 +482,8 @@ def test_repeated_rows_load_as_one_object(tmp_path):
     path = tmp_path / "instances.csv"
     path.write_text("theta_x,theta_y,action\n0,1,up\n2,-3,stay\n0,1,up\n0,1,up\n")
     loaded = load_instances(path)
-    assert loaded == [inst(0, 1, Action.NORTH), inst(2, -3, Action.STAY),
-                      inst(0, 1, Action.NORTH), inst(0, 1, Action.NORTH)]
+    assert loaded == [inst(0, 1, UP), inst(2, -3, STAY),
+                      inst(0, 1, UP), inst(0, 1, UP)]
     assert loaded[0] is loaded[2] is loaded[3]
 
 
@@ -561,8 +562,8 @@ small_instance_sets = st.lists(
 @given(instances=small_instance_sets, min_leaf=st.integers(1, 4))
 # theta_Y <= 0 and theta_X <= 1 split 3 vs 3 with the same label counts in
 # another order: an exact tie that gain_ratio must score as the tree does.
-@example(instances=[inst(0, 0, Action.NORTH), inst(2, 0, Action.SOUTH), inst(1, 0, Action.STAY),
-                    inst(2, 1, Action.STAY), inst(0, 1, Action.SOUTH), inst(2, 1, Action.SOUTH)],
+@example(instances=[inst(0, 0, UP), inst(2, 0, DOWN), inst(1, 0, STAY),
+                    inst(2, 1, STAY), inst(0, 1, DOWN), inst(2, 1, DOWN)],
          min_leaf=3)
 def test_root_split_has_the_largest_gain_ratio(instances, min_leaf):
     # The split the tree grows at its root is one gain_ratio scores best
@@ -593,15 +594,15 @@ def test_root_split_has_the_largest_gain_ratio(instances, min_leaf):
 
 def test_tied_splits_go_to_the_smallest_threshold_then_attribute():
     # theta_X <= 0 and theta_X <= 1 score the same, in the same arithmetic.
-    tree = induce_tree([inst(0, 0, Action.STAY), inst(1, 0, Action.NORTH),
-                        inst(2, 0, Action.STAY)], min_leaf=1)
+    tree = induce_tree([inst(0, 0, STAY), inst(1, 0, UP),
+                        inst(2, 0, STAY)], min_leaf=1)
     assert (ATTRIBUTES[tree.attribute], tree.threshold) == ("theta_X", 0)
     # Mirror-symmetric in x and y: each threshold ties across the attributes.
-    tree = induce_tree([inst(0, 0, Action.STAY), inst(1, 1, Action.NORTH)] * 2, min_leaf=1)
+    tree = induce_tree([inst(0, 0, STAY), inst(1, 1, UP)] * 2, min_leaf=1)
     assert (ATTRIBUTES[tree.attribute], tree.threshold) == ("theta_X", 0)
     # theta_Y <= -1 and theta_Y <= 0 split 1 vs 6 with the same label counts
     # in another order; their scores must not differ in the last bit.
-    tree = induce_tree([inst(0, 0, Action.STAY)] * 2 + [inst(0, 0, Action.NORTH)]
-                       + [inst(0, 0, Action.SOUTH)] * 2
-                       + [inst(0, 1, Action.SOUTH), inst(0, -1, Action.STAY)], min_leaf=1)
+    tree = induce_tree([inst(0, 0, STAY)] * 2 + [inst(0, 0, UP)]
+                       + [inst(0, 0, DOWN)] * 2
+                       + [inst(0, 1, DOWN), inst(0, -1, STAY)], min_leaf=1)
     assert (ATTRIBUTES[tree.attribute], tree.threshold) == ("theta_Y", -1)

@@ -22,25 +22,52 @@ from pursuitrl.env import (
     ACTION_LABELS,
     ACTIONS,
     CANDIDATE_MODES,
-    Action,
-    Position,
     WorldState,
     grid_for,
     step,
 )
 from pursuitrl.experiment import ExperimentConfig, TrainingResult, save_learned_tables
 from pursuitrl.hmrl import HunterAgent, lower_state_texts, save_upper_banks, select_target
+from pursuitrl.knowledge import (Leaf, extract_rules, format_rules, induce_tree, load_instances,
+                                 parse_rules)
 from pursuitrl.profit_sharing import WeightTable
-from reference import (ModuleKey, cell_id, cell_ids, load_weights, lower_state, lower_state_ids,
-                       module_key, pack, positions, rule_weights, set_q_value, table_rules,
-                       upper_table)
+from reference import (DOWN, LEFT, STAY, UP, ModuleKey, cell_id, cell_ids, load_weights,
+                       lower_state, lower_state_ids, module_key, pack, positions, rule_weights,
+                       set_q_value, table_rules, upper_table)
 
 
-def test_action_index_is_position_in_actions():
-    assert len(ACTIONS) == len(Action) == len(ACTION_LABELS)
-    for i in range(len(ACTIONS)):
-        assert ACTIONS[i] is Action(i)
-        assert ACTION_BY_LABEL[ACTION_LABELS[i]] is Action(i)
+def test_actions_and_cells_are_plain_on_every_entry_path(tmp_path):
+    # An action is its index as an exact int, and a cell an exact (x, y)
+    # tuple, however the program comes by it.
+    assert ACTIONS == tuple(range(len(ACTION_LABELS)))
+    assert all(type(action) is int for action in ACTIONS)
+    assert [ACTION_BY_LABEL[label] for label in ACTION_LABELS] == list(ACTIONS)
+    assert all(type(action) is int for action in ACTION_BY_LABEL.values())
+    path = tmp_path / "instances.csv"
+    path.write_text("theta_x,theta_y,action\n" + "".join(
+        f"{x},{y},{ACTION_LABELS[(x * 3 + y) % len(ACTIONS)]}\n"
+        for x in range(-3, 4) for y in range(-2, 3)))
+    instances = load_instances(path)
+    assert {instance.label for instance in instances} == set(ACTIONS)
+    assert all(type(instance.label) is int for instance in instances)
+    tree = induce_tree(instances, min_leaf=1)
+    nodes, leaves = [tree], []
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, Leaf):
+            leaves.append(node)
+        else:
+            nodes += [node.le_child, node.gt_child]
+    assert {leaf.label for leaf in leaves} == set(ACTIONS)
+    assert all(type(leaf.label) is int for leaf in leaves)
+    rules = parse_rules(format_rules(extract_rules(tree)))
+    assert {rule.action for rule in rules} == set(ACTIONS)
+    assert all(type(rule.action) is int for rule in rules)
+    for side in (3, 7, 12):
+        grid = grid_for(side)
+        assert all(type(cell) is tuple for cell in grid.cells)
+        # every move legal: the row is the ACTIONS object itself
+        assert all(legal is ACTIONS for legal in grid.legal if len(legal) == len(ACTIONS))
 
 
 @pytest.mark.parametrize("side", range(3, 10))
@@ -51,7 +78,7 @@ def test_grid_tables_match_geometry(side):
     assert grid.size == side * side
     for x in range(side):
         for y in range(side):
-            pos = Position(x, y)
+            pos = (x, y)
             cell = cell_id(pos, side)
             assert grid.cells[cell] == pos
             assert cell_ids(grid)[repr((x, y))] == cell
@@ -76,12 +103,12 @@ def test_grid_tables_match_geometry(side):
                     for c in range(grid.size))
             for other in grid.cells:
                 other_cell = cell_id(other, side)
-                assert grid.distance[cell][other_cell] == abs(x - other.x) + abs(y - other.y)
+                u, v = other
+                assert grid.distance[cell][other_cell] == abs(x - u) + abs(y - v)
                 offset = grid.offset[cell][other_cell]
-                assert grid.offsets[offset] == (other.x - x, other.y - y)
+                assert grid.offsets[offset] == (u - x, v - y)
                 for prey in (0, 1):
-                    assert state_texts[offset * 2 + prey] == repr(((other.x - x, other.y - y),
-                                                                   prey))
+                    assert state_texts[offset * 2 + prey] == repr(((u - x, v - y), prey))
                 assert lower_state(grid.offsets[offset], 1, side) == offset * 2 + 1
     assert len(grid.offsets) == (2 * side - 1) ** 2
     assert grid.offsets == tuple((dx, dy) for dx in range(1 - side, side)
@@ -121,7 +148,7 @@ def random_rules(world: WorldState, hunter: int, mode: str, seed: int) -> dict:
             if rng.random() < 0.3:
                 rules[key, goal] = 9.0      # the prey's own cell is never a candidate
     for _ in range(5):
-        cells = [Position(rng.randrange(side), rng.randrange(side)) for _ in range(4)]
+        cells = [(rng.randrange(side), rng.randrange(side)) for _ in range(4)]
         rules[ModuleKey(rng.randrange(4), rng.randrange(2), *cells[:3]), cells[3]] = 9.0
     return rules
 
@@ -184,12 +211,12 @@ def corner_world(hunters, prey):
 @given(case=steps_with_known_prey_moves(), seed=st.integers(0, 2**32 - 1))
 # Every destination distinct, prey moves included.
 @example(case=(corner_world([(0, 0), (0, 4), (4, 0), (4, 4)], [(2, 2), (1, 2)]),
-               [Action.SOUTH, Action.NORTH, Action.SOUTH, Action.NORTH],
-               {0: Action.STAY, 1: Action.WEST}), seed=1)
+               [DOWN, UP, DOWN, UP],
+               {0: STAY, 1: LEFT}), seed=1)
 # Hunter destinations distinct, but prey 1 claims hunter 0's destination.
 @example(case=(corner_world([(0, 1), (0, 4), (4, 0), (4, 4)], [(2, 2), (1, 2)]),
-               [Action.SOUTH, Action.NORTH, Action.SOUTH, Action.NORTH],
-               {0: Action.STAY, 1: Action.WEST}), seed=1)
+               [DOWN, UP, DOWN, UP],
+               {0: STAY, 1: LEFT}), seed=1)
 def test_step_blocks_no_one_when_destinations_are_distinct(case, seed):
     world, actions, prey_actions = case
     grid = world.grid
@@ -198,7 +225,7 @@ def test_step_blocks_no_one_when_destinations_are_distinct(case, seed):
             for cell, action in zip(cells, [*actions, *prey_actions.values()])]
     rng, reference_rng = Random(seed), Random(seed)
     outcome = step(world, actions, rng,
-                   prey_actions=[prey_actions.get(j, Action.STAY) for j in range(2)])
+                   prey_actions=[prey_actions.get(j, STAY) for j in range(2)])
     if len(set(dest)) == len(dest):
         event("distinct destinations")
         assert outcome.blocked_moves == []
@@ -218,7 +245,7 @@ weights = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 @settings(max_examples=50, deadline=None)
 @given(side=st.integers(3, 9), data=st.data())
 def test_packed_tables_survive_save_load(side, data):
-    coords = st.builds(Position, st.integers(0, side - 1), st.integers(0, side - 1))
+    coords = st.tuples(st.integers(0, side - 1), st.integers(0, side - 1))
     keys = st.builds(ModuleKey, st.integers(0, 3), st.integers(0, 1), coords, coords, coords)
     rules = data.draw(st.dictionaries(st.tuples(keys, coords), weights, max_size=40))
     config = ExperimentConfig(grid_side=side)
@@ -254,7 +281,7 @@ def learned_tables(draw):
     or 12, with two-digit coordinates, where the order of the row texts
     differs from the order of the cell ids."""
     side = draw(st.one_of(st.integers(3, 10), st.integers(11, 12)))
-    coords = st.builds(Position, st.integers(0, side - 1), st.integers(0, side - 1))
+    coords = st.tuples(st.integers(0, side - 1), st.integers(0, side - 1))
     keys = st.builds(ModuleKey, st.integers(0, 3), st.integers(0, 1), coords, coords, coords)
     signed = st.one_of(st.just(-0.0), weights)
     modules = draw(st.dictionaries(
@@ -269,44 +296,44 @@ def learned_tables(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(tables=learned_tables())
-@example(tables=(11, {(ModuleKey(0, 1, Position(10, 3), Position(2, 0), Position(0, 9)),
-                       Position(9, 9)): -2.5,
-                      (ModuleKey(0, 1, Position(2, 3), Position(2, 0), Position(0, 9)),
-                       Position(10, 9)): 1.0,
-                      (ModuleKey(0, 1, Position(2, 3), Position(2, 0), Position(0, 9)),
-                       Position(3, 9)): 0.25},
+@example(tables=(11, {(ModuleKey(0, 1, (10, 3), (2, 0), (0, 9)),
+                       (9, 9)): -2.5,
+                      (ModuleKey(0, 1, (2, 3), (2, 0), (0, 9)),
+                       (10, 9)): 1.0,
+                      (ModuleKey(0, 1, (2, 3), (2, 0), (0, 9)),
+                       (3, 9)): 0.25},
                  {((-10, 2), 0, 1): -0.0, ((-2, 2), 0, 1): 3.0}))
 # Side 11, hunters 0 and 1 in both prey banks, their later bank's rules added
 # first: own cell (10, 0) is id 110 and (2, 3) is 25, so hunter 0's first bank
 # sorts by text against key order; one module holds two rules, of equal weight.
-@example(tables=(11, {(ModuleKey(0, 1, Position(0, 0), Position(10, 0), Position(0, 10)),
-                       Position(0, 9)): 2.0,
-                      (ModuleKey(0, 1, Position(0, 0), Position(10, 0), Position(0, 10)),
-                       Position(1, 10)): 2.0,
-                      (ModuleKey(0, 0, Position(10, 0), Position(1, 1), Position(2, 2)),
-                       Position(10, 10)): 1.5,
-                      (ModuleKey(0, 0, Position(2, 3), Position(1, 1), Position(2, 2)),
-                       Position(3, 3)): -0.5,
-                      (ModuleKey(1, 1, Position(9, 10), Position(10, 9), Position(5, 5)),
-                       Position(5, 4)): -0.0,
-                      (ModuleKey(1, 0, Position(9, 10), Position(10, 9), Position(5, 5)),
-                       Position(4, 5)): 0.25,
-                      (ModuleKey(2, 1, Position(10, 10), Position(0, 0), Position(3, 10)),
-                       Position(2, 10)): 1e-300,
-                      (ModuleKey(3, 0, Position(1, 0), Position(0, 1), Position(10, 1)),
-                       Position(10, 2)): 7.0},
+@example(tables=(11, {(ModuleKey(0, 1, (0, 0), (10, 0), (0, 10)),
+                       (0, 9)): 2.0,
+                      (ModuleKey(0, 1, (0, 0), (10, 0), (0, 10)),
+                       (1, 10)): 2.0,
+                      (ModuleKey(0, 0, (10, 0), (1, 1), (2, 2)),
+                       (10, 10)): 1.5,
+                      (ModuleKey(0, 0, (2, 3), (1, 1), (2, 2)),
+                       (3, 3)): -0.5,
+                      (ModuleKey(1, 1, (9, 10), (10, 9), (5, 5)),
+                       (5, 4)): -0.0,
+                      (ModuleKey(1, 0, (9, 10), (10, 9), (5, 5)),
+                       (4, 5)): 0.25,
+                      (ModuleKey(2, 1, (10, 10), (0, 0), (3, 10)),
+                       (2, 10)): 1e-300,
+                      (ModuleKey(3, 0, (1, 0), (0, 1), (10, 1)),
+                       (10, 2)): 7.0},
                  {((-10, 2), 1, 4): 1.0}))
 # Side 7, the default grid: hunters 1 and 3 in both prey banks.
-@example(tables=(7, {(ModuleKey(1, 0, Position(6, 6), Position(0, 0), Position(3, 3)),
-                      Position(3, 2)): 0.1,
-                     (ModuleKey(1, 1, Position(0, 1), Position(6, 6), Position(3, 3)),
-                      Position(2, 3)): 0.1,
-                     (ModuleKey(1, 1, Position(0, 0), Position(6, 6), Position(3, 3)),
-                      Position(4, 3)): -3.0,
-                     (ModuleKey(3, 0, Position(5, 5), Position(1, 2), Position(0, 0)),
-                      Position(1, 0)): 100.0,
-                     (ModuleKey(3, 1, Position(5, 5), Position(1, 2), Position(0, 6)),
-                      Position(0, 5)): 12.5},
+@example(tables=(7, {(ModuleKey(1, 0, (6, 6), (0, 0), (3, 3)),
+                      (3, 2)): 0.1,
+                     (ModuleKey(1, 1, (0, 1), (6, 6), (3, 3)),
+                      (2, 3)): 0.1,
+                     (ModuleKey(1, 1, (0, 0), (6, 6), (3, 3)),
+                      (4, 3)): -3.0,
+                     (ModuleKey(3, 0, (5, 5), (1, 2), (0, 0)),
+                      (1, 0)): 100.0,
+                     (ModuleKey(3, 1, (5, 5), (1, 2), (0, 6)),
+                      (0, 5)): 12.5},
                  {((0, 1), 0, 2): 0.5}))
 def test_learned_tables_match_reference_writer(tables):
     side, rules, q_entries = tables
@@ -336,7 +363,7 @@ def test_learned_tables_match_reference_writer(tables):
 @given(side=st.integers(3, 12), data=st.data())
 def test_module_key_reads_module_text(side, data):
     event(f"side {'11-12' if side > 10 else '3-10'}")
-    coords = st.builds(Position, st.integers(0, side - 1), st.integers(0, side - 1))
+    coords = st.tuples(st.integers(0, side - 1), st.integers(0, side - 1))
     key = data.draw(st.builds(ModuleKey, st.integers(0, 3), st.integers(0, 1),
                               coords, coords, coords))
     grid = grid_for(side)

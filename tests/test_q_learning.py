@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from pursuitrl.env import ACTIONS, ALL_ACTIONS, Action, grid_for
+from pursuitrl.env import ACTIONS, grid_for
 from pursuitrl.hmrl import lower_state_texts
 from pursuitrl.q_learning import QTable, epsilon_greedy, q_update, save_q_table
-from reference import (ExplicitMDP, greedy_action, load_q_table, lower_state, lower_state_ids,
-                       q_value, set_q_value, solve_value_iteration)
+from reference import (RIGHT, STAY, UP, ExplicitMDP, greedy_action, load_q_table, lower_state,
+                       lower_state_ids, q_value, set_q_value, solve_value_iteration)
 
 GRID = grid_for(7)
 STATE_IDS = lower_state_ids(GRID)
@@ -19,15 +19,15 @@ STATE_IDS = lower_state_ids(GRID)
 
 def test_q_update_terminal_arithmetic():
     table = QTable(alpha=0.1, gamma=0.9)
-    q_update(table, "s", Action.STAY, 100.0, None)
-    assert q_value(table, "s", Action.STAY) == 10.0
+    q_update(table, "s", STAY, 100.0, None)
+    assert q_value(table, "s", STAY) == 10.0
 
 
 def test_q_update_decays_toward_bootstrap():
     table = QTable(alpha=0.1, gamma=0.9)
-    set_q_value(table, "s", Action.STAY, 10.0)
-    q_update(table, "s", Action.STAY, 0.0, "t")
-    assert q_value(table, "s", Action.STAY) == pytest.approx(9.0)
+    set_q_value(table, "s", STAY, 10.0)
+    q_update(table, "s", STAY, 0.0, "t")
+    assert q_value(table, "s", STAY) == pytest.approx(9.0)
 
 
 def test_two_state_chain_converges_to_closed_form():
@@ -35,7 +35,7 @@ def test_two_state_chain_converges_to_closed_form():
     # one of the five slots; r >= 0, so the idle zero slots never win max.
     gamma, r = 0.9, 10.0
     table = QTable(alpha=0.2, gamma=gamma)
-    go = Action.EAST
+    go = RIGHT
     for _ in range(2000):
         q_update(table, "A", go, 0.0, "B")
         q_update(table, "B", go, r, "B")
@@ -45,17 +45,17 @@ def test_two_state_chain_converges_to_closed_form():
 
 def test_epsilon_greedy_prefers_value():
     table = QTable(alpha=0.1, gamma=0.9)
-    set_q_value(table, "s", Action.NORTH, 5.0)
-    set_q_value(table, "s", Action.STAY, 1.0)
-    picked = epsilon_greedy(table, "s", (Action.NORTH, Action.STAY), 0.0,
+    set_q_value(table, "s", UP, 5.0)
+    set_q_value(table, "s", STAY, 1.0)
+    picked = epsilon_greedy(table, "s", (UP, STAY), 0.0,
                             Random(0))
-    assert picked == Action.NORTH
+    assert picked == UP
 
 
 def test_epsilon_greedy_uniform_over_ties():
     table = QTable(alpha=0.1, gamma=0.9)
     rng = Random(5)
-    legal = (Action.STAY, Action.NORTH, Action.EAST)
+    legal = (STAY, UP, RIGHT)
     counts = Counter(epsilon_greedy(table, "s", legal, 0.0, rng)
                      for _ in range(9000))
     for action in legal:
@@ -66,13 +66,13 @@ def test_epsilon_greedy_exploration_frequency():
     # With a unique argmax, a non-greedy outcome happens only via the
     # exploration branch picking one of the other k-1 actions.
     table = QTable(alpha=0.1, gamma=0.9)
-    set_q_value(table, "s", Action.NORTH, 5.0)
-    legal = tuple(Action)
+    set_q_value(table, "s", UP, 5.0)
+    legal = ACTIONS
     epsilon = 0.1
     rng = Random(13)
     draws = 100_000
     non_greedy = sum(
-        epsilon_greedy(table, "s", legal, epsilon, rng) != Action.NORTH
+        epsilon_greedy(table, "s", legal, epsilon, rng) != UP
         for _ in range(draws)
     )
     expected = epsilon * (1 - 1 / len(legal))
@@ -98,7 +98,7 @@ def greedy_cases(draw):
         grid = grid_for(draw(st.integers(3, 9)))
         legal = grid.legal[draw(st.integers(0, grid.size - 1))]
     else:
-        legal = tuple(draw(st.permutations(ALL_ACTIONS)))[:draw(st.integers(1, len(ACTIONS)))]
+        legal = tuple(draw(st.permutations(ACTIONS)))[:draw(st.integers(1, len(ACTIONS)))]
     values = draw(st.sampled_from([
         "missing", st.just(0.0), st.sampled_from([0.0, -0.0]), st.sampled_from([-1.0, 0.0, 2.5]),
         st.floats(-1e3, 1e3)]))
@@ -223,13 +223,10 @@ def test_values_stay_bounded_by_reward_horizon():
     states = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
     for _ in range(20_000):
         s = rng.choice(states)
-        a = rng.choice(ACTIONS_ALL)
+        a = rng.choice(ACTIONS)
         ns = rng.choice(states)
         q_update(table, s, a, rng.choice((0.0, 100.0)), None if rng.random() < 0.05 else ns)
     assert all(0.0 <= v <= 1000.0 for v in table.values.values())
-
-
-ACTIONS_ALL = tuple(Action)
 
 
 def test_update_is_idempotent_at_fixed_point():
@@ -249,7 +246,7 @@ def test_q_table_round_trip_bit_exact(tmp_path):
     table = QTable(alpha=0.1, gamma=0.9)
     rng = Random(8)
     for dx in range(-3, 4):
-        for action in Action:
+        for action in ACTIONS:
             set_q_value(table, lower_state((dx, -dx), rng.choice((0, 1)), 7), action,
                         rng.random() * 97)
     path = tmp_path / "q.tsv"
@@ -278,9 +275,9 @@ def test_load_q_table_names_state_off_the_grid(tmp_path, state):
 def test_q_table_lists_written_entries_only(tmp_path):
     # A backup that writes 0.0 is an entry; the other slots of its row are not.
     table = QTable(alpha=0.1, gamma=0.9)
-    q_update(table, 3, Action.EAST, 0.0, 4)
-    q_update(table, 5, Action.STAY, 100.0, None)
-    assert table.values == {(3, Action.EAST): 0.0, (5, Action.STAY): 10.0}
+    q_update(table, 3, RIGHT, 0.0, 4)
+    q_update(table, 5, STAY, 100.0, None)
+    assert table.values == {(3, RIGHT): 0.0, (5, STAY): 10.0}
     path = tmp_path / "q.tsv"
     save_q_table(path, table, lower_state_texts(GRID), {})
     rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
