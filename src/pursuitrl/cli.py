@@ -7,7 +7,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import env, experiment, knowledge
+from . import env, experiment, knowledge, tableio
 
 
 def cmd_run(args) -> int:
@@ -28,7 +28,7 @@ def cmd_run(args) -> int:
     experiment.save_learned_tables(args.out, result)
     count = experiment.log_instances(result, args.out / "instances.csv")
     if result.trajectory:
-        env.save_trajectory(args.out / "trajectory.csv", result.trajectory)
+        tableio.save_csv(args.out / "trajectory.csv", env.TRAJECTORY_HEADER, result.trajectory)
     else:               # an earlier run's trajectory in --out is not this run's
         (args.out / "trajectory.csv").unlink(missing_ok=True)
     final = metrics[-1]
@@ -104,22 +104,22 @@ def cmd_report(args) -> int:
             print(f"{run_dir:<24}  (no blocks.csv)", file=sys.stderr)
             status = 1
             continue
-        for row in experiment.read_blocks_csv(path):
+        for block in experiment.read_blocks_csv(path):
             cells = [
-                f"{row['block_start']}-{row['block_end']}",
-                row["trials"],
-                _fmt(row["steps_mean"], "{:.1f}"),
-                _fmt(row["safety_target"], "{:.1%}"),
-                _fmt(row["within_safety"], "{:.1%}"),
-                _fmt(row["positive_ratio"], "{:.1%}"),
-                _fmt(row["mean_distance"], "{:.2f}"),
+                f"{block.block_start}-{block.block_end}",
+                block.trials,
+                _fmt(block.steps_mean, "{:.1f}"),
+                _fmt(block.safety_target, "{:.1%}"),
+                _fmt(block.within_safety, "{:.1%}"),
+                _fmt(block.positive_ratio, "{:.1%}"),
+                _fmt(block.mean_distance, "{:.2f}"),
             ]
             print(f"{Path(run_dir).name:<24}" + "".join(f"{c:>16}" for c in cells))
     return status
 
 
-def _fmt(cell: str, spec: str) -> str:
-    return spec.format(float(cell)) if cell else "-"
+def _fmt(value: float | None, spec: str) -> str:
+    return "-" if value is None else spec.format(value)
 
 
 def build_parser() -> argparse.ArgumentParser:

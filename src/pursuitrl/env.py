@@ -10,11 +10,10 @@ addressed by integer cell ids, which is what the trial loop runs on.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import lru_cache
 from random import Random
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .tableio import load_csv
 
@@ -287,13 +286,6 @@ def trajectory_rows(state: WorldState,
     rows.extend((state.step_count, PREY_IDS[j], *cells[cell], "")
                 for j, cell in enumerate(state.prey) if state.alive[j])
     return rows
-
-
-def save_trajectory(path, rows: Iterable[tuple[int, str, int, int, str]]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TRAJECTORY_HEADER)
-        writer.writerows(rows)
 
 
 def load_trajectory(path) -> list[tuple[int, str, int, int, str]]:

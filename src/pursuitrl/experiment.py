@@ -8,7 +8,6 @@ configured trial blocks.
 
 from __future__ import annotations
 
-import csv
 import statistics
 from dataclasses import dataclass, fields
 from math import inf, isfinite
@@ -276,17 +275,9 @@ def run_training(config: ExperimentConfig,
 
 def blocks_for(trials: int, block_ends: Sequence[int]) -> list[tuple[int, int]]:
     """Block ranges clipped to the trial count; a tail block covers any
-    trials past the last configured end."""
-    ranges: list[tuple[int, int]] = []
-    start = 1
-    for end in block_ends:
-        if start > trials:
-            return ranges
-        ranges.append((start, min(end, trials)))
-        start = min(end, trials) + 1
-    if start <= trials:
-        ranges.append((start, trials))
-    return ranges
+    trials past the last configured end (``block_ends`` rise, as the config checks)."""
+    ends = [e for e in block_ends if e < trials] + [trials]
+    return list(zip([1] + [e + 1 for e in ends[:-1]], ends))
 
 
 def compute_metrics(records: Sequence[TrialRecord],
@@ -426,38 +417,38 @@ TRIAL_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 def export_report(metrics: Sequence[BlockMetrics], records: Sequence[TrialRecord],
                   out_dir, config: ExperimentConfig) -> None:
-    """Write blocks.csv, trials.csv and a metadata file for one run; ``csv.writer``
-    spells a field ``None`` as an empty cell and a float by ``repr``."""
+    """Write blocks.csv, trials.csv and a metadata file for one run; each
+    CSV row is its record's fields as they are (:func:`tableio.save_csv`)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, columns, rows in (("blocks.csv", BLOCK_COLUMNS, metrics),
                                 ("trials.csv", TRIAL_COLUMNS, records)):
-        with open(out / name, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(columns)
-            writer.writerows(map(attrgetter(*columns), rows))
+        tableio.save_csv(out / name, columns, map(attrgetter(*columns), rows))
     (out / "metadata.txt").write_text(
         "\n".join(config_to_lines(config)) + "\n")
 
 
-def read_blocks_csv(path) -> list[dict[str, str]]:
-    """The rows of a blocks.csv by column; a cell that does not parse as its
+def read_blocks_csv(path) -> list[BlockMetrics]:
+    """The blocks of a blocks.csv; a cell that does not parse as its
     :class:`BlockMetrics` field (empty for ``None``), or holds a figure no
-    run writes, raises naming the line: a block must hold 1 to all of its
+    run writes, raises naming the line: a block must hold every one of its
     trials, a ratio lie in [0, 1], and a mean, variance or distance be
     finite and >= 0."""
-    def row(*cells: str) -> dict[str, str]:
+    def row(*cells: str) -> BlockMetrics:
         start, end, trials = map(int, cells[:3])        # the int fields come first
-        if not (1 <= start <= end and 1 <= trials <= end - start + 1):
+        if not (1 <= start <= end and trials == end - start + 1):
             raise ValueError(f"block {start}-{end} cannot hold {trials} trials")
+        values = [start, end, trials]
         for f, cell in zip(fields(BlockMetrics)[3:], cells[3:]):
+            value = None
             if cell or f.type != "float | None":
                 value, top = float(cell), 1.0 if f.name in _RATIO_FIELDS else inf
                 if not isfinite(value):
                     raise ValueError(f"{f.name} is not finite: {cell!r}")
                 if not 0.0 <= value <= top:
                     raise ValueError(f"{f.name} must be in [0, {top:g}], got {cell!r}")
-        return dict(zip(BLOCK_COLUMNS, cells))
+            values.append(value)
+        return BlockMetrics(*values)
     return tableio.load_csv(path, BLOCK_COLUMNS, row)
 
 

@@ -11,6 +11,9 @@ from typing import Sequence
 from .env import ACTION_LABELS, ACTIONS, below
 from .tableio import save_table
 
+# A state with no row scores 0.0 on every action: a tie unless only one is legal.
+_NO_ROW = (0.0,) * len(ACTIONS)
+
 
 class QTable:
     """Action values with step size ``alpha`` and discount ``gamma``.
@@ -56,9 +59,7 @@ def epsilon_greedy(table: QTable, state: int, legal: Sequence[int],
         raise ValueError("no legal actions")
     if epsilon > 0.0 and rng.random() < epsilon:
         return legal[below(rng, len(legal))]
-    row = table.rows.get(state)
-    if row is None:         # every action scores 0.0: a tie unless only one is legal
-        return legal[below(rng, len(legal))] if len(legal) > 1 else legal[0]
+    row = table.rows.get(state, _NO_ROW)
     # Over every action in index order the row is the score list itself.
     scores = row if legal is ACTIONS else [row[a] for a in legal]
     best_value = max(scores)

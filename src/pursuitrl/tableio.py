@@ -1,5 +1,5 @@
-"""Tab-separated writer of the learned weight/value tables, and the
-checked reader of the CSV logs.
+"""Tab-separated writer of the learned weight/value tables; CSV writer of
+a run's block, trial and trajectory logs, and checked reader of every log.
 
 A table file holds ``# key = repr(value)`` header lines with the run
 parameters, then one ``state<TAB>action<TAB>weight`` row per entry, sorted
@@ -12,7 +12,7 @@ writes them. Values are spelled by ``repr``, which is exact for floats.
 from __future__ import annotations
 
 import csv
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 def save_table(path, rows: list[str], meta: Mapping[str, object]) -> None:
@@ -27,6 +27,14 @@ def save_table(path, rows: list[str], meta: Mapping[str, object]) -> None:
         for key, value in meta.items():
             handle.write(f"# {key} = {value!r}\n")
         handle.writelines(rows)
+
+
+def save_csv(path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """``header`` then ``rows`` by ``csv.writer``: ``None`` as an empty cell, a float by repr."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_csv(path, header: Sequence[str], parse_row: Callable[..., object]) -> list:

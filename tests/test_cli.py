@@ -40,7 +40,7 @@ def test_train_applies_config_file(tmp_path):
     out = tmp_path / "run"
     run_cli("train", "--config", config, "--seed", 1, "--out", out)
     rows = read_blocks_csv(out / "blocks.csv")
-    assert [(r["block_start"], r["block_end"]) for r in rows] == [("1", "2"), ("3", "4")]
+    assert [(r.block_start, r.block_end) for r in rows] == [(1, 2), (3, 4)]
     assert "trials = 4" in (out / "metadata.txt").read_text()
 
 
@@ -434,6 +434,7 @@ def test_report_rejects_a_row_of_figures_no_run_writes(tmp_path, capsys):
     ("block_end", "5", "block 6-5 cannot hold 5 trials"),
     ("trials", "0", "block 6-10 cannot hold 0 trials"),
     ("trials", "6", "block 6-10 cannot hold 6 trials"),
+    ("trials", "4", "block 6-10 cannot hold 4 trials"),
     ("safety_target", "1.5", "safety_target must be in [0, 1], got '1.5'"),
     ("within_safety", "-0.5", "within_safety must be in [0, 1], got '-0.5'"),
     ("within_dangerous", "2", "within_dangerous must be in [0, 1], got '2'"),
@@ -467,7 +468,7 @@ def test_report_names_a_blocks_csv_of_no_blocks(tmp_path, capsys):
 
 def test_report_reads_empty_optional_cells(tmp_path, capsys):
     blocks = write_blocks(tmp_path / "run", BLOCKS)
-    assert [row["within_safety"] for row in read_blocks_csv(blocks)] == ["", "0.5"]
+    assert [block.within_safety for block in read_blocks_csv(blocks)] == [None, 0.5]
     assert run_cli("report", "--runs", blocks.parent) == 0
     assert [line.split() for line in capsys.readouterr().out.splitlines()[1:]] == [
         ["run", "1-5", "5", "12.5", "0.0%", "-", "0.0%", "-"],

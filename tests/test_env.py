@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 from pursuitrl.env import (
     ACTIONS,
     N_HUNTERS,
+    TRAJECTORY_HEADER,
     WorldState,
     below,
     grid_for,
     load_trajectory,
     new_world,
-    save_trajectory,
     step,
     trajectory_rows,
 )
 from pursuitrl.experiment import ExperimentConfig
+from pursuitrl.tableio import save_csv
 from reference import DOWN, LEFT, RIGHT, STAY, make_world, neighbor_cells, position, positions
 
 
@@ -254,7 +255,7 @@ def test_trajectory_csv_round_trip(tmp_path):
     world = new_world(4, CONFIG)
     rows = trajectory_rows(world, [STAY] * 4)
     path = tmp_path / "trajectory.csv"
-    save_trajectory(path, rows)
+    save_csv(path, TRAJECTORY_HEADER, rows)
     assert load_trajectory(path) == rows
 
 
