@@ -164,28 +164,18 @@ def below(rng: Random, n: int) -> int:
     return r
 
 
-def _check_action(grid: Grid, cell: int, action: int, agent: str) -> None:
-    """Raise the ``ValueError`` for an action index out of range, or one off the grid."""
-    if not 0 <= action < len(ACTIONS):
-        raise ValueError(f"{agent}: action index {action!r} is out of range 0..{len(ACTIONS) - 1}")
-    if grid.moves[cell][action] < 0:
-        raise ValueError(f"illegal action {ACTION_LABELS[action]} for {agent} "
-                         f"at {grid.cells[cell]}")
-
-
-def step(state: WorldState, hunter_actions: Sequence[int], rng: Random,
-         prey_actions: Sequence[int] | None = None) -> StepOutcome:
-    """Advance the world one tick with simultaneous moves, given as action
-    indices; live prey ``j`` moves by ``prey_actions[j]`` when given, else
-    uniformly over the legal moves of its cell.
+def step(state: WorldState, hunter_actions: Sequence[int], rng: Random) -> StepOutcome:
+    """Advance the world one tick with simultaneous moves: the hunters' given
+    as action indices, and each live prey's drawn from ``rng`` uniformly over
+    the legal moves of its cell.
 
     Movement conflicts (two agents claiming one cell, or moving onto an
     agent that stays put) are settled by a random priority order drawn
     from ``rng``; losers stay where they are. Captured prey are marked
     dead and stop occupying their cell. The outcome names captured prey by
-    index and blocked agents by their index among the step's agents. An
-    index out of range, or a move off the grid, raises ``ValueError``
-    naming the agent."""
+    index and blocked agents by their index among the step's agents. A
+    hunter's action index out of range, or a move off the grid, raises
+    ``ValueError`` naming the hunter."""
     grid = state.grid
     moves = grid.moves
     # Agent-index arrays over the agents taking part: the hunters, then
@@ -199,7 +189,12 @@ def step(state: WorldState, hunter_actions: Sequence[int], rng: Random,
         dest = [-1]
     if -1 in dest or a0 < 0 or a1 < 0 or a2 < 0 or a3 < 0:
         for i, action in enumerate(hunter_actions):
-            _check_action(grid, current[i], action, f"hunter {i}")
+            if not 0 <= action < len(ACTIONS):
+                raise ValueError(f"hunter {i}: action index {action!r} is out of range "
+                                 f"0..{len(ACTIONS) - 1}")
+            if moves[current[i]][action] < 0:
+                raise ValueError(f"illegal action {ACTION_LABELS[action]} for hunter {i} "
+                                 f"at {grid.cells[current[i]]}")
 
     # Prey draws happen before the priority draw, in prey order, so the
     # rng stream for a step is well defined. Uniform picks are drawn as in below().
@@ -207,18 +202,12 @@ def step(state: WorldState, hunter_actions: Sequence[int], rng: Random,
     alive = state.alive
     for j, cell in enumerate(state.prey):
         if alive[j]:
-            if prey_actions is None:
-                destinations, m, bits = grid.uniform_moves[cell]
+            destinations, m, bits = grid.uniform_moves[cell]
+            r = getrandbits(bits)
+            while r >= m:
                 r = getrandbits(bits)
-                while r >= m:
-                    r = getrandbits(bits)
-                target = destinations[r]
-            else:
-                action = prey_actions[j]
-                _check_action(grid, cell, action, f"prey {j}")
-                target = moves[cell][action]
             current.append(cell)
-            dest.append(target)
+            dest.append(destinations[r])
 
     n = len(current)
     order = list(range(n))

@@ -317,7 +317,7 @@ def compute_metrics(records: Sequence[TrialRecord],
             positive_ratio=positive_ratio,
             mean_distance=statistics.fmean(distances) if distances else None,
             steps_mean=statistics.fmean(steps),
-            steps_var=statistics.pvariance(steps),
+            steps_var=float(statistics.pvariance(steps)),
             actions_mean=statistics.fmean(actions),
             actions_var=statistics.pvariance(actions),
         ))
@@ -433,7 +433,8 @@ def read_blocks_csv(path) -> list[BlockMetrics]:
     :class:`BlockMetrics` field (empty for ``None``), or holds a figure no
     run writes, raises naming the line: a block must hold every one of its
     trials, a ratio lie in [0, 1], and a mean, variance or distance be
-    finite and >= 0."""
+    finite and >= 0. The first block starts at trial 1, and each later one
+    a trial past the end of the block before it."""
     def row(*cells: str) -> BlockMetrics:
         start, end, trials = map(int, cells[:3])        # the int fields come first
         if not (1 <= start <= end and trials == end - start + 1):
@@ -449,7 +450,14 @@ def read_blocks_csv(path) -> list[BlockMetrics]:
                     raise ValueError(f"{f.name} must be in [0, {top:g}], got {cell!r}")
             values.append(value)
         return BlockMetrics(*values)
-    return tableio.load_csv(path, BLOCK_COLUMNS, row)
+    blocks = tableio.load_csv(path, BLOCK_COLUMNS, row)
+    start = 1
+    for lineno, block in enumerate(blocks, start=2):   # no row spans lines
+        if block.block_start != start:
+            raise ValueError(f"{path}:{lineno}: block {block.block_start}-{block.block_end} "
+                             f"does not start at trial {start}")
+        start = block.block_end + 1
+    return blocks
 
 
 def run_meta(config: ExperimentConfig) -> dict[str, object]:

@@ -439,14 +439,13 @@ def rule_matches(conditions, theta_x: int, theta_y: int) -> bool:
     return True
 
 
-def step(state: WorldState, hunter_actions, rng: Random, prey_actions=None):
+def step(state: WorldState, hunter_actions, rng: Random):
     """One world tick with agent-id dicts: ``(next_state, captures, blocked)``,
     the captured prey's indices and the blocked agents' indices among the
     step's agents (hunters, then live prey), in priority order.
 
-    Same rules and rng draws as :func:`pursuitrl.env.step` with random prey,
-    or with the prey policy that moves each live prey ``j`` by
-    ``prey_actions[j]`` (drawing nothing for it).
+    Same rules and rng draws as :func:`pursuitrl.env.step`: each live prey
+    moves by one ``rng.choice`` over its legal actions.
     """
     side = state.grid.side
     hunter_positions, prey_positions = positions(state)
@@ -458,10 +457,8 @@ def step(state: WorldState, hunter_actions, rng: Random, prey_actions=None):
     for j in range(N_PREY):
         if state.alive[j]:
             pos = prey_positions[j]
-            action = (rng.choice(legal_actions(pos, side)) if prey_actions is None
-                      else prey_actions[j])
             current[f"p{j}"] = pos
-            dest[f"p{j}"] = moved(pos, action)
+            dest[f"p{j}"] = moved(pos, rng.choice(legal_actions(pos, side)))
     order = list(current)
     rng.shuffle(order)
     rank = {aid: k for k, aid in enumerate(order)}
@@ -501,6 +498,14 @@ def step(state: WorldState, hunter_actions, rng: Random, prey_actions=None):
                             [cell_id(pos, side) for pos in prey_final], alive,
                             state.step_count + 1)
     return next_state, captures, blocked
+
+
+def drawn_prey_moves(world: WorldState, rng: Random) -> list[int]:
+    """Each live prey's uniform move, drawn by below() over the legal moves of
+    its cell, in prey order; a dead prey's entry is never read."""
+    legal = world.grid.legal
+    return [legal[cell][below(rng, len(legal[cell]))] if alive else STAY
+            for cell, alive in zip(world.prey, world.alive)]
 
 
 def profit_sharing(rules: list, reward: float, discount: float) -> dict:

@@ -457,6 +457,22 @@ def test_report_rejects_a_cell_out_of_range(tmp_path, capsys, column, cell, erro
                      error_line(printed))
 
 
+@pytest.mark.parametrize("spans, line, error", [
+    ([(1, 5), (3, 7)], 3, "block 3-7 does not start at trial 6"),
+    ([(1, 5), (11, 15)], 3, "block 11-15 does not start at trial 6"),
+    ([(1, 5), (1, 5)], 3, "block 1-5 does not start at trial 6"),
+    ([(6, 10)], 2, "block 6-10 does not start at trial 1"),
+], ids=["overlap", "gap", "repeat", "first-not-at-1"])
+def test_report_rejects_blocks_no_run_writes_together(tmp_path, capsys, spans, line, error):
+    # A run's blocks start at trial 1, each one past the previous end.
+    rows = [BLOCKS[0], *([str(start), str(end), *BLOCKS[2][2:]] for start, end in spans)]
+    blocks = write_blocks(tmp_path / "run", rows)
+    assert run_cli("report", "--runs", blocks.parent) == 2
+    printed = capsys.readouterr()
+    assert "%" not in printed.out
+    assert error_line(printed) == f"pursuitrl: {blocks}:{line}: {error}"
+
+
 def test_report_names_a_blocks_csv_of_no_blocks(tmp_path, capsys):
     write_blocks(tmp_path / "run", BLOCKS)
     empty = write_blocks(tmp_path / "empty", BLOCKS[:1])

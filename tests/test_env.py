@@ -88,13 +88,6 @@ def test_step_rejects_an_action_index_out_of_range(index):
         step(world, [0, index, 0, 0], Random(0))
 
 
-def test_step_rejects_a_prey_action_index_out_of_range():
-    world = make_world([(5, 5), (5, 6), (6, 5), (6, 6)], [(3, 3), (1, 1)],
-                       alive=(False, True))
-    with pytest.raises(ValueError, match=r"^prey 1: action index -2 is out of range 0\.\.4$"):
-        step(world, [0, 0, 0, 0], Random(0), prey_actions=[0, -2])
-
-
 def test_step_same_destination_priority_draw():
     # h0 and h1 both claim (1, 0); the winner is whichever comes first in
     # the step's shuffled priority order, so the outcome must be
@@ -159,7 +152,7 @@ def test_step_train_of_movers_advances():
 def test_step_capture_marks_prey_dead():
     world = make_world([(2, 3), (4, 3), (3, 2), (3, 4)], [(3, 3), (6, 6)],
                        alive=(True, False))
-    out = step(world, [STAY] * 4, Random(2), prey_actions=[STAY] * 2)
+    out = step(world, [STAY] * 4, Random(2))
     assert out.captures == [0]
     assert out.next_state.alive == [False, False]
     assert out.next_state.prey == world.prey
@@ -173,8 +166,10 @@ def test_captures_only_previously_alive_prey():
 
 
 def still_step(world):
-    """Captures of a step in which every hunter and prey stays put."""
-    return step(world, [STAY] * 4, Random(0), prey_actions=[STAY] * 2).captures
+    """Captures of a step in which every hunter stays put. Each prey of these
+    worlds is walled in, so every move it draws is blocked, or cannot be
+    captured from where it can move."""
+    return step(world, [STAY] * 4, Random(0)).captures
 
 
 def test_is_captured_interior():
@@ -241,7 +236,7 @@ def test_trajectory_determinism():
 def test_dead_prey_never_moves_or_returns():
     rng = Random(31)
     world = make_world([(2, 3), (4, 3), (3, 2), (3, 4)], [(3, 3), (6, 6)])
-    out = step(world, [STAY] * 4, rng, prey_actions=[STAY] * 2)
+    out = step(world, [STAY] * 4, rng)
     assert out.captures
     world = out.next_state
     resting = world.prey[0]
@@ -364,29 +359,6 @@ def test_derived_world_fields_take_no_part_in_eq_or_repr(case):
     # Slotted: no state object carries a per-instance dict.
     for state in (world, step(world, case[1], Random(case[2]))):
         assert not hasattr(state, "__dict__")
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=stepped_worlds())
-def test_default_prey_draws_as_random_prey_policy(case):
-    # step() draws each live prey's move inline; the same moves drawn
-    # beforehand and given as prey_actions step the world alike.
-    world, actions, seed = case
-    rng, passed_rng = Random(seed), Random(seed)
-    inline = step(world, actions, rng)
-    prey_actions = drawn_prey_actions(world, passed_rng)
-    passed = step(world, actions, passed_rng, prey_actions=prey_actions)
-    assert (inline.next_state, inline.captures, inline.blocked_moves) == \
-        (passed.next_state, passed.captures, passed.blocked_moves)
-    assert rng.getstate() == passed_rng.getstate()
-
-
-def drawn_prey_actions(world, rng):
-    """Each live prey's uniform move, drawn by below() over the legal moves of
-    its cell, in prey order; a dead prey's entry is never read."""
-    legal = world.grid.legal
-    return [legal[cell][below(rng, len(legal[cell]))] if alive else STAY
-            for cell, alive in zip(world.prey, world.alive)]
 
 
 def rng_states():

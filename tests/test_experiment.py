@@ -533,6 +533,11 @@ def test_export_report_round_trip(tmp_path):
 
     # every float reads back by repr, and an empty cell as None
     assert read_blocks_csv(tmp_path / "blocks.csv") == metrics
+    # every trial is step-capped, so the step variance is whole: still a float
+    assert all(type(block.steps_var) is float for block in metrics)
+    block_lines = (tmp_path / "blocks.csv").read_text().splitlines()
+    steps_var = block_lines[0].split(",").index("steps_var")
+    assert [line.split(",")[steps_var] for line in block_lines[1:]] == ["0.0", "0.0"]
 
     meta_text = (tmp_path / "metadata.txt").read_text()
     assert parse_config(meta_text) == config

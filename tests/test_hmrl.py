@@ -413,7 +413,7 @@ def captured_step(config):
         agent.policy_step(world, rng, 0.0)
         stay_put(agent)
     traces = [list(agent.trace) for agent in agents]
-    outcome = step(world, [STAY] * 4, rng, prey_actions=[STAY] * 2)
+    outcome = step(world, [STAY] * 4, rng)
     assert 0 in outcome.captures
     return agents, traces, outcome
 

@@ -190,15 +190,13 @@ def test_step_matches_agent_dict_reference(world, data, seed):
 
 
 @st.composite
-def steps_with_known_prey_moves(draw):
-    """A world, legal hunter actions, and a legal move for each live prey."""
+def worlds_and_hunter_actions(draw):
+    """A world and a legal action for each hunter."""
     world = draw(worlds())
-    hunters, prey_positions = positions(world)
     side = world.grid.side
-    actions = [draw(st.sampled_from(reference.legal_actions(pos, side))) for pos in hunters]
-    prey_actions = {j: draw(st.sampled_from(reference.legal_actions(prey_positions[j], side)))
-                    for j in range(2) if world.alive[j]}
-    return world, actions, prey_actions
+    actions = [draw(st.sampled_from(reference.legal_actions(pos, side)))
+               for pos in positions(world)[0]]
+    return world, actions
 
 
 def corner_world(hunters, prey):
@@ -208,34 +206,36 @@ def corner_world(hunters, prey):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=steps_with_known_prey_moves(), seed=st.integers(0, 2**32 - 1))
+@given(case=worlds_and_hunter_actions(), seed=st.integers(0, 2**32 - 1), drawn=st.none())
+# Seed 14 draws STAY for prey 0 at (2, 2) and LEFT for prey 1 at (1, 2).
 # Every destination distinct, prey moves included.
 @example(case=(corner_world([(0, 0), (0, 4), (4, 0), (4, 4)], [(2, 2), (1, 2)]),
-               [DOWN, UP, DOWN, UP],
-               {0: STAY, 1: LEFT}), seed=1)
+               [DOWN, UP, DOWN, UP]), seed=14, drawn=[STAY, LEFT])
 # Hunter destinations distinct, but prey 1 claims hunter 0's destination.
 @example(case=(corner_world([(0, 1), (0, 4), (4, 0), (4, 4)], [(2, 2), (1, 2)]),
-               [DOWN, UP, DOWN, UP],
-               {0: STAY, 1: LEFT}), seed=1)
-def test_step_blocks_no_one_when_destinations_are_distinct(case, seed):
-    world, actions, prey_actions = case
+               [DOWN, UP, DOWN, UP]), seed=14, drawn=[STAY, LEFT])
+def test_step_blocks_no_one_when_destinations_are_distinct(case, seed, drawn):
+    world, actions = case
     grid = world.grid
-    cells = [*world.hunters, *(world.prey[j] for j in prey_actions)]
+    # the prey moves the seed draws; an example names them
+    prey_moves = reference.drawn_prey_moves(world, Random(seed))
+    assert drawn in (None, prey_moves)
+    live = [j for j in range(2) if world.alive[j]]
+    cells = [*world.hunters, *(world.prey[j] for j in live)]
     dest = [grid.moves[cell][action]
-            for cell, action in zip(cells, [*actions, *prey_actions.values()])]
+            for cell, action in zip(cells, [*actions, *(prey_moves[j] for j in live)])]
     rng, reference_rng = Random(seed), Random(seed)
-    outcome = step(world, actions, rng,
-                   prey_actions=[prey_actions.get(j, STAY) for j in range(2)])
+    outcome = step(world, actions, rng)
     if len(set(dest)) == len(dest):
         event("distinct destinations")
         assert outcome.blocked_moves == []
         assert outcome.next_state.hunters == dest[:len(world.hunters)]
-        assert ([outcome.next_state.prey[j] for j in prey_actions]
+        assert ([outcome.next_state.prey[j] for j in live]
                 == dest[len(world.hunters):])
     else:
         event("a shared destination")
     assert (outcome.next_state, outcome.captures, outcome.blocked_moves) == \
-        reference.step(world, actions, reference_rng, prey_actions)
+        reference.step(world, actions, reference_rng)
     assert rng.getstate() == reference_rng.getstate()
 
 
